@@ -17,32 +17,22 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    birge_histogram_error,
-    cj_constant,
-    default_vbar,
-    fast_bound_tv,
-    l2_linear_bound,
-    linf_bound,
-    lj_histogram_bound,
-    monotone_bound,
-    monotone_iid_bound,
-    optimize_monotone_bound,
-    regression_bound,
-    thm1_bound,
-    thm2_bound,
-    vc_bound_tv,
-    vc_process_bound,
-    wasserstein_dev_bound,
-)
 from .errors import ConfigError
 from .losses import LossSpec
 from .measures import HistogramMeasure, Measure, PartitionRef
-from .testfam import AtomScore, PiecewiseScore, ScoreFunction, score
+from .testfam import (
+    AtomScore,
+    PiecewiseScore,
+    PiecewiseTable,
+    ScoreFunction,
+    partition_pair_table,
+    score,
+)
 
 __all__ = [
     "Model",
@@ -53,23 +43,6 @@ __all__ = [
     "ell_estimate",
     "histogram_estimator",
     "median_tv_estimator",
-    # deviation-bound evaluators (implemented in .bounds)
-    "thm1_bound",
-    "thm2_bound",
-    "default_vbar",
-    "wasserstein_dev_bound",
-    "l2_linear_bound",
-    "vc_bound_tv",
-    "fast_bound_tv",
-    "cj_constant",
-    "lj_histogram_bound",
-    "linf_bound",
-    "regression_bound",
-    "monotone_bound",
-    "monotone_iid_bound",
-    "birge_histogram_error",
-    "optimize_monotone_bound",
-    "vc_process_bound",
 ]
 
 
@@ -161,6 +134,9 @@ class PairwiseEngine:
     """Precompiled pair scores for one (loss, model), reusable across samples.
 
     Construction builds the score of every unordered candidate pair once.
+    When every candidate is a histogram on one shared partition and the loss
+    is TV, L_j or L_inf, all pairs are compiled together from the height
+    matrix (``partition_pair_table``) and no per-pair score is built.
     Evaluation picks the fastest applicable backend: a value-matrix product
     when all scores live on one shared finite space, a sort-and-prefix-sum
     sweep when all scores are piecewise linear, and a per-pair loop
@@ -172,24 +148,30 @@ class PairwiseEngine:
         self.spec = spec
         self.model = as_model(model)
         m = len(self.model)
-        self._pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
+        self._n_pairs = m * (m - 1) // 2
         cands = self.model.candidates
         if self.model.product_form == "tuples":
             self._mode = "tuple"
             self._coord_scores = [
                 [score(spec, P[c], Q[c]) for c in range(len(P))]
-                for (i, k) in self._pairs
-                for (P, Q) in [(cands[i], cands[k])]
+                for P, Q in combinations(cands, 2)
             ]
             consts = [
                 sum(t.constant_part for t in coord) for coord in self._coord_scores
             ]
         else:
-            self._scores: list[ScoreFunction] = [
-                score(spec, cands[i], cands[k]) for i, k in self._pairs
-            ]
-            consts = [t.constant_part for t in self._scores]
-            self._mode = self._classify()
+            table = _shared_partition_table(spec, cands)
+            if table is not None:
+                self._mode = "piecewise"
+                self._table = table
+                # Every compiled family's data-free part is its base.
+                consts = table.bases
+            else:
+                self._scores: list[ScoreFunction] = [
+                    score(spec, P, Q) for P, Q in combinations(cands, 2)
+                ]
+                consts = [t.constant_part for t in self._scores]
+                self._mode = self._classify()
         self.constant_parts = self._fill_matrix(np.asarray(consts, dtype=float))
 
     # -- compilation ---------------------------------------------------------
@@ -207,24 +189,14 @@ class PairwiseEngine:
                 self._atom_values = np.stack([t.values for t in self._scores])
                 return "atom"
         if all(isinstance(t, PiecewiseScore) for t in self._scores):
-            pair_idx: list[int] = []
-            flat: list[tuple[float, float, float, float]] = []
-            for p, t in enumerate(self._scores):
-                for comp in t.components:
-                    pair_idx.append(p)
-                    flat.append(comp)
-            self._pw_bases = np.array([t.base for t in self._scores])
-            self._pw_pair = np.asarray(pair_idx, dtype=np.intp)
-            arr = np.asarray(flat, dtype=float).reshape(-1, 4)
-            self._pw_lo, self._pw_hi = arr[:, 0], arr[:, 1]
-            self._pw_const, self._pw_slope = arr[:, 2], arr[:, 3]
+            self._table = PiecewiseTable.from_scores(self._scores)
             return "piecewise"
         return "generic"
 
     def _fill_matrix(self, halves: np.ndarray) -> np.ndarray:
         m = len(self.model)
         M = np.zeros((m, m))
-        if self._pairs:
+        if self._n_pairs:
             iu = np.triu_indices(m, k=1)
             M[iu] = halves
             M[(iu[1], iu[0])] = -halves
@@ -237,6 +209,8 @@ class PairwiseEngine:
         x = np.asarray(sample, dtype=float)
         if x.ndim != 1:
             raise ConfigError(f"sample must be one-dimensional, got shape {x.shape}")
+        if x.size == 0 or not np.isfinite(x).all():
+            raise ConfigError("sample must be a non-empty array of finite numbers")
         if self._mode == "tuple":
             width = len(self.model.candidates[0])
             if x.size != width:
@@ -255,39 +229,50 @@ class PairwiseEngine:
             )
             if not np.all(self._atom_points[idx] == x):
                 bad = x[self._atom_points[idx] != x]
-                raise ValueError(
-                    f"observation {bad.flat[0]!r} is outside the score's finite space"
+                raise ConfigError(
+                    f"observation {bad.flat[0]!r} is outside the model's finite space"
                 )
             counts = np.bincount(idx, minlength=len(self._atom_points))
             halves = self._atom_values @ counts
         elif self._mode == "piecewise":
+            tab = self._table
             xs = np.sort(x)
             cums = np.concatenate([[0.0], np.cumsum(xs)])
-            lo_i = np.searchsorted(xs, self._pw_lo, side="left")
-            hi_i = np.searchsorted(xs, self._pw_hi, side="left")
+            lo_i = np.searchsorted(xs, tab.lo, side="left")
+            hi_i = np.searchsorted(xs, tab.hi, side="left")
             cnt = hi_i - lo_i
             sums = cums[hi_i] - cums[lo_i]
-            contrib = self._pw_const * cnt + self._pw_slope * sums
-            halves = x.size * self._pw_bases + np.bincount(
-                self._pw_pair, weights=contrib, minlength=len(self._pairs)
+            contrib = tab.const * cnt + tab.slope * sums
+            halves = x.size * tab.bases + np.bincount(
+                tab.pair, weights=contrib, minlength=self._n_pairs
             )
         else:
             halves = self._generic_halves(x, threads)
         return self._fill_matrix(np.asarray(halves, dtype=float))
 
     def _generic_halves(self, x: np.ndarray, threads: int) -> np.ndarray:
-        if not self._pairs:
+        if not self._n_pairs:
             return np.zeros(0)
         if threads > 1:
-            out = np.empty(len(self._pairs))
+            out = np.empty(self._n_pairs)
 
             def one(p: int) -> None:
                 out[p] = float(self._scores[p](x).sum())
 
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(one, range(len(self._pairs))))
+                list(pool.map(one, range(self._n_pairs)))
             return out
         return np.array([float(t(x).sum()) for t in self._scores])
+
+
+def _shared_partition_table(spec: LossSpec, cands: list) -> PiecewiseTable | None:
+    """All pairs compiled at once, if every candidate is a histogram on one partition."""
+    if not all(isinstance(c, HistogramMeasure) for c in cands):
+        return None
+    partition = cands[0].partition
+    if any(c.partition != partition for c in cands):
+        return None
+    return partition_pair_table(spec, partition, np.stack([c.heights for c in cands]))
 
 
 def pairwise_statistic(

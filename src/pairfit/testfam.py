@@ -66,8 +66,10 @@ __all__ = [
     "AtomScore",
     "PiecewiseScore",
     "CallableScore",
+    "PiecewiseTable",
     "constants_for",
     "score",
+    "partition_pair_table",
     "variational_score",
     "tv_score",
     "wasserstein_score",
@@ -163,7 +165,7 @@ class AtomScore(ScoreFunction):
         idx = np.clip(np.searchsorted(self.points, x), 0, len(self.points) - 1)
         if not np.all(self.points[idx] == x):
             bad = x[self.points[idx] != x]
-            raise ValueError(f"observation {bad.flat[0]!r} is outside the score's finite space")
+            raise ConfigError(f"observation {bad.flat[0]!r} is outside the score's finite space")
         return self.values[idx]
 
 
@@ -214,6 +216,36 @@ class CallableScore(ScoreFunction):
 
 def _zero_score(constants: FamilyConstants) -> PiecewiseScore:
     return PiecewiseScore(0.0, (), constants, 0.0)
+
+
+@dataclass(frozen=True)
+class PiecewiseTable:
+    """The piecewise-linear scores of many pairs, flattened into arrays.
+
+    Pair ``p`` scores ``bases[p]`` plus ``const[c] + slope[c] * x`` on
+    ``[lo[c], hi[c])`` for every component ``c`` with ``pair[c] == p``.
+    Components are ordered by pair, then as the pair's score lists them.
+    """
+
+    bases: np.ndarray
+    pair: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    const: np.ndarray
+    slope: np.ndarray
+
+    @classmethod
+    def from_scores(cls, scores: Sequence[PiecewiseScore]) -> "PiecewiseTable":
+        pair = [p for p, t in enumerate(scores) for _ in t.components]
+        flat = np.asarray([c for t in scores for c in t.components], dtype=float).reshape(-1, 4)
+        return cls(
+            bases=np.array([t.base for t in scores], dtype=float),
+            pair=np.asarray(pair, dtype=np.intp),
+            lo=flat[:, 0],
+            hi=flat[:, 1],
+            const=flat[:, 2],
+            slope=flat[:, 3],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +686,107 @@ def score(spec: LossSpec, P: Measure, Q: Measure) -> ScoreFunction:
     if spec.kind == "linf":
         partition = P.reference if isinstance(P.reference, PartitionRef) else None
         if partition is None or partition.cells != spec.D:
-            raise ValueError(
+            raise ConfigError(
                 f"linf scores need measures on a {spec.D}-cell partition reference"
             )
         return linf_score(P, Q, partition)
     raise ConfigError(f"no score family for loss kind {spec.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# All pairs of histograms on one partition at once
+# ---------------------------------------------------------------------------
+
+
+def partition_pair_table(
+    spec: LossSpec, partition: PartitionRef, heights: np.ndarray
+) -> PiecewiseTable | None:
+    """Scores of every pair ``i < k`` of histograms sharing ``partition``.
+
+    ``heights`` is the ``(m, cells)`` matrix of candidate heights; pairs come
+    in ``np.triu_indices(m, 1)`` order.  For the TV, L_j and L_inf families
+    the table is bitwise the one ``PiecewiseTable.from_scores`` builds from
+    the per-pair ``score`` calls, so it repeats their arithmetic exactly:
+    masked sums add the selected entries compacted (``_masked_row_sums``),
+    and the per-pair norm powers stay scalar ``pow`` calls, since array
+    ``**`` rounds differently from it on some inputs.  Returns None for
+    other families and for L_inf on a partition without ``D`` cells.
+    """
+    H = np.asarray(heights, dtype=float)
+    cells = partition.cells
+    iu, ku = np.triu_indices(len(H), 1)
+    hp, hq = H[iu], H[ku]
+    masses = H / cells
+    edges = partition.edges
+    last_hi = _UP(edges[-1], math.inf)
+
+    if spec.kind == "tv":
+        p_gt, q_gt = hp > hq, hq > hp
+        bases = 0.5 * (_masked_row_sums(masses[iu], p_gt) - _masked_row_sums(masses[ku], q_gt))
+        pair, cell = np.nonzero(p_gt | q_gt)
+        hi = edges[cell + 1]
+        # Close the right edge of each pair's last component at the support end.
+        last = np.ones(len(pair), dtype=bool)
+        last[:-1] = pair[1:] != pair[:-1]
+        hi = np.where(last & (hi == edges[-1]), last_hi, hi)
+        const = np.where(q_gt[pair, cell], 0.5, -0.5)
+        return PiecewiseTable(bases, pair, edges[cell], hi, const, np.zeros(len(pair)))
+
+    if spec.kind == "lj":
+        j = spec.j
+        scale = 2.0 * spec.R ** (j - 1.0)
+        diff = hp - hq
+        sums = (np.abs(diff) ** j).sum(axis=1) / cells
+        dist = np.array([s ** (1.0 / j) for s in sums.tolist()])
+        keep = dist != 0.0  # pairs at distance zero get the zero score
+        norm = np.array([d ** (j - 1.0) if d != 0.0 else 1.0 for d in dist.tolist()])
+        f_vals = np.sign(diff) * np.abs(diff) ** (j - 1.0) / norm[:, None]
+        mean_f = (f_vals * 0.5 * (masses[iu] + masses[ku])).sum(axis=1)
+        bases = np.where(keep, mean_f / scale, 0.0)
+        rows = np.flatnonzero(keep)
+        cell_hi = edges[1:].copy()
+        cell_hi[-1] = last_hi
+        return PiecewiseTable(
+            bases,
+            np.repeat(rows, cells),
+            np.tile(edges[:-1], len(rows)),
+            np.tile(cell_hi, len(rows)),
+            (-f_vals[rows] / scale).ravel(),
+            np.zeros(len(rows) * cells),
+        )
+
+    if spec.kind == "linf":
+        if cells != spec.D:
+            return None
+        mp, mq = masses[iu], masses[ku]
+        star = np.abs(mp - mq).argmax(axis=1)  # lowest index on ties
+        at = np.arange(len(star))
+        sp, sq = mp[at, star], mq[at, star]
+        keep = sp - sq != 0.0
+        sign = np.copysign(1.0, sp - sq)
+        bases = np.where(keep, sign * 0.5 * (sp + sq), 0.0)
+        rows = np.flatnonzero(keep)
+        star = star[rows]
+        hi = np.where(star == cells - 1, last_hi, edges[star + 1])
+        return PiecewiseTable(bases, rows, edges[star], hi, -sign[rows], np.zeros(len(rows)))
+
+    return None
+
+
+def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values[r][mask[r]].sum()`` for every row ``r``, bitwise.
+
+    Rows are grouped by their count of selected entries and each group is
+    summed as a compacted C-contiguous block: numpy's pairwise summation
+    blocks by position, so zero-filling unselected entries would change the
+    rounding of rows with eight or more terms.
+    """
+    out = np.zeros(len(values))
+    counts = mask.sum(axis=1)
+    for c in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == c)
+        out[rows] = values[rows][mask[rows]].reshape(-1, c).sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,36 @@ class TestEstimate:
         assert cli.main(["estimate", "--config", str(path)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_observation_outside_discrete_space_is_config_error(self, tmp_path, capsys):
+        doc = {
+            "model": {
+                "family": "discrete",
+                "space_size": 3,
+                "candidates": [[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]],
+            },
+            "loss": {"kind": "tv"},
+            "sample": [0.0, 1.0, 99.0],
+        }
+        path = write_config(tmp_path, "e.json", doc)
+        assert cli.main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "99.0" in capsys.readouterr().err
+
+    def test_linf_without_matching_partition_is_config_error(self, tmp_path, capsys):
+        doc = {
+            "model": {
+                "family": "gaussian-location-grid",
+                "d": 1,
+                "lo": -1.0,
+                "hi": 1.0,
+                "step": 0.5,
+            },
+            "loss": {"kind": "linf", "D": 4},
+            "sample": [0.1, -0.3, 0.7],
+        }
+        path = write_config(tmp_path, "e.json", doc)
+        assert cli.main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "4-cell partition" in capsys.readouterr().err
+
 
 class TestDescribe:
     def test_estimate_describe_round_trips(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the pairwise engine, the estimator, and the plug-in estimators."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from pairfit.measures import (
     sample_from,
     wasserstein1,
 )
-from pairfit.testfam import score
+from pairfit.models import build
+from pairfit.testfam import PiecewiseTable, score
 
 
 def two_point_tv_model():
@@ -341,3 +343,194 @@ class TestMedianEstimator:
             nearest = int(np.argmin(np.abs(grid - med)))
             rep = ell_estimate(x, model, LossSpec.tv(), epsilon=0.5, engine=eng)
             assert nearest in rep.minimizer_set
+
+
+class TestSampleValidation:
+    MODEL = [GaussianMeasure(c) for c in (-0.5, 0.0, 0.5)]
+
+    @pytest.mark.parametrize(
+        "sample", [[], [math.nan, 0.1], [math.inf]], ids=["empty", "nan", "inf"]
+    )
+    def test_rejects_empty_and_non_finite(self, sample):
+        with pytest.raises(ConfigError, match="non-empty array of finite numbers"):
+            ell_estimate(np.array(sample, dtype=float), self.MODEL, LossSpec.tv())
+
+    def test_atom_observation_outside_space_is_config_error(self):
+        with pytest.raises(ConfigError, match="outside the model's finite space"):
+            pairwise_statistic(np.array([0.0, 2.0]), two_point_tv_model(), LossSpec.tv())
+
+
+def count_score_calls(monkeypatch):
+    """Count the per-pair ``score`` calls the engine makes from here on."""
+    calls = []
+
+    def counted(spec, P, Q):
+        calls.append(1)
+        return score(spec, P, Q)
+
+    monkeypatch.setattr("pairfit.estimator.score", counted)
+    return calls
+
+
+class TestPartitionPairTable:
+    """Histogram models compile all pairs at once, bitwise as pair by pair."""
+
+    MODELS = {
+        "histogram-net": {
+            "family": "histogram-net",
+            "cells": 4,
+            "value_grid": [0.0, 0.5, 1.0, 1.5, 2.0],
+        },
+        # Twelve cells, so TV masks select eight or more cells of some pairs,
+        # where numpy's pairwise summation starts blocking.
+        "monotone-net": {
+            "family": "monotone-net",
+            "d": 2,
+            "breakpoint_grid": [k / 12 for k in range(13)],
+            "level_grid": [0.25, 0.5, 1.0, 2.0, 3.0],
+        },
+        # Signed heights, and one repeated row: a pair at L_j distance zero.
+        "l2-linear": {
+            "family": "l2-linear",
+            "basis": "indicator",
+            "cells": 9,
+            "coefficient_net": np.round(philox_rng(17, 0).normal(size=(30, 9)), 3).tolist()
+            + [[0.1] * 9, [0.1] * 9],
+        },
+    }
+    SPECS = {
+        "tv": lambda cells: LossSpec.tv(),
+        "lj2": lambda cells: LossSpec.lj(j=2.0, R=2.0),
+        "lj3": lambda cells: LossSpec.lj(j=3.0, R=1.5),
+        "linf": lambda cells: LossSpec.linf(D=cells),
+    }
+
+    @pytest.mark.parametrize("loss", sorted(SPECS))
+    @pytest.mark.parametrize("family", sorted(MODELS))
+    def test_bitwise_equal_to_per_pair_scores(self, family, loss, monkeypatch):
+        model = build(self.MODELS[family])
+        spec = self.SPECS[loss](model.partition.cells)
+        scores = [score(spec, P, Q) for P, Q in combinations(model.candidates, 2)]
+        expected = PiecewiseTable.from_scores(scores)
+        calls = count_score_calls(monkeypatch)
+        eng = PairwiseEngine(spec, model)
+        assert not calls
+        assert eng._mode == "piecewise"
+        for field in ("bases", "pair", "lo", "hi", "const", "slope"):
+            got, want = getattr(eng._table, field), getattr(expected, field)
+            assert got.dtype == want.dtype, field
+            assert got.tobytes() == want.tobytes(), field
+        consts = np.array([t.constant_part for t in scores])
+        upper = eng.constant_parts[np.triu_indices(len(model), 1)]
+        assert upper.tobytes() == consts.tobytes()
+        assert np.array_equal(eng.constant_parts, -eng.constant_parts.T)
+
+    def test_mixed_partitions_take_per_pair_path(self, monkeypatch):
+        wide = PartitionRef(3, (0.0, 2.0))
+        narrow = PartitionRef(3, (0.0, 1.0))
+        model = [
+            HistogramMeasure(narrow, [1.0, 1.0, 1.0]),
+            HistogramMeasure(narrow, [0.5, 1.0, 1.5]),
+            HistogramMeasure(wide, [1.5, 1.0, 0.5]),
+        ]
+        calls = count_score_calls(monkeypatch)
+        PairwiseEngine(LossSpec.tv(), model)
+        assert len(calls) == 3
+
+    def test_non_histogram_model_takes_per_pair_path(self, monkeypatch):
+        model = [GaussianMeasure(c) for c in (-0.5, 0.0, 0.5)]
+        calls = count_score_calls(monkeypatch)
+        eng = PairwiseEngine(LossSpec.tv(), model)
+        assert len(calls) == 3
+        assert eng._mode == "piecewise"
+
+    def test_uncompiled_family_takes_per_pair_path(self, monkeypatch):
+        part = PartitionRef(4, (0.0, 1.0))
+        model = [HistogramMeasure(part, h) for h in ([1, 1, 1, 1], [2, 1, 1, 0], [0, 1, 1, 2])]
+        calls = count_score_calls(monkeypatch)
+        PairwiseEngine(LossSpec.wasserstein1(), model)
+        assert len(calls) == 3
+
+    def test_linf_with_other_cell_count_is_config_error(self):
+        part = PartitionRef(4, (0.0, 1.0))
+        model = [HistogramMeasure(part, h) for h in ([1, 1, 1, 1], [2, 1, 1, 0])]
+        with pytest.raises(ConfigError, match="5-cell partition"):
+            PairwiseEngine(LossSpec.linf(D=5), model)
+
+
+def assert_matches_scores(spec, cands, x):
+    """Engine matrix: zero diagonal, exact antisymmetry, entries = per-pair sums."""
+    M = PairwiseEngine(spec, cands).statistic_matrix(x)
+    assert np.all(np.diag(M) == 0.0)
+    assert np.array_equal(M, -M.T)
+    for i, k in combinations(range(len(cands)), 2):
+        v = float(score(spec, cands[i], cands[k])(x).sum())
+        assert abs(M[i, k] - v) <= 1e-12 * max(1.0, abs(v)), (i, k, M[i, k], v)
+
+
+class TestBackendProperty:
+    """Every evaluation backend agrees with summing the per-pair scores."""
+
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=2, max_value=5),
+        m=st.integers(min_value=2, max_value=4),
+        hellinger=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_atom(self, data, size, m, hellinger):
+        masses = data.draw(
+            st.lists(
+                st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size),
+                min_size=m,
+                max_size=m,
+            )
+        )
+        points = list(range(size))
+        cands = [DiscreteMeasure(points, np.array(w) / sum(w)) for w in masses]
+        x = np.array(
+            data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=30)),
+            dtype=float,
+        )
+        spec = LossSpec.hellinger2() if hellinger else LossSpec.tv()
+        assert_matches_scores(spec, cands, x)
+
+    @given(
+        data=st.data(),
+        cells=st.integers(min_value=2, max_value=12),
+        m=st.integers(min_value=2, max_value=5),
+        loss=st.sampled_from(["tv", "lj2", "lj3", "linf"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_compiled_partition(self, data, cells, m, loss):
+        # Signed heights as in l2-linear models; a few repeated levels make ties.
+        height = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), st.floats(-3.0, 3.0))
+        heights = data.draw(
+            st.lists(st.lists(height, min_size=cells, max_size=cells), min_size=m, max_size=m)
+        )
+        part = PartitionRef(cells, (0.0, 1.0))
+        cands = [HistogramMeasure(part, h) for h in heights]
+        spec = TestPartitionPairTable.SPECS[loss](cells)
+        point = st.one_of(
+            st.floats(-0.5, 1.5), st.integers(0, cells).map(lambda k: k / cells)
+        )
+        x = np.array(data.draw(st.lists(point, min_size=1, max_size=30)))
+        assert_matches_scores(spec, cands, x)
+
+    @given(
+        means=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6, unique=True),
+        x=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_piecewise_gaussian_grid(self, means, x):
+        cands = [GaussianMeasure(c) for c in means]
+        assert_matches_scores(LossSpec.tv(), cands, np.array(x))
+
+    @given(
+        means=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3, unique=True),
+        x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_generic_hellinger(self, means, x):
+        cands = [GaussianMeasure(c) for c in means]
+        assert_matches_scores(LossSpec.hellinger2(), cands, np.array(x))

@@ -434,5 +434,5 @@ class TestC1Constant:
 class TestAtomScoreSafety:
     def test_foreign_point_raises(self):
         t = AtomScore(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), constants_for(LossSpec.tv()), 0.0)
-        with pytest.raises(ValueError, match="outside the score's finite space"):
+        with pytest.raises(ConfigError, match="outside the score's finite space"):
             t(np.array([0.5]))
