@@ -15,7 +15,6 @@ observation k is scored against coordinate k.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .losses import LossSpec
-from .measures import HistogramMeasure, Measure, PartitionRef
+from .measures import HistogramMeasure, Measure, PartitionRef, locate_points
 from .testfam import (
     AtomScore,
     PiecewiseScore,
@@ -204,7 +203,7 @@ class PairwiseEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def statistic_matrix(self, sample: np.ndarray, threads: int = 1) -> np.ndarray:
+    def statistic_matrix(self, sample: np.ndarray) -> np.ndarray:
         """Antisymmetric matrix with entry (i, k) = sum of pair (i, k) scores."""
         x = np.asarray(sample, dtype=float)
         if x.ndim != 1:
@@ -224,14 +223,7 @@ class PairwiseEngine:
                 ]
             )
         elif self._mode == "atom":
-            idx = np.clip(
-                np.searchsorted(self._atom_points, x), 0, len(self._atom_points) - 1
-            )
-            if not np.all(self._atom_points[idx] == x):
-                bad = x[self._atom_points[idx] != x]
-                raise ConfigError(
-                    f"observation {bad.flat[0]!r} is outside the model's finite space"
-                )
+            idx = locate_points(self._atom_points, x, "the model's finite space")
             counts = np.bincount(idx, minlength=len(self._atom_points))
             halves = self._atom_values @ counts
         elif self._mode == "piecewise":
@@ -247,21 +239,12 @@ class PairwiseEngine:
                 tab.pair, weights=contrib, minlength=self._n_pairs
             )
         else:
-            halves = self._generic_halves(x, threads)
+            halves = self._generic_halves(x)
         return self._fill_matrix(np.asarray(halves, dtype=float))
 
-    def _generic_halves(self, x: np.ndarray, threads: int) -> np.ndarray:
+    def _generic_halves(self, x: np.ndarray) -> np.ndarray:
         if not self._n_pairs:
             return np.zeros(0)
-        if threads > 1:
-            out = np.empty(self._n_pairs)
-
-            def one(p: int) -> None:
-                out[p] = float(self._scores[p](x).sum())
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(one, range(self._n_pairs)))
-            return out
         return np.array([float(t(x).sum()) for t in self._scores])
 
 
@@ -279,10 +262,9 @@ def pairwise_statistic(
     sample: np.ndarray,
     model: Model | Sequence[Measure],
     loss: LossSpec,
-    threads: int = 1,
 ) -> np.ndarray:
     """The full pairwise statistic matrix (one-shot engine construction)."""
-    return PairwiseEngine(loss, model).statistic_matrix(sample, threads=threads)
+    return PairwiseEngine(loss, model).statistic_matrix(sample)
 
 
 def ell_estimate(
@@ -291,7 +273,6 @@ def ell_estimate(
     loss: LossSpec,
     epsilon: float = 1.0,
     engine: PairwiseEngine | None = None,
-    threads: int = 1,
 ) -> EstimateReport:
     """Run the estimator: minimize the sup-statistic over the candidate list.
 
@@ -303,7 +284,7 @@ def ell_estimate(
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if engine is None:
         engine = PairwiseEngine(loss, model)
-    M = engine.statistic_matrix(sample, threads=threads)
+    M = engine.statistic_matrix(sample)
     sup = M.max(axis=1)
     lowest = float(sup.min())
     mset = tuple(int(i) for i in np.flatnonzero(sup <= lowest + epsilon))

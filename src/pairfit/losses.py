@@ -43,9 +43,7 @@ _KINDS = ("tv", "hellinger2", "kl", "wasserstein1", "lj", "linf")
 class LossSpec:
     """A loss function choice plus its family parameters.
 
-    Fields irrelevant to the chosen kind must stay None.  ``reference`` is an
-    optional reference measure; when set, loss evaluation checks that both
-    arguments live on it.
+    Fields irrelevant to the chosen kind must stay None.
     """
 
     kind: str
@@ -53,7 +51,6 @@ class LossSpec:
     R: float | None = None
     a: float | None = None
     D: int | None = None
-    reference: object | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -137,19 +134,8 @@ _RELEVANT = {
 }
 
 
-def _check_reference(spec: LossSpec, *measures: Measure) -> None:
-    if spec.reference is None:
-        return
-    for m in measures:
-        if m.reference != spec.reference:
-            raise ValueError(
-                f"measure {m!r} does not live on the loss spec's reference {spec.reference!r}"
-            )
-
-
 def loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
     """Evaluate the loss named by ``spec`` between measures ``S`` and ``Q``."""
-    _check_reference(spec, S, Q)
     if spec.kind == "tv":
         return tv_distance(S, Q)
     if spec.kind == "hellinger2":
@@ -162,7 +148,7 @@ def loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
         return lj_distance(S, Q, spec.j)
     if spec.kind == "linf":
         if hasattr(S.reference, "cells") and S.reference.cells != spec.D:
-            raise ValueError(
+            raise ConfigError(
                 f"linf loss configured for D={spec.D} cells but measures have "
                 f"{S.reference.cells}"
             )

@@ -58,6 +58,8 @@ __all__ = [
     "sign_change_points",
     "expectation",
     "philox_rng",
+    "atom_mass_matrix",
+    "locate_points",
     "sample_from",
     "empirical_cdf",
     "empirical_measure",
@@ -74,6 +76,7 @@ _QUAD_TOL = 1e-8
 _QUAD_MAX_PANELS = 1 << 20
 _TV_ERR_BUDGET = 1e-6
 _PROBE_COUNT = 4096
+_BISECT_ITERS = 90
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +160,7 @@ class DiscreteRef:
 
     def locate(self, x: np.ndarray) -> np.ndarray:
         """Index of each value in the point list; raises if a value is foreign."""
-        pts = self.points_array
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(pts, x)
-        idx = np.clip(idx, 0, len(pts) - 1)
-        if not np.all(pts[idx] == x):
-            bad = x[pts[idx] != x]
-            raise ValueError(f"value {bad.flat[0]!r} is not a point of the discrete space")
-        return idx
+        return locate_points(self.points_array, x, "the discrete space")
 
 
 def counting_ref(points: Sequence[float]) -> DiscreteRef:
@@ -183,16 +179,13 @@ def integrate(
     a: float,
     b: float,
     breakpoints: Sequence[float] = (),
-    *,
-    tol: float = _QUAD_TOL,
-    max_panels: int = _QUAD_MAX_PANELS,
 ) -> tuple[float, float]:
     """Globally adaptive composite Simpson rule on ``[a, b]``.
 
     Initial panels are seeded by the sorted breakpoints that fall inside the
     interval; the panel with the largest Richardson error estimate
     ``|S_fine - S_coarse| / 15`` is bisected until the summed estimate drops
-    below ``tol``, the panel budget is exhausted, or panels hit the
+    below ``_QUAD_TOL``, the panel budget is exhausted, or panels hit the
     floating-point width floor.
 
     Returns:
@@ -202,7 +195,7 @@ def integrate(
     Raises:
         NumericalError: if the integrand returns a non-finite value, or the
             panel budget is exhausted while the error estimate is still more
-            than 100x the requested tolerance.
+            than 100x ``_QUAD_TOL``.
     """
     a = float(a)
     b = float(b)
@@ -262,7 +255,7 @@ def integrate(
         for k in range(n_sub):
             push_panel(grid[4 * k], seg_w / n_sub, vals[4 * k : 4 * k + 5])
 
-    while heap and pending_err + accepted_err > tol and n_panels < max_panels:
+    while heap and pending_err + accepted_err > _QUAD_TOL and n_panels < _QUAD_MAX_PANELS:
         neg_err, _, lo, width, s_coarse, s_fine, f5 = heapq.heappop(heap)
         pending_err -= -neg_err
         n_panels -= 1
@@ -281,10 +274,10 @@ def integrate(
     for entry in heap:
         s_coarse, s_fine = entry[4], entry[5]
         value += s_fine + (s_fine - s_coarse) / 15.0
-    if err_total > 100.0 * tol and n_panels >= max_panels:
+    if err_total > 100.0 * _QUAD_TOL and n_panels >= _QUAD_MAX_PANELS:
         raise NumericalError(
             f"quadrature budget exhausted: error estimate {err_total:.3e} "
-            f"with {n_panels} panels (tol {tol:.1e})"
+            f"with {n_panels} panels (tol {_QUAD_TOL:.1e})"
         )
     return float(value), float(err_total)
 
@@ -294,19 +287,16 @@ def sign_change_points(
     a: float,
     b: float,
     breakpoints: Sequence[float] = (),
-    *,
-    probes: int = _PROBE_COUNT,
-    iters: int = 90,
 ) -> list[float]:
     """Sign changes of ``fn`` on ``[a, b]``, located by probing plus bisection.
 
-    The probe grid is the union of ``probes`` equispaced points and the given
+    The probe grid is the union of ``_PROBE_COUNT`` equispaced points and the given
     breakpoints.  Strict sign flips between adjacent probes are refined by
     bisection; probe points where ``fn`` is exactly zero are returned as-is.
     """
     if b <= a:
         return []
-    grid = np.linspace(a, b, probes)
+    grid = np.linspace(a, b, _PROBE_COUNT)
     extra = [float(p) for p in breakpoints if a < p < b]
     if extra:
         grid = np.unique(np.concatenate([grid, np.asarray(extra)]))
@@ -327,7 +317,7 @@ def sign_change_points(
     hi = grid[1:][flip].copy()
     if lo.size:
         flo = vals[:-1][flip].copy()
-        for _ in range(iters):
+        for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             fmid = np.asarray(fn(mid), dtype=float)
             go_left = flo * fmid <= 0.0
@@ -824,22 +814,20 @@ def expectation(
     m: Measure,
     fn: Callable[[np.ndarray], np.ndarray],
     extra_breakpoints: Sequence[float] = (),
-    *,
-    err_budget: float = _TV_ERR_BUDGET,
 ) -> float:
     """``∫ fn dm``: exact over atoms, adaptive quadrature over the pdf part."""
     total = 0.0
-    atoms = m.atoms()
-    if atoms:
-        pts = np.array([p for p, _ in atoms])
-        ms = np.array([w for _, w in atoms])
+    if m.atoms():
+        pts, (ms,) = atom_mass_matrix(m)
         total += float(np.sum(np.asarray(fn(pts), dtype=float) * ms))
     if _has_continuous_part(m):
         lo, hi = m.window()
         brk = sorted(set(m.breakpoints()) | {float(b) for b in extra_breakpoints})
         val, err = integrate(lambda x: np.asarray(fn(x), dtype=float) * m.pdf(x), lo, hi, brk)
-        if err > err_budget:
-            raise NumericalError(f"expectation error estimate {err:.2e} exceeds {err_budget:.0e}")
+        if err > _TV_ERR_BUDGET:
+            raise NumericalError(
+                f"expectation error estimate {err:.2e} exceeds {_TV_ERR_BUDGET:.0e}"
+            )
         total += val
     return total
 
@@ -849,11 +837,11 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Distinct ``(seed, stream)`` pairs give independent reproducible streams,
     so per-replication generators can be created in any order (or in
-    parallel) without affecting the draws.
+    parallel) without affecting the draws.  Both numbers are taken mod 2^64:
+    a negative seed ``s`` keys the same stream as ``s + 2**64`` (``-1`` is
+    ``2**64 - 1``), and seeds of 2^64 or more wrap the same way.
     """
-    if seed < 0 or stream < 0:
-        raise ConfigError(f"seed and stream must be nonnegative, got ({seed}, {stream})")
-    key = np.array([seed, stream], dtype=np.uint64)
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -895,7 +883,7 @@ def empirical_measure(sample: Sequence[float]) -> DiscreteMeasure:
 def _require_probability(*measures: Measure) -> None:
     for m in measures:
         if not m.is_probability:
-            raise ValueError(f"{m!r} is not a probability measure")
+            raise ConfigError(f"{m!r} is not a probability measure")
 
 
 def _validate_method(method: str) -> None:
@@ -903,18 +891,35 @@ def _validate_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _atom_points(P: Measure, Q: Measure) -> np.ndarray:
-    pts = sorted({p for p, _ in P.atoms()} | {p for p, _ in Q.atoms()})
-    return np.asarray(pts, dtype=float)
+def atom_mass_matrix(*measures: Measure) -> tuple[np.ndarray, np.ndarray]:
+    """The measures' atoms aligned on one finite point set.
+
+    Returns the sorted union of every measure's atom points and the
+    ``(len(measures), points)`` matrix whose row ``i`` holds measure ``i``'s
+    mass at each point, 0 where it has no atom.
+    """
+    atoms = [m.atoms() for m in measures]
+    points = np.asarray(sorted({p for a in atoms for p, _ in a}), dtype=float)
+    masses = np.zeros((len(measures), len(points)))
+    for row, a in zip(masses, atoms):
+        if a:
+            pm = np.asarray(a, dtype=float)
+            row[np.searchsorted(points, pm[:, 0])] = pm[:, 1]
+    return points, masses
 
 
-def _atom_mass_vectors(P: Measure, Q: Measure) -> tuple[np.ndarray, np.ndarray]:
-    pts = _atom_points(P, Q)
-    mp = dict(P.atoms())
-    mq = dict(Q.atoms())
-    vp = np.array([mp.get(float(p), 0.0) for p in pts])
-    vq = np.array([mq.get(float(p), 0.0) for p in pts])
-    return vp, vq
+def locate_points(points: np.ndarray, x: np.ndarray, space: str) -> np.ndarray:
+    """Index of each observation in the sorted ``points``.
+
+    Raises:
+        ConfigError: naming ``space`` if some value is not one of the points.
+    """
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(points, x), 0, len(points) - 1)
+    foreign = points[idx] != x
+    if foreign.any():
+        raise ConfigError(f"observation {float(x[foreign].flat[0])!r} is outside {space}")
+    return idx
 
 
 def _has_continuous_part(m: Measure) -> bool:
@@ -990,7 +995,7 @@ def _tv_closed_form(P: Measure, Q: Measure) -> float | None:
     ):
         return 0.5 * float(np.abs(P.cell_masses - Q.cell_masses).sum())
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-        vp, vq = _atom_mass_vectors(P, Q)
+        _, (vp, vq) = atom_mass_matrix(P, Q)
         return 0.5 * float(np.abs(vp - vq).sum())
     return None
 
@@ -998,7 +1003,7 @@ def _tv_closed_form(P: Measure, Q: Measure) -> float | None:
 def _tv_quadrature(P: Measure, Q: Measure) -> float:
     atom_part = 0.0
     if P.atoms() or Q.atoms():
-        vp, vq = _atom_mass_vectors(P, Q)
+        _, (vp, vq) = atom_mass_matrix(P, Q)
         atom_part = float(np.abs(vp - vq).sum())
     cont_part = 0.0
     if _has_continuous_part(P) or _has_continuous_part(Q):
@@ -1012,6 +1017,13 @@ def _tv_quadrature(P: Measure, Q: Measure) -> float:
                 f"TV quadrature error estimate {err:.2e} exceeds {_TV_ERR_BUDGET:.0e}"
             )
         cont_part = val
+        if P.heavy_tails or Q.heavy_tails:
+            # Add the tail mass outside the window, where p - q keeps one sign
+            # so each side contributes its cdf gap.  The left gap stops just
+            # short of lo: an atom at lo is already in atom_part.
+            below = np.nextafter(lo, -math.inf)
+            cont_part += abs(float(P.cdf(below) - Q.cdf(below)))
+            cont_part += abs(float(Q.cdf(hi) - P.cdf(hi)))
     return min(1.0, 0.5 * (cont_part + atom_part))
 
 
@@ -1053,7 +1065,7 @@ def hellinger_sq(P: Measure, Q: Measure, method: str = "auto") -> float:
             d = P.mean - Q.mean
             return 1.0 - math.exp(-(d * d) / (8.0 * P.sd * P.sd))
         if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-            vp, vq = _atom_mass_vectors(P, Q)
+            _, (vp, vq) = atom_mass_matrix(P, Q)
             aff = float(np.sqrt(np.clip(vp, 0, None) * np.clip(vq, 0, None)).sum())
             return min(1.0, max(0.0, 1.0 - aff))
         if (
@@ -1072,7 +1084,7 @@ def hellinger_sq(P: Measure, Q: Measure, method: str = "auto") -> float:
     # Affinity splits over the continuous and atomic parts.
     aff = 0.0
     if P.atoms() and Q.atoms():
-        vp, vq = _atom_mass_vectors(P, Q)
+        _, (vp, vq) = atom_mass_matrix(P, Q)
         aff += float(np.sqrt(np.clip(vp, 0, None) * np.clip(vq, 0, None)).sum())
     if _has_continuous_part(P) and _has_continuous_part(Q):
         lo, hi = _union_window(P, Q)
@@ -1110,7 +1122,7 @@ def kl_divergence(P: Measure, Q: Measure, method: str = "auto") -> float:
     _require_probability(P, Q)
     if method in ("auto", "closed_form"):
         if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-            vp, vq = _atom_mass_vectors(P, Q)
+            _, (vp, vq) = atom_mass_matrix(P, Q)
             return float(_xlogx_ratio(vp, vq).sum())
         if (
             isinstance(P, HistogramMeasure)
@@ -1125,24 +1137,16 @@ def kl_divergence(P: Measure, Q: Measure, method: str = "auto") -> float:
             raise ValueError(f"no closed-form KL for families ({P.tag!r}, {Q.tag!r})")
     # Absolute-continuity screen: P's support must sit inside Q's, and P may
     # not put atoms where Q has none.
-    if P.atoms():
-        q_atoms = dict(Q.atoms())
-        for pt, mass in P.atoms():
-            if mass > 0.0 and q_atoms.get(pt, 0.0) <= 0.0:
-                return math.inf
+    _, (vp, vq) = atom_mass_matrix(P, Q)
+    if np.any((vp > 0.0) & (vq <= 0.0)):
+        return math.inf
     if _has_continuous_part(P) and not _has_continuous_part(Q):
         return math.inf
     lo_p, hi_p = P.support()
     lo_q, hi_q = Q.support()
     if lo_p < lo_q - 1e-12 or hi_p > hi_q + 1e-12:
         return math.inf
-    total = 0.0
-    if P.atoms():
-        vp, vq = _atom_mass_vectors(P, Q)
-        atom_term = float(_xlogx_ratio(vp, vq).sum())
-        if math.isinf(atom_term):
-            return math.inf
-        total += atom_term
+    total = float(_xlogx_ratio(vp, vq).sum())
     if _has_continuous_part(P):
         lo, hi = P.window()
 
@@ -1250,7 +1254,7 @@ def lj_distance(P: Measure, Q: Measure, j: float) -> float:
     if not (j > 1.0):
         raise ValueError(f"L_j norms need j in (1, inf], got {j}")
     if P.reference != Q.reference:
-        raise ValueError(
+        raise ConfigError(
             f"L_j distance needs a shared reference, got {P.reference!r} vs {Q.reference!r}"
         )
     ref = P.reference

@@ -33,6 +33,7 @@ from .measures import (
     PartitionRef,
     PowerMeasure,
     UniformMeasure,
+    atom_mass_matrix,
     measure_from_config,
 )
 
@@ -494,10 +495,7 @@ def _log_ratio_bound(candidates: Sequence[Measure]) -> float | None:
     if len(candidates) < 2:
         return None
     if all(isinstance(m, DiscreteMeasure) for m in candidates):
-        points = sorted({p for m in candidates for p, _ in m.atoms()})
-        stacked = np.array(
-            [[dict(m.atoms()).get(p, 0.0) for p in points] for m in candidates]
-        )
+        _, stacked = atom_mass_matrix(*candidates)
         col_max = stacked.max(axis=0)
         col_min = stacked.min(axis=0)
         active = col_max > 0.0

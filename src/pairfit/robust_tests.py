@@ -26,7 +26,7 @@ from .bounds import _require_count, _require_nonnegative, _require_positive
 from .errors import ConfigError
 from .estimator import Model, pairwise_statistic
 from .losses import LossSpec
-from .measures import DiscreteMeasure, Measure
+from .measures import DiscreteMeasure, Measure, atom_mass_matrix
 from .testfam import _analytic_tv_regions, _interval_prob, _tv_regions_generic
 
 __all__ = [
@@ -109,14 +109,12 @@ def _q_dominates_split(
     half-open evaluation intervals as the TV score.
     """
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-        mass_p = dict(P.atoms())
-        mass_q = dict(Q.atoms())
-        points = sorted(set(mass_p) | set(mass_q))
-        selected = np.array(
-            [x for x in points if mass_q.get(x, 0.0) > mass_p.get(x, 0.0)]
-        )
-        prob_p = float(sum(mass_p.get(x, 0.0) for x in selected))
-        prob_q = float(sum(mass_q.get(x, 0.0) for x in selected))
+        points, (vp, vq) = atom_mass_matrix(P, Q)
+        in_a = vq > vp
+        selected = points[in_a]
+        # Left-to-right Python float sums: numpy's pairwise sum rounds differently.
+        prob_p = float(sum(vp[in_a].tolist()))
+        prob_q = float(sum(vq[in_a].tolist()))
 
         def member(xs: np.ndarray) -> np.ndarray:
             if selected.size == 0:

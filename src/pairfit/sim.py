@@ -30,7 +30,12 @@ from .bounds import vc_bound_tv, wasserstein_dev_bound
 from .errors import ConfigError
 from .estimator import PairwiseEngine, ell_estimate
 from .losses import LossSpec, aggregate_loss, loss
-from .measures import Measure, MixtureMeasure, measure_from_config
+from .measures import (
+    Measure,
+    MixtureMeasure,
+    measure_from_config,
+    philox_rng as replication_rng,
+)
 from .models import ModelBuilderConfig, build
 from .robust_tests import Decision, bernstein_bound, hoeffding_bound, run_test
 from .testfam import constants_for
@@ -226,17 +231,6 @@ class ExperimentRecord:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, replication index).
-
-    Each replication owns an independent Philox key, so draws cannot be
-    reordered by scheduling and adding replications never perturbs earlier
-    ones.
-    """
-    key = np.array([seed % 2**64, rep % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_truth(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:

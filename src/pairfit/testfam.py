@@ -52,10 +52,12 @@ from .measures import (
     PartitionRef,
     PowerMeasure,
     UniformMeasure,
+    atom_mass_matrix,
     cdf_sign_intervals,
     expectation,
     integrate,
     lj_distance,
+    locate_points,
     sign_change_points,
     tv_distance,
 )
@@ -84,6 +86,7 @@ __all__ = [
 ]
 
 _UP = np.nextafter  # one-ulp shift, used to encode open/closed interval ends
+_PROBE_GRID = 512  # grid size of the checkers' probe points off finite spaces
 
 
 @dataclass(frozen=True)
@@ -161,12 +164,7 @@ class AtomScore(ScoreFunction):
         self.constant_part = float(constant_part)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.points, x), 0, len(self.points) - 1)
-        if not np.all(self.points[idx] == x):
-            bad = x[self.points[idx] != x]
-            raise ConfigError(f"observation {bad.flat[0]!r} is outside the score's finite space")
-        return self.values[idx]
+        return self.values[locate_points(self.points, x, "the score's finite space")]
 
 
 class PiecewiseScore(ScoreFunction):
@@ -303,16 +301,12 @@ def tv_score(P: Measure, Q: Measure) -> ScoreFunction:
     consts = constants_for(LossSpec.tv())
 
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-        pts = sorted({p for p, _ in P.atoms()} | {p for p, _ in Q.atoms()})
-        mp = dict(P.atoms())
-        mq = dict(Q.atoms())
-        vp = np.array([mp.get(p, 0.0) for p in pts])
-        vq = np.array([mq.get(p, 0.0) for p in pts])
+        pts, (vp, vq) = atom_mass_matrix(P, Q)
         p_gt = vp > vq
         q_gt = vq > vp
         const = 0.5 * (vp[p_gt].sum() - vq[q_gt].sum())
         values = 0.5 * (q_gt.astype(float) - p_gt.astype(float)) + const
-        return AtomScore(np.asarray(pts), values, consts, const)
+        return AtomScore(pts, values, consts, const)
 
     if isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
         edges = P.partition.edges
@@ -566,11 +560,8 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     consts = constants_for(LossSpec.hellinger2())
 
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-        pts = sorted({p for p, _ in P.atoms()} | {p for p, _ in Q.atoms()})
-        mp = dict(P.atoms())
-        mq = dict(Q.atoms())
-        vp = np.clip(np.array([mp.get(p, 0.0) for p in pts]), 0.0, None)
-        vq = np.clip(np.array([mq.get(p, 0.0) for p in pts]), 0.0, None)
+        pts, masses = atom_mass_matrix(P, Q)
+        vp, vq = np.clip(masses, 0.0, None)
         vr = 0.5 * (vp + vq)
         rho_q = float(np.sum(np.sqrt(vr * vq)))
         rho_p = float(np.sum(np.sqrt(vr * vp)))
@@ -579,7 +570,7 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
         scale = 1.0 / (2.0 * math.sqrt(2.0))
         const = scale * (rho_q - rho_p)
         values = const + scale * ratio
-        return AtomScore(np.asarray(pts), values, consts, const)
+        return AtomScore(pts, values, consts, const)
 
     if P.atoms() or Q.atoms():
         raise ConfigError("hellinger scores support finite spaces or continuous pairs, not mixtures")
@@ -628,19 +619,15 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
     tol = 1e-9
 
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-        pts = sorted({p for p, _ in P.atoms()} | {p for p, _ in Q.atoms()})
-        mp = dict(P.atoms())
-        mq = dict(Q.atoms())
-        vp = np.array([mp.get(p, 0.0) for p in pts])
-        vq = np.array([mq.get(p, 0.0) for p in pts])
+        pts, (vp, vq) = atom_mass_matrix(P, Q)
         if np.any(vp <= 0.0) or np.any(vq <= 0.0):
-            raise ValueError("kl scores need strictly positive densities on the space")
+            raise ConfigError("kl scores need strictly positive densities on the space")
         logs = np.log(vq) - np.log(vp)
         if np.max(np.abs(logs)) > a + tol:
-            raise ValueError(
+            raise ConfigError(
                 f"log-ratio bound violated: |log(q/p)| reaches {np.max(np.abs(logs)):.6g} > a = {a:.6g}"
             )
-        return AtomScore(np.asarray(pts), scale * logs, consts, 0.0)
+        return AtomScore(pts, scale * logs, consts, 0.0)
 
     lo = min(P.window()[0], Q.window()[0])
     hi = max(P.window()[1], Q.window()[1])
@@ -657,10 +644,10 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
     q_grid = Q.pdf(grid)
     good = (p_grid > 0.0) & (q_grid > 0.0)
     if np.any(p_grid[~good] > 0.0) or np.any(q_grid[~good] > 0.0):
-        raise ValueError("kl scores need a common support across the family")
+        raise ConfigError("kl scores need a common support across the family")
     logs = np.abs(np.log(q_grid[good]) - np.log(p_grid[good]))
     if logs.size and logs.max() > a + tol:
-        raise ValueError(
+        raise ConfigError(
             f"log-ratio bound violated: |log(q/p)| reaches {logs.max():.6g} > a = {a:.6g}"
         )
     return CallableScore(fn, consts, 0.0)
@@ -815,29 +802,20 @@ class AssumptionReport:
         return not self.violations
 
 
-def _probe_points(measures: Sequence[Measure], size: int = 512) -> np.ndarray:
+def _probe_points(measures: Sequence[Measure]) -> np.ndarray:
     """Evaluation points: all atoms, or a grid over the union window."""
-    atom_pts: set[float] = set()
-    all_atomic = True
-    for m in measures:
-        pts = m.atoms()
-        if pts:
-            atom_pts |= {p for p, _ in pts}
-        else:
-            all_atomic = False
-    if all_atomic and atom_pts:
-        return np.array(sorted(atom_pts))
+    if all(m.atoms() for m in measures):
+        return atom_mass_matrix(*measures)[0]
     lo = min(m.window()[0] for m in measures)
     hi = max(m.window()[1] for m in measures)
     brk = sorted({b for m in measures for b in m.breakpoints()})
-    return np.unique(np.concatenate([np.linspace(lo, hi, size), np.asarray(brk or [lo])]))
+    return np.unique(np.concatenate([np.linspace(lo, hi, _PROBE_GRID), np.asarray(brk or [lo])]))
 
 
 def _score_moments(t: ScoreFunction, S: Measure) -> tuple[float, float]:
     """(E_S[t], Var_S[t]); exact on atomic S and for flat components, quadrature otherwise."""
     if isinstance(S, DiscreteMeasure):
-        pts = np.array([p for p, _ in S.atoms()])
-        ms = np.array([m for _, m in S.atoms()])
+        pts, (ms,) = atom_mass_matrix(S)
         vals = t(pts)
         mean = float(np.sum(vals * ms))
         var = float(np.sum(vals * vals * ms) - mean * mean)
@@ -1001,11 +979,7 @@ def check_cond3bis(model: Sequence[Measure]) -> Cond3bisReport:
             if tv == 0.0:
                 continue
             if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-                pts = sorted({p for p, _ in P.atoms()} | {p for p, _ in Q.atoms()})
-                mp = dict(P.atoms())
-                mq = dict(Q.atoms())
-                vp = np.array([mp.get(p, 0.0) for p in pts])
-                vq = np.array([mq.get(p, 0.0) for p in pts])
+                _, (vp, vq) = atom_mass_matrix(P, Q)
                 p_le = float(vp[vp <= vq].sum())
                 q_gt = float(vq[vp > vq].sum())
             elif isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:

@@ -351,6 +351,59 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(path)]) == 2
 
 
+class TestConfigErrorsExitTwo:
+    """Inputs that break a loss's preconditions exit 2 with a one-line message."""
+
+    @staticmethod
+    def histogram(heights):
+        return {"family": "histogram", "params": {"heights": heights}}
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            (
+                "estimate",
+                {
+                    "model": {"family": "discrete", "space_size": 2, "candidates": [[0.9, 0.1], [0.5, 0.5]]},
+                    "loss": {"kind": "kl", "a": 0.5},
+                    "sample": [0.0, 1.0, 1.0],
+                },
+                "log-ratio bound violated",
+            ),
+            (
+                "distances",
+                {"pairs": [{"p": histogram([-0.5, 2.5]), "q": histogram([1.0, 1.0])}], "losses": [{"kind": "tv"}]},
+                "not a probability measure",
+            ),
+            (
+                "distances",
+                {
+                    "pairs": [
+                        {
+                            "p": histogram([1.0, 1.0]),
+                            "q": {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                        }
+                    ],
+                    "losses": [{"kind": "lj", "j": 2.0, "R": 1.0}],
+                },
+                "shared reference",
+            ),
+            (
+                "distances",
+                {"pairs": [{"p": histogram([1.5, 0.5]), "q": histogram([0.5, 1.5])}], "losses": [{"kind": "linf", "D": 3}]},
+                "D=3 cells",
+            ),
+        ],
+        ids=["kl-score-bound", "tv-signed-histogram", "lj-mixed-references", "linf-cell-count"],
+    )
+    def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):
+        path = write_config(tmp_path, "c.json", doc)
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+
+
 class TestDistances:
     def test_values_match_library(self, tmp_path):
         doc = {

@@ -148,17 +148,6 @@ class TestBatchBackends:
         direct = self.direct(LossSpec.wasserstein1(), model, sample)
         assert np.max(np.abs(got - direct)) < 1e-10
 
-    def test_generic_threads_match(self):
-        model = [GaussianMeasure(0.0), GaussianMeasure(1.0), GaussianMeasure(2.0)]
-        rng = philox_rng(13, 0)
-        sample = rng.normal(0.5, 1.0, size=25)
-        # Continuous Hellinger scores are generic callables.
-        eng = PairwiseEngine(LossSpec.hellinger2(), model)
-        assert eng._mode == "generic"
-        a = eng.statistic_matrix(sample, threads=1)
-        b = eng.statistic_matrix(sample, threads=4)
-        assert np.array_equal(a, b)
-
     def test_engine_reuse_matches_fresh(self):
         model = two_point_tv_model()
         eng = PairwiseEngine(LossSpec.tv(), model)

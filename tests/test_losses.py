@@ -90,15 +90,6 @@ class TestLossDispatch:
         with pytest.raises(ValueError, match="cells"):
             loss(LossSpec.linf(D=4), P, Q)
 
-    def test_reference_check(self):
-        ref_spec = LossSpec(kind="tv", reference=PartitionRef(2, (0.0, 1.0)))
-        part = PartitionRef(2, (0.0, 1.0))
-        P = HistogramMeasure(part, [1.6, 0.4])
-        Q = HistogramMeasure(part, [0.4, 1.6])
-        assert abs(loss(ref_spec, P, Q) - 0.6) < 1e-12
-        with pytest.raises(ValueError, match="reference"):
-            loss(ref_spec, GaussianMeasure(0.0), GaussianMeasure(1.0))
-
 
 class TestAggregateLoss:
     def test_single_pair_broadcast(self):

@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from pairfit.errors import ConfigError, NumericalError
 from pairfit.measures import (
@@ -24,6 +24,7 @@ from pairfit.measures import (
     PartitionRef,
     PowerMeasure,
     UniformMeasure,
+    atom_mass_matrix,
     cdf_sign_intervals,
     empirical_cdf,
     empirical_measure,
@@ -31,6 +32,7 @@ from pairfit.measures import (
     integrate,
     kl_divergence,
     lj_distance,
+    locate_points,
     measure_from_config,
     philox_rng,
     point_mass,
@@ -139,6 +141,22 @@ class TestTotalVariation:
         base = GaussianMeasure(0.0)
         mix = MixtureMeasure(base, 0.05, point_mass(8.0))
         assert abs(tv_distance(mix, base) - 0.05) < 1e-7
+
+    @pytest.mark.parametrize(
+        "P, alpha",
+        [
+            (CauchyMeasure(0.0), 1.0),
+            (MixtureMeasure(GaussianMeasure(0.0), 0.2, CauchyMeasure(0.0)), 0.2),
+        ],
+    )
+    def test_heavy_tailed_pair_keeps_tail_mass(self, P, alpha):
+        # TV(C(0,1), N(0,1)) = (2 Phi(r) - 1) - (2/pi) atan(r), r > 0 the one
+        # crossing of the two densities; mixing the Cauchy in with weight
+        # alpha scales p - q, and so TV, by alpha.
+        r = optimize.brentq(lambda x: stats.norm.pdf(x) - stats.cauchy.pdf(x), 1.0, 3.0, xtol=1e-15)
+        ref = alpha * ((2.0 * stats.norm.cdf(r) - 1.0) - (2.0 / math.pi) * math.atan(r))
+        assert abs(tv_distance(P, GaussianMeasure(0.0)) - ref) < 1e-6
+        assert abs(tv_distance(GaussianMeasure(0.0), P) - ref) < 1e-6
 
     def test_rejects_non_probability(self):
         part = PartitionRef(2, (0.0, 1.0))
@@ -293,9 +311,10 @@ class TestSamplingAndEmpirical:
         b = philox_rng(5, 1).random(8)
         assert not np.array_equal(a, b)
 
-    def test_philox_rejects_negative_seed(self):
-        with pytest.raises(ConfigError, match="nonnegative"):
-            philox_rng(-1)
+    def test_philox_wraps_negative_seed(self):
+        # Seeds are taken mod 2^64, so -1 keys the stream of 2^64 - 1.
+        assert np.array_equal(philox_rng(-1).random(4), philox_rng(2**64 - 1).random(4))
+        assert np.array_equal(philox_rng(-3, 2).random(4), philox_rng(2**64 - 3, 2).random(4))
 
     def test_mixture_alpha_zero_matches_base(self):
         base = GaussianMeasure(0.0)
@@ -401,3 +420,47 @@ class TestConfigRoundTrip:
             GaussianMeasure(0.0, sd=-1.0)
         with pytest.raises(ConfigError, match="weight per point"):
             DiscreteRef(points=(0.0, 1.0), weights=(1.0,))
+
+
+@st.composite
+def atomic_measures(draw):
+    """Signed discrete measures on subsets of a small grid, zero masses included."""
+    pts = draw(
+        st.lists(
+            st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.5, 3.0, 7.25]),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    mass = st.just(0.0) | st.floats(-1.0, 1.0, allow_nan=False)
+    return DiscreteMeasure(pts, draw(st.lists(mass, min_size=len(pts), max_size=len(pts))))
+
+
+class TestFiniteSpace:
+    @staticmethod
+    def dict_alignment(measures):
+        pts = sorted({p for m in measures for p, _ in m.atoms()})
+        tables = [{p: w for p, w in m.atoms()} for m in measures]
+        rows = [[t.get(p, 0.0) for p in pts] for t in tables]
+        return np.asarray(pts, dtype=float), np.array(rows, dtype=float).reshape(len(measures), len(pts))
+
+    @given(measures=st.lists(atomic_measures() | st.just(GaussianMeasure(0.0)), min_size=1, max_size=4))
+    @example(measures=[DiscreteMeasure([0.0, 1.0], [0.5, 0.5]), DiscreteMeasure([2.0, 3.0], [0.0, 1.0])])
+    @example(measures=[GaussianMeasure(0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_alignment_matches_dict_construction(self, measures):
+        pts, masses = atom_mass_matrix(*measures)
+        ref_pts, ref_masses = self.dict_alignment(measures)
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert masses.shape == ref_masses.shape
+        assert masses.tobytes() == ref_masses.tobytes()
+
+    def test_locate_points(self):
+        pts = np.array([0.0, 1.5, 3.0])
+        assert locate_points(pts, np.array([3.0, 0.0, 1.5, 0.0]), "the space").tolist() == [2, 0, 1, 0]
+        for foreign in (-1.0, 1.0, 4.0):
+            with pytest.raises(ConfigError, match=f"observation {foreign!r} is outside the space"):
+                locate_points(pts, np.array([0.0, foreign]), "the space")
+        with pytest.raises(ConfigError, match="outside the discrete space"):
+            DiscreteRef((0.0, 1.0), (1.0, 1.0)).locate(np.array([0.5]))
