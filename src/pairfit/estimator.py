@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# The engine stores flat matrix positions as int32.
+_MAX_FLAT = 2**31
+
+
 @dataclass
 class Model:
     """A finite candidate list plus the metadata its loss may need.
@@ -147,7 +151,23 @@ class PairwiseEngine:
         self.spec = spec
         self.model = as_model(model)
         m = len(self.model)
+        if m * m >= _MAX_FLAT:
+            raise ConfigError(
+                f"{m} candidates give {m * m} matrix entries; the engine indexes at most {_MAX_FLAT}"
+            )
         self._n_pairs = m * (m - 1) // 2
+        # Flat positions of pair (i, k), i < k, in the row-major (m, m) matrix,
+        # in the pair order of ``combinations``: (i, k) above, (k, i) below.
+        # Filled row by row: whole-triangle temporaries (``triu_indices``)
+        # leave a larger peak resident set on models with many candidates.
+        self._upper = np.empty(self._n_pairs, dtype=np.int32)
+        self._lower = np.empty(self._n_pairs, dtype=np.int32)
+        start = 0
+        for i in range(m - 1):
+            stop = start + m - 1 - i
+            self._upper[start:stop] = np.arange(i * m + i + 1, (i + 1) * m, dtype=np.int32)
+            self._lower[start:stop] = np.arange((i + 1) * m + i, m * m, m, dtype=np.int32)
+            start = stop
         cands = self.model.candidates
         if self.model.product_form == "tuples":
             self._mode = "tuple"
@@ -195,10 +215,9 @@ class PairwiseEngine:
     def _fill_matrix(self, halves: np.ndarray) -> np.ndarray:
         m = len(self.model)
         M = np.zeros((m, m))
-        if self._n_pairs:
-            iu = np.triu_indices(m, k=1)
-            M[iu] = halves
-            M[(iu[1], iu[0])] = -halves
+        flat = M.reshape(-1)
+        flat[self._upper] = halves
+        flat[self._lower] = -halves
         return M
 
     # -- evaluation ----------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Sequence
 from .errors import ConfigError
 from .measures import (
     Measure,
+    PartitionRef,
     hellinger_sq,
     kl_divergence,
     lj_distance,
@@ -147,11 +148,12 @@ def loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
     if spec.kind == "lj":
         return lj_distance(S, Q, spec.j)
     if spec.kind == "linf":
-        if hasattr(S.reference, "cells") and S.reference.cells != spec.D:
-            raise ConfigError(
-                f"linf loss configured for D={spec.D} cells but measures have "
-                f"{S.reference.cells}"
-            )
+        for ref in (S.reference, Q.reference):
+            if not isinstance(ref, PartitionRef) or ref.cells != spec.D:
+                raise ConfigError(
+                    f"linf loss configured for D={spec.D} cells needs measures on "
+                    f"a {spec.D}-cell partition reference, got {ref!r}"
+                )
         return lj_distance(S, Q, math.inf)
     raise AssertionError(f"unreachable loss kind {spec.kind!r}")
 

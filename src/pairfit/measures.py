@@ -657,7 +657,7 @@ class HistogramMeasure(Measure):
 
     def sample(self, n, rng):
         if not self.is_probability:
-            raise ValueError("cannot sample from a signed histogram")
+            raise ConfigError("cannot sample from a signed histogram")
         probs = np.clip(self.cell_masses, 0.0, None)
         probs = probs / probs.sum()
         cells = rng.choice(self.partition.cells, size=n, p=probs)
@@ -730,7 +730,7 @@ class DiscreteMeasure(Measure):
 
     def sample(self, n, rng):
         if not self.is_probability:
-            raise ValueError("cannot sample from a signed discrete measure")
+            raise ConfigError("cannot sample from a signed discrete measure")
         probs = np.clip(self.masses, 0.0, None)
         probs = probs / probs.sum()
         idx = rng.choice(len(self.points), size=n, p=probs)

@@ -64,6 +64,9 @@ _TRANSLATION_BASES = ("cauchy", "uniform", "power")
 # Probability-candidate mass must match 1 this closely.
 _MASS_TOL = 1e-9
 
+# Most height tuples a histogram net may enumerate before filtering by mass.
+_MAX_NET_TUPLES = 10**6
+
 
 @dataclass(frozen=True)
 class ModelBuilderConfig:
@@ -171,6 +174,13 @@ class ModelBuilderConfig:
             raise ConfigError("value_grid entries must be nonnegative heights")
         if self.j is not None and not self.j > 1:
             raise ConfigError(f"ratio exponent j must exceed 1, got {self.j!r}")
+        # The exponent is capped so a huge cell count cannot stall the check:
+        # two or more values already pass the limit at 64 cells.
+        if len(self.value_grid) ** min(self.cells, 64) > _MAX_NET_TUPLES:
+            raise ConfigError(
+                f"histogram net enumerates {len(self.value_grid)}^{self.cells} height "
+                f"tuples, above the limit of {_MAX_NET_TUPLES}"
+            )
 
     def _check_monotone_net(self) -> None:
         self._require("d", "breakpoint_grid", "level_grid")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import _require_count, _require_nonnegative, _require_positive
 from .errors import ConfigError
-from .estimator import Model, pairwise_statistic
+from .estimator import Model, PairwiseEngine
 from .losses import LossSpec
 from .measures import DiscreteMeasure, Measure, atom_mass_matrix
 from .testfam import _analytic_tv_regions, _interval_prob, _tv_regions_generic
@@ -68,6 +68,27 @@ def _sign_decision(statistic: float) -> Decision:
     return Decision.TIE
 
 
+def _pair_model(
+    P: Measure | Sequence[Measure], Q: Measure | Sequence[Measure]
+) -> Model:
+    """The two-candidate model ``[P, Q]`` that the test's engine is built on."""
+    p_single = isinstance(P, Measure)
+    q_single = isinstance(Q, Measure)
+    if p_single != q_single:
+        raise ConfigError(
+            "P and Q must both be measures or both be per-coordinate sequences"
+        )
+    if p_single:
+        return Model(candidates=[P, Q])
+    return Model(candidates=[list(P), list(Q)], product_form="tuples")
+
+
+def _decide(engine: PairwiseEngine, sample: np.ndarray) -> TestOutcome:
+    """The test's decision on one sample, from an engine built on ``_pair_model``."""
+    statistic = float(engine.statistic_matrix(sample)[0, 1])
+    return TestOutcome(decision=_sign_decision(statistic), statistic=statistic)
+
+
 def run_test(
     sample: np.ndarray,
     P: Measure | Sequence[Measure],
@@ -81,21 +102,11 @@ def run_test(
     statistic is the two-candidate pairwise matrix entry ``T(X, P, Q)``;
     the decision follows its sign (``CHOOSE_Q`` when positive, ``CHOOSE_P``
     when negative, ``TIE`` at zero, which by antisymmetry is the same as
-    comparing ``T(X, P, Q)`` against ``T(X, Q, P)``).
+    comparing ``T(X, P, Q)`` against ``T(X, Q, P)``).  This builds the
+    pair's engine for one sample; a Monte Carlo loop over one pair builds
+    it once and calls ``_decide`` per sample.
     """
-    p_single = isinstance(P, Measure)
-    q_single = isinstance(Q, Measure)
-    if p_single != q_single:
-        raise ConfigError(
-            "P and Q must both be measures or both be per-coordinate sequences"
-        )
-    if p_single:
-        model = Model(candidates=[P, Q])
-    else:
-        model = Model(candidates=[list(P), list(Q)], product_form="tuples")
-    matrix = pairwise_statistic(np.asarray(sample, dtype=float), model, loss)
-    statistic = float(matrix[0, 1])
-    return TestOutcome(decision=_sign_decision(statistic), statistic=statistic)
+    return _decide(PairwiseEngine(loss, _pair_model(P, Q)), sample)
 
 
 def _q_dominates_split(

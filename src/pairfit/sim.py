@@ -37,7 +37,13 @@ from .measures import (
     philox_rng as replication_rng,
 )
 from .models import ModelBuilderConfig, build
-from .robust_tests import Decision, bernstein_bound, hoeffding_bound, run_test
+from .robust_tests import (
+    Decision,
+    _decide,
+    _pair_model,
+    bernstein_bound,
+    hoeffding_bound,
+)
 from .testfam import constants_for
 
 __all__ = [
@@ -348,14 +354,24 @@ def run_estimation(scenario: Scenario, threads: int = 1) -> ExperimentRecord:
     """
     model = build(scenario.model)
     engine = PairwiseEngine(scenario.loss, model)
-    table = _LossTable(scenario, model)
+    return _replicate(scenario, engine, _LossTable(scenario, model), threads)
+
+
+def _replicate(
+    scenario: Scenario, engine: PairwiseEngine, table: _LossTable, threads: int
+) -> ExperimentRecord:
+    """Every replication of ``scenario`` through a prebuilt engine and loss table.
+
+    The engine depends only on the model and the loss, so callers that run
+    several scenarios over one model (``rate_curve``) build it once.
+    """
 
     def one(rep: int) -> ReplicationRow:
         rng = replication_rng(scenario.seed, rep)
         x = sample_truth(scenario, rng)
         start = time.perf_counter()
         report = ell_estimate(
-            x, model, scenario.loss, epsilon=scenario.epsilon, engine=engine
+            x, engine.model, scenario.loss, epsilon=scenario.epsilon, engine=engine
         )
         elapsed = time.perf_counter() - start
         return ReplicationRow(
@@ -414,9 +430,12 @@ def deviation_frequency(
     ``1 - exp(-xi)`` up to Monte Carlo noise, with slack when the bound's
     constants are conservative.
     """
-    record = run_estimation(scenario, threads=threads)
     model = build(scenario.model)
-    inf_loss = _LossTable(scenario, model).minimum()
+    table = _LossTable(scenario, model)
+    record = _replicate(
+        scenario, PairwiseEngine(scenario.loss, model), table, threads
+    )
+    inf_loss = table.minimum()
     losses = np.array([r.loss for r in record.rows])
     rows = []
     for xi in xis:
@@ -438,11 +457,12 @@ def rate_curve(scenario: Scenario, ns: list, threads: int = 1) -> dict:
     """Median attained loss at each sample size, plus a fitted log-log slope."""
     if not ns:
         raise ConfigError("rate_curve needs at least one sample size")
+    model = build(scenario.model)
+    engine = PairwiseEngine(scenario.loss, model)
     rows = []
     for n in ns:
-        rec = run_estimation(
-            dataclasses.replace(scenario, n=int(n)), threads=threads
-        )
+        at_n = dataclasses.replace(scenario, n=int(n))
+        rec = _replicate(at_n, engine, _LossTable(at_n, model), threads)
         rows.append({"n": int(n), "median_loss": rec.summary["loss"]["median"]})
     medians = np.array([r["median_loss"] for r in rows])
     slope = None
@@ -467,17 +487,19 @@ def test_error_mc(
     P is the candidate the truth is (weakly) closer to, so a wrong decision
     is choosing Q; ties abstain in favor of P and are tallied separately.
     When every replication ties (P and Q indistinguishable) the error
-    frequency is reported as None rather than zero.
+    frequency is reported as None rather than zero.  The pair's engine is
+    built once and decides every replication as ``run_test`` would.
     """
     if not isinstance(reps, int) or reps < 1:
         raise ConfigError(f"reps must be a positive integer, got {reps!r}")
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
+    engine = PairwiseEngine(loss_spec, _pair_model(P, Q))
     tallies = {Decision.CHOOSE_P: 0, Decision.CHOOSE_Q: 0, Decision.TIE: 0}
     for rep in range(reps):
         rng = replication_rng(seed, rep)
         x = P_star.sample(n, rng)
-        tallies[run_test(x, P, Q, loss_spec).decision] += 1
+        tallies[_decide(engine, x).decision] += 1
     consts = constants_for(loss_spec)
     loss_P = loss(loss_spec, P_star, P)
     loss_Q = loss(loss_spec, P_star, Q)

@@ -393,8 +393,51 @@ class TestConfigErrorsExitTwo:
                 {"pairs": [{"p": histogram([1.5, 0.5]), "q": histogram([0.5, 1.5])}], "losses": [{"kind": "linf", "D": 3}]},
                 "D=3 cells",
             ),
+            (
+                "distances",
+                {
+                    "pairs": [
+                        {
+                            "p": {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                            "q": {"family": "gaussian", "params": {"mean": 0.5, "sd": 1.0}},
+                        }
+                    ],
+                    "losses": [{"kind": "linf", "D": 3}],
+                },
+                "3-cell partition",
+            ),
+            (
+                "estimate",
+                {
+                    "model": {"family": "histogram-net", "cells": 2, "value_grid": [0.5, 1.0, 1.5]},
+                    "loss": {"kind": "tv"},
+                    "truth": histogram([-0.5, 2.5]),
+                    "n": 20,
+                },
+                "cannot sample from a signed histogram",
+            ),
+            (
+                "test",
+                {
+                    "truth": histogram([-0.5, 2.5]),
+                    "p": histogram([1.0, 1.0]),
+                    "q": histogram([0.5, 1.5]),
+                    "loss": {"kind": "tv"},
+                    "n": 20,
+                    "reps": 5,
+                },
+                "cannot sample from a signed histogram",
+            ),
         ],
-        ids=["kl-score-bound", "tv-signed-histogram", "lj-mixed-references", "linf-cell-count"],
+        ids=[
+            "kl-score-bound",
+            "tv-signed-histogram",
+            "lj-mixed-references",
+            "linf-cell-count",
+            "linf-without-partition",
+            "estimate-signed-truth",
+            "test-signed-truth",
+        ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):
         path = write_config(tmp_path, "c.json", doc)

@@ -447,6 +447,25 @@ class TestPartitionPairTable:
             PairwiseEngine(LossSpec.linf(D=5), model)
 
 
+class TestMatrixFill:
+    def test_fill_matches_triangle_indexing_bitwise(self):
+        # Signed zeros included: (i, k) gets +h and (k, i) gets -h.
+        m = 7
+        eng = PairwiseEngine(LossSpec.tv(), [GaussianMeasure(0.1 * c) for c in range(m)])
+        halves = np.random.default_rng(3).standard_normal(m * (m - 1) // 2)
+        halves[::4], halves[1::5] = 0.0, -0.0
+        expected = np.zeros((m, m))
+        iu = np.triu_indices(m, k=1)
+        expected[iu] = halves
+        expected[(iu[1], iu[0])] = -halves
+        assert eng._fill_matrix(halves).tobytes() == expected.tobytes()
+
+    def test_matrix_too_large_for_int32_positions(self):
+        model = Model([GaussianMeasure(0.0)] * 46341)
+        with pytest.raises(ConfigError, match="46341 candidates"):
+            PairwiseEngine(LossSpec.tv(), model)
+
+
 def assert_matches_scores(spec, cands, x):
     """Engine matrix: zero diagonal, exact antisymmetry, entries = per-pair sums."""
     M = PairwiseEngine(spec, cands).statistic_matrix(x)

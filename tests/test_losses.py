@@ -91,6 +91,16 @@ class TestLossDispatch:
             loss(LossSpec.linf(D=4), P, Q)
 
 
+    def test_linf_needs_a_partition(self):
+        # Without a D-cell partition the sup norm would not depend on D.
+        for D in (3, 7):
+            with pytest.raises(ConfigError, match=f"{D}-cell partition"):
+                loss(LossSpec.linf(D=D), GaussianMeasure(0.0, 1.0), GaussianMeasure(0.5, 1.0))
+        part = PartitionRef(2, (0.0, 1.0))
+        with pytest.raises(ConfigError, match="2-cell partition"):
+            loss(LossSpec.linf(D=2), HistogramMeasure(part, [1.0, 1.0]), GaussianMeasure(0.5, 1.0))
+
+
 class TestAggregateLoss:
     def test_single_pair_broadcast(self):
         truth = GaussianMeasure(0.0)

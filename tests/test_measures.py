@@ -316,6 +316,15 @@ class TestSamplingAndEmpirical:
         assert np.array_equal(philox_rng(-1).random(4), philox_rng(2**64 - 1).random(4))
         assert np.array_equal(philox_rng(-3, 2).random(4), philox_rng(2**64 - 3, 2).random(4))
 
+    def test_signed_measures_refuse_to_sample(self):
+        signed = [
+            HistogramMeasure(PartitionRef(2, (0.0, 1.0)), [-0.5, 2.5]),
+            DiscreteMeasure([0.0, 1.0], [-0.5, 1.5]),
+        ]
+        for m in signed:
+            with pytest.raises(ConfigError, match="cannot sample from a signed"):
+                m.sample(4, philox_rng(0))
+
     def test_mixture_alpha_zero_matches_base(self):
         base = GaussianMeasure(0.0)
         clean = MixtureMeasure(base, 0.0, point_mass(8.0))

@@ -200,6 +200,17 @@ class TestHistogramNet:
                 )
             )
 
+    def test_oversized_net_rejected_before_enumeration(self):
+        # 9^12 is about 2.8e11 height tuples; the check needs none of them.
+        with pytest.raises(ConfigError, match="9\\^12 height tuples"):
+            ModelBuilderConfig(
+                family="histogram-net", cells=12, value_grid=tuple(0.25 * k for k in range(9))
+            )
+        with pytest.raises(ConfigError, match="limit"):
+            ModelBuilderConfig(family="histogram-net", cells=10**9, value_grid=(0.0, 2.0))
+        # 10^6 tuples is the largest net allowed.
+        ModelBuilderConfig(family="histogram-net", cells=6, value_grid=tuple(0.2 * k for k in range(10)))
+
     @given(
         cells=st.integers(min_value=1, max_value=3),
         grid=st.lists(

@@ -19,17 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairfit.sim as sim
+from pairfit import estimator
 from pairfit.errors import ConfigError
 from pairfit.estimator import ell_estimate
 from pairfit.losses import LossSpec, loss
 from pairfit.measures import (
     DiscreteMeasure,
     GaussianMeasure,
+    HistogramMeasure,
+    PartitionRef,
     UniformMeasure,
     hellinger_sq,
 )
 from pairfit.models import ModelBuilderConfig, build
-from pairfit.robust_tests import hellinger_test_bound
+from pairfit.robust_tests import Decision, hellinger_test_bound, run_test
 
 
 def gaussian_grid_scenario(**overrides):
@@ -480,6 +483,116 @@ class TestTestErrorMc:
             sim.test_error_mc(P, P, P, LossSpec.tv(), n=10, reps=0, seed=0)
         with pytest.raises(ConfigError, match="n must"):
             sim.test_error_mc(P, P, P, LossSpec.tv(), n=0, reps=5, seed=0)
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Counts ``PairwiseEngine`` constructions while the test runs."""
+    calls = []
+    original = estimator.PairwiseEngine.__init__
+
+    def counted(self, spec, model):
+        calls.append(spec)
+        original(self, spec, model)
+
+    monkeypatch.setattr(estimator.PairwiseEngine, "__init__", counted)
+    return calls
+
+
+def _two_point_cases():
+    part = PartitionRef(3, (0.0, 1.0))
+    discrete = DiscreteMeasure([0.0, 1.0, 2.0], [0.5, 0.3, 0.2])
+    return {
+        "discrete-tv": (
+            discrete,
+            DiscreteMeasure([0.0, 1.0, 2.0], [0.4, 0.4, 0.2]),
+            DiscreteMeasure([0.0, 1.0, 2.0], [0.2, 0.3, 0.5]),
+            LossSpec.tv(),
+            25,
+        ),
+        "gaussian-hellinger2": (
+            GaussianMeasure(0.1, 1.0),
+            GaussianMeasure(0.0, 1.0),
+            GaussianMeasure(0.5, 1.0),
+            LossSpec.hellinger2(),
+            30,
+        ),
+        "histogram-linf": (
+            HistogramMeasure(part, [1.2, 1.0, 0.8]),
+            HistogramMeasure(part, [1.5, 1.0, 0.5]),
+            HistogramMeasure(part, [0.6, 1.2, 1.2]),
+            LossSpec.linf(D=3),
+            12,
+        ),
+        # Identical candidates: every statistic is zero and every rep ties.
+        "all-ties": (discrete, discrete, DiscreteMeasure([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]), LossSpec.tv(), 10),
+    }
+
+
+class TestEngineReuse:
+    """Monte Carlo loops build one engine and decide exactly as the one-shot path."""
+
+    @pytest.mark.parametrize("case", list(_two_point_cases()))
+    def test_test_error_mc_matches_run_test_per_replication(self, case, monkeypatch, engine_builds):
+        P_star, P, Q, spec, n = _two_point_cases()[case]
+        reps, seed = 40, 9
+        decided = []
+        original = sim._decide
+
+        def recording(engine, x):
+            outcome = original(engine, x)
+            decided.append((x.copy(), outcome))
+            return outcome
+
+        monkeypatch.setattr(sim, "_decide", recording)
+        result = sim.test_error_mc(P_star, P, Q, spec, n=n, reps=reps, seed=seed)
+        assert len(engine_builds) == 1
+        assert len(decided) == reps
+        tallies = {Decision.CHOOSE_P: 0, Decision.CHOOSE_Q: 0, Decision.TIE: 0}
+        for rep, (x, outcome) in enumerate(decided):
+            expected_x = P_star.sample(n, sim.replication_rng(seed, rep))
+            assert x.tobytes() == expected_x.tobytes()
+            oracle = run_test(expected_x, P, Q, spec)
+            assert outcome == oracle
+            assert math.copysign(1.0, outcome.statistic) == math.copysign(1.0, oracle.statistic)
+            tallies[oracle.decision] += 1
+        assert result["choose_p"] == tallies[Decision.CHOOSE_P]
+        assert result["choose_q"] == tallies[Decision.CHOOSE_Q]
+        assert result["ties"] == tallies[Decision.TIE]
+        if case == "all-ties":
+            assert result["ties"] == reps
+
+    def test_rate_curve_builds_one_engine(self, engine_builds):
+        sim.rate_curve(gaussian_grid_scenario(replications=20), [20, 40, 80])
+        assert len(engine_builds) == 1
+
+    def test_deviation_frequency_builds_one_model_and_engine(self, monkeypatch, engine_builds):
+        builds = []
+
+        def counted_build(config):
+            builds.append(config)
+            return build(config)
+
+        monkeypatch.setattr(sim, "build", counted_build)
+        sim.deviation_frequency(gaussian_grid_scenario(replications=20), [0.5, 1.0])
+        assert len(builds) == 1
+        assert len(engine_builds) == 1
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rate_curve_rows_equal_separate_runs(self, threads):
+        scenario = gaussian_grid_scenario(replications=40)
+        ns = [20, 50, 125]
+        curve = sim.rate_curve(scenario, ns, threads=threads)
+        separate = [
+            sim.run_estimation(dataclasses.replace(scenario, n=n), threads=threads)
+            for n in ns
+        ]
+        expected = [
+            {"n": n, "median_loss": rec.summary["loss"]["median"]}
+            for n, rec in zip(ns, separate)
+        ]
+        # json.dumps writes each float's shortest round-trip repr: equal text, equal bits.
+        assert json.dumps(curve["rows"]) == json.dumps(expected)
 
 
 class TestArtifacts:
