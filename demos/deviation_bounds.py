@@ -47,7 +47,7 @@ def main() -> None:
     )
     show(
         "W loss, histogram net containing the truth (n = 200, 500 reps)",
-        sim.deviation_frequency(w_scenario, XIS, threads=2),
+        sim.deviation_frequency(sim.run_estimation(w_scenario, threads=2), XIS),
     )
 
     tv_scenario = sim.Scenario(
@@ -62,7 +62,7 @@ def main() -> None:
     )
     show(
         "TV loss, Gaussian location grid (VC display, n = 200, 500 reps)",
-        sim.deviation_frequency(tv_scenario, XIS, threads=2),
+        sim.deviation_frequency(sim.run_estimation(tv_scenario, threads=2), XIS),
     )
     print(f"targets are 1 - e^(-xi); e.g. xi = 1 gives {1 - math.exp(-1):.4f}")
     print("the displays are conservative, so observed frequencies sit at 1")

@@ -65,10 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="JSON config document")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument(
-            "--epsilon", type=float, help="override the minimizer tolerance"
-        )
+        # Each override is registered only where its resolver reads it.
+        if name != "distances":
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if name in ("estimate", "simulate"):
+            p.add_argument(
+                "--epsilon", type=float, help="override the minimizer tolerance"
+            )
         p.add_argument(
             "--out", type=Path, default=Path("."), help="output directory"
         )
@@ -448,9 +451,7 @@ def _run_simulate(resolved: dict, args: argparse.Namespace) -> int:
     extra: dict = {"command": "simulate"}
     written: list[Path] = []
     if "xis" in resolved:
-        extra["deviation"] = sim.deviation_frequency(
-            scenario, resolved["xis"], threads=threads
-        )
+        extra["deviation"] = sim.deviation_frequency(record, resolved["xis"])
     if "ns" in resolved:
         curve = sim.rate_curve(scenario, resolved["ns"], threads=threads)
         extra["rate"] = curve

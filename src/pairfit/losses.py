@@ -56,6 +56,14 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {_KINDS}")
+        for name in ("j", "R", "a", "D"):
+            val = getattr(self, name)
+            if val is None:
+                continue
+            if name not in _RELEVANT[self.kind]:
+                raise ConfigError(f"loss kind {self.kind!r} does not take parameter {name!r}")
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"loss parameter {name!r} must be a number, got {val!r}")
         if self.kind == "lj":
             if self.j is None or not (1.0 < self.j < math.inf):
                 raise ConfigError(f"lj loss needs j in (1, inf), got {self.j}")
@@ -67,10 +75,6 @@ class LossSpec:
         elif self.kind == "linf":
             if self.D is None or self.D < 1:
                 raise ConfigError(f"linf loss needs a positive cell count D, got {self.D}")
-        for name in ("j", "R", "a", "D"):
-            val = getattr(self, name)
-            if val is not None and name not in _RELEVANT[self.kind]:
-                raise ConfigError(f"loss kind {self.kind!r} does not take parameter {name!r}")
 
     # -- constructors --------------------------------------------------------
 

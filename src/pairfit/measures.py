@@ -74,7 +74,7 @@ __all__ = [
 _PROB_TOL = 1e-9
 _QUAD_TOL = 1e-8
 _QUAD_MAX_PANELS = 1 << 20
-_TV_ERR_BUDGET = 1e-6
+_QUAD_ERR_BUDGET = 1e-6  # largest error estimate ``integrate`` returns
 _PROBE_COUNT = 4096
 _BISECT_ITERS = 90
 
@@ -189,13 +189,11 @@ def integrate(
     floating-point width floor.
 
     Returns:
-        ``(value, error_estimate)``.  The routine does not raise on a missed
-        tolerance; callers enforce their own accuracy budgets.
+        ``(value, error_estimate)``, the estimate at most ``_QUAD_ERR_BUDGET``.
 
     Raises:
         NumericalError: if the integrand returns a non-finite value, or the
-            panel budget is exhausted while the error estimate is still more
-            than 100x ``_QUAD_TOL``.
+            error estimate ends above ``_QUAD_ERR_BUDGET``.
     """
     a = float(a)
     b = float(b)
@@ -274,10 +272,10 @@ def integrate(
     for entry in heap:
         s_coarse, s_fine = entry[4], entry[5]
         value += s_fine + (s_fine - s_coarse) / 15.0
-    if err_total > 100.0 * _QUAD_TOL and n_panels >= _QUAD_MAX_PANELS:
+    if err_total > _QUAD_ERR_BUDGET:
         raise NumericalError(
-            f"quadrature budget exhausted: error estimate {err_total:.3e} "
-            f"with {n_panels} panels (tol {_QUAD_TOL:.1e})"
+            f"quadrature error estimate {err_total:.3e} exceeds "
+            f"{_QUAD_ERR_BUDGET:.0e} with {n_panels} panels on [{a}, {b}]"
         )
     return float(value), float(err_total)
 
@@ -381,10 +379,7 @@ class Measure:
         knots = self.cdf_knots()
         if knots is not None:
             return _pw_linear_cdf_integral(self.cdf, knots, a, b)
-        val, err = integrate(self.cdf, a, b, self.breakpoints())
-        if err > _TV_ERR_BUDGET:
-            raise NumericalError(f"cdf integral error estimate {err:.2e} too large")
-        return val
+        return integrate(self.cdf, a, b, self.breakpoints())[0]
 
     # -- quadrature hints ----------------------------------------------------
 
@@ -782,12 +777,10 @@ class MixtureMeasure(Measure):
         return (1.0 - self.alpha) * self.base.cdf(x) + self.alpha * self.contaminant.cdf(x)
 
     def breakpoints(self):
-        return tuple(sorted(set(self.base.breakpoints()) | set(self.contaminant.breakpoints())))
+        return tuple(_union_breakpoints(self.base, self.contaminant))
 
     def window(self):
-        lo1, hi1 = self.base.window()
-        lo2, hi2 = self.contaminant.window()
-        return (min(lo1, lo2), max(hi1, hi2))
+        return _union_window(self.base, self.contaminant)
 
     def support(self):
         lo1, hi1 = self.base.support()
@@ -823,12 +816,7 @@ def expectation(
     if _has_continuous_part(m):
         lo, hi = m.window()
         brk = sorted(set(m.breakpoints()) | {float(b) for b in extra_breakpoints})
-        val, err = integrate(lambda x: np.asarray(fn(x), dtype=float) * m.pdf(x), lo, hi, brk)
-        if err > _TV_ERR_BUDGET:
-            raise NumericalError(
-                f"expectation error estimate {err:.2e} exceeds {_TV_ERR_BUDGET:.0e}"
-            )
-        total += val
+        total += integrate(lambda x: np.asarray(fn(x), dtype=float) * m.pdf(x), lo, hi, brk)[0]
     return total
 
 
@@ -932,14 +920,15 @@ def _has_continuous_part(m: Measure) -> bool:
     return True
 
 
-def _union_window(P: Measure, Q: Measure) -> tuple[float, float]:
-    lo1, hi1 = P.window()
-    lo2, hi2 = Q.window()
-    return (min(lo1, lo2), max(hi1, hi2))
+def _union_window(*measures: Measure) -> tuple[float, float]:
+    """The smallest interval holding every measure's window."""
+    windows = [m.window() for m in measures]
+    return (min(lo for lo, _ in windows), max(hi for _, hi in windows))
 
 
-def _union_breakpoints(P: Measure, Q: Measure) -> list[float]:
-    return sorted(set(P.breakpoints()) | set(Q.breakpoints()))
+def _union_breakpoints(*measures: Measure) -> list[float]:
+    """Every measure's breakpoints, sorted and without repeats."""
+    return sorted({b for m in measures for b in m.breakpoints()})
 
 
 def _pw_linear_cdf_integral(
@@ -1011,12 +1000,7 @@ def _tv_quadrature(P: Measure, Q: Measure) -> float:
         brk = _union_breakpoints(P, Q)
         diff = lambda x: P.pdf(x) - Q.pdf(x)
         brk = sorted(set(brk) | set(sign_change_points(diff, lo, hi, brk)))
-        val, err = integrate(lambda x: np.abs(diff(x)), lo, hi, brk)
-        if err > _TV_ERR_BUDGET:
-            raise NumericalError(
-                f"TV quadrature error estimate {err:.2e} exceeds {_TV_ERR_BUDGET:.0e}"
-            )
-        cont_part = val
+        cont_part = integrate(lambda x: np.abs(diff(x)), lo, hi, brk)[0]
         if P.heavy_tails or Q.heavy_tails:
             # Add the tail mass outside the window, where p - q keeps one sign
             # so each side contributes its cdf gap.  The left gap stops just
@@ -1092,10 +1076,7 @@ def hellinger_sq(P: Measure, Q: Measure, method: str = "auto") -> float:
             span = hi - lo
             lo, hi = lo - 200.0 * span, hi + 200.0 * span
         fn = lambda x: np.sqrt(np.clip(P.pdf(x), 0, None) * np.clip(Q.pdf(x), 0, None))
-        val, err = integrate(fn, lo, hi, _union_breakpoints(P, Q))
-        if err > _TV_ERR_BUDGET:
-            raise NumericalError(f"Hellinger quadrature error estimate {err:.2e} too large")
-        aff += val
+        aff += integrate(fn, lo, hi, _union_breakpoints(P, Q))[0]
     return min(1.0, max(0.0, 1.0 - aff))
 
 
@@ -1158,11 +1139,73 @@ def kl_divergence(P: Measure, Q: Measure, method: str = "auto") -> float:
             # not; a genuine support mismatch was screened out above.
             return np.where(np.isfinite(vals), vals, 0.0)
 
-        val, err = integrate(fn, lo, hi, _union_breakpoints(P, Q))
-        if err > _TV_ERR_BUDGET:
-            raise NumericalError(f"KL quadrature error estimate {err:.2e} too large")
-        total += val
+        total += integrate(fn, lo, hi, _union_breakpoints(P, Q))[0]
     return total
+
+
+def _log_spread(stacked: np.ndarray) -> np.ndarray | None:
+    """Per-column log spread ``log max_i v_i - log min_i v_i``, or None.
+
+    ``stacked`` holds one row of densities (or masses) per candidate.  None
+    means some candidate vanishes at a column where another is positive, so
+    no finite family-wide log-ratio bound exists.  Columns where every
+    candidate vanishes contribute ``-inf`` (they never host the maximum).
+    """
+    col_max = stacked.max(axis=0)
+    col_min = stacked.min(axis=0)
+    active = col_max > 0.0
+    if np.any(col_min[active] <= 0.0):
+        return None
+    spread = np.full(col_max.shape, -np.inf)
+    spread[active] = np.log(col_max[active]) - np.log(col_min[active])
+    return spread
+
+
+def _log_ratio_bound(candidates: Sequence[Measure]) -> float | None:
+    """Max over a probe grid of ``|log(p_i / p_k)|`` across all pairs.
+
+    Returns None when some candidate vanishes where another is positive
+    (the KL family then has no finite log-ratio bound).  The target equals
+    ``max_x [log max_i p_i(x) - log min_i p_i(x)]``, so one column pass per
+    probe point covers every pair.  Discrete families are exact over their
+    atoms.  Otherwise the coarse probe (a global grid plus every candidate
+    breakpoint and the midpoints between them) is polished by zooming into
+    the best bracket a few times, since windows can span thousands of scale
+    units while the ratio peaks near the centers.
+    """
+    if len(candidates) < 2:
+        return None
+    if all(isinstance(m, DiscreteMeasure) for m in candidates):
+        spread = _log_spread(atom_mass_matrix(*candidates)[1])
+        if spread is None or not np.isfinite(spread.max()):
+            return None
+        return float(spread.max())
+    if any(m.atoms() for m in candidates):
+        return None
+    lo, hi = _union_window(*candidates)
+    edges = np.array(sorted({b for b in _union_breakpoints(*candidates) if lo < b < hi} | {lo, hi}))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    probe = np.unique(np.concatenate([np.linspace(lo, hi, 513), edges, mids]))
+    spread_at = lambda xs: _log_spread(np.array([m.pdf(xs) for m in candidates]))
+    spread = spread_at(probe)
+    if spread is None:
+        return None
+    best = int(np.argmax(spread))
+    if not np.isfinite(spread[best]):
+        return None
+    value = spread[best]
+    left = probe[max(best - 1, 0)]
+    right = probe[min(best + 1, probe.size - 1)]
+    for _ in range(3):
+        xs = np.linspace(left, right, 129)
+        local = spread_at(xs)
+        if local is None:
+            return None
+        best = int(np.argmax(local))
+        value = max(value, local[best])
+        left = xs[max(best - 1, 0)]
+        right = xs[min(best + 1, xs.size - 1)]
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -1178,24 +1221,31 @@ def _check_unit_interval(m: Measure) -> None:
         )
 
 
+def _cdf_gap_pieces(P: Measure, Q: Measure):
+    """The linear pieces of ``g = F_P - F_Q`` on [0, 1] for knotted cdfs.
+
+    Yields ``(a, b, g_a, g_b)`` for each pair of consecutive knots ``a < b``
+    of either cdf (0 and 1 included): the line through ``g`` at ``a + w/3``
+    and ``a + 2w/3`` (``w = b - a``), taken at both ends.  Interior points
+    keep the jumps of step cdfs at the knots out of the fit.
+    """
+    knots = {float(k) for k in (*P.cdf_knots(), *Q.cdf_knots()) if 0.0 <= k <= 1.0}
+    # Numpy knots make ``wasserstein1`` return a numpy float, as it always has.
+    knots = np.array(sorted(knots | {0.0, 1.0}))
+    for a, b in zip(knots[:-1], knots[1:]):
+        w = b - a
+        u1, u2 = a + w / 3.0, a + 2.0 * w / 3.0
+        u = np.array([u1, u2])
+        g1, g2 = (np.asarray(P.cdf(u)) - np.asarray(Q.cdf(u))).tolist()
+        slope = (g2 - g1) / (u2 - u1)
+        yield a, b, g1 + slope * (a - u1), g1 + slope * (b - u1)
+
+
 def _abs_cdf_diff_exact(P: Measure, Q: Measure) -> float:
     """∫ |F_P - F_Q| over [0, 1], exact for piecewise-linear/step cdfs."""
-    knots = sorted({0.0, 1.0} | set(P.cdf_knots()) | set(Q.cdf_knots()))
-    knots = [k for k in knots if -1e-12 <= k <= 1.0 + 1e-12]
-    edges = np.clip(np.array(knots), 0.0, 1.0)
-    edges = np.unique(edges)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
+    for a, b, ga, gb in _cdf_gap_pieces(P, Q):
         w = b - a
-        if w <= 0.0:
-            continue
-        u1 = a + w / 3.0
-        u2 = a + 2.0 * w / 3.0
-        g1 = float(P.cdf(np.array([u1]))[0] - Q.cdf(np.array([u1]))[0])
-        g2 = float(P.cdf(np.array([u2]))[0] - Q.cdf(np.array([u2]))[0])
-        slope = (g2 - g1) / (u2 - u1)
-        ga = g1 + slope * (a - u1)
-        gb = g1 + slope * (b - u1)
         if ga * gb >= 0.0:
             total += 0.5 * abs(ga + gb) * w
         else:
@@ -1233,10 +1283,7 @@ def wasserstein1(P: Measure, Q: Measure, method: str = "auto") -> float:
         set(np.clip(_union_breakpoints(P, Q), 0.0, 1.0))
         | set(sign_change_points(diff, 0.0, 1.0, _union_breakpoints(P, Q)))
     )
-    val, err = integrate(lambda x: np.abs(diff(x)), 0.0, 1.0, brk)
-    if err > _TV_ERR_BUDGET:
-        raise NumericalError(f"W quadrature error estimate {err:.2e} too large")
-    return val
+    return integrate(lambda x: np.abs(diff(x)), 0.0, 1.0, brk)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1276,9 +1323,7 @@ def lj_distance(P: Measure, Q: Measure, j: float) -> float:
     if math.isinf(j):
         grid = np.unique(np.concatenate([np.linspace(lo, hi, _PROBE_COUNT), np.asarray(brk or [lo])]))
         return float(np.max(np.abs(P.pdf(grid) - Q.pdf(grid))))
-    val, err = integrate(lambda x: np.abs(P.pdf(x) - Q.pdf(x)) ** j, lo, hi, brk)
-    if err > _TV_ERR_BUDGET:
-        raise NumericalError(f"L_j quadrature error estimate {err:.2e} too large")
+    val = integrate(lambda x: np.abs(P.pdf(x) - Q.pdf(x)) ** j, lo, hi, brk)[0]
     return float(val ** (1.0 / j))
 
 
@@ -1301,23 +1346,13 @@ def cdf_sign_intervals(P: Measure, Q: Measure) -> list[tuple[float, float, float
         return np.asarray(Q.cdf(x), dtype=float) - np.asarray(P.cdf(x), dtype=float)
 
     cuts = {0.0, 1.0}
-    kp, kq = P.cdf_knots(), Q.cdf_knots()
-    if kp is not None and kq is not None:
-        knots = sorted({float(k) for k in (*kp, *kq) if 0.0 <= k <= 1.0} | {0.0, 1.0})
-        for a, b in zip(knots[:-1], knots[1:]):
-            w = b - a
-            if w <= 0:
-                continue
-            u1, u2 = a + w / 3.0, a + 2.0 * w / 3.0
-            g1 = float(diff(np.array([u1]))[0])
-            g2 = float(diff(np.array([u2]))[0])
-            slope = (g2 - g1) / (u2 - u1)
-            ga = g1 + slope * (a - u1)
-            gb = g1 + slope * (b - u1)
+    if P.cdf_knots() is not None and Q.cdf_knots() is not None:
+        # The pieces fit F_P - F_Q, the exact negation of diff: same roots.
+        for a, b, ga, gb in _cdf_gap_pieces(P, Q):
             cuts.add(a)
             cuts.add(b)
             if ga * gb < 0.0:
-                cuts.add(a + w * abs(ga) / (abs(ga) + abs(gb)))
+                cuts.add(a + (b - a) * abs(ga) / (abs(ga) + abs(gb)))
     else:
         brk = [float(k) for k in _union_breakpoints(P, Q) if 0.0 <= k <= 1.0]
         cuts |= set(brk)
@@ -1343,12 +1378,29 @@ def cdf_sign_intervals(P: Measure, Q: Measure) -> list[tuple[float, float, float
 # ---------------------------------------------------------------------------
 
 
+def _numbers(family: str, params: dict, key: str, default: tuple | None = None) -> list:
+    """The list parameter ``key``, checked to hold numbers only.
+
+    Checked here because numpy and ``tuple`` would take strings silently;
+    a missing required key raises KeyError.
+    """
+    value = params[key] if default is None else params.get(key, default)
+    if not isinstance(value, (list, tuple)) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+    ):
+        raise ConfigError(
+            f"measure family {family!r} parameter {key!r} must be a list of numbers, "
+            f"got {value!r}"
+        )
+    return list(value)
+
+
 def measure_from_config(cfg: dict) -> Measure:
     """Build a measure from a plain-dict configuration record.
 
     The record must have a ``family`` key plus a ``params`` mapping; see each
     measure class for its parameters.  Raises ``ConfigError`` for unknown
-    families or bad parameters.
+    families or bad parameters, naming the parameter.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"measure config must be a mapping, got {type(cfg).__name__}")
@@ -1366,17 +1418,24 @@ def measure_from_config(cfg: dict) -> Measure:
         if family == "power":
             return PowerMeasure(params["alpha"], params.get("shift", 0.0))
         if family == "histogram":
-            support = tuple(params.get("support", (0.0, 1.0)))
-            heights = params["heights"]
-            return HistogramMeasure(PartitionRef(len(heights), support), heights)
+            support = _numbers(family, params, "support", (0.0, 1.0))
+            heights = _numbers(family, params, "heights")
+            if len(support) != 2 or params.get("cells", len(heights)) != len(heights):
+                raise ConfigError(
+                    "measure family 'histogram' needs a [lo, hi] 'support' and one of "
+                    f"'heights' per cell, got support {support} and {len(heights)} heights "
+                    f"for cells {params.get('cells')!r}"
+                )
+            return HistogramMeasure(PartitionRef(len(heights), tuple(support)), heights)
         if family == "discrete":
+            points = _numbers(family, params, "points")
             ref = None
             if "weights" in params:
                 ref = DiscreteRef(
-                    tuple(float(p) for p in params["points"]),
-                    tuple(float(w) for w in params["weights"]),
+                    tuple(float(p) for p in points),
+                    tuple(float(w) for w in _numbers(family, params, "weights")),
                 )
-            return DiscreteMeasure(params["points"], params["masses"], ref=ref)
+            return DiscreteMeasure(points, _numbers(family, params, "masses"), ref=ref)
         if family == "point-mass":
             return point_mass(params["at"])
         if family == "mixture":
@@ -1387,4 +1446,15 @@ def measure_from_config(cfg: dict) -> Measure:
             )
     except KeyError as exc:
         raise ConfigError(f"measure family {family!r} is missing parameter {exc}") from exc
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # A scalar parameter the constructor could not read as a number; the
+        # constructors' own conversions are the check, so valid configs pay
+        # nothing for it.
+        bad = [k for k, v in params.items() if not isinstance(v, (int, float, dict))]
+        raise ConfigError(
+            f"measure family {family!r} parameter {bad[0] if bad else '?'!r} must be a "
+            f"number, got {params.get(bad[0]) if bad else params!r}"
+        ) from exc
     raise ConfigError(f"unknown measure family {family!r}")

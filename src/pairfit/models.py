@@ -33,7 +33,7 @@ from .measures import (
     PartitionRef,
     PowerMeasure,
     UniformMeasure,
-    atom_mass_matrix,
+    _log_ratio_bound,
     measure_from_config,
 )
 
@@ -107,6 +107,10 @@ class ModelBuilderConfig:
             self._freeze(name, _as_float_tuple)
         for name in ("coefficient_net", "candidates", "theta_net"):
             self._freeze(name, _as_vector_tuple)
+        for name in ("lo", "hi", "step", "alpha", "j"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ConfigError(f"model parameter {name!r} must be a number, got {value!r}")
         relevant = _RELEVANT[self.family]
         for name, value in vars(self).items():
             if name == "family":
@@ -464,85 +468,6 @@ _BUILDERS = {
     "discrete": _build_discrete,
     "regression-tuples": _build_regression_tuples,
 }
-
-
-# ---------------------------------------------------------------------------
-# Family-wide log-density-ratio bound (KL metadata)
-# ---------------------------------------------------------------------------
-
-
-def _density_spread(
-    candidates: Sequence[Measure], xs: np.ndarray
-) -> np.ndarray | None:
-    """Per-point log spread ``log max_i p_i - log min_i p_i``, or None.
-
-    None means some candidate vanishes at a point where another is positive,
-    so no finite family-wide log-ratio bound exists.  Points where every
-    candidate vanishes contribute ``-inf`` (they never host the maximum).
-    """
-    stacked = np.array([m.pdf(xs) for m in candidates])
-    col_max = stacked.max(axis=0)
-    col_min = stacked.min(axis=0)
-    active = col_max > 0.0
-    if np.any(col_min[active] <= 0.0):
-        return None
-    spread = np.full(xs.shape, -np.inf)
-    spread[active] = np.log(col_max[active]) - np.log(col_min[active])
-    return spread
-
-
-def _log_ratio_bound(candidates: Sequence[Measure]) -> float | None:
-    """Max over a probe grid of ``|log(p_i / p_k)|`` across all pairs.
-
-    Returns None when some candidate vanishes where another is positive
-    (the KL family then has no finite log-ratio bound).  The target equals
-    ``max_x [log max_i p_i(x) - log min_i p_i(x)]``, so one column pass per
-    probe point covers every pair.  The coarse probe (a global grid plus
-    every candidate breakpoint and the midpoints between them) is polished
-    by zooming into the best bracket a few times, since windows can span
-    thousands of scale units while the ratio peaks near the centers.
-    """
-    if len(candidates) < 2:
-        return None
-    if all(isinstance(m, DiscreteMeasure) for m in candidates):
-        _, stacked = atom_mass_matrix(*candidates)
-        col_max = stacked.max(axis=0)
-        col_min = stacked.min(axis=0)
-        active = col_max > 0.0
-        if not np.any(active):
-            return None
-        if np.any(col_min[active] <= 0.0):
-            return None
-        return float(np.max(np.log(col_max[active]) - np.log(col_min[active])))
-    if any(m.atoms() for m in candidates):
-        return None
-    lo = min(m.window()[0] for m in candidates)
-    hi = max(m.window()[1] for m in candidates)
-    brk = sorted(
-        {b for m in candidates for b in m.breakpoints() if lo < b < hi} | {lo, hi}
-    )
-    edges = np.array(brk)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    probe = np.unique(np.concatenate([np.linspace(lo, hi, 513), edges, mids]))
-    spread = _density_spread(candidates, probe)
-    if spread is None:
-        return None
-    best = int(np.argmax(spread))
-    if not np.isfinite(spread[best]):
-        return None
-    value = spread[best]
-    left = probe[max(best - 1, 0)]
-    right = probe[min(best + 1, probe.size - 1)]
-    for _ in range(3):
-        xs = np.linspace(left, right, 129)
-        local = _density_spread(candidates, xs)
-        if local is None:
-            return None
-        best = int(np.argmax(local))
-        value = max(value, local[best])
-        left = xs[max(best - 1, 0)]
-        right = xs[min(best + 1, xs.size - 1)]
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .estimator import Model, PairwiseEngine
 from .losses import LossSpec
 from .measures import DiscreteMeasure, Measure, atom_mass_matrix
-from .testfam import _analytic_tv_regions, _interval_prob, _tv_regions_generic
+from .testfam import _interval_prob, _tv_sign_regions
 
 __all__ = [
     "Decision",
@@ -138,10 +138,7 @@ def _q_dominates_split(
             "frequency-comparison split needs both candidates discrete or both continuous"
         )
 
-    regions = _analytic_tv_regions(P, Q)
-    if regions is None:
-        regions = [(a, c, s, a, c) for (a, c, s) in _tv_regions_generic(P, Q)]
-    negative = [(a, c, ea, ec) for (a, c, s, ea, ec) in regions if s < 0]
+    negative = [(a, c, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(P, Q) if s < 0]
     prob_p = float(sum(_interval_prob(P, a, c) for a, c, _, _ in negative))
     prob_q = float(sum(_interval_prob(Q, a, c) for a, c, _, _ in negative))
 

@@ -421,21 +421,18 @@ def _deviation_bound(scenario: Scenario, model, xi: float, inf_loss: float) -> f
     raise ConfigError(f"no deviation bound wired for loss kind {kind!r}")
 
 
-def deviation_frequency(
-    scenario: Scenario, xis: list, threads: int = 1
-) -> dict:
+def deviation_frequency(record: ExperimentRecord, xis: list) -> dict:
     """Empirical frequency of {attained loss <= bound(xi)} next to its target.
 
-    The guarantee is one-sided: each frequency should be at least
-    ``1 - exp(-xi)`` up to Monte Carlo noise, with slack when the bound's
-    constants are conservative.
+    The frequency runs over the record's replications; the bound takes the
+    model's best attainable loss and VC dimension from the record's
+    scenario, so no replication runs again.  The guarantee is one-sided:
+    each frequency should be at least ``1 - exp(-xi)`` up to Monte Carlo
+    noise, with slack when the bound's constants are conservative.
     """
+    scenario = Scenario.from_config(record.scenario)
     model = build(scenario.model)
-    table = _LossTable(scenario, model)
-    record = _replicate(
-        scenario, PairwiseEngine(scenario.loss, model), table, threads
-    )
-    inf_loss = table.minimum()
+    inf_loss = _LossTable(scenario, model).minimum()
     losses = np.array([r.loss for r in record.rows])
     rows = []
     for xi in xis:

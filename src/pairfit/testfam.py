@@ -52,6 +52,9 @@ from .measures import (
     PartitionRef,
     PowerMeasure,
     UniformMeasure,
+    _log_ratio_bound,
+    _union_breakpoints,
+    _union_window,
     atom_mass_matrix,
     cdf_sign_intervals,
     expectation,
@@ -271,27 +274,6 @@ def variational_score(P: Measure, Q: Measure, f: Callable[[np.ndarray], np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _tv_regions_generic(P: Measure, Q: Measure) -> list[tuple[float, float, float]]:
-    """Maximal intervals with constant sign of p - q, via probing + bisection."""
-    lo1, hi1 = P.window()
-    lo2, hi2 = Q.window()
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    brk = sorted(set(P.breakpoints()) | set(Q.breakpoints()))
-    diff = lambda x: P.pdf(x) - Q.pdf(x)
-    cuts = sorted({lo, hi} | {b for b in brk if lo < b < hi} | set(sign_change_points(diff, lo, hi, brk)))
-    edges = np.array(cuts)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    vals = diff(mids)
-    out: list[tuple[float, float, float]] = []
-    for a, c, v in zip(edges[:-1], edges[1:], vals):
-        s = 0.0 if v == 0.0 else math.copysign(1.0, v)
-        if out and out[-1][2] == s:
-            out[-1] = (out[-1][0], float(c), s)
-        else:
-            out.append((float(a), float(c), s))
-    return out
-
-
 def _interval_prob(m: Measure, a: float, b: float) -> float:
     return float(m.cdf(np.array([b]))[0] - m.cdf(np.array([a]))[0])
 
@@ -327,13 +309,10 @@ def tv_score(P: Measure, Q: Measure) -> ScoreFunction:
                 comps[-1] = (last[0], _UP(edges[-1], math.inf), last[2], last[3])
         return PiecewiseScore(const, comps, consts, const)
 
-    pair_regions = _analytic_tv_regions(P, Q)
-    if pair_regions is None:
-        pair_regions = [(a, c, s, a, c) for (a, c, s) in _tv_regions_generic(P, Q)]
     comps = []
     prob_p_gt = 0.0
     prob_q_gt = 0.0
-    for a, c, s, ea, ec in pair_regions:
+    for a, c, s, ea, ec in _tv_sign_regions(P, Q):
         if s > 0:  # p > q
             comps.append((ea, ec, -0.5, 0.0))
             prob_p_gt += _interval_prob(P, a, c)
@@ -358,38 +337,34 @@ def _symmetric_translation_pair(P: Measure, Q: Measure) -> bool:
     )
 
 
-def _analytic_tv_regions(
-    P: Measure, Q: Measure
-) -> list[tuple[float, float, float, float, float]] | None:
-    """Exact sign regions of p - q for matched translation families.
+def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, float, float]]:
+    """Maximal sign regions of p - q for a pair of continuous measures.
 
-    Each region is ``(lo, hi, sign, eval_lo, eval_hi)``.  Probabilities come
-    from the exact ``[lo, hi]`` (boundary points are null for these
-    continuous families, and nudged bounds would get amplified by cdfs with
-    unbounded slope, e.g. the power family at its shift).  ``[eval_lo,
-    eval_hi)`` is the score-evaluation interval, with strict open/closed
-    endpoint conventions pushed one ulp where needed.
+    Each region is ``(lo, hi, sign, eval_lo, eval_hi)``.  Matched
+    translation families get exact regions: probabilities come from the
+    exact ``[lo, hi]`` (boundary points are null for these continuous
+    families, and nudged bounds would get amplified by cdfs with unbounded
+    slope, e.g. the power family at its shift), and ``[eval_lo, eval_hi)``
+    is the score-evaluation interval, with strict open/closed endpoint
+    conventions pushed one ulp where needed.  Every other pair is probed
+    (sign changes located by bisection), and its evaluation interval is the
+    region itself.
     """
-    if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
-        if P.mean == Q.mean:
+    gaussian = isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd
+    if gaussian or (isinstance(P, CauchyMeasure) and isinstance(Q, CauchyMeasure) and P.scale == Q.scale):
+        cp, cq = (P.mean, Q.mean) if gaussian else (P.loc, Q.loc)
+        if cp == cq:
             return []
-        mid = 0.5 * (P.mean + Q.mean)
-        lo, hi = min(P.window()[0], Q.window()[0]), max(P.window()[1], Q.window()[1])
-        s = 1.0 if P.mean < Q.mean else -1.0
-        # p > q strictly on the side nearer P's mean; the densities tie at mid.
-        return [(lo, mid, s, lo, mid), (mid, hi, -s, _UP(mid, math.inf), hi)]
-    if isinstance(P, CauchyMeasure) and isinstance(Q, CauchyMeasure) and P.scale == Q.scale:
-        if P.loc == Q.loc:
-            return []
-        mid = 0.5 * (P.loc + Q.loc)
-        lo, hi = min(P.window()[0], Q.window()[0]), max(P.window()[1], Q.window()[1])
-        s = 1.0 if P.loc < Q.loc else -1.0
+        mid = 0.5 * (cp + cq)
+        lo, hi = _union_window(P, Q)
+        s = 1.0 if cp < cq else -1.0
+        # p > q strictly on the side nearer P's center; the densities tie at mid.
         return [(lo, mid, s, lo, mid), (mid, hi, -s, _UP(mid, math.inf), hi)]
     if isinstance(P, UniformMeasure) and isinstance(Q, UniformMeasure) and P.width == Q.width:
         if P.low == Q.low:
             return []
         if P.low > Q.low:
-            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _analytic_tv_regions(Q, P)]
+            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(Q, P)]
         w = P.width
         c1 = min(Q.low, P.low + w)  # end of the {p > q} stretch
         c2 = max(P.low + w, Q.low)  # start of the {q > p} stretch
@@ -402,7 +377,7 @@ def _analytic_tv_regions(
         if P.shift == Q.shift:
             return []
         if P.shift > Q.shift:
-            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _analytic_tv_regions(Q, P)]
+            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(Q, P)]
         th, th2 = P.shift, Q.shift
         if P.alpha < 1.0:
             # p > q on (th, min(th2, th+1)], q > p on (th2, th2+1].
@@ -417,7 +392,19 @@ def _analytic_tv_regions(
             (th, th + 1.0, 1.0, _UP(th, math.inf), _UP(th + 1.0, math.inf)),
             (c2, th2 + 1.0, -1.0, _UP(c2, math.inf), _UP(th2 + 1.0, math.inf)),
         ]
-    return None
+    lo, hi = _union_window(P, Q)
+    brk = _union_breakpoints(P, Q)
+    diff = lambda x: P.pdf(x) - Q.pdf(x)
+    cuts = sorted({lo, hi} | {b for b in brk if lo < b < hi} | set(sign_change_points(diff, lo, hi, brk)))
+    edges = np.array(cuts)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    out: list[tuple[float, float, float, float, float]] = []
+    for a, c, v in zip(edges[:-1], edges[1:], diff(mids)):
+        s = 0.0 if v == 0.0 else math.copysign(1.0, v)
+        if out and out[-1][2] == s:
+            a = out.pop()[0]
+        out.append((float(a), float(c), s, float(a), float(c)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +489,7 @@ def lj_score(P: Measure, Q: Measure, j: float, R: float) -> ScoreFunction:
         return AtomScore(pts, values, consts, mean_f / scale)
     # Lebesgue-reference continuous pair.
     fn_f = lambda x: _lj_witness_values(P.pdf(x), Q.pdf(x), j) / norm_factor
-    brk = sorted(set(P.breakpoints()) | set(Q.breakpoints()))
+    brk = _union_breakpoints(P, Q)
     mean_f = 0.5 * (expectation(P, fn_f, brk) + expectation(Q, fn_f, brk))
     return CallableScore(
         lambda x: (mean_f - fn_f(x)) / scale, consts, mean_f / scale
@@ -575,9 +562,8 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     if P.atoms() or Q.atoms():
         raise ConfigError("hellinger scores support finite spaces or continuous pairs, not mixtures")
 
-    brk = sorted(set(P.breakpoints()) | set(Q.breakpoints()))
-    lo = min(P.window()[0], Q.window()[0])
-    hi = max(P.window()[1], Q.window()[1])
+    brk = _union_breakpoints(P, Q)
+    lo, hi = _union_window(P, Q)
 
     def sqrt_rq(x):
         p = np.clip(P.pdf(x), 0.0, None)
@@ -589,8 +575,8 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
         q = np.clip(Q.pdf(x), 0.0, None)
         return np.sqrt(0.5 * (p + q) * p)
 
-    rho_q, _ = integrate(sqrt_rq, lo, hi, brk)
-    rho_p, _ = integrate(sqrt_rp, lo, hi, brk)
+    rho_q = integrate(sqrt_rq, lo, hi, brk)[0]
+    rho_p = integrate(sqrt_rp, lo, hi, brk)[0]
     scale = 1.0 / (2.0 * math.sqrt(2.0))
     const = scale * (rho_q - rho_p)
 
@@ -611,7 +597,8 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
 
 def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
     """KL family score t = (1/(2a)) log(q/p), under the family-wide bound
-    ``exp(-a) <= p/q <= exp(a)`` (checked on atoms or a probe grid)."""
+    ``exp(-a) <= p/q <= exp(a)`` (checked on the atoms of a discrete pair,
+    otherwise through ``measures._log_ratio_bound``)."""
     if a <= 0:
         raise ConfigError(f"kl score needs a positive log-ratio bound, got {a}")
     consts = constants_for(LossSpec.kl(a=a))
@@ -629,9 +616,11 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
             )
         return AtomScore(pts, scale * logs, consts, 0.0)
 
-    lo = min(P.window()[0], Q.window()[0])
-    hi = max(P.window()[1], Q.window()[1])
-    grid = np.linspace(lo, hi, 4096)
+    bound = _log_ratio_bound([P, Q])
+    if bound is None:
+        raise ConfigError("kl scores need a common support across the family")
+    if bound > a + tol:
+        raise ConfigError(f"log-ratio bound violated: |log(q/p)| reaches {bound:.6g} > a = {a:.6g}")
 
     def fn(x):
         p = P.pdf(x)
@@ -640,16 +629,6 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
         out = np.where(good, np.log(np.where(good, q, 1.0)) - np.log(np.where(good, p, 1.0)), 0.0)
         return scale * out
 
-    p_grid = P.pdf(grid)
-    q_grid = Q.pdf(grid)
-    good = (p_grid > 0.0) & (q_grid > 0.0)
-    if np.any(p_grid[~good] > 0.0) or np.any(q_grid[~good] > 0.0):
-        raise ConfigError("kl scores need a common support across the family")
-    logs = np.abs(np.log(q_grid[good]) - np.log(p_grid[good]))
-    if logs.size and logs.max() > a + tol:
-        raise ConfigError(
-            f"log-ratio bound violated: |log(q/p)| reaches {logs.max():.6g} > a = {a:.6g}"
-        )
     return CallableScore(fn, consts, 0.0)
 
 
@@ -806,9 +785,8 @@ def _probe_points(measures: Sequence[Measure]) -> np.ndarray:
     """Evaluation points: all atoms, or a grid over the union window."""
     if all(m.atoms() for m in measures):
         return atom_mass_matrix(*measures)[0]
-    lo = min(m.window()[0] for m in measures)
-    hi = max(m.window()[1] for m in measures)
-    brk = sorted({b for m in measures for b in m.breakpoints()})
+    lo, hi = _union_window(*measures)
+    brk = _union_breakpoints(*measures)
     return np.unique(np.concatenate([np.linspace(lo, hi, _PROBE_GRID), np.asarray(brk or [lo])]))
 
 
@@ -987,9 +965,7 @@ def check_cond3bis(model: Sequence[Measure]) -> Cond3bisReport:
                 p_le = float(P.cell_masses[hp <= hq].sum())
                 q_gt = float(Q.cell_masses[hp > hq].sum())
             else:
-                regions = _analytic_tv_regions(P, Q)
-                if regions is None:
-                    regions = [(a, c, s, a, c) for (a, c, s) in _tv_regions_generic(P, Q)]
+                regions = _tv_sign_regions(P, Q)
                 p_gt = sum(_interval_prob(P, a, c) for a, c, s, _, _ in regions if s > 0)
                 q_gt = sum(_interval_prob(Q, a, c) for a, c, s, _, _ in regions if s > 0)
                 p_le = 1.0 - p_gt

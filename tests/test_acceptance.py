@@ -189,7 +189,7 @@ def test_c4_deviation_frequencies(capsys):
         replications=2000,
         seed=5,
     )
-    w_table = sim.deviation_frequency(w_scenario, [0.5, 1.0, 2.0])
+    w_table = sim.deviation_frequency(sim.run_estimation(w_scenario), [0.5, 1.0, 2.0])
     assert w_table["inf_loss"] == 0.0
     for row in w_table["rows"]:
         hand = (2.0 / math.sqrt(200)) * (
@@ -211,7 +211,7 @@ def test_c4_deviation_frequencies(capsys):
         replications=2000,
         seed=6,
     )
-    tv_table = sim.deviation_frequency(tv_scenario, [0.5, 1.0, 2.0])
+    tv_table = sim.deviation_frequency(sim.run_estimation(tv_scenario), [0.5, 1.0, 2.0])
     for row in tv_table["rows"]:
         assert row["bound"] == pytest.approx(
             float(vc_bound_tv(2.0, 200, row["xi"], 1.0, 0.0)), rel=1e-12

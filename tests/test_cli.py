@@ -79,6 +79,27 @@ class TestParsing:
         assert cli.main(["estimate", "--config", str(path)]) == 2
         assert "was invoked" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("test", "--epsilon"),
+            ("distances", "--epsilon"),
+            ("check-assumptions", "--epsilon"),
+            ("distances", "--seed"),
+        ],
+    )
+    def test_flag_the_command_ignores_exits_two(self, command, flag, capsys):
+        assert cli.main([command, flag, "1", "--describe"]) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["estimate", "test", "simulate", "distances", "check-assumptions"]
+    )
+    def test_threads_flag_accepted_everywhere(self, command, capsys):
+        # Without a config most commands stop at resolution; parsing passed.
+        cli.main([command, "--threads", "1", "--describe"])
+        assert "unrecognized arguments" not in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_balanced_sample_picks_middle_candidate(self, tmp_path, capsys):
@@ -428,6 +449,63 @@ class TestConfigErrorsExitTwo:
                 },
                 "cannot sample from a signed histogram",
             ),
+            (
+                "distances",
+                {
+                    "pairs": [
+                        {
+                            "p": {"family": "histogram", "params": {"support": [0.0, 1.0, 2.0], "heights": [1.0, 1.0]}},
+                            "q": histogram([1.0, 1.0]),
+                        }
+                    ],
+                    "losses": [{"kind": "tv"}],
+                },
+                "[lo, hi] 'support'",
+            ),
+            (
+                "distances",
+                {
+                    "pairs": [
+                        {
+                            "p": {"family": "histogram", "params": {"cells": 3, "heights": [0.5, 1.5]}},
+                            "q": histogram([1.0, 1.0]),
+                        }
+                    ],
+                    "losses": [{"kind": "tv"}],
+                },
+                "for cells 3",
+            ),
+            (
+                "distances",
+                {
+                    "pairs": [
+                        {
+                            "p": {"family": "gaussian", "params": {"mean": "a"}},
+                            "q": {"family": "gaussian", "params": {"mean": 0.0}},
+                        }
+                    ],
+                    "losses": [{"kind": "tv"}],
+                },
+                "parameter 'mean'",
+            ),
+            (
+                "estimate",
+                {
+                    "model": {"family": "gaussian-location-grid", "d": 1, "lo": "x", "hi": 1.0, "step": 0.5},
+                    "loss": {"kind": "tv"},
+                    "sample": [0.0, 0.5],
+                },
+                "parameter 'lo'",
+            ),
+            (
+                "estimate",
+                {
+                    "model": {"family": "histogram-net", "cells": 2, "value_grid": [0.5, 1.0, 1.5]},
+                    "loss": {"kind": "lj", "j": "2", "R": 1.0},
+                    "sample": [0.25, 0.75],
+                },
+                "parameter 'j'",
+            ),
         ],
         ids=[
             "kl-score-bound",
@@ -437,6 +515,11 @@ class TestConfigErrorsExitTwo:
             "linf-without-partition",
             "estimate-signed-truth",
             "test-signed-truth",
+            "histogram-support-triple",
+            "histogram-cells-mismatch",
+            "gaussian-mean-string",
+            "model-lo-string",
+            "lj-j-string",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):

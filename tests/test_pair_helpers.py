@@ -1,0 +1,331 @@
+"""Tests for the helpers that own one pairwise numerical decision each.
+
+* ``measures.integrate`` owns the quadrature accuracy budget: every
+  quadrature consumer raises through it.
+* ``testfam._tv_sign_regions`` owns the TV sign regions of a continuous
+  pair; ``tv_score``, ``check_cond3bis`` and the frequency-comparison test
+  each keep their own probability sums over them.
+* ``measures._log_ratio_bound`` owns the KL family log-ratio bound.
+* ``measures._cdf_gap_pieces`` owns the linear pieces of ``F_P - F_Q``.
+
+The per-consumer oracles below repeat each consumer's arithmetic from
+before the helpers were shared, so the properties check that sharing a
+helper changed no returned bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pairfit.measures as measures
+from pairfit.errors import ConfigError, NumericalError
+from pairfit.measures import (
+    CauchyMeasure,
+    DiscreteMeasure,
+    GaussianMeasure,
+    HistogramMeasure,
+    MixtureMeasure,
+    PartitionRef,
+    PowerMeasure,
+    UniformMeasure,
+    cdf_sign_intervals,
+    expectation,
+    hellinger_sq,
+    kl_divergence,
+    lj_distance,
+    sign_change_points,
+    tv_distance,
+    wasserstein1,
+)
+from pairfit.robust_tests import _q_dominates_split
+from pairfit.testfam import (
+    _interval_prob,
+    _symmetric_translation_pair,
+    _tv_sign_regions,
+    check_cond3bis,
+    hellinger_score,
+    kl_score,
+    lj_score,
+    tv_score,
+)
+
+# ---------------------------------------------------------------------------
+# Quadrature accuracy budget
+# ---------------------------------------------------------------------------
+
+_G0, _G1 = GaussianMeasure(0.0, 1.0), GaussianMeasure(0.7, 1.3)
+_QUADRATURE_CONSUMERS = {
+    "cdf_integral": lambda: MixtureMeasure(_G0, 0.3, _G1).cdf_integral(-1.0, 2.0),
+    "expectation": lambda: expectation(_G0, lambda x: x * x),
+    "tv_distance": lambda: tv_distance(_G0, _G1),
+    "hellinger_sq": lambda: hellinger_sq(_G0, _G1, method="quadrature"),
+    "kl_divergence": lambda: kl_divergence(_G0, _G1, method="quadrature"),
+    "wasserstein1": lambda: wasserstein1(PowerMeasure(2.0), PowerMeasure(3.0), method="quadrature"),
+    "lj_distance": lambda: lj_distance(_G0, _G1, 2.0),
+    "lj_score": lambda: lj_score(_G0, _G1, 2.0, 1.0),
+    "hellinger_score": lambda: hellinger_score(_G0, _G1),
+}
+
+
+class TestQuadratureBudget:
+    @pytest.mark.parametrize("name", sorted(_QUADRATURE_CONSUMERS))
+    def test_consumer_raises_over_the_budget(self, name, monkeypatch):
+        monkeypatch.setattr(measures, "_QUAD_ERR_BUDGET", 1e-30)
+        with pytest.raises(NumericalError, match="quadrature error estimate"):
+            _QUADRATURE_CONSUMERS[name]()
+
+
+# ---------------------------------------------------------------------------
+# KL family log-ratio bound
+# ---------------------------------------------------------------------------
+
+
+class TestKlRatioBound:
+    def test_cauchy_peak_between_probe_points_is_found(self):
+        # |log(q/p)| for C(0,1) against C(0.7,1) peaks at 0.686443 (a 4M-point
+        # scan agrees to 1e-7); a fixed 4096-point grid saw only 0.589.
+        P, Q = CauchyMeasure(0.0, 1.0), CauchyMeasure(0.7, 1.0)
+        assert measures._log_ratio_bound([P, Q]) == pytest.approx(0.6864431, abs=1e-6)
+        with pytest.raises(ConfigError, match="reaches 0.686443"):
+            kl_score(P, Q, 0.6)
+        assert kl_score(P, Q, 0.7).constant_part == 0.0
+
+    def test_gaussian_peak_at_the_window_end(self):
+        # log(p/q) is linear, so the peak sits at the window end: 0.5 * 12.25 = 6.125.
+        P, Q = GaussianMeasure(0.0, 1.0), GaussianMeasure(0.5, 1.0)
+        assert measures._log_ratio_bound([P, Q]) == pytest.approx(6.125, rel=1e-12)
+        kl_score(P, Q, 6.125)
+        with pytest.raises(ConfigError, match="log-ratio bound violated"):
+            kl_score(P, Q, 6.1)
+
+    def test_support_gap_between_grid_points_has_no_bound(self):
+        # Q vanishes on cell 5 of 5000, [0.001, 0.0012), which no point of a
+        # 4096-point grid on [0, 1] falls in; KL(P || Q) is infinite.
+        part = PartitionRef(5000, (0.0, 1.0))
+        heights = np.ones(5000)
+        heights[5] = 0.0
+        P, Q = HistogramMeasure(part, np.ones(5000)), HistogramMeasure(part, heights * 5000 / heights.sum())
+        assert measures._log_ratio_bound([P, Q]) is None
+        with pytest.raises(ConfigError, match="common support"):
+            kl_score(P, Q, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# TV sign regions and their three consumers
+# ---------------------------------------------------------------------------
+
+
+def probed_regions(P, Q):
+    """The probing fallback as the consumers wrote it before sharing it."""
+    lo1, hi1 = P.window()
+    lo2, hi2 = Q.window()
+    lo, hi = min(lo1, lo2), max(hi1, hi2)
+    brk = sorted(set(P.breakpoints()) | set(Q.breakpoints()))
+    diff = lambda x: P.pdf(x) - Q.pdf(x)
+    cuts = sorted({lo, hi} | {b for b in brk if lo < b < hi} | set(sign_change_points(diff, lo, hi, brk)))
+    edges = np.array(cuts)
+    vals = diff(0.5 * (edges[:-1] + edges[1:]))
+    out = []
+    for a, c, v in zip(edges[:-1], edges[1:], vals):
+        s = 0.0 if v == 0.0 else math.copysign(1.0, v)
+        if out and out[-1][2] == s:
+            out[-1] = (out[-1][0], float(c), s)
+        else:
+            out.append((float(a), float(c), s))
+    return [(a, c, s, a, c) for (a, c, s) in out]
+
+
+def tv_score_oracle(P, Q, regions):
+    comps = []
+    prob_p_gt = 0.0
+    prob_q_gt = 0.0
+    for a, c, s, ea, ec in regions:
+        if s > 0:
+            comps.append((ea, ec, -0.5, 0.0))
+            prob_p_gt += _interval_prob(P, a, c)
+        elif s < 0:
+            comps.append((ea, ec, 0.5, 0.0))
+            prob_q_gt += _interval_prob(Q, a, c)
+    const = 0.0 if _symmetric_translation_pair(P, Q) else 0.5 * (prob_p_gt - prob_q_gt)
+    return const, comps
+
+
+def cond3bis_oracle(P, Q, regions_pq, regions_qp):
+    worst = 0.0
+    for (A, B, regions) in ((P, Q, regions_pq), (Q, P, regions_qp)):
+        tv = tv_distance(A, B)
+        if tv == 0.0:
+            continue
+        p_gt = sum(_interval_prob(A, a, c) for a, c, s, _, _ in regions if s > 0)
+        q_gt = sum(_interval_prob(B, a, c) for a, c, s, _, _ in regions if s > 0)
+        worst = max(worst, min(1.0 - p_gt, q_gt) / tv)
+    return worst
+
+
+def split_oracle(P, Q, regions):
+    negative = [(a, c, ea, ec) for (a, c, s, ea, ec) in regions if s < 0]
+    prob_p = float(sum(_interval_prob(P, a, c) for a, c, _, _ in negative))
+    prob_q = float(sum(_interval_prob(Q, a, c) for a, c, _, _ in negative))
+    return negative, prob_p, prob_q
+
+
+@st.composite
+def continuous_pairs(draw):
+    """Matched translation pairs (exact regions) and mismatched ones (probed)."""
+    kind = draw(st.sampled_from(["gaussian", "cauchy", "uniform", "power", "power-shape"]))
+    matched = draw(st.booleans())
+    loc = st.floats(min_value=-2.0, max_value=2.0)
+    scale = st.floats(min_value=0.5, max_value=2.0)
+    if kind == "gaussian":
+        s1 = draw(scale)
+        return GaussianMeasure(draw(loc), s1), GaussianMeasure(draw(loc), s1 if matched else draw(scale))
+    if kind == "cauchy":
+        # Mismatched Cauchy pairs have 5000-scale windows; keep them matched.
+        s1 = draw(scale)
+        return CauchyMeasure(draw(loc), s1), CauchyMeasure(draw(loc), s1)
+    if kind == "uniform":
+        w1 = draw(scale)
+        return UniformMeasure(draw(loc), w1), UniformMeasure(draw(loc), w1 if matched else draw(scale))
+    alpha = st.floats(min_value=0.3, max_value=3.0).filter(lambda a: a != 1.0)
+    if kind == "power":
+        a = draw(alpha)
+        return PowerMeasure(a, draw(loc)), PowerMeasure(a, draw(loc))
+    # Shape pairs with a singular density would make tv_distance slow.
+    bounded = st.floats(min_value=1.0, max_value=3.0)
+    return PowerMeasure(draw(bounded)), PowerMeasure(draw(bounded))
+
+
+def expected_regions(P, Q):
+    """Probed regions for mismatched pairs; exact ones are checked by sign."""
+    regions = _tv_sign_regions(P, Q)
+    matched = _symmetric_translation_pair(P, Q) or (
+        isinstance(P, PowerMeasure) and isinstance(Q, PowerMeasure) and P.alpha == Q.alpha
+    )
+    if not matched:
+        assert regions == probed_regions(P, Q)
+    return regions
+
+
+class TestTvSignRegions:
+    @given(continuous_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_regions_carry_the_sign_of_p_minus_q(self, pair):
+        P, Q = pair
+        for lo, hi, s, _, _ in expected_regions(P, Q):
+            mid = np.array([0.5 * (lo + hi)])
+            gap = float(P.pdf(mid)[0] - Q.pdf(mid)[0])
+            # Exact regions of nearly equal measures may round to a zero gap.
+            if gap != 0.0:
+                assert s == math.copysign(1.0, gap)
+
+    @given(continuous_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_tv_score_matches_its_oracle(self, pair):
+        P, Q = pair
+        const, comps = tv_score_oracle(P, Q, expected_regions(P, Q))
+        t = tv_score(P, Q)
+        assert t.base == const and t.constant_part == const
+        assert t.components == tuple(comps)
+
+    @given(continuous_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_cond3bis_matches_its_oracle(self, pair):
+        P, Q = pair
+        expected = cond3bis_oracle(P, Q, expected_regions(P, Q), expected_regions(Q, P))
+        assert check_cond3bis([P, Q]).a2_prime == expected
+
+    @given(continuous_pairs(), st.lists(st.floats(min_value=-3.0, max_value=4.0), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_frequency_split_matches_its_oracle(self, pair, xs):
+        P, Q = pair
+        negative, prob_p, prob_q = split_oracle(P, Q, expected_regions(P, Q))
+        member, got_p, got_q = _q_dominates_split(P, Q)
+        assert (got_p, got_q) == (prob_p, prob_q)
+        xs = np.asarray(xs)
+        inside = np.zeros(xs.shape, dtype=bool)
+        for _, _, ea, ec in negative:
+            inside |= (xs >= ea) & (xs < ec)
+        assert np.array_equal(member(xs), inside)
+
+
+# ---------------------------------------------------------------------------
+# Linear cdf-gap pieces and their two consumers
+# ---------------------------------------------------------------------------
+
+
+def abs_cdf_diff_oracle(P, Q):
+    """``∫ |F_P - F_Q|`` as ``wasserstein1`` computed it before sharing the pieces."""
+    knots = sorted({0.0, 1.0} | set(P.cdf_knots()) | set(Q.cdf_knots()))
+    knots = [k for k in knots if -1e-12 <= k <= 1.0 + 1e-12]
+    edges = np.unique(np.clip(np.array(knots), 0.0, 1.0))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        w = b - a
+        u1, u2 = a + w / 3.0, a + 2.0 * w / 3.0
+        g1 = float(P.cdf(np.array([u1]))[0] - Q.cdf(np.array([u1]))[0])
+        g2 = float(P.cdf(np.array([u2]))[0] - Q.cdf(np.array([u2]))[0])
+        slope = (g2 - g1) / (u2 - u1)
+        ga, gb = g1 + slope * (a - u1), g1 + slope * (b - u1)
+        if ga * gb >= 0.0:
+            total += 0.5 * abs(ga + gb) * w
+        else:
+            r = a + w * abs(ga) / (abs(ga) + abs(gb))
+            total += 0.5 * (abs(ga) * (r - a) + abs(gb) * (b - r))
+    return total
+
+
+def sign_intervals_oracle(P, Q):
+    """``cdf_sign_intervals`` on knotted cdfs before sharing the pieces."""
+    diff = lambda x: np.asarray(Q.cdf(x), dtype=float) - np.asarray(P.cdf(x), dtype=float)
+    cuts = {0.0, 1.0}
+    knots = sorted({float(k) for k in (*P.cdf_knots(), *Q.cdf_knots()) if 0.0 <= k <= 1.0} | {0.0, 1.0})
+    for a, b in zip(knots[:-1], knots[1:]):
+        w = b - a
+        u1, u2 = a + w / 3.0, a + 2.0 * w / 3.0
+        g1 = float(diff(np.array([u1]))[0])
+        g2 = float(diff(np.array([u2]))[0])
+        slope = (g2 - g1) / (u2 - u1)
+        ga, gb = g1 + slope * (a - u1), g1 + slope * (b - u1)
+        cuts |= {a, b}
+        if ga * gb < 0.0:
+            cuts.add(a + w * abs(ga) / (abs(ga) + abs(gb)))
+    edges = np.array(sorted(cuts))
+    out = []
+    for lo, hi, v in zip(edges[:-1], edges[1:], diff(0.5 * (edges[:-1] + edges[1:]))):
+        s = 0.0 if abs(v) <= 1e-13 else math.copysign(1.0, v)
+        if out and out[-1][2] == s:
+            out[-1] = (out[-1][0], float(hi), s)
+        else:
+            out.append((float(lo), float(hi), s))
+    return out
+
+
+@st.composite
+def knotted_measures(draw):
+    kind = draw(st.sampled_from(["histogram", "discrete", "uniform"]))
+    if kind == "histogram":
+        raw = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=6).filter(lambda h: sum(h) > 0.1))
+        return HistogramMeasure(PartitionRef(len(raw), (0.0, 1.0)), np.asarray(raw) * len(raw) / sum(raw))
+    if kind == "discrete":
+        # Points on a 1/64 grid: knots a few ulps apart would make the
+        # pieces' slope overflow.
+        points = draw(st.lists(st.integers(0, 64).map(lambda k: k / 64.0), min_size=1, max_size=5, unique=True))
+        raw = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=len(points), max_size=len(points)).filter(lambda m: sum(m) > 0.1))
+        return DiscreteMeasure(points, np.asarray(raw) / sum(raw))
+    low = draw(st.floats(min_value=0.0, max_value=0.9))
+    return UniformMeasure(low, draw(st.floats(min_value=0.05, max_value=1.0 - low)))
+
+
+class TestCdfGapPieces:
+    @given(knotted_measures(), knotted_measures())
+    @settings(max_examples=150, deadline=None)
+    def test_wasserstein_matches_its_oracle(self, P, Q):
+        assert wasserstein1(P, Q) == abs_cdf_diff_oracle(P, Q)
+
+    @given(knotted_measures(), knotted_measures())
+    @settings(max_examples=150, deadline=None)
+    def test_sign_intervals_match_their_oracle(self, P, Q):
+        assert cdf_sign_intervals(P, Q) == sign_intervals_oracle(P, Q)

@@ -304,7 +304,9 @@ class TestRunEstimation:
 
 class TestDeviationFrequency:
     def test_wasserstein_bound_holds_with_margin(self):
-        table = sim.deviation_frequency(histogram_w_scenario(), [0.5, 1.0, 2.0])
+        table = sim.deviation_frequency(
+            sim.run_estimation(histogram_w_scenario()), [0.5, 1.0, 2.0]
+        )
         assert table["inf_loss"] == 0.0
         expected_bounds = {
             0.5: 0.29284271247461896,
@@ -325,12 +327,14 @@ class TestDeviationFrequency:
 
     def test_large_xi_reaches_frequency_one(self):
         table = sim.deviation_frequency(
-            histogram_w_scenario(replications=200), [50.0]
+            sim.run_estimation(histogram_w_scenario(replications=200)), [50.0]
         )
         assert table["rows"][0]["frequency"] == 1.0
 
     def test_tv_vc_bound_holds(self):
-        table = sim.deviation_frequency(gaussian_grid_scenario(), [0.5, 1.0])
+        table = sim.deviation_frequency(
+            sim.run_estimation(gaussian_grid_scenario()), [0.5, 1.0]
+        )
         by_xi = {row["xi"]: row for row in table["rows"]}
         # Same plug-in as the bound evaluator's frozen example
         # (V = 2, n = 100, xi = 1, epsilon = 1).
@@ -341,12 +345,12 @@ class TestDeviationFrequency:
     def test_unsupported_loss_kind(self):
         s = gaussian_grid_scenario(loss=LossSpec.hellinger2(), replications=1)
         with pytest.raises(ConfigError, match="deviation bound"):
-            sim.deviation_frequency(s, [1.0])
+            sim.deviation_frequency(sim.run_estimation(s), [1.0])
 
     def test_nonpositive_xi_rejected(self):
         with pytest.raises(ConfigError, match="xi"):
             sim.deviation_frequency(
-                histogram_w_scenario(replications=2), [0.0]
+                sim.run_estimation(histogram_w_scenario(replications=2)), [0.0]
             )
 
 
@@ -566,17 +570,19 @@ class TestEngineReuse:
         sim.rate_curve(gaussian_grid_scenario(replications=20), [20, 40, 80])
         assert len(engine_builds) == 1
 
-    def test_deviation_frequency_builds_one_model_and_engine(self, monkeypatch, engine_builds):
+    def test_deviation_frequency_builds_one_model_and_no_engine(self, monkeypatch, engine_builds):
+        record = sim.run_estimation(gaussian_grid_scenario(replications=20))
         builds = []
+        engine_builds.clear()
 
         def counted_build(config):
             builds.append(config)
             return build(config)
 
         monkeypatch.setattr(sim, "build", counted_build)
-        sim.deviation_frequency(gaussian_grid_scenario(replications=20), [0.5, 1.0])
+        sim.deviation_frequency(record, [0.5, 1.0])
         assert len(builds) == 1
-        assert len(engine_builds) == 1
+        assert engine_builds == []
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rate_curve_rows_equal_separate_runs(self, threads):
