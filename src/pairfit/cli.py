@@ -447,15 +447,13 @@ def _run_test(resolved: dict, args: argparse.Namespace) -> int:
 def _run_simulate(resolved: dict, args: argparse.Namespace) -> int:
     scenario = sim.Scenario.from_config(resolved["scenario"])
     threads = max(1, int(args.threads))
-    record = sim.run_estimation(scenario, threads=threads)
-    extra: dict = {"command": "simulate"}
+    record, extra = sim.simulate(
+        scenario, resolved.get("xis"), resolved.get("ns"), threads=threads
+    )
+    extra["command"] = "simulate"
     written: list[Path] = []
-    if "xis" in resolved:
-        extra["deviation"] = sim.deviation_frequency(record, resolved["xis"])
-    if "ns" in resolved:
-        curve = sim.rate_curve(scenario, resolved["ns"], threads=threads)
-        extra["rate"] = curve
-        _write(args.out, "curve.csv", sim.curve_csv_text(curve), written)
+    if "rate" in extra:
+        _write(args.out, "curve.csv", sim.curve_csv_text(extra["rate"]), written)
     formats = resolved["formats"]
     if "summary" in formats:
         _write(

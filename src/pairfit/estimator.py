@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 
-# The engine stores flat matrix positions as int32.
+# The engine's gather map holds one intp position per matrix entry; models
+# past 2**31 entries (16 GiB of positions) are refused before any is stored.
 _MAX_FLAT = 2**31
 
 
@@ -141,8 +142,9 @@ class PairwiseEngine:
     is TV, L_j or L_inf, all pairs are compiled together from the height
     matrix (``partition_pair_table``) and no per-pair score is built.
     Evaluation picks the fastest applicable backend: a value-matrix product
-    when all scores live on one shared finite space, a sort-and-prefix-sum
-    sweep when all scores are piecewise linear, and a per-pair loop
+    when all scores live on one shared finite space, a sweep over the
+    table's distinct cut points when all scores are piecewise linear (with
+    prefix sums only when some piece has a slope), and a per-pair loop
     otherwise.  Entries are computed once per unordered pair, so the matrix
     is exactly antisymmetric.
     """
@@ -156,17 +158,19 @@ class PairwiseEngine:
                 f"{m} candidates give {m * m} matrix entries; the engine indexes at most {_MAX_FLAT}"
             )
         self._n_pairs = m * (m - 1) // 2
-        # Flat positions of pair (i, k), i < k, in the row-major (m, m) matrix,
-        # in the pair order of ``combinations``: (i, k) above, (k, i) below.
-        # Filled row by row: whole-triangle temporaries (``triu_indices``)
-        # leave a larger peak resident set on models with many candidates.
-        self._upper = np.empty(self._n_pairs, dtype=np.int32)
-        self._lower = np.empty(self._n_pairs, dtype=np.int32)
+        # Where each entry of the row-major (m, m) matrix reads from
+        # ``[0, halves, -halves]``: pair p = (i, k), i < k, in the pair order
+        # of ``combinations``, puts 1 + p at (i, k) and 1 + n_pairs + p at
+        # (k, i); the diagonal reads the zero.  Filled row by row:
+        # whole-triangle temporaries (``triu_indices``) leave a larger peak
+        # resident set on models with many candidates.
+        self._gather = np.zeros(m * m, dtype=np.intp)
         start = 0
         for i in range(m - 1):
             stop = start + m - 1 - i
-            self._upper[start:stop] = np.arange(i * m + i + 1, (i + 1) * m, dtype=np.int32)
-            self._lower[start:stop] = np.arange((i + 1) * m + i, m * m, m, dtype=np.int32)
+            pairs = np.arange(start + 1, stop + 1, dtype=np.intp)
+            self._gather[i * m + i + 1 : (i + 1) * m] = pairs
+            self._gather[(i + 1) * m + i :: m] = pairs + self._n_pairs
             start = stop
         cands = self.model.candidates
         if self.model.product_form == "tuples":
@@ -214,11 +218,7 @@ class PairwiseEngine:
 
     def _fill_matrix(self, halves: np.ndarray) -> np.ndarray:
         m = len(self.model)
-        M = np.zeros((m, m))
-        flat = M.reshape(-1)
-        flat[self._upper] = halves
-        flat[self._lower] = -halves
-        return M
+        return np.concatenate(([0.0], halves, -halves))[self._gather].reshape(m, m)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -248,12 +248,13 @@ class PairwiseEngine:
         elif self._mode == "piecewise":
             tab = self._table
             xs = np.sort(x)
-            cums = np.concatenate([[0.0], np.cumsum(xs)])
-            lo_i = np.searchsorted(xs, tab.lo, side="left")
-            hi_i = np.searchsorted(xs, tab.hi, side="left")
-            cnt = hi_i - lo_i
-            sums = cums[hi_i] - cums[lo_i]
-            contrib = tab.const * cnt + tab.slope * sums
+            # Observations below each distinct cut, gathered per component end.
+            pos = np.searchsorted(xs, tab.cuts, side="left")
+            lo_i, hi_i = pos[tab.lo], pos[tab.hi]
+            contrib = tab.const * (hi_i - lo_i)
+            if tab.slope is not None:
+                cums = np.concatenate([[0.0], np.cumsum(xs)])
+                contrib = contrib + tab.slope * (cums[hi_i] - cums[lo_i])
             halves = x.size * tab.bases + np.bincount(
                 tab.pair, weights=contrib, minlength=self._n_pairs
             )

@@ -1164,8 +1164,9 @@ def _log_spread(stacked: np.ndarray) -> np.ndarray | None:
 def _log_ratio_bound(candidates: Sequence[Measure]) -> float | None:
     """Max over a probe grid of ``|log(p_i / p_k)|`` across all pairs.
 
-    Returns None when some candidate vanishes where another is positive
-    (the KL family then has no finite log-ratio bound).  The target equals
+    Returns None when some candidate vanishes where another is positive,
+    or when two power laws share a shift but not alpha (the KL family then
+    has no finite log-ratio bound).  The target equals
     ``max_x [log max_i p_i(x) - log min_i p_i(x)]``, so one column pass per
     probe point covers every pair.  Discrete families are exact over their
     atoms.  Otherwise the coarse probe (a global grid plus every candidate
@@ -1181,6 +1182,12 @@ def _log_ratio_bound(candidates: Sequence[Measure]) -> float | None:
             return None
         return float(spread.max())
     if any(m.atoms() for m in candidates):
+        return None
+    # Power laws at one shift with different alpha: the log ratio
+    # log(a1/a2) + (a1 - a2) log(x - shift) diverges at the shift, where
+    # every probe reads both densities as 0.
+    shapes = {(m.shift, m.alpha) for m in candidates if isinstance(m, PowerMeasure)}
+    if len({shift for shift, _ in shapes}) < len(shapes):
         return None
     lo, hi = _union_window(*candidates)
     edges = np.array(sorted({b for b in _union_breakpoints(*candidates) if lo < b < hi} | {lo, hi}))
@@ -1230,7 +1237,6 @@ def _cdf_gap_pieces(P: Measure, Q: Measure):
     keep the jumps of step cdfs at the knots out of the fit.
     """
     knots = {float(k) for k in (*P.cdf_knots(), *Q.cdf_knots()) if 0.0 <= k <= 1.0}
-    # Numpy knots make ``wasserstein1`` return a numpy float, as it always has.
     knots = np.array(sorted(knots | {0.0, 1.0}))
     for a, b in zip(knots[:-1], knots[1:]):
         w = b - a
@@ -1251,7 +1257,7 @@ def _abs_cdf_diff_exact(P: Measure, Q: Measure) -> float:
         else:
             r = a + w * abs(ga) / (abs(ga) + abs(gb))
             total += 0.5 * (abs(ga) * (r - a) + abs(gb) * (b - r))
-    return total
+    return float(total)
 
 
 def wasserstein1(P: Measure, Q: Measure, method: str = "auto") -> float:

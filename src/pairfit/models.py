@@ -64,7 +64,8 @@ _TRANSLATION_BASES = ("cauchy", "uniform", "power")
 # Probability-candidate mass must match 1 this closely.
 _MASS_TOL = 1e-9
 
-# Most height tuples a histogram net may enumerate before filtering by mass.
+# Most height tuples a histogram net, or run-and-level choices a monotone
+# net, may enumerate before filtering by mass.
 _MAX_NET_TUPLES = 10**6
 
 
@@ -202,6 +203,19 @@ class ModelBuilderConfig:
             )
         if not self.level_grid or any(v <= 0 for v in self.level_grid):
             raise ConfigError("level_grid must be nonempty with positive density levels")
+        # The builder tries C(cells - start, p) run ends times C(levels, p)
+        # level choices per start cell and piece count p; summed over the
+        # start cell, the ends give C(cells + 1, p + 1).  The sum stops at
+        # the first p past the limit, so no grid is too large to refuse.
+        cells, levels = len(grid) - 1, len(set(self.level_grid))
+        count = 0
+        for p in range(1, min(self.d, cells, levels) + 1):
+            count += math.comb(cells + 1, p + 1) * math.comb(levels, p)
+            if count > _MAX_NET_TUPLES:
+                raise ConfigError(
+                    f"monotone net with {cells} cells, d = {self.d} and {levels} levels "
+                    f"enumerates more than {_MAX_NET_TUPLES} run-and-level choices"
+                )
 
     def _check_l2_linear(self) -> None:
         self._require("basis")

@@ -56,6 +56,7 @@ __all__ = [
     "sample_truth",
     "truth_marginals",
     "run_estimation",
+    "simulate",
     "deviation_frequency",
     "rate_curve",
     "test_error_mc",
@@ -357,13 +358,36 @@ def run_estimation(scenario: Scenario, threads: int = 1) -> ExperimentRecord:
     return _replicate(scenario, engine, _LossTable(scenario, model), threads)
 
 
+def simulate(
+    scenario: Scenario, xis: list | None = None, ns: list | None = None, threads: int = 1
+) -> tuple[ExperimentRecord, dict]:
+    """What ``pairfit simulate`` runs: the scenario's record and its extras.
+
+    The extras hold ``deviation_frequency(record, xis)`` under
+    ``"deviation"`` when ``xis`` is given and ``rate_curve(scenario, ns)``
+    under ``"rate"`` when ``ns`` is given, each equal to the separate call.
+    One model and one engine serve all three, and the rate row at
+    ``n == scenario.n`` reads the record instead of replicating again.
+    """
+    model = build(scenario.model)
+    engine = PairwiseEngine(scenario.loss, model)
+    record = _replicate(scenario, engine, _LossTable(scenario, model), threads)
+    extra = {}
+    if xis is not None:
+        extra["deviation"] = _deviation_table(record, xis, scenario, model)
+    if ns is not None:
+        extra["rate"] = _rate_curve(scenario, ns, engine, threads, record)
+    return record, extra
+
+
 def _replicate(
     scenario: Scenario, engine: PairwiseEngine, table: _LossTable, threads: int
 ) -> ExperimentRecord:
     """Every replication of ``scenario`` through a prebuilt engine and loss table.
 
     The engine depends only on the model and the loss, so callers that run
-    several scenarios over one model (``rate_curve``) build it once.
+    several scenarios over one model (``rate_curve``, ``simulate``) build it
+    once.
     """
 
     def one(rep: int) -> ReplicationRow:
@@ -431,7 +455,10 @@ def deviation_frequency(record: ExperimentRecord, xis: list) -> dict:
     noise, with slack when the bound's constants are conservative.
     """
     scenario = Scenario.from_config(record.scenario)
-    model = build(scenario.model)
+    return _deviation_table(record, xis, scenario, build(scenario.model))
+
+
+def _deviation_table(record: ExperimentRecord, xis: list, scenario: Scenario, model) -> dict:
     inf_loss = _LossTable(scenario, model).minimum()
     losses = np.array([r.loss for r in record.rows])
     rows = []
@@ -452,14 +479,27 @@ def deviation_frequency(record: ExperimentRecord, xis: list) -> dict:
 
 def rate_curve(scenario: Scenario, ns: list, threads: int = 1) -> dict:
     """Median attained loss at each sample size, plus a fitted log-log slope."""
+    engine = PairwiseEngine(scenario.loss, build(scenario.model))
+    return _rate_curve(scenario, ns, engine, threads)
+
+
+def _rate_curve(
+    scenario: Scenario,
+    ns: list,
+    engine: PairwiseEngine,
+    threads: int,
+    record: ExperimentRecord | None = None,
+) -> dict:
+    """``rate_curve`` through a prebuilt engine; ``record`` is the row at ``scenario.n``."""
     if not ns:
         raise ConfigError("rate_curve needs at least one sample size")
-    model = build(scenario.model)
-    engine = PairwiseEngine(scenario.loss, model)
     rows = []
     for n in ns:
-        at_n = dataclasses.replace(scenario, n=int(n))
-        rec = _replicate(at_n, engine, _LossTable(at_n, model), threads)
+        if record is None or int(n) != scenario.n:
+            at_n = dataclasses.replace(scenario, n=int(n))
+            rec = _replicate(at_n, engine, _LossTable(at_n, engine.model), threads)
+        else:
+            rec = record
         rows.append({"n": int(n), "median_loss": rec.summary["loss"]["median"]})
     medians = np.array([r["median_loss"] for r in rows])
     slope = None

@@ -224,28 +224,35 @@ class PiecewiseTable:
     """The piecewise-linear scores of many pairs, flattened into arrays.
 
     Pair ``p`` scores ``bases[p]`` plus ``const[c] + slope[c] * x`` on
-    ``[lo[c], hi[c])`` for every component ``c`` with ``pair[c] == p``.
-    Components are ordered by pair, then as the pair's score lists them.
+    ``[cuts[lo[c]], cuts[hi[c]])`` for every component ``c`` with
+    ``pair[c] == p``.  Components are ordered by pair, then as the pair's
+    score lists them.  ``lo`` and ``hi`` index the interval ends stored once
+    in ``cuts``, so a sample is located against each distinct end once.
+    ``slope`` is None when every component is constant.
     """
 
     bases: np.ndarray
     pair: np.ndarray
+    cuts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     const: np.ndarray
-    slope: np.ndarray
+    slope: np.ndarray | None
 
     @classmethod
     def from_scores(cls, scores: Sequence[PiecewiseScore]) -> "PiecewiseTable":
         pair = [p for p, t in enumerate(scores) for _ in t.components]
         flat = np.asarray([c for t in scores for c in t.components], dtype=float).reshape(-1, 4)
+        cuts, ends = np.unique(flat[:, :2].T, return_inverse=True)
+        ends = ends.reshape(2, -1)
         return cls(
             bases=np.array([t.base for t in scores], dtype=float),
             pair=np.asarray(pair, dtype=np.intp),
-            lo=flat[:, 0],
-            hi=flat[:, 1],
+            cuts=cuts,
+            lo=ends[0],
+            hi=ends[1],
             const=flat[:, 2],
-            slope=flat[:, 3],
+            slope=flat[:, 3] if flat[:, 3].any() else None,
         )
 
 
@@ -618,7 +625,9 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
 
     bound = _log_ratio_bound([P, Q])
     if bound is None:
-        raise ConfigError("kl scores need a common support across the family")
+        raise ConfigError(
+            "kl scores need a common support and a finite log-ratio bound across the family"
+        )
     if bound > a + tol:
         raise ConfigError(f"log-ratio bound violated: |log(q/p)| reaches {bound:.6g} > a = {a:.6g}")
 
@@ -675,8 +684,11 @@ def partition_pair_table(
     the per-pair ``score`` calls, so it repeats their arithmetic exactly:
     masked sums add the selected entries compacted (``_masked_row_sums``),
     and the per-pair norm powers stay scalar ``pow`` calls, since array
-    ``**`` rounds differently from it on some inputs.  Returns None for
-    other families and for L_inf on a partition without ``D`` cells.
+    ``**`` rounds differently from it on some inputs.  Every component is
+    one cell, so the table's cuts are the cell starts and the support end
+    closed one ulp up, and cell ``k`` spans cuts ``k`` to ``k + 1``.
+    Returns None for other families and for L_inf on a partition without
+    ``D`` cells.
     """
     H = np.asarray(heights, dtype=float)
     cells = partition.cells
@@ -684,19 +696,14 @@ def partition_pair_table(
     hp, hq = H[iu], H[ku]
     masses = H / cells
     edges = partition.edges
-    last_hi = _UP(edges[-1], math.inf)
+    cuts = np.append(edges[:-1], _UP(edges[-1], math.inf))
 
     if spec.kind == "tv":
         p_gt, q_gt = hp > hq, hq > hp
         bases = 0.5 * (_masked_row_sums(masses[iu], p_gt) - _masked_row_sums(masses[ku], q_gt))
         pair, cell = np.nonzero(p_gt | q_gt)
-        hi = edges[cell + 1]
-        # Close the right edge of each pair's last component at the support end.
-        last = np.ones(len(pair), dtype=bool)
-        last[:-1] = pair[1:] != pair[:-1]
-        hi = np.where(last & (hi == edges[-1]), last_hi, hi)
         const = np.where(q_gt[pair, cell], 0.5, -0.5)
-        return PiecewiseTable(bases, pair, edges[cell], hi, const, np.zeros(len(pair)))
+        return PiecewiseTable(bases, pair, cuts, cell, cell + 1, const, None)
 
     if spec.kind == "lj":
         j = spec.j
@@ -710,16 +717,9 @@ def partition_pair_table(
         mean_f = (f_vals * 0.5 * (masses[iu] + masses[ku])).sum(axis=1)
         bases = np.where(keep, mean_f / scale, 0.0)
         rows = np.flatnonzero(keep)
-        cell_hi = edges[1:].copy()
-        cell_hi[-1] = last_hi
-        return PiecewiseTable(
-            bases,
-            np.repeat(rows, cells),
-            np.tile(edges[:-1], len(rows)),
-            np.tile(cell_hi, len(rows)),
-            (-f_vals[rows] / scale).ravel(),
-            np.zeros(len(rows) * cells),
-        )
+        cell = np.tile(np.arange(cells), len(rows))
+        const = (-f_vals[rows] / scale).ravel()
+        return PiecewiseTable(bases, np.repeat(rows, cells), cuts, cell, cell + 1, const, None)
 
     if spec.kind == "linf":
         if cells != spec.D:
@@ -733,8 +733,7 @@ def partition_pair_table(
         bases = np.where(keep, sign * 0.5 * (sp + sq), 0.0)
         rows = np.flatnonzero(keep)
         star = star[rows]
-        hi = np.where(star == cells - 1, last_hi, edges[star + 1])
-        return PiecewiseTable(bases, rows, edges[star], hi, -sign[rows], np.zeros(len(rows)))
+        return PiecewiseTable(bases, rows, cuts, star, star + 1, -sign[rows], None)
 
     return None
 

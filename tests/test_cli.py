@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end, run in process."""
 
+import itertools
 import json
 import math
 
@@ -343,6 +344,35 @@ class TestSimulate:
         assert row["bound"] == pytest.approx(0.35142135623730947, rel=1e-12)
         assert row["frequency"] >= row["target"]
 
+    def test_wasserstein_histogram_records_hold_plain_floats(self, tmp_path):
+        # W1 on a histogram net: exact knotted-cdf distances and the engine's
+        # sloped (linear) score table, end to end.
+        doc = {
+            "scenario": {
+                "truth": {
+                    "kind": "iid",
+                    "measure": {"family": "uniform", "params": {"low": 0.0, "width": 1.0}},
+                },
+                "model": {"family": "histogram-net", "cells": 2, "value_grid": [0.5, 1.0, 1.5]},
+                "loss": {"kind": "wasserstein1"},
+                "n": 50,
+                "replications": 20,
+                "seed": 5,
+            },
+            "ns": [25, 50],
+            "formats": ["csv", "json-lines", "summary"],
+        }
+        path = write_config(tmp_path, "s.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        for name in ("records.csv", "records.jsonl", "summary.json", "curve.csv"):
+            assert "np.float64(" not in (out / name).read_text(), name
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        assert len(rows) == 20
+        for row in rows:
+            rep, chosen, loss_txt, sup_txt = row.split(",")
+            float(loss_txt), float(sup_txt)
+
     def test_rate_block_writes_curve(self, tmp_path):
         doc = simulate_doc()
         doc["ns"] = [20, 40]
@@ -506,6 +536,18 @@ class TestConfigErrorsExitTwo:
                 },
                 "parameter 'j'",
             ),
+            (
+                "test",
+                {
+                    "truth": {"family": "power", "params": {"alpha": 2.6901}},
+                    "p": {"family": "power", "params": {"alpha": 2.6901}},
+                    "q": {"family": "power", "params": {"alpha": 2.6297}},
+                    "loss": {"kind": "kl", "a": 2.0},
+                    "n": 20,
+                    "reps": 5,
+                },
+                "finite log-ratio bound",
+            ),
         ],
         ids=[
             "kl-score-bound",
@@ -520,6 +562,7 @@ class TestConfigErrorsExitTwo:
             "gaussian-mean-string",
             "model-lo-string",
             "lj-j-string",
+            "kl-power-shapes-one-shift",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):
@@ -528,6 +571,27 @@ class TestConfigErrorsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert "Traceback" not in err
+
+    def test_oversized_monotone_net_refused_before_enumeration(self, tmp_path, capsys, monkeypatch):
+        # 40 cells, d = 8 and 10 levels: about 1.6e10 run-and-level choices.
+        def no_enumeration(*args):
+            raise AssertionError("the net enumeration started")
+
+        monkeypatch.setattr(itertools, "combinations", no_enumeration)
+        doc = {
+            "model": {
+                "family": "monotone-net",
+                "d": 8,
+                "breakpoint_grid": [k / 40 for k in range(41)],
+                "level_grid": [0.5 * k for k in range(1, 11)],
+            },
+            "loss": {"kind": "tv"},
+            "sample": [0.25, 0.75],
+        }
+        path = write_config(tmp_path, "c.json", doc)
+        assert cli.main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "more than 1000000 run-and-level" in err
 
 
 class TestDistances:

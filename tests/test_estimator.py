@@ -32,7 +32,7 @@ from pairfit.measures import (
     wasserstein1,
 )
 from pairfit.models import build
-from pairfit.testfam import PiecewiseTable, score
+from pairfit.testfam import PiecewiseScore, PiecewiseTable, score
 
 
 def two_point_tv_model():
@@ -405,10 +405,18 @@ class TestPartitionPairTable:
         eng = PairwiseEngine(spec, model)
         assert not calls
         assert eng._mode == "piecewise"
-        for field in ("bases", "pair", "lo", "hi", "const", "slope"):
-            got, want = getattr(eng._table, field), getattr(expected, field)
+        tab = eng._table
+        for field in ("bases", "pair", "const"):
+            got, want = getattr(tab, field), getattr(expected, field)
             assert got.dtype == want.dtype, field
             assert got.tobytes() == want.tobytes(), field
+        # Interval ends compared as resolved values: the compiled table
+        # indexes the cell starts, from_scores the sorted distinct ends.
+        for field in ("lo", "hi"):
+            got, want = getattr(tab, field), getattr(expected, field)
+            assert got.dtype == want.dtype == np.intp, field
+            assert tab.cuts[got].tobytes() == expected.cuts[want].tobytes(), field
+        assert tab.slope is None and expected.slope is None
         consts = np.array([t.constant_part for t in scores])
         upper = eng.constant_parts[np.triu_indices(len(model), 1)]
         assert upper.tobytes() == consts.tobytes()
@@ -466,14 +474,44 @@ class TestMatrixFill:
             PairwiseEngine(LossSpec.tv(), model)
 
 
+def pair_statistic(t, x):
+    """One pair's statistic from its own score, summed as the engine sums it.
+
+    A piecewise score adds ``const * count + slope * sum`` per component in
+    order, then ``n * base``; any other score sums its values.
+    """
+    if not isinstance(t, PiecewiseScore):
+        return float(t(x).sum())
+    xs = np.sort(x)
+    cums = np.concatenate([[0.0], np.cumsum(xs)])
+    total = 0.0
+    for lo, hi, c, s in t.components:
+        a, b = np.searchsorted(xs, [lo, hi])
+        total += c * (b - a) + s * (cums[b] - cums[a])
+    return x.size * t.base + total
+
+
 def assert_matches_scores(spec, cands, x):
-    """Engine matrix: zero diagonal, exact antisymmetry, entries = per-pair sums."""
-    M = PairwiseEngine(spec, cands).statistic_matrix(x)
-    assert np.all(np.diag(M) == 0.0)
-    assert np.array_equal(M, -M.T)
-    for i, k in combinations(range(len(cands)), 2):
-        v = float(score(spec, cands[i], cands[k])(x).sum())
-        assert abs(M[i, k] - v) <= 1e-12 * max(1.0, abs(v)), (i, k, M[i, k], v)
+    """Engine matrix against the per-pair statistics, signed zeros included.
+
+    Entries must be bitwise equal, except on a shared finite space, where
+    the engine sums by a matrix product and agreement is to 1e-12.
+    """
+    eng = PairwiseEngine(spec, cands)
+    M = eng.statistic_matrix(x)
+    m = len(cands)
+    expected = np.zeros((m, m))
+    for i, k in combinations(range(m), 2):
+        v = pair_statistic(score(spec, cands[i], cands[k]), x)
+        expected[i, k], expected[k, i] = v, -v
+        if eng._mode == "atom":
+            assert abs(M[i, k] - v) <= 1e-12 * max(1.0, abs(v)), (i, k, M[i, k], v)
+    if eng._mode == "atom":
+        assert np.all(np.diag(M) == 0.0)
+        assert np.array_equal(M, -M.T)
+    else:
+        assert M.tobytes() == expected.tobytes()
+    return eng
 
 
 class TestBackendProperty:
@@ -532,7 +570,28 @@ class TestBackendProperty:
     @settings(max_examples=40, deadline=None)
     def test_piecewise_gaussian_grid(self, means, x):
         cands = [GaussianMeasure(c) for c in means]
-        assert_matches_scores(LossSpec.tv(), cands, np.array(x))
+        eng = assert_matches_scores(LossSpec.tv(), cands, np.array(x))
+        assert eng._mode == "piecewise" and eng._table.slope is None
+
+    @given(
+        data=st.data(),
+        cells=st.integers(min_value=1, max_value=5),
+        m=st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_piecewise_wasserstein_histograms(self, data, cells, m):
+        # W1 scores are the only ones with slopes: a linear table.
+        level = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+        row = st.lists(level, min_size=cells, max_size=cells).filter(any)
+        raw = data.draw(st.lists(row, min_size=m, max_size=m))
+        part = PartitionRef(cells, (0.0, 1.0))
+        cands = [HistogramMeasure(part, cells * np.array(h) / sum(h)) for h in raw]
+        point = st.one_of(st.floats(0.0, 1.0), st.integers(0, cells).map(lambda k: k / cells))
+        x = np.array(data.draw(st.lists(point, min_size=1, max_size=30)))
+        eng = assert_matches_scores(LossSpec.wasserstein1(), cands, x)
+        assert eng._mode == "piecewise"
+        if any(not np.array_equal(cands[0].heights, c.heights) for c in cands[1:]):
+            assert eng._table.slope is not None
 
     @given(
         means=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3, unique=True),

@@ -252,6 +252,16 @@ class TestWasserstein:
         # F_P - F_Q is the tent map peaking at 1/2; integral = 1/2.
         assert abs(wasserstein1(P, Q) - 0.5) < 1e-15
 
+    def test_returns_python_float_on_every_path(self):
+        H = HistogramMeasure(PartitionRef(2, (0.0, 1.0)), [0.5, 1.5])
+        for P, Q in [
+            (H, H),  # knotted cdfs, exact
+            (PowerMeasure(1.0), PowerMeasure(2.0)),  # closed form
+            (PowerMeasure(0.7), H),  # quadrature
+        ]:
+            assert type(wasserstein1(P, Q)) is float
+        assert repr(wasserstein1(H, H)) == "0.0"
+
     def test_requires_unit_interval(self):
         with pytest.raises(ValueError, match="support inside"):
             wasserstein1(GaussianMeasure(0.0), UniformMeasure(0.0, 1.0))

@@ -316,6 +316,15 @@ class TestMonotoneNet:
                 level_grid=(0.0, 1.0),
             )
 
+    def test_enumeration_size_limit(self):
+        # 20 cells and 10 levels: d = 3 gives 780,150 run-and-level choices,
+        # d = 4 another 4,273,290, past the limit of 10^6.
+        grid = tuple(k / 20 for k in range(21))
+        levels = tuple(0.5 * k for k in range(1, 11))
+        ModelBuilderConfig(family="monotone-net", d=3, breakpoint_grid=grid, level_grid=levels)
+        with pytest.raises(ConfigError, match="more than 1000000 run-and-level choices"):
+            ModelBuilderConfig(family="monotone-net", d=4, breakpoint_grid=grid, level_grid=levels)
+
 
 class TestL2Linear:
     COEFFS = ((0.5, 0.5, 0.5, 0.5), (1.0, 0.0, 0.0, 0.0), (0.0, 0.6, 0.8, 0.0))

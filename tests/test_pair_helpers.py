@@ -112,6 +112,18 @@ class TestKlRatioBound:
         with pytest.raises(ConfigError, match="common support"):
             kl_score(P, Q, 1.0)
 
+    def test_power_shapes_at_one_shift_have_no_bound(self):
+        # log(p/q) = log(2.6901/2.6297) + 0.0604 log x diverges as x -> 0,
+        # where both pdfs read 0; a probe-grid bound was 1.10768.
+        P, Q = PowerMeasure(2.6901), PowerMeasure(2.6297)
+        assert measures._log_ratio_bound([P, Q]) is None
+        with pytest.raises(ConfigError, match="common support"):
+            kl_score(P, Q, 2.0)
+        # One alpha at two shifts: the supports differ.  One alpha at one
+        # shift: the ratio is 1.
+        assert measures._log_ratio_bound([P, PowerMeasure(2.6901, 0.5)]) is None
+        assert measures._log_ratio_bound([P, PowerMeasure(2.6901)]) == 0.0
+
 
 # ---------------------------------------------------------------------------
 # TV sign regions and their three consumers

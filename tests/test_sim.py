@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairfit.cli as cli
 import pairfit.sim as sim
 from pairfit import estimator
 from pairfit.errors import ConfigError
@@ -583,6 +584,47 @@ class TestEngineReuse:
         sim.deviation_frequency(record, [0.5, 1.0])
         assert len(builds) == 1
         assert engine_builds == []
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_simulate_command_builds_one_model_and_engine(
+        self, tmp_path, monkeypatch, engine_builds, threads
+    ):
+        scenario = gaussian_grid_scenario(n=40, replications=30)
+        xis, ns = [0.5, 1.0], [20, 40, 80]
+        # The separate library calls the command made before it shared one
+        # engine: its artifacts must keep their bytes.
+        record = sim.run_estimation(scenario, threads=threads)
+        extra = {
+            "command": "simulate",
+            "deviation": sim.deviation_frequency(record, xis),
+            "rate": sim.rate_curve(scenario, ns, threads=threads),
+        }
+        engine_builds.clear()
+        builds = []
+
+        def counted_build(config):
+            builds.append(config)
+            return build(config)
+
+        monkeypatch.setattr(sim, "build", counted_build)
+        doc = {
+            "command": "simulate",
+            "scenario": scenario.to_config(),
+            "xis": xis,
+            "ns": ns,
+            "formats": ["csv", "summary"],
+            "verbosity": 0,
+        }
+        config = tmp_path / "simulate.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(config), "--out", str(out), "--threads", str(threads)]
+        assert cli.main(argv) == 0
+        assert len(builds) == 1
+        assert len(engine_builds) == 1
+        assert (out / "curve.csv").read_text() == sim.curve_csv_text(extra["rate"])
+        assert (out / "summary.json").read_text() == sim.summary_json_text(record, extra)
+        assert (out / "records.csv").read_text() == sim.records_csv_text(record)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rate_curve_rows_equal_separate_runs(self, threads):
