@@ -39,7 +39,6 @@ from .testfam import (
     check_cond3bis,
 )
 
-_COMMANDS = ("estimate", "test", "simulate", "distances", "check-assumptions")
 _FORMATS = ("csv", "json-lines", "summary")
 _ASSUMPTION_LOSSES = ("tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf")
 _SLACK_TOL = 1e-12

@@ -38,7 +38,6 @@ __all__ = [
     "EstimateReport",
     "PairwiseEngine",
     "as_model",
-    "pairwise_statistic",
     "ell_estimate",
     "histogram_estimator",
     "median_tv_estimator",
@@ -48,6 +47,9 @@ __all__ = [
 # The engine's gather map holds one intp position per matrix entry; models
 # past 2**31 entries (16 GiB of positions) are refused before any is stored.
 _MAX_FLAT = 2**31
+
+# ``EstimateReport.to_record`` leaves the matrices out above this many candidates.
+_RECORD_MATRIX_LIMIT = 64
 
 
 @dataclass
@@ -62,9 +64,6 @@ class Model:
     candidates: list
     product_form: str = "iid"
     vc_dimension: float | None = None
-    ratio_R: float | None = None
-    kl_a: float | None = None
-    partition: PartitionRef | None = None
     candidate_params: list | None = None
 
     def __post_init__(self) -> None:
@@ -113,8 +112,8 @@ class EstimateReport:
     chosen: int
     constant_parts: np.ndarray
 
-    def to_record(self, matrix_limit: int | None = 64) -> dict:
-        """Serializable summary; matrices are elided above ``matrix_limit``."""
+    def to_record(self) -> dict:
+        """Serializable summary; matrices are elided above ``_RECORD_MATRIX_LIMIT``."""
         m = len(self.sup_stat)
         rec = {
             "n_candidates": m,
@@ -123,7 +122,7 @@ class EstimateReport:
             "minimizer_set": list(self.minimizer_set),
             "chosen": self.chosen,
         }
-        if matrix_limit is None or m <= matrix_limit:
+        if m <= _RECORD_MATRIX_LIMIT:
             rec["pairwise"] = [[float(v) for v in row] for row in self.pairwise]
             rec["constant_parts"] = [
                 [float(v) for v in row] for row in self.constant_parts
@@ -276,15 +275,6 @@ def _shared_partition_table(spec: LossSpec, cands: list) -> PiecewiseTable | Non
     if any(c.partition != partition for c in cands):
         return None
     return partition_pair_table(spec, partition, np.stack([c.heights for c in cands]))
-
-
-def pairwise_statistic(
-    sample: np.ndarray,
-    model: Model | Sequence[Measure],
-    loss: LossSpec,
-) -> np.ndarray:
-    """The full pairwise statistic matrix (one-shot engine construction)."""
-    return PairwiseEngine(loss, model).statistic_matrix(sample)
 
 
 def ell_estimate(

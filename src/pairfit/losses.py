@@ -67,11 +67,11 @@ class LossSpec:
         if self.kind == "lj":
             if self.j is None or not (1.0 < self.j < math.inf):
                 raise ConfigError(f"lj loss needs j in (1, inf), got {self.j}")
-            if self.R is None or self.R <= 0:
-                raise ConfigError(f"lj loss needs a positive norm-ratio bound R, got {self.R}")
+            if self.R is None or not 0 < self.R < math.inf:
+                raise ConfigError(f"lj loss needs a positive finite norm-ratio bound R, got {self.R}")
         elif self.kind == "kl":
-            if self.a is None or self.a <= 0:
-                raise ConfigError(f"kl loss needs a positive log-ratio bound a, got {self.a}")
+            if self.a is None or not 0 < self.a < math.inf:
+                raise ConfigError(f"kl loss needs a positive finite log-ratio bound a, got {self.a}")
         elif self.kind == "linf":
             if self.D is None or self.D < 1:
                 raise ConfigError(f"linf loss needs a positive cell count D, got {self.D}")

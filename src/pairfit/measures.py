@@ -60,8 +60,6 @@ __all__ = [
     "philox_rng",
     "atom_mass_matrix",
     "locate_points",
-    "sample_from",
-    "empirical_cdf",
     "empirical_measure",
     "tv_distance",
     "hellinger_sq",
@@ -161,12 +159,6 @@ class DiscreteRef:
     def locate(self, x: np.ndarray) -> np.ndarray:
         """Index of each value in the point list; raises if a value is foreign."""
         return locate_points(self.points_array, x, "the discrete space")
-
-
-def counting_ref(points: Sequence[float]) -> DiscreteRef:
-    """Counting measure on the given points (all weights one)."""
-    pts = tuple(float(p) for p in points)
-    return DiscreteRef(points=pts, weights=(1.0,) * len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +410,12 @@ class GaussianMeasure(Measure):
     tag = "gaussian"
 
     def __init__(self, mean: float, sd: float = 1.0):
-        if sd <= 0:
-            raise ConfigError(f"gaussian sd must be positive, got {sd}")
+        if not 0 < sd < math.inf:
+            raise ConfigError(f"gaussian sd must be positive and finite, got {sd}")
         self.mean = float(mean)
         self.sd = float(sd)
+        if not math.isfinite(self.mean):
+            raise ConfigError(f"gaussian mean must be finite, got {mean}")
         self.params = {"mean": self.mean, "sd": self.sd}
 
     def pdf(self, x):
@@ -458,10 +452,12 @@ class CauchyMeasure(Measure):
     heavy_tails = True
 
     def __init__(self, loc: float, scale: float = 1.0):
-        if scale <= 0:
-            raise ConfigError(f"cauchy scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise ConfigError(f"cauchy scale must be positive and finite, got {scale}")
         self.loc = float(loc)
         self.scale = float(scale)
+        if not math.isfinite(self.loc):
+            raise ConfigError(f"cauchy loc must be finite, got {loc}")
         self.params = {"loc": self.loc, "scale": self.scale}
 
     def pdf(self, x):
@@ -506,10 +502,12 @@ class UniformMeasure(Measure):
     tag = "uniform"
 
     def __init__(self, low: float, width: float = 1.0):
-        if width <= 0:
-            raise ConfigError(f"uniform width must be positive, got {width}")
+        if not 0 < width < math.inf:
+            raise ConfigError(f"uniform width must be positive and finite, got {width}")
         self.low = float(low)
         self.width = float(width)
+        if not math.isfinite(self.low):
+            raise ConfigError(f"uniform low must be finite, got {low}")
         self.params = {"low": self.low, "width": self.width}
 
     def pdf(self, x):
@@ -548,10 +546,12 @@ class PowerMeasure(Measure):
     tag = "power"
 
     def __init__(self, alpha: float, shift: float = 0.0):
-        if alpha <= 0:
-            raise ConfigError(f"power alpha must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise ConfigError(f"power alpha must be positive and finite, got {alpha}")
         self.alpha = float(alpha)
         self.shift = float(shift)
+        if not math.isfinite(self.shift):
+            raise ConfigError(f"power shift must be finite, got {shift}")
         self.params = {"alpha": self.alpha, "shift": self.shift}
 
     def pdf(self, x):
@@ -692,7 +692,10 @@ class DiscreteMeasure(Measure):
             raise ConfigError("discrete measure points must be distinct")
         self.points = pts
         self.masses = ms
-        self.reference = ref if ref is not None else counting_ref(pts)
+        if ref is None:
+            # Counting measure on the points.
+            ref = DiscreteRef(tuple(float(p) for p in pts), (1.0,) * len(pts))
+        self.reference = ref
         if tuple(pts) != self.reference.points:
             raise ConfigError("discrete measure points must match the reference points")
         self.is_probability = bool(np.all(ms >= -1e-12) and abs(ms.sum() - 1.0) <= _PROB_TOL)
@@ -831,27 +834,6 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """
     key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_from(m: Measure, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` observations from ``m`` using the package's seeded generator."""
-    if n < 0:
-        raise ConfigError(f"sample size must be nonnegative, got {n}")
-    return m.sample(n, philox_rng(seed))
-
-
-def empirical_cdf(sample: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-continuous empirical cdf ``t -> #{i : X_i <= t} / n``."""
-    data = np.sort(np.asarray(sample, dtype=float))
-    if data.size == 0:
-        raise ValueError("empirical cdf needs at least one observation")
-    n = data.size
-
-    def cdf(t):
-        t = np.asarray(t, dtype=float)
-        return np.searchsorted(data, t, side="right") / n
-
-    return cdf
 
 
 def empirical_measure(sample: Sequence[float]) -> DiscreteMeasure:

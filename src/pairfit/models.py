@@ -4,9 +4,7 @@ Each builder turns a :class:`ModelBuilderConfig` into an estimator
 :class:`~pairfit.estimator.Model` whose candidates are package measures
 (samplers and cdfs included, closed-form distances where the families have
 them) and whose metadata matches the family: VC dimension for location
-grids and monotone nets, the sup-over-norm flatness ratio for histogram and
-linear families, the family-wide log-density-ratio bound where every
-candidate is positive, and the shared partition when there is one.
+grids and monotone nets.
 
 All of the idealized "dense" candidate collections become finite nets with
 caller-chosen resolution; the grids are kept in ``candidate_params`` so
@@ -18,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +30,10 @@ from .measures import (
     PartitionRef,
     PowerMeasure,
     UniformMeasure,
-    _log_ratio_bound,
     measure_from_config,
 )
 
-__all__ = ["ModelBuilderConfig", "GramData", "build", "l2_inner_products"]
+__all__ = ["ModelBuilderConfig", "build"]
 
 _FAMILIES = (
     "gaussian-location-grid",
@@ -52,7 +48,7 @@ _FAMILIES = (
 _RELEVANT = {
     "gaussian-location-grid": {"d", "lo", "hi", "step"},
     "translation-grid": {"base", "alpha", "lo", "hi", "step"},
-    "histogram-net": {"cells", "value_grid", "j"},
+    "histogram-net": {"cells", "value_grid"},
     "monotone-net": {"d", "breakpoint_grid", "level_grid"},
     "l2-linear": {"basis", "cells", "coefficient_net"},
     "discrete": {"space_size", "candidates"},
@@ -65,7 +61,8 @@ _TRANSLATION_BASES = ("cauchy", "uniform", "power")
 _MASS_TOL = 1e-9
 
 # Most height tuples a histogram net, or run-and-level choices a monotone
-# net, may enumerate before filtering by mass.
+# net, may enumerate before filtering by mass; also the most points a
+# location grid may hold.
 _MAX_NET_TUPLES = 10**6
 
 
@@ -88,7 +85,6 @@ class ModelBuilderConfig:
     alpha: float | None = None
     cells: int | None = None
     value_grid: tuple[float, ...] | None = None
-    j: float | None = None
     breakpoint_grid: tuple[float, ...] | None = None
     level_grid: tuple[float, ...] | None = None
     basis: str | None = None
@@ -108,7 +104,7 @@ class ModelBuilderConfig:
             self._freeze(name, _as_float_tuple)
         for name in ("coefficient_net", "candidates", "theta_net"):
             self._freeze(name, _as_vector_tuple)
-        for name in ("lo", "hi", "step", "alpha", "j"):
+        for name in ("lo", "hi", "step", "alpha"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
                 raise ConfigError(f"model parameter {name!r} must be a number, got {value!r}")
@@ -139,10 +135,21 @@ class ModelBuilderConfig:
 
     def _check_range(self) -> None:
         self._require("lo", "hi", "step")
+        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.step)):
+            raise ConfigError(
+                f"grid lo, hi and step must be finite, got {self.lo!r}, {self.hi!r}, {self.step!r}"
+            )
         if not self.step > 0:
             raise ConfigError(f"step must be positive, got {self.step!r}")
         if self.hi < self.lo:
             raise ConfigError(f"empty grid: hi = {self.hi!r} < lo = {self.lo!r}")
+        # The grid has floor(span) + 1 points; a span that overflows to
+        # infinity is refused too.
+        if not _grid_span(self.lo, self.hi, self.step) < _MAX_NET_TUPLES:
+            raise ConfigError(
+                f"location grid from {self.lo!r} to {self.hi!r} by {self.step!r} has more "
+                f"than {_MAX_NET_TUPLES} points"
+            )
 
     def _check_gaussian_location_grid(self) -> None:
         self._require("d")
@@ -177,8 +184,6 @@ class ModelBuilderConfig:
             raise ConfigError("value_grid must be nonempty")
         if any(v < 0 for v in self.value_grid):
             raise ConfigError("value_grid entries must be nonnegative heights")
-        if self.j is not None and not self.j > 1:
-            raise ConfigError(f"ratio exponent j must exceed 1, got {self.j!r}")
         # The exponent is capped so a huge cell count cannot stall the check:
         # two or more values already pass the limit at 64 cells.
         if len(self.value_grid) ** min(self.cells, 64) > _MAX_NET_TUPLES:
@@ -221,8 +226,8 @@ class ModelBuilderConfig:
         self._require("basis")
         if self.basis == "user":
             raise ConfigError(
-                "user bases carry no concrete densities; pass coefficients and a "
-                "Gram matrix to l2_inner_products instead of building a model"
+                "user bases carry no concrete densities; only the indicator basis "
+                "builds a model"
             )
         if self.basis != "indicator":
             raise ConfigError(
@@ -324,8 +329,13 @@ def build(config: ModelBuilderConfig | dict) -> Model:
     return builder(config)
 
 
+def _grid_span(lo: float, hi: float, step: float) -> float:
+    """Steps from ``lo`` to ``hi``, with slack that keeps a rounded ``hi`` on the grid."""
+    return (hi - lo) / step + 1e-9
+
+
 def _location_grid(lo: float, hi: float, step: float) -> list[float]:
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    count = int(math.floor(_grid_span(lo, hi, step))) + 1
     return [lo + k * step for k in range(count)]
 
 
@@ -335,7 +345,6 @@ def _build_gaussian_grid(config: ModelBuilderConfig) -> Model:
     return Model(
         candidates=candidates,
         vc_dimension=float(config.d + 1),
-        kl_a=_log_ratio_bound(candidates),
         candidate_params=grid,
     )
 
@@ -350,7 +359,6 @@ def _build_translation_grid(config: ModelBuilderConfig) -> Model:
         candidates = [PowerMeasure(config.alpha, shift=t) for t in grid]
     return Model(
         candidates=candidates,
-        kl_a=_log_ratio_bound(candidates) if config.base == "cauchy" else None,
         candidate_params=grid,
     )
 
@@ -358,7 +366,6 @@ def _build_translation_grid(config: ModelBuilderConfig) -> Model:
 def _build_histogram_net(config: ModelBuilderConfig) -> Model:
     cells = config.cells
     part = PartitionRef(cells, (0.0, 1.0))
-    j = 2.0 if config.j is None else config.j
     candidates = []
     params = []
     for heights in itertools.product(config.value_grid, repeat=cells):
@@ -371,9 +378,6 @@ def _build_histogram_net(config: ModelBuilderConfig) -> Model:
         )
     return Model(
         candidates=candidates,
-        ratio_R=float(cells) ** (1.0 / j),
-        kl_a=_log_ratio_bound(candidates),
-        partition=part,
         candidate_params=params,
     )
 
@@ -415,7 +419,6 @@ def _build_monotone_net(config: ModelBuilderConfig) -> Model:
     return Model(
         candidates=list(seen.values()),
         vc_dimension=float(2 * config.d),
-        partition=part,
         candidate_params=[list(k) for k in seen],
     )
 
@@ -430,8 +433,6 @@ def _build_l2_linear(config: ModelBuilderConfig) -> Model:
     ]
     return Model(
         candidates=candidates,
-        ratio_R=scale,
-        partition=part,
         candidate_params=[list(row) for row in config.coefficient_net],
     )
 
@@ -441,7 +442,6 @@ def _build_discrete(config: ModelBuilderConfig) -> Model:
     candidates = [DiscreteMeasure(points, row) for row in config.candidates]
     return Model(
         candidates=candidates,
-        kl_a=_log_ratio_bound(candidates),
         candidate_params=[list(row) for row in config.candidates],
     )
 
@@ -482,85 +482,3 @@ _BUILDERS = {
     "discrete": _build_discrete,
     "regression-tuples": _build_regression_tuples,
 }
-
-
-# ---------------------------------------------------------------------------
-# L2 Gram data
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GramData:
-    """Exact L2 geometry of linear-model candidates, from coefficients.
-
-    ``inner_products[i, k]`` is the L2 inner product of candidates i and k;
-    with an orthonormal basis it is the plain coefficient dot product.
-    """
-
-    gram: np.ndarray
-    coefficients: np.ndarray
-    inner_products: np.ndarray
-    ratio_R: float | None
-
-    def norm_sq(self, i: int) -> float:
-        return float(self.inner_products[i, i])
-
-    def distance(self, i: int, k: int) -> float:
-        d2 = (
-            self.inner_products[i, i]
-            - 2.0 * self.inner_products[i, k]
-            + self.inner_products[k, k]
-        )
-        return math.sqrt(max(d2, 0.0))
-
-    def score_constant(self, i: int, k: int) -> float:
-        """Data-free part ``(|p|^2 - |q|^2) / (2 |p - q|)`` of the L2 score."""
-        dist = self.distance(i, k)
-        if dist == 0.0:
-            return 0.0
-        return (self.norm_sq(i) - self.norm_sq(k)) / (2.0 * dist)
-
-
-def l2_inner_products(
-    model: Model | Sequence[Sequence[float]], gram: np.ndarray | None = None
-) -> GramData:
-    """Exact norms and inner products of linear-model candidates.
-
-    ``model`` is either a model built by the ``l2-linear`` family (its
-    stored coefficients are used, with the identity Gram of the orthonormal
-    indicator basis) or a plain coefficient matrix, in which case ``gram``
-    may supply the basis Gram matrix (identity when omitted, i.e. the basis
-    is taken as orthonormal).
-    """
-    ratio: float | None = None
-    if isinstance(model, Model):
-        if model.candidate_params is None:
-            raise ConfigError("model carries no coefficient vectors")
-        coeffs = np.asarray(model.candidate_params, dtype=float)
-        ratio = model.ratio_R
-    else:
-        coeffs = np.asarray(model, dtype=float)
-    if coeffs.ndim != 2:
-        raise ConfigError(
-            f"coefficients must form a 2-d array, got shape {coeffs.shape}"
-        )
-    dim = coeffs.shape[1]
-    if gram is None:
-        gram_arr = np.eye(dim)
-    else:
-        gram_arr = np.asarray(gram, dtype=float)
-        if gram_arr.shape != (dim, dim):
-            raise ConfigError(
-                f"Gram matrix must be {dim}x{dim}, got shape {gram_arr.shape}"
-            )
-    if not np.all(np.isfinite(gram_arr)):
-        raise ConfigError("Gram matrix entries must be finite")
-    if not np.all(np.isfinite(coeffs)):
-        raise ConfigError("coefficient entries must be finite")
-    inner = coeffs @ gram_arr @ coeffs.T
-    return GramData(
-        gram=gram_arr,
-        coefficients=coeffs,
-        inner_products=inner,
-        ratio_R=ratio,
-    )

@@ -22,7 +22,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -64,7 +63,6 @@ __all__ = [
     "records_jsonl_text",
     "summary_json_text",
     "curve_csv_text",
-    "write_artifacts",
 ]
 
 FORMAT_VERSION = "1"
@@ -229,10 +227,6 @@ class ExperimentRecord:
             raise ConfigError(
                 f"{len(self.rows)} rows for {self.scenario['replications']} replications"
             )
-
-    @property
-    def seed(self) -> int:
-        return self.scenario["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -622,32 +616,3 @@ def curve_csv_text(table: dict) -> str:
     for row in table["rows"]:
         lines.append(f"{row['n']},{row['median_loss']!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_artifacts(
-    record: ExperimentRecord,
-    out_dir: str | Path,
-    curve: dict | None = None,
-    basename: str | None = None,
-) -> list[Path]:
-    """Write the record's artifacts under ``out_dir``; returns the paths.
-
-    Files are named by the scenario digest and seed unless a basename is
-    given, so distinct designs never collide in a shared directory.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = basename or f"{record.digest[:16]}-s{record.seed}"
-    paths = []
-    targets = [
-        (f"{stem}-records.csv", records_csv_text(record)),
-        (f"{stem}-records.jsonl", records_jsonl_text(record)),
-        (f"{stem}-summary.json", summary_json_text(record)),
-    ]
-    if curve is not None:
-        targets.append((f"{stem}-curve.csv", curve_csv_text(curve)))
-    for name, text in targets:
-        path = out / name
-        path.write_text(text)
-        paths.append(path)
-    return paths

@@ -75,7 +75,6 @@ __all__ = [
     "constants_for",
     "score",
     "partition_pair_table",
-    "variational_score",
     "tv_score",
     "wasserstein_score",
     "lj_score",
@@ -254,26 +253,6 @@ class PiecewiseTable:
             const=flat[:, 2],
             slope=flat[:, 3] if flat[:, 3].any() else None,
         )
-
-
-# ---------------------------------------------------------------------------
-# Variational construction
-# ---------------------------------------------------------------------------
-
-
-def variational_score(P: Measure, Q: Measure, f: Callable[[np.ndarray], np.ndarray], b: float) -> CallableScore:
-    """Score built from a witness function with oscillation at most ``b``:
-
-        t(x) = (1/b) [ ∫ f d(P+Q)/2 - f(x) ]
-
-    carrying constants a0 = 3/(2b), a1 = 1/(2b).
-    """
-    if b <= 0:
-        raise ConfigError(f"oscillation scale b must be positive, got {b}")
-    mean_f = 0.5 * (expectation(P, f) + expectation(Q, f))
-    const = mean_f / b
-    consts = FamilyConstants(a0=1.5 / b, a1=0.5 / b, a2=None, b=b)
-    return CallableScore(lambda x: const - np.asarray(f(x), dtype=float) / b, consts, const)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,14 @@ class TestConfigErrorsExitTwo:
     def histogram(heights):
         return {"family": "histogram", "params": {"heights": heights}}
 
+    @staticmethod
+    def grid(lo=-1.0, hi=1.0, step=0.5):
+        return {"family": "gaussian-location-grid", "d": 1, "lo": lo, "hi": hi, "step": step}
+
+    @staticmethod
+    def measure(family, **params):
+        return {"family": family, "params": params}
+
     @pytest.mark.parametrize(
         "command, doc, message",
         [
@@ -548,6 +556,59 @@ class TestConfigErrorsExitTwo:
                 },
                 "finite log-ratio bound",
             ),
+            (
+                "estimate",
+                {"model": grid(lo=math.nan), "loss": {"kind": "tv"}, "sample": [0.0, 0.5]},
+                "must be finite",
+            ),
+            (
+                "estimate",
+                {"model": grid(lo=-1e308, hi=1e308, step=1e-300), "loss": {"kind": "tv"}, "sample": [0.0]},
+                "more than 1000000 points",
+            ),
+            (
+                "estimate",
+                {"model": grid(), "loss": {"kind": "kl", "a": math.nan}, "sample": [0.0, 0.5]},
+                "positive finite log-ratio bound a",
+            ),
+            (
+                "estimate",
+                {
+                    "model": {"family": "histogram-net", "cells": 2, "value_grid": [0.5, 1.0, 1.5]},
+                    "loss": {"kind": "lj", "j": 2.0, "R": math.nan},
+                    "sample": [0.25, 0.75],
+                },
+                "positive finite norm-ratio bound R",
+            ),
+            (
+                "estimate",
+                {
+                    "model": {"family": "histogram-net", "cells": 2, "value_grid": [0.5, 1.0, 1.5], "j": 3.0},
+                    "loss": {"kind": "tv"},
+                    "sample": [0.25, 0.75],
+                },
+                "unknown model config keys ['j']",
+            ),
+            (
+                "distances",
+                {"pairs": [{"p": measure("uniform", low=math.nan), "q": measure("uniform", low=0.0)}], "losses": [{"kind": "tv"}]},
+                "uniform low must be finite",
+            ),
+            (
+                "distances",
+                {"pairs": [{"p": measure("gaussian", mean=math.nan), "q": measure("gaussian", mean=0.0)}], "losses": [{"kind": "tv"}]},
+                "gaussian mean must be finite",
+            ),
+            (
+                "distances",
+                {"pairs": [{"p": measure("power", alpha=math.nan), "q": measure("power", alpha=0.5)}], "losses": [{"kind": "tv"}]},
+                "power alpha must be positive and finite",
+            ),
+            (
+                "distances",
+                {"pairs": [{"p": measure("cauchy", loc=math.inf), "q": measure("cauchy", loc=0.0)}], "losses": [{"kind": "tv"}]},
+                "cauchy loc must be finite",
+            ),
         ],
         ids=[
             "kl-score-bound",
@@ -563,6 +624,15 @@ class TestConfigErrorsExitTwo:
             "model-lo-string",
             "lj-j-string",
             "kl-power-shapes-one-shift",
+            "grid-lo-nan",
+            "grid-span-overflow",
+            "kl-a-nan",
+            "lj-r-nan",
+            "histogram-net-j",
+            "uniform-low-nan",
+            "gaussian-mean-nan",
+            "power-alpha-nan",
+            "cauchy-loc-inf",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):
@@ -592,6 +662,18 @@ class TestConfigErrorsExitTwo:
         assert cli.main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "more than 1000000 run-and-level" in err
+
+    def test_oversized_location_grid_refused_before_enumeration(self, tmp_path, capsys, monkeypatch):
+        # 10^9 + 1 grid points, each a finite float.
+        def no_enumeration(*args):
+            raise AssertionError("the grid enumeration started")
+
+        monkeypatch.setattr("pairfit.models._location_grid", no_enumeration)
+        doc = {"model": self.grid(lo=0.0, hi=1e9, step=1.0), "loss": {"kind": "tv"}, "sample": [0.0]}
+        path = write_config(tmp_path, "c.json", doc)
+        assert cli.main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "more than 1000000 points" in err
 
 
 class TestDistances:

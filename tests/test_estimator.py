@@ -15,7 +15,6 @@ from pairfit.estimator import (
     ell_estimate,
     histogram_estimator,
     median_tv_estimator,
-    pairwise_statistic,
 )
 from pairfit.losses import LossSpec
 from pairfit.measures import (
@@ -28,7 +27,6 @@ from pairfit.measures import (
     lj_distance,
     philox_rng,
     point_mass,
-    sample_from,
     wasserstein1,
 )
 from pairfit.models import build
@@ -44,7 +42,7 @@ def two_point_tv_model():
 
 class TestPairwiseStatistic:
     def test_two_point_frozen(self):
-        M = pairwise_statistic(np.zeros(3), two_point_tv_model(), LossSpec.tv())
+        M = PairwiseEngine(LossSpec.tv(), two_point_tv_model()).statistic_matrix(np.zeros(3))
         assert np.allclose(M, [[0.0, -1.5], [1.5, 0.0]])
 
     def test_antisymmetry_zero_diagonal(self):
@@ -54,7 +52,7 @@ class TestPairwiseStatistic:
             for w in rng.random((4, 3)) + 0.05
         ]
         sample = rng.choice([0.0, 1.0, 2.0], size=20)
-        M = pairwise_statistic(sample, model, LossSpec.hellinger2())
+        M = PairwiseEngine(LossSpec.hellinger2(), model).statistic_matrix(sample)
         assert np.array_equal(M, -M.T)
         assert np.all(np.diag(M) == 0.0)
 
@@ -65,7 +63,7 @@ class TestPairwiseStatistic:
         x = rng.random(8)
         emp = empirical_measure(x)
         model = [emp, point_mass(0.3), UniformMeasure(0.0, 1.0)]
-        M = pairwise_statistic(x, model, LossSpec.wasserstein1())
+        M = PairwiseEngine(LossSpec.wasserstein1(), model).statistic_matrix(x)
         for k, q in enumerate(model[1:], start=1):
             assert abs(M[0, k] + 0.5 * x.size * wasserstein1(emp, q)) < 1e-10
             assert M[0, k] <= 1e-12
@@ -79,7 +77,7 @@ class TestPairwiseStatistic:
             product_form="tuples",
         )
         with pytest.raises(ConfigError, match="length 2"):
-            pairwise_statistic(np.zeros(3), model, LossSpec.tv())
+            PairwiseEngine(LossSpec.tv(), model).statistic_matrix(np.zeros(3))
 
     def test_tuple_model_matches_hand_sum(self):
         coords = [
@@ -91,7 +89,7 @@ class TestPairwiseStatistic:
         Q = tuple(pq[1] for pq in coords)
         model = Model(candidates=[P, Q], product_form="tuples")
         x = np.array([0.3, -0.2, 2.4])
-        M = pairwise_statistic(x, model, LossSpec.tv())
+        M = PairwiseEngine(LossSpec.tv(), model).statistic_matrix(x)
         by_hand = sum(
             float(score(LossSpec.tv(), p, q)(np.array([xi]))[0])
             for (p, q), xi in zip(coords, x)
@@ -153,7 +151,7 @@ class TestBatchBackends:
         eng = PairwiseEngine(LossSpec.tv(), model)
         for seed in (1, 2):
             x = philox_rng(seed, 0).choice([0.0, 1.0], size=12)
-            fresh = pairwise_statistic(x, model, LossSpec.tv())
+            fresh = PairwiseEngine(LossSpec.tv(), model).statistic_matrix(x)
             assert np.array_equal(eng.statistic_matrix(x), fresh)
 
 
@@ -226,11 +224,12 @@ class TestEllEstimate:
         with pytest.raises(ConfigError, match="at least one"):
             Model(candidates=[])
 
-    def test_report_record_elides_large_matrix(self):
+    def test_report_record_elides_large_matrix(self, monkeypatch):
         rep = ell_estimate(np.zeros(3), two_point_tv_model(), LossSpec.tv())
         rec = rep.to_record()
         assert rec["pairwise"] == [[0.0, -1.5], [1.5, 0.0]]
-        rec2 = rep.to_record(matrix_limit=1)
+        monkeypatch.setattr("pairfit.estimator._RECORD_MATRIX_LIMIT", 1)
+        rec2 = rep.to_record()
         assert rec2["pairwise"] is None
         assert rec2["sup_stat"] == [0.0, 1.5]
 
@@ -268,7 +267,7 @@ class TestHistogramEstimator:
         ]
         model = [est, *others]
         spec = LossSpec.lj(j=j, R=R)
-        M = pairwise_statistic(x, model, spec)
+        M = PairwiseEngine(spec, model).statistic_matrix(x)
         nu = np.bincount(part.locate(x), minlength=D) / n
         for k, q in enumerate(others, start=1):
             dist = lj_distance(est, q, j)
@@ -292,7 +291,7 @@ class TestHistogramEstimator:
         ]
         model = [est, *others]
         spec = LossSpec.linf(D=D)
-        M = pairwise_statistic(x, model, spec)
+        M = PairwiseEngine(spec, model).statistic_matrix(x)
         nu = np.bincount(part.locate(x), minlength=D) / n
         for k, q in enumerate(others, start=1):
             gaps = np.abs(nu - q.cell_masses)
@@ -327,7 +326,7 @@ class TestMedianEstimator:
         model = [GaussianMeasure(c) for c in grid]
         eng = PairwiseEngine(LossSpec.tv(), model)
         for seed in range(5):
-            x = sample_from(GaussianMeasure(0.1), 51, seed=seed)
+            x = GaussianMeasure(0.1).sample(51, philox_rng(seed))
             med = median_tv_estimator(x)
             nearest = int(np.argmin(np.abs(grid - med)))
             rep = ell_estimate(x, model, LossSpec.tv(), epsilon=0.5, engine=eng)
@@ -346,7 +345,7 @@ class TestSampleValidation:
 
     def test_atom_observation_outside_space_is_config_error(self):
         with pytest.raises(ConfigError, match="outside the model's finite space"):
-            pairwise_statistic(np.array([0.0, 2.0]), two_point_tv_model(), LossSpec.tv())
+            PairwiseEngine(LossSpec.tv(), two_point_tv_model()).statistic_matrix(np.array([0.0, 2.0]))
 
 
 def count_score_calls(monkeypatch):
@@ -398,7 +397,7 @@ class TestPartitionPairTable:
     @pytest.mark.parametrize("family", sorted(MODELS))
     def test_bitwise_equal_to_per_pair_scores(self, family, loss, monkeypatch):
         model = build(self.MODELS[family])
-        spec = self.SPECS[loss](model.partition.cells)
+        spec = self.SPECS[loss](model.candidates[0].partition.cells)
         scores = [score(spec, P, Q) for P, Q in combinations(model.candidates, 2)]
         expected = PiecewiseTable.from_scores(scores)
         calls = count_score_calls(monkeypatch)

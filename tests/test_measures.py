@@ -26,7 +26,6 @@ from pairfit.measures import (
     UniformMeasure,
     atom_mass_matrix,
     cdf_sign_intervals,
-    empirical_cdf,
     empirical_measure,
     hellinger_sq,
     integrate,
@@ -36,7 +35,6 @@ from pairfit.measures import (
     measure_from_config,
     philox_rng,
     point_mass,
-    sample_from,
     sign_change_points,
     tv_distance,
     wasserstein1,
@@ -302,19 +300,9 @@ class TestLjDistance:
 
 
 class TestSamplingAndEmpirical:
-    def test_empirical_cdf_steps(self):
-        F = empirical_cdf([1.0, 2.0, 2.0, 5.0])
-        vals = F(np.array([0.5, 1.0, 2.0, 4.9, 5.0, 6.0]))
-        assert np.allclose(vals, [0.0, 0.25, 0.75, 0.75, 1.0, 1.0])
-
     def test_empirical_measure_merges_duplicates(self):
         m = empirical_measure([1.0, 2.0, 2.0, 5.0])
         assert m.atoms() == ((1.0, 0.25), (2.0, 0.5), (5.0, 0.25))
-
-    def test_sample_from_is_reproducible(self):
-        m = GaussianMeasure(0.0)
-        assert np.array_equal(sample_from(m, 16, 42), sample_from(m, 16, 42))
-        assert not np.array_equal(sample_from(m, 16, 42), sample_from(m, 16, 43))
 
     def test_philox_streams_are_independent(self):
         a = philox_rng(5, 0).random(8)
@@ -357,13 +345,13 @@ class TestSamplingAndEmpirical:
         ],
     )
     def test_sampler_ks_self_test(self, m):
-        x = sample_from(m, 4000, 2024)
+        x = m.sample(4000, philox_rng(2024))
         res = stats.kstest(x, lambda t: np.asarray(m.cdf(t), dtype=float))
         assert res.pvalue > 1e-3
 
     def test_discrete_sampler_frequencies(self):
         m = DiscreteMeasure([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
-        x = sample_from(m, 20000, 7)
+        x = m.sample(20000, philox_rng(7))
         freq = np.array([(x == v).mean() for v in [0.0, 1.0, 2.0]])
         assert np.abs(freq - [0.2, 0.3, 0.5]).max() < 0.02
 

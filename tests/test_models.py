@@ -1,4 +1,4 @@
-"""Tests for the candidate-family builders and the L2 Gram helper.
+"""Tests for the candidate-family builders.
 
 Frozen values were computed from a standalone script before this module
 existed: the five-candidate histogram enumeration and the ten-candidate
@@ -25,9 +25,10 @@ from pairfit.measures import (
     HistogramMeasure,
     PowerMeasure,
     UniformMeasure,
+    _log_ratio_bound,
     tv_distance,
 )
-from pairfit.models import GramData, ModelBuilderConfig, build, l2_inner_products
+from pairfit.models import ModelBuilderConfig, build
 
 
 def total_mass(measure, hi):
@@ -58,7 +59,7 @@ class TestGaussianLocationGrid:
                 family="gaussian-location-grid", d=1, lo=-2.0, hi=2.0, step=0.5
             )
         )
-        assert model.kl_a == pytest.approx(56.0, rel=1e-9)
+        assert _log_ratio_bound(model.candidates) == pytest.approx(56.0, rel=1e-9)
 
     def test_inclusive_endpoint_despite_float_steps(self):
         model = build(
@@ -86,8 +87,9 @@ class TestTranslationGrid:
         assert all(isinstance(m, CauchyMeasure) for m in model.candidates)
         # True supremum of the pairwise log density ratio (scipy bracket
         # sweep); the builder's refined probe must land on it from below.
-        assert model.kl_a == pytest.approx(0.9624236501192076, abs=1e-6)
-        assert model.kl_a <= 0.9624236501192076 + 1e-9
+        bound = _log_ratio_bound(model.candidates)
+        assert bound == pytest.approx(0.9624236501192076, abs=1e-6)
+        assert bound <= 0.9624236501192076 + 1e-9
 
     def test_uniform_grid_has_no_log_ratio_bound(self):
         model = build(
@@ -95,7 +97,7 @@ class TestTranslationGrid:
                 family="translation-grid", base="uniform", lo=0.0, hi=1.0, step=0.5
             )
         )
-        assert model.kl_a is None
+        assert _log_ratio_bound(model.candidates) is None
         assert all(isinstance(m, UniformMeasure) for m in model.candidates)
         assert [m.low for m in model.candidates] == pytest.approx([0.0, 0.5, 1.0])
 
@@ -163,25 +165,13 @@ class TestHistogramNet:
             (1.4, 0.6),
             (1.8, 0.2),
         ]
-        assert model.ratio_R == pytest.approx(math.sqrt(2.0))
-        assert model.partition.cells == 2
+        assert model.candidates[0].partition.cells == 2
         # Heights come in reciprocal-free pairs, so the widest spread is
         # log(1.8 / 0.2) = log 9.
-        assert model.kl_a == pytest.approx(math.log(9.0), rel=1e-9)
+        assert _log_ratio_bound(model.candidates) == pytest.approx(math.log(9.0), rel=1e-9)
         for m in model.candidates:
             assert m.is_probability
             assert total_mass(m, 1.0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_ratio_exponent_feeds_the_flatness_radius(self):
-        model = build(
-            ModelBuilderConfig(
-                family="histogram-net",
-                cells=8,
-                value_grid=(0.0, 1.0, 2.0),
-                j=3.0,
-            )
-        )
-        assert model.ratio_R == pytest.approx(8.0 ** (1.0 / 3.0))
 
     def test_zero_height_disables_log_ratio_bound(self):
         model = build(
@@ -189,7 +179,7 @@ class TestHistogramNet:
                 family="histogram-net", cells=2, value_grid=(0.0, 1.0, 2.0)
             )
         )
-        assert model.kl_a is None
+        assert _log_ratio_bound(model.candidates) is None
         assert sorted(model.candidate_params) == [(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]
 
     def test_empty_net_rejected(self):
@@ -291,7 +281,7 @@ class TestMonotoneNet:
             )
         )
         assert len(model.candidates) == 10
-        assert model.partition.support == (0.0, 2.0)
+        assert model.candidates[0].partition.support == (0.0, 2.0)
         got = {tuple(p) for p in model.candidate_params}
         assert (4.0, 0.0, 0.0, 0.0) in got
         assert (2.0, 1.0, 1.0, 0.0) in got
@@ -338,54 +328,27 @@ class TestL2Linear:
         )
 
     def test_flatness_radius_is_root_cell_count(self):
+        # A unit coefficient vector on one indicator has sup-norm sqrt(cells).
         model = self.build_model()
-        assert model.ratio_R == pytest.approx(2.0)
         assert len(model.candidates) == 3
-
-    def test_orthonormal_gram_is_the_identity(self):
-        data = l2_inner_products(self.build_model())
-        assert isinstance(data, GramData)
-        assert np.allclose(data.gram, np.eye(4))
-        expected = np.array(
-            [[1.0, 0.5, 0.7], [0.5, 1.0, 0.0], [0.7, 0.0, 1.0]]
-        )
-        assert np.allclose(data.inner_products, expected, atol=1e-12)
-        assert data.norm_sq(0) == pytest.approx(1.0)
-        assert data.distance(0, 1) == pytest.approx(1.0)
-        assert data.score_constant(0, 1) == pytest.approx(0.0, abs=1e-15)
-        assert data.distance(0, 2) == pytest.approx(0.7745966692414834)
-
-    def test_zero_distance_yields_zero_constant(self):
-        data = l2_inner_products([[0.3, 0.4], [0.3, 0.4]])
-        assert data.distance(0, 1) == 0.0
-        assert data.score_constant(0, 1) == 0.0
+        assert np.max(model.candidates[1].heights) == pytest.approx(2.0)
 
     def test_coefficient_distance_equals_density_distance(self):
+        # The indicator basis is orthonormal, so the L2 distance of two
+        # candidates is the Euclidean distance of their coefficients.
         model = self.build_model()
-        data = l2_inner_products(model)
-        spec = LossSpec.lj(2.0, model.ratio_R)
+        spec = LossSpec.lj(2.0, 2.0)
         for i, k in itertools.combinations(range(3), 2):
             dens = loss(spec, model.candidates[i], model.candidates[k])
-            assert dens == pytest.approx(data.distance(i, k), abs=1e-9)
+            coeff = np.linalg.norm(np.subtract(self.COEFFS[i], self.COEFFS[k]))
+            assert dens == pytest.approx(coeff, abs=1e-9)
 
-    def test_explicit_gram_matrix_path(self):
-        gram = np.array([[2.0, 0.0], [0.0, 0.5]])
-        data = l2_inner_products([[1.0, 2.0], [0.0, 2.0]], gram=gram)
-        assert data.norm_sq(0) == pytest.approx(2.0 + 2.0)
-        assert data.norm_sq(1) == pytest.approx(2.0)
-        assert data.distance(0, 1) == pytest.approx(math.sqrt(2.0))
-        assert data.ratio_R is None
-
-    def test_user_basis_points_at_the_gram_path(self):
-        with pytest.raises(ConfigError, match="Gram"):
+    def test_user_basis_is_refused(self):
+        with pytest.raises(ConfigError, match="user bases"):
             ModelBuilderConfig(
                 family="l2-linear", basis="user", cells=2,
                 coefficient_net=((1.0, 0.0),),
             )
-
-    def test_gram_shape_mismatch(self):
-        with pytest.raises(ConfigError, match="Gram matrix"):
-            l2_inner_products([[1.0, 0.0]], gram=np.eye(3))
 
     def test_signed_candidates_are_not_probabilities(self):
         model = build(
@@ -395,23 +358,6 @@ class TestL2Linear:
             )
         )
         assert not model.candidates[0].is_probability
-
-    @given(
-        rows=st.lists(
-            st.lists(
-                st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
-                min_size=3,
-                max_size=3,
-            ),
-            min_size=2,
-            max_size=4,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_identity_gram_reduces_to_dot_products(self, rows):
-        data = l2_inner_products(rows)
-        arr = np.asarray(rows)
-        assert np.allclose(data.inner_products, arr @ arr.T, atol=1e-12)
 
 
 class TestDiscreteFamily:
@@ -423,7 +369,7 @@ class TestDiscreteFamily:
             )
         )
         assert len(model.candidates) == 2
-        assert model.kl_a == pytest.approx(0.916290731874155, rel=1e-12)
+        assert _log_ratio_bound(model.candidates) == pytest.approx(0.916290731874155, rel=1e-12)
 
     def test_zero_mass_disables_log_ratio_bound(self):
         model = build(
@@ -432,7 +378,7 @@ class TestDiscreteFamily:
                 candidates=((0.5, 0.5, 0.0), (0.2, 0.3, 0.5)),
             )
         )
-        assert model.kl_a is None
+        assert _log_ratio_bound(model.candidates) is None
 
     def test_masses_must_sum_to_one(self):
         with pytest.raises(ConfigError, match="sum"):

@@ -680,26 +680,3 @@ class TestArtifacts:
     def test_curve_csv(self):
         table = {"rows": [{"n": 100, "median_loss": 0.25}], "slope": -1.0}
         assert sim.curve_csv_text(table) == "n,median_loss\n100,0.25\n"
-
-    def test_write_artifacts_names_and_contents(self, tmp_path):
-        record = self.record()
-        curve = {"rows": [{"n": 10, "median_loss": 0.5}], "slope": None}
-        paths = sim.write_artifacts(record, tmp_path, curve=curve)
-        stem = f"{record.digest[:16]}-s{record.seed}"
-        assert [p.name for p in paths] == [
-            f"{stem}-records.csv",
-            f"{stem}-records.jsonl",
-            f"{stem}-summary.json",
-            f"{stem}-curve.csv",
-        ]
-        assert paths[0].read_text() == sim.records_csv_text(record)
-        assert paths[2].read_text() == sim.summary_json_text(record)
-
-    def test_explicit_basename(self, tmp_path):
-        record = self.record()
-        paths = sim.write_artifacts(record, tmp_path, basename="run1")
-        assert [p.name for p in paths] == [
-            "run1-records.csv",
-            "run1-records.jsonl",
-            "run1-summary.json",
-        ]

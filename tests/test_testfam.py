@@ -39,7 +39,6 @@ from pairfit.testfam import (
     lj_score,
     score,
     tv_score,
-    variational_score,
     wasserstein_score,
 )
 
@@ -286,30 +285,6 @@ class TestKlScore:
         Q = DiscreteMeasure([0, 1], [0.5, 0.5])
         with pytest.raises(ValueError, match="strictly positive"):
             kl_score(P, Q, a=2.0)
-
-
-class TestVariationalConstruction:
-    def test_tv_witness_reproduces_tv_score(self):
-        # With f = (1/2)(1_{p>q} - 1_{q>p}) and b = 1, the variational score
-        # coincides with the TV family score (the constant parts agree because
-        # mass on {p = q} is shared).
-        P = DiscreteMeasure([0, 1, 2], [0.5, 0.3, 0.2])
-        Q = DiscreteMeasure([0, 1, 2], [0.2, 0.3, 0.5])
-
-        def witness(x):
-            x = np.asarray(x)
-            return np.where(x == 0.0, 0.5, np.where(x == 2.0, -0.5, 0.0))
-
-        tv = tv_score(P, Q)
-        var = variational_score(P, Q, witness, 1.0)
-        pts = np.array([0.0, 1.0, 2.0])
-        assert np.max(np.abs(tv(pts) - var(pts))) < 1e-15
-        assert var.constants.a0 == 1.5
-        assert var.constants.a1 == 0.5
-
-    def test_bad_b_rejected(self):
-        with pytest.raises(ConfigError, match="positive"):
-            variational_score(point_mass(0.0), point_mass(1.0), lambda x: x, 0.0)
 
 
 class TestCheckers:
