@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sim
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _check_keys, _number_list
 from .estimator import ell_estimate
 from .losses import LossSpec, loss
 from .measures import (
@@ -149,12 +149,6 @@ def _load_document(path: Path | None) -> dict:
     return doc
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
-    extra = set(doc) - allowed
-    if extra:
-        raise ConfigError(f"unknown {where} config keys {sorted(extra)}")
-
-
 def _check_command(doc: dict, expected: str) -> None:
     if "command" in doc and doc["command"] != expected:
         raise ConfigError(
@@ -179,6 +173,13 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _seed(doc: dict, args: argparse.Namespace) -> int:
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    return seed
+
+
 def _verbosity(doc: dict) -> int:
     v = doc.get("verbosity", 1)
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -188,7 +189,7 @@ def _verbosity(doc: dict) -> int:
 
 def _resolve_estimate(doc: dict, args: argparse.Namespace) -> dict:
     _check_command(doc, "estimate")
-    _reject_unknown(
+    _check_keys(
         doc,
         {"command", "model", "loss", "epsilon", "sample", "truth", "n", "seed",
          "verbosity"},
@@ -211,15 +212,14 @@ def _resolve_estimate(doc: dict, args: argparse.Namespace) -> dict:
     if "sample" in doc and "truth" in doc:
         raise ConfigError("estimate config must set either sample or truth, not both")
     if "sample" in doc:
-        sample = np.asarray(doc["sample"], dtype=float)
-        if sample.ndim != 1 or sample.size == 0 or not np.all(np.isfinite(sample)):
+        sample = [float(x) for x in _number_list(doc["sample"], "sample")]
+        if not sample or not all(math.isfinite(x) for x in sample):
             raise ConfigError("sample must be a non-empty list of finite numbers")
-        resolved["sample"] = [float(x) for x in sample]
+        resolved["sample"] = sample
     elif "truth" in doc:
         resolved["truth"] = measure_from_config(doc["truth"]).to_config()
         resolved["n"] = _positive_int(_require(doc, "n", "estimate"), "n")
-        seed = args.seed if args.seed is not None else doc.get("seed", 0)
-        resolved["seed"] = int(seed)
+        resolved["seed"] = _seed(doc, args)
     else:
         raise ConfigError("estimate config needs a sample or a truth to draw from")
     return _canonical(resolved)
@@ -227,7 +227,7 @@ def _resolve_estimate(doc: dict, args: argparse.Namespace) -> dict:
 
 def _resolve_test(doc: dict, args: argparse.Namespace) -> dict:
     _check_command(doc, "test")
-    _reject_unknown(
+    _check_keys(
         doc,
         {"command", "truth", "p", "q", "loss", "n", "reps", "seed", "verbosity"},
         "test",
@@ -240,7 +240,7 @@ def _resolve_test(doc: dict, args: argparse.Namespace) -> dict:
         "loss": LossSpec.from_config(_require(doc, "loss", "test")).to_config(),
         "n": _positive_int(_require(doc, "n", "test"), "n"),
         "reps": _positive_int(_require(doc, "reps", "test"), "reps"),
-        "seed": int(args.seed if args.seed is not None else doc.get("seed", 0)),
+        "seed": _seed(doc, args),
         "verbosity": _verbosity(doc),
     }
     return _canonical(resolved)
@@ -248,10 +248,13 @@ def _resolve_test(doc: dict, args: argparse.Namespace) -> dict:
 
 def _resolve_simulate(doc: dict, args: argparse.Namespace) -> dict:
     _check_command(doc, "simulate")
-    _reject_unknown(
+    _check_keys(
         doc, {"command", "scenario", "xis", "ns", "formats", "verbosity"}, "simulate"
     )
-    scen_cfg = dict(_require(doc, "scenario", "simulate"))
+    scen_cfg = _require(doc, "scenario", "simulate")
+    if not isinstance(scen_cfg, dict):
+        raise ConfigError(f"simulate 'scenario' must be a mapping, got {scen_cfg!r}")
+    scen_cfg = dict(scen_cfg)
     if args.seed is not None:
         scen_cfg["seed"] = args.seed
     if args.epsilon is not None:
@@ -265,25 +268,24 @@ def _resolve_simulate(doc: dict, args: argparse.Namespace) -> dict:
         "verbosity": _verbosity(doc),
     }
     if "xis" in doc:
-        xis = [float(x) for x in doc["xis"]]
+        xis = [float(x) for x in _number_list(doc["xis"], "xis")]
         if not xis or any(x <= 0 or not math.isfinite(x) for x in xis):
             raise ConfigError("xis must be a non-empty list of positive numbers")
         resolved["xis"] = xis
     if "ns" in doc:
+        if not isinstance(doc["ns"], list) or not doc["ns"]:
+            raise ConfigError(f"ns must be a non-empty list of sample sizes, got {doc['ns']!r}")
         resolved["ns"] = [_positive_int(n, "ns entry") for n in doc["ns"]]
-        if not resolved["ns"]:
-            raise ConfigError("ns must be a non-empty list of sample sizes")
     formats = doc.get("formats", ["csv", "summary"])
-    bad = [f for f in formats if f not in _FORMATS]
-    if bad or not formats:
-        raise ConfigError(f"formats must be a non-empty subset of {_FORMATS}")
+    if not isinstance(formats, list) or not formats or any(f not in _FORMATS for f in formats):
+        raise ConfigError(f"formats must be a non-empty subset of {_FORMATS}, got {formats!r}")
     resolved["formats"] = list(formats)
     return _canonical(resolved)
 
 
 def _resolve_distances(doc: dict, args: argparse.Namespace) -> dict:
     _check_command(doc, "distances")
-    _reject_unknown(doc, {"command", "pairs", "losses", "verbosity"}, "distances")
+    _check_keys(doc, {"command", "pairs", "losses", "verbosity"}, "distances")
     pairs_cfg = _require(doc, "pairs", "distances")
     losses_cfg = _require(doc, "losses", "distances")
     if not isinstance(pairs_cfg, list) or not pairs_cfg:
@@ -311,7 +313,7 @@ def _resolve_distances(doc: dict, args: argparse.Namespace) -> dict:
 
 def _resolve_check(doc: dict, args: argparse.Namespace) -> dict:
     _check_command(doc, "check-assumptions")
-    _reject_unknown(
+    _check_keys(
         doc,
         {"command", "loss", "space_size", "triples", "seed", "verbosity"},
         "check-assumptions",
@@ -328,13 +330,12 @@ def _resolve_check(doc: dict, args: argparse.Namespace) -> dict:
         args.space_size if args.space_size is not None else doc.get("space_size", 5)
     )
     triples = args.triples if args.triples is not None else doc.get("triples", 200)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
     resolved = {
         "command": "check-assumptions",
         "loss": loss_name,
         "space_size": _positive_int(space_size, "space_size"),
         "triples": _positive_int(triples, "triples"),
-        "seed": int(seed),
+        "seed": _seed(doc, args),
         "verbosity": _verbosity(doc),
     }
     if resolved["space_size"] < 2:

@@ -6,6 +6,10 @@ Conventions:
     * ``NumericalError`` signals a numerical routine that could not reach its
       documented accuracy (quadrature budget exhausted, non-finite integrand).
       The CLI maps it to exit code 3.
+
+The two config-shape checks below are shared by the config readers
+(``from_config`` methods and the CLI resolvers), so each refusal names its
+key the same way.
 """
 
 
@@ -19,3 +23,26 @@ class ConfigError(PairfitError, ValueError):
 
 class NumericalError(PairfitError, RuntimeError):
     """A numerical routine failed to reach its documented accuracy."""
+
+
+def _check_keys(cfg: dict, allowed: set[str], where: str, required: set[str] = frozenset()) -> None:
+    """Refuse a config mapping that lacks a ``required`` key or has one outside ``allowed``."""
+    missing = required - set(cfg)
+    if missing:
+        raise ConfigError(f"{where} config is missing keys {sorted(missing)}")
+    extra = set(cfg) - allowed
+    if extra:
+        raise ConfigError(f"unknown {where} config keys {sorted(extra)}")
+
+
+def _number_list(value, name: str) -> list:
+    """``value`` as a list, refused unless every entry is a number.
+
+    Checked here because numpy, ``float`` and ``tuple`` would take strings
+    silently.
+    """
+    if not isinstance(value, (list, tuple)) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+    ):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return list(value)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_keys
 from .measures import (
     Measure,
     PartitionRef,
@@ -73,8 +73,9 @@ class LossSpec:
             if self.a is None or not 0 < self.a < math.inf:
                 raise ConfigError(f"kl loss needs a positive finite log-ratio bound a, got {self.a}")
         elif self.kind == "linf":
-            if self.D is None or self.D < 1:
-                raise ConfigError(f"linf loss needs a positive cell count D, got {self.D}")
+            # A NaN compares false and infinity is no integer, so both fail.
+            if self.D is None or not (self.D >= 1 and float(self.D).is_integer()):
+                raise ConfigError(f"linf loss needs a positive cell count D (a whole number), got {self.D}")
 
     # -- constructors --------------------------------------------------------
 
@@ -116,10 +117,7 @@ class LossSpec:
     def from_config(cls, cfg: dict) -> "LossSpec":
         if not isinstance(cfg, dict) or "kind" not in cfg:
             raise ConfigError("loss config must be a mapping with a 'kind' key")
-        known = {"kind", "j", "R", "a", "D"}
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigError(f"unknown loss config keys {sorted(extra)}")
+        _check_keys(cfg, {"kind", "j", "R", "a", "D"}, "loss")
         return cls(
             kind=cfg["kind"],
             j=cfg.get("j"),

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special as _special
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _number_list
 
 __all__ = [
     "LebesgueRef",
@@ -1225,7 +1225,9 @@ def _cdf_gap_pieces(P: Measure, Q: Measure):
         u1, u2 = a + w / 3.0, a + 2.0 * w / 3.0
         u = np.array([u1, u2])
         g1, g2 = (np.asarray(P.cdf(u)) - np.asarray(Q.cdf(u))).tolist()
-        slope = (g2 - g1) / (u2 - u1)
+        # Knots an ulp or two apart round both points to one float (0/0):
+        # the piece is then narrower than 1e-15 and taken as flat.
+        slope = (g2 - g1) / (u2 - u1) if u2 > u1 else 0.0
         yield a, b, g1 + slope * (a - u1), g1 + slope * (b - u1)
 
 
@@ -1367,20 +1369,10 @@ def cdf_sign_intervals(P: Measure, Q: Measure) -> list[tuple[float, float, float
 
 
 def _numbers(family: str, params: dict, key: str, default: tuple | None = None) -> list:
-    """The list parameter ``key``, checked to hold numbers only.
-
-    Checked here because numpy and ``tuple`` would take strings silently;
-    a missing required key raises KeyError.
-    """
+    """The list parameter ``key``, checked to hold numbers only; a missing
+    required key raises KeyError."""
     value = params[key] if default is None else params.get(key, default)
-    if not isinstance(value, (list, tuple)) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        raise ConfigError(
-            f"measure family {family!r} parameter {key!r} must be a list of numbers, "
-            f"got {value!r}"
-        )
-    return list(value)
+    return _number_list(value, f"measure family {family!r} parameter {key!r}")
 
 
 def measure_from_config(cfg: dict) -> Measure:

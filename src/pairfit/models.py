@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_keys
 from .estimator import Model
 from .measures import (
     CauchyMeasure,
@@ -295,10 +295,7 @@ class ModelBuilderConfig:
     def from_config(cls, cfg: dict) -> "ModelBuilderConfig":
         if not isinstance(cfg, dict) or "family" not in cfg:
             raise ConfigError("model config must be a mapping with a 'family' key")
-        known = {"family"} | set().union(*_RELEVANT.values())
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigError(f"unknown model config keys {sorted(extra)}")
+        _check_keys(cfg, {"family"} | set().union(*_RELEVANT.values()), "model")
         return cls(**cfg)
 
 

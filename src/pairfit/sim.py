@@ -6,10 +6,7 @@ candidate-family config, a loss, and the run geometry.  Every replication
 draws its own counter-based RNG stream from (seed, replication index), so
 results are bit-identical no matter how replications are scheduled across
 threads.  Attained losses are always measured against the true marginals,
-never against the sample.
-
-Per-replication wall times are kept on the in-memory rows for profiling but
-never written by the artifact builders, which emit byte-stable CSV, JSON
+never against the sample.  The artifact builders emit byte-stable CSV, JSON
 lines, and summary documents.
 """
 
@@ -19,14 +16,13 @@ import dataclasses
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import vc_bound_tv, wasserstein_dev_bound
-from .errors import ConfigError
+from .errors import ConfigError, _check_keys, _number_list
 from .estimator import PairwiseEngine, ell_estimate
 from .losses import LossSpec, aggregate_loss, loss
 from .measures import (
@@ -89,6 +85,14 @@ class Contamination:
             raise ConfigError("contamination weights must lie in [0, 1]")
 
 
+_SCENARIO_KEYS = {"truth", "model", "loss", "n", "epsilon", "replications", "seed"}
+_TRUTH_KEYS = {
+    "iid": {"measure"},
+    "contaminated": {"base", "alphas", "contaminant"},
+    "tuples": {"components"},
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One reproducible experiment: truth, model, loss, and run geometry."""
@@ -114,7 +118,9 @@ class Scenario:
             raise ConfigError(
                 f"replications must be a positive integer, got {self.replications!r}"
             )
-        if not self.epsilon > 0:
+        if isinstance(self.epsilon, bool) or not (
+            isinstance(self.epsilon, (int, float)) and self.epsilon > 0
+        ):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
@@ -165,13 +171,15 @@ class Scenario:
     def from_config(cls, cfg: dict) -> "Scenario":
         if not isinstance(cfg, dict):
             raise ConfigError("scenario config must be a mapping")
-        missing = {"truth", "model", "loss", "n"} - set(cfg)
-        if missing:
-            raise ConfigError(f"scenario config is missing keys {sorted(missing)}")
+        _check_keys(cfg, _SCENARIO_KEYS, "scenario", {"truth", "model", "loss", "n"})
         truth_cfg = cfg["truth"]
         if not isinstance(truth_cfg, dict) or "kind" not in truth_cfg:
             raise ConfigError("scenario truth must be a mapping with a 'kind' key")
         kind = truth_cfg["kind"]
+        fields = _TRUTH_KEYS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            raise ConfigError(f"unknown truth kind {kind!r}")
+        _check_keys(truth_cfg, fields | {"kind"}, f"{kind} truth", fields)
         if kind == "iid":
             truth: Measure | Contamination | tuple = measure_from_config(
                 truth_cfg["measure"]
@@ -179,13 +187,14 @@ class Scenario:
         elif kind == "contaminated":
             truth = Contamination(
                 base=measure_from_config(truth_cfg["base"]),
-                alphas=tuple(truth_cfg["alphas"]),
+                alphas=tuple(_number_list(truth_cfg["alphas"], "truth 'alphas'")),
                 contaminant=measure_from_config(truth_cfg["contaminant"]),
             )
-        elif kind == "tuples":
-            truth = tuple(measure_from_config(c) for c in truth_cfg["components"])
         else:
-            raise ConfigError(f"unknown truth kind {kind!r}")
+            components = truth_cfg["components"]
+            if not isinstance(components, list):
+                raise ConfigError(f"truth 'components' must be a list, got {components!r}")
+            truth = tuple(measure_from_config(c) for c in components)
         return cls(
             truth=truth,
             model=ModelBuilderConfig.from_config(cfg["model"]),
@@ -206,13 +215,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ReplicationRow:
-    """One replication's outcome; runtime stays off the written artifacts."""
+    """One replication's outcome."""
 
     rep: int
     chosen: int
     loss: float
     sup_stat: float
-    runtime: float
 
 
 @dataclass(frozen=True)
@@ -387,17 +395,14 @@ def _replicate(
     def one(rep: int) -> ReplicationRow:
         rng = replication_rng(scenario.seed, rep)
         x = sample_truth(scenario, rng)
-        start = time.perf_counter()
         report = ell_estimate(
             x, engine.model, scenario.loss, epsilon=scenario.epsilon, engine=engine
         )
-        elapsed = time.perf_counter() - start
         return ReplicationRow(
             rep=rep,
             chosen=report.chosen,
             loss=table(report.chosen),
             sup_stat=float(report.sup_stat[report.chosen]),
-            runtime=elapsed,
         )
 
     reps = range(scenario.replications)

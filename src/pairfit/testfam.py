@@ -26,10 +26,11 @@ and some additionally control the variance:
 
     (iv)  Var_S[t] <= a2 * [loss(S, P) + loss(S, Q)]
 
-The checkers at the bottom verify (i)-(iv) exactly on finite spaces.  Each
-constructed score records its family constants and its data-free constant
-part; strict density comparisons are used everywhere, and points with p = q
-contribute only through the constant part.
+The checkers at the bottom verify (i)-(iv) exactly on finite spaces, reading
+the constants from ``constants_for``; the scores themselves never need them.
+Each constructed score records its data-free constant part; strict density
+comparisons are used everywhere, and points with p = q contribute only
+through the constant part.
 """
 
 from __future__ import annotations
@@ -144,12 +145,10 @@ class ScoreFunction:
     """One pair's per-observation score.
 
     Attributes:
-        constants: the family constants (a0, a1, a2, b).
         constant_part: the data-free additive term of the score (cached so
             engines and diagnostics never recompute it).
     """
 
-    constants: FamilyConstants
     constant_part: float
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -159,10 +158,9 @@ class ScoreFunction:
 class AtomScore(ScoreFunction):
     """Score on a finite space: a value for each point of the space."""
 
-    def __init__(self, points: np.ndarray, values: np.ndarray, constants: FamilyConstants, constant_part: float):
+    def __init__(self, points: np.ndarray, values: np.ndarray, constant_part: float):
         self.points = np.asarray(points, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.constants = constants
         self.constant_part = float(constant_part)
 
     def __call__(self, x):
@@ -174,21 +172,14 @@ class PiecewiseScore(ScoreFunction):
 
     Components may not overlap.  Open/closed interval ends are encoded by
     nudging a bound one ulp, so strict density comparisons survive exactly.
+    The data-free part is the base.
     """
 
-    def __init__(
-        self,
-        base: float,
-        components: Sequence[tuple[float, float, float, float]],
-        constants: FamilyConstants,
-        constant_part: float,
-    ):
-        self.base = float(base)
+    def __init__(self, base: float, components: Sequence[tuple[float, float, float, float]]):
+        self.base = self.constant_part = float(base)
         self.components = tuple(
             (float(lo), float(hi), float(c), float(s)) for (lo, hi, c, s) in components
         )
-        self.constants = constants
-        self.constant_part = float(constant_part)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -205,17 +196,16 @@ class PiecewiseScore(ScoreFunction):
 class CallableScore(ScoreFunction):
     """Generic score evaluated through a vectorized callable."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], constants: FamilyConstants, constant_part: float):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], constant_part: float):
         self.fn = fn
-        self.constants = constants
         self.constant_part = float(constant_part)
 
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
 
-def _zero_score(constants: FamilyConstants) -> PiecewiseScore:
-    return PiecewiseScore(0.0, (), constants, 0.0)
+def _zero_score() -> PiecewiseScore:
+    return PiecewiseScore(0.0, ())
 
 
 @dataclass(frozen=True)
@@ -266,15 +256,13 @@ def _interval_prob(m: Measure, a: float, b: float) -> float:
 
 def tv_score(P: Measure, Q: Measure) -> ScoreFunction:
     """TV family score; strict comparisons, so p = q regions only shift the constant."""
-    consts = constants_for(LossSpec.tv())
-
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
         pts, (vp, vq) = atom_mass_matrix(P, Q)
         p_gt = vp > vq
         q_gt = vq > vp
         const = 0.5 * (vp[p_gt].sum() - vq[q_gt].sum())
         values = 0.5 * (q_gt.astype(float) - p_gt.astype(float)) + const
-        return AtomScore(pts, values, consts, const)
+        return AtomScore(pts, values, const)
 
     if isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
         edges = P.partition.edges
@@ -293,26 +281,25 @@ def tv_score(P: Measure, Q: Measure) -> ScoreFunction:
             last = comps[-1]
             if last[1] == edges[-1]:
                 comps[-1] = (last[0], _UP(edges[-1], math.inf), last[2], last[3])
-        return PiecewiseScore(const, comps, consts, const)
+        return PiecewiseScore(const, comps)
 
-    comps = []
-    prob_p_gt = 0.0
-    prob_q_gt = 0.0
-    for a, c, s, ea, ec in _tv_sign_regions(P, Q):
-        if s > 0:  # p > q
-            comps.append((ea, ec, -0.5, 0.0))
-            prob_p_gt += _interval_prob(P, a, c)
-        elif s < 0:
-            comps.append((ea, ec, 0.5, 0.0))
-            prob_q_gt += _interval_prob(Q, a, c)
+    regions = _tv_sign_regions(P, Q)
+    # -1/2 where p > q, +1/2 where q > p.
+    comps = [(ea, ec, -0.5 * s, 0.0) for _, _, s, ea, ec in regions if s != 0.0]
     if _symmetric_translation_pair(P, Q):
         # P(p > q) = Q(q > p) exactly for equal-shape translation pairs, so
-        # the data-free term vanishes; computing the difference would leave
-        # half-ulp dust that the epsilon = 1/2 median guarantee cannot absorb.
-        const = 0.0
-    else:
-        const = 0.5 * (prob_p_gt - prob_q_gt)
-    return PiecewiseScore(const, comps, consts, const)
+        # the data-free term vanishes and no probability is computed;
+        # computing the difference would leave half-ulp dust that the
+        # epsilon = 1/2 median guarantee cannot absorb.
+        return PiecewiseScore(0.0, comps)
+    prob_p_gt = 0.0
+    prob_q_gt = 0.0
+    for a, c, s, _, _ in regions:
+        if s > 0:  # p > q
+            prob_p_gt += _interval_prob(P, a, c)
+        elif s < 0:
+            prob_q_gt += _interval_prob(Q, a, c)
+    return PiecewiseScore(0.5 * (prob_p_gt - prob_q_gt), comps)
 
 
 def _symmetric_translation_pair(P: Measure, Q: Measure) -> bool:
@@ -406,10 +393,9 @@ def wasserstein_score(P: Measure, Q: Measure) -> PiecewiseScore:
     which has slope -s(x) and t's data-free part C computed by exact cdf
     integrals.
     """
-    consts = constants_for(LossSpec.wasserstein1())
     intervals = cdf_sign_intervals(P, Q)
     if all(s == 0.0 for (_, _, s) in intervals):
-        return _zero_score(consts)
+        return _zero_score()
     C = 0.0
     for lo, hi, s in intervals:
         if s != 0.0:
@@ -422,7 +408,7 @@ def wasserstein_score(P: Measure, Q: Measure) -> PiecewiseScore:
         comps.append((lo, hi_bound, tail + s * hi, -s))
         tail += s * (hi - lo)
     comps.reverse()
-    return PiecewiseScore(C, comps, consts, C)
+    return PiecewiseScore(C, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +430,12 @@ def lj_score(P: Measure, Q: Measure, j: float, R: float) -> ScoreFunction:
     """
     if not (1.0 < j < math.inf):
         raise ConfigError(f"lj score needs j in (1, inf), got {j}")
-    if R <= 0:
-        raise ConfigError(f"lj score needs positive R, got {R}")
-    spec = LossSpec.lj(j=j, R=R)
-    consts = constants_for(spec)
+    if not 0 < R < math.inf:
+        raise ConfigError(f"lj score needs a positive finite R, got {R}")
     scale = 2.0 * R ** (j - 1.0)
     dist = lj_distance(P, Q, j)
     if dist == 0.0:
-        return _zero_score(consts)
+        return _zero_score()
     norm_factor = dist ** (j - 1.0)
 
     ref = P.reference
@@ -463,7 +447,7 @@ def lj_score(P: Measure, Q: Measure, j: float, R: float) -> ScoreFunction:
         for k in range(ref.cells):
             hi = _UP(edges[k + 1], math.inf) if k == ref.cells - 1 else edges[k + 1]
             comps.append((edges[k], hi, -f_vals[k] / scale, 0.0))
-        return PiecewiseScore(mean_f / scale, comps, consts, mean_f / scale)
+        return PiecewiseScore(mean_f / scale, comps)
     if isinstance(ref, DiscreteRef) and Q.reference == ref:
         pts = ref.points_array
         dp = P.density(pts)
@@ -472,14 +456,12 @@ def lj_score(P: Measure, Q: Measure, j: float, R: float) -> ScoreFunction:
         w = ref.weights_array
         mean_f = float(np.sum(f_vals * 0.5 * (dp + dq) * w))
         values = (mean_f - f_vals) / scale
-        return AtomScore(pts, values, consts, mean_f / scale)
+        return AtomScore(pts, values, mean_f / scale)
     # Lebesgue-reference continuous pair.
     fn_f = lambda x: _lj_witness_values(P.pdf(x), Q.pdf(x), j) / norm_factor
     brk = _union_breakpoints(P, Q)
     mean_f = 0.5 * (expectation(P, fn_f, brk) + expectation(Q, fn_f, brk))
-    return CallableScore(
-        lambda x: (mean_f - fn_f(x)) / scale, consts, mean_f / scale
-    )
+    return CallableScore(lambda x: (mean_f - fn_f(x)) / scale, mean_f / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -501,20 +483,17 @@ def linf_score(P: Measure, Q: Measure, partition: PartitionRef) -> PiecewiseScor
     Only the cell I* with the largest |P(I) - Q(I)| matters (lowest index on
     ties): t = sign(P(I*) - Q(I*)) [(P(I*) + Q(I*))/2 - 1_{I*}].
     """
-    spec = LossSpec.linf(D=partition.cells)
-    consts = constants_for(spec)
     mp = _cell_masses_on(P, partition)
     mq = _cell_masses_on(Q, partition)
     gaps = np.abs(mp - mq)
     star = int(np.argmax(gaps))  # argmax returns the lowest index on ties
     if gaps[star] == 0.0:
-        return _zero_score(consts)
+        return _zero_score()
     s = math.copysign(1.0, mp[star] - mq[star])
     const = s * 0.5 * (mp[star] + mq[star])
     edges = partition.edges
     hi = _UP(edges[star + 1], math.inf) if star == partition.cells - 1 else edges[star + 1]
-    comps = [(edges[star], hi, -s, 0.0)]
-    return PiecewiseScore(const, comps, consts, const)
+    return PiecewiseScore(const, [(edges[star], hi, -s, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +509,6 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     understood w.r.t. any common dominating measure; the ratio term is set to
     0 where p = q = 0.
     """
-    consts = constants_for(LossSpec.hellinger2())
-
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
         pts, masses = atom_mass_matrix(P, Q)
         vp, vq = np.clip(masses, 0.0, None)
@@ -543,7 +520,7 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
         scale = 1.0 / (2.0 * math.sqrt(2.0))
         const = scale * (rho_q - rho_p)
         values = const + scale * ratio
-        return AtomScore(pts, values, consts, const)
+        return AtomScore(pts, values, const)
 
     if P.atoms() or Q.atoms():
         raise ConfigError("hellinger scores support finite spaces or continuous pairs, not mixtures")
@@ -573,7 +550,7 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
         ratio = np.where(r > 0.0, (np.sqrt(q) - np.sqrt(p)) / np.sqrt(np.where(r > 0, r, 1.0)), 0.0)
         return const + scale * ratio
 
-    return CallableScore(fn, consts, const)
+    return CallableScore(fn, const)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +562,8 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
     """KL family score t = (1/(2a)) log(q/p), under the family-wide bound
     ``exp(-a) <= p/q <= exp(a)`` (checked on the atoms of a discrete pair,
     otherwise through ``measures._log_ratio_bound``)."""
-    if a <= 0:
-        raise ConfigError(f"kl score needs a positive log-ratio bound, got {a}")
-    consts = constants_for(LossSpec.kl(a=a))
+    if not 0 < a < math.inf:
+        raise ConfigError(f"kl score needs a positive finite log-ratio bound, got {a}")
     scale = 1.0 / (2.0 * a)
     tol = 1e-9
 
@@ -600,7 +576,7 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
             raise ConfigError(
                 f"log-ratio bound violated: |log(q/p)| reaches {np.max(np.abs(logs)):.6g} > a = {a:.6g}"
             )
-        return AtomScore(pts, scale * logs, consts, 0.0)
+        return AtomScore(pts, scale * logs, 0.0)
 
     bound = _log_ratio_bound([P, Q])
     if bound is None:
@@ -617,7 +593,7 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
         out = np.where(good, np.log(np.where(good, q, 1.0)) - np.log(np.where(good, p, 1.0)), 0.0)
         return scale * out
 
-    return CallableScore(fn, consts, 0.0)
+    return CallableScore(fn, 0.0)
 
 
 # ---------------------------------------------------------------------------

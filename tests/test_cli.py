@@ -51,6 +51,13 @@ def simulate_doc():
     }
 
 
+def simulate_with(**scenario):
+    """``simulate_doc`` with the given scenario keys set."""
+    doc = simulate_doc()
+    doc["scenario"].update(scenario)
+    return doc
+
+
 class TestParsing:
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2
@@ -609,6 +616,80 @@ class TestConfigErrorsExitTwo:
                 {"pairs": [{"p": measure("cauchy", loc=math.inf), "q": measure("cauchy", loc=0.0)}], "losses": [{"kind": "tv"}]},
                 "cauchy loc must be finite",
             ),
+            (
+                "distances",
+                {"pairs": [{"p": histogram([1.5, 0.5]), "q": histogram([0.5, 1.5])}], "losses": [{"kind": "linf", "D": math.nan}]},
+                "positive cell count D",
+            ),
+            (
+                "distances",
+                {"pairs": [{"p": histogram([1.5, 0.5]), "q": histogram([0.5, 1.5])}], "losses": [{"kind": "linf", "D": 2.5}]},
+                "positive cell count D",
+            ),
+            ("estimate", dict(estimate_doc(), sample={"x": 1.0}), "sample must be a list of numbers"),
+            ("estimate", dict(estimate_doc(), sample=[0.0, "x"]), "sample must be a list of numbers"),
+            (
+                "estimate",
+                {"model": grid(), "loss": {"kind": "tv"}, "truth": measure("gaussian", mean=0.0), "n": 5, "seed": "x"},
+                "seed must be an integer",
+            ),
+            (
+                "test",
+                {
+                    "truth": measure("gaussian", mean=0.0),
+                    "p": measure("gaussian", mean=0.0),
+                    "q": measure("gaussian", mean=1.0),
+                    "loss": {"kind": "tv"},
+                    "n": 5,
+                    "reps": 2,
+                    "seed": 1.5,
+                },
+                "seed must be an integer",
+            ),
+            ("check-assumptions", {"loss": "tv", "seed": "x"}, "seed must be an integer"),
+            ("simulate", dict(simulate_doc(), xis=0.5), "xis must be a list of numbers"),
+            ("simulate", dict(simulate_doc(), xis=[0.5, "x"]), "xis must be a list of numbers"),
+            ("simulate", dict(simulate_doc(), ns=100), "ns must be a non-empty list"),
+            ("simulate", dict(simulate_doc(), formats=5), "formats must be a non-empty subset"),
+            ("simulate", dict(simulate_doc(), scenario=[1, 2]), "'scenario' must be a mapping"),
+            ("simulate", simulate_with(truth={"kind": "iid"}), "missing keys ['measure']"),
+            ("simulate", simulate_with(truth={"kind": "tuples"}), "missing keys ['components']"),
+            (
+                "simulate",
+                simulate_with(truth={"kind": "contaminated", "alphas": [0.1] * 40, "contaminant": measure("gaussian", mean=5.0)}),
+                "missing keys ['base']",
+            ),
+            (
+                "simulate",
+                simulate_with(truth={"kind": "contaminated", "base": measure("gaussian", mean=0.0), "alphas": [0.1] * 40}),
+                "missing keys ['contaminant']",
+            ),
+            (
+                "simulate",
+                simulate_with(truth={"kind": "contaminated", "base": measure("gaussian", mean=0.0), "contaminant": measure("gaussian", mean=5.0)}),
+                "missing keys ['alphas']",
+            ),
+            (
+                "simulate",
+                simulate_with(
+                    truth={"kind": "contaminated", "base": measure("gaussian", mean=0.0), "alphas": 0.1, "contaminant": measure("gaussian", mean=5.0)}
+                ),
+                "'alphas' must be a list of numbers",
+            ),
+            (
+                "simulate",
+                simulate_with(
+                    truth={"kind": "contaminated", "base": measure("gaussian", mean=0.0), "alphas": ["x"] * 40, "contaminant": measure("gaussian", mean=5.0)}
+                ),
+                "'alphas' must be a list of numbers",
+            ),
+            ("simulate", simulate_with(epsilon="0.5"), "epsilon must be positive"),
+            ("simulate", simulate_with(replicates=5), "unknown scenario config keys ['replicates']"),
+            (
+                "simulate",
+                simulate_with(truth={"kind": "iid", "measure": measure("gaussian", mean=0.0), "alphas": [0.1]}),
+                "unknown iid truth config keys ['alphas']",
+            ),
         ],
         ids=[
             "kl-score-bound",
@@ -633,6 +714,28 @@ class TestConfigErrorsExitTwo:
             "gaussian-mean-nan",
             "power-alpha-nan",
             "cauchy-loc-inf",
+            "linf-d-nan",
+            "linf-d-fractional",
+            "sample-not-a-list",
+            "sample-not-numeric",
+            "estimate-seed-string",
+            "test-seed-fractional",
+            "check-seed-string",
+            "xis-not-a-list",
+            "xis-not-numeric",
+            "ns-not-a-list",
+            "formats-not-a-list",
+            "scenario-not-a-mapping",
+            "iid-truth-without-measure",
+            "tuples-truth-without-components",
+            "contaminated-truth-without-base",
+            "contaminated-truth-without-contaminant",
+            "contaminated-truth-without-alphas",
+            "alphas-not-a-list",
+            "alphas-not-numeric",
+            "epsilon-string",
+            "unknown-scenario-key",
+            "unknown-truth-key",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):

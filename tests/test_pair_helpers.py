@@ -279,7 +279,7 @@ def abs_cdf_diff_oracle(P, Q):
         u1, u2 = a + w / 3.0, a + 2.0 * w / 3.0
         g1 = float(P.cdf(np.array([u1]))[0] - Q.cdf(np.array([u1]))[0])
         g2 = float(P.cdf(np.array([u2]))[0] - Q.cdf(np.array([u2]))[0])
-        slope = (g2 - g1) / (u2 - u1)
+        slope = (g2 - g1) / (u2 - u1) if u2 > u1 else 0.0  # flat on an ulp-wide piece
         ga, gb = g1 + slope * (a - u1), g1 + slope * (b - u1)
         if ga * gb >= 0.0:
             total += 0.5 * abs(ga + gb) * w
@@ -336,6 +336,14 @@ class TestCdfGapPieces:
     @settings(max_examples=150, deadline=None)
     def test_wasserstein_matches_its_oracle(self, P, Q):
         assert wasserstein1(P, Q) == abs_cdf_diff_oracle(P, Q)
+
+    def test_knots_an_ulp_apart_give_a_finite_distance(self):
+        # P ends at 1 - 2^-52, so the last piece is two ulps wide and both of
+        # its fit points round to one float.  The supports are disjoint, so
+        # W_1 is the gap of the means.
+        P, Q = UniformMeasure(0.6247194452772179, 0.37528055472278193), UniformMeasure(0.0, 0.05)
+        expected = (P.low + 0.5 * P.width) - (Q.low + 0.5 * Q.width)
+        assert abs(wasserstein1(P, Q) - expected) < 1e-12
 
     @given(knotted_measures(), knotted_measures())
     @settings(max_examples=150, deadline=None)

@@ -652,6 +652,8 @@ class TestArtifacts:
         text = sim.records_csv_text(record)
         lines = text.splitlines()
         assert lines[0] == "rep,chosen,loss,sup_stat"
+        # A row holds exactly the columns the records carry.
+        assert [f.name for f in dataclasses.fields(sim.ReplicationRow)] == lines[0].split(",")
         assert len(lines) == 9
         for row, line in zip(record.rows, lines[1:]):
             rep, chosen, loss_txt, sup_txt = line.split(",")

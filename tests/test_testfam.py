@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairfit import testfam
 from pairfit.errors import ConfigError
+from pairfit.estimator import PairwiseEngine
 from pairfit.losses import LossSpec, loss
 from pairfit.measures import (
     DiscreteMeasure,
@@ -26,8 +28,11 @@ from pairfit.measures import (
     tv_distance,
     wasserstein1,
 )
+from pairfit.models import build
 from pairfit.testfam import (
     AtomScore,
+    _interval_prob,
+    _tv_sign_regions,
     c1_constant,
     check_assumption1_exact,
     check_assumption2_exact,
@@ -132,6 +137,37 @@ class TestTvScore:
             for v, w in [(-0.75, 0.5), (0.25, 0.5)]  # P((0, .25]) = 0.5 under sqrt cdf
         )
         assert abs(mean + 0.25) < 1e-12
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"family": "gaussian-location-grid", "d": 1, "lo": -1.0, "hi": 1.0, "step": 0.02},
+            {"family": "translation-grid", "base": "uniform", "lo": 0.0, "hi": 1.0, "step": 0.05},
+            {"family": "translation-grid", "base": "cauchy", "lo": -1.0, "hi": 1.0, "step": 0.1},
+        ],
+        ids=["gaussian", "uniform", "cauchy"],
+    )
+    def test_translation_grid_build_computes_no_region_probability(self, monkeypatch, config):
+        # Equal-shape translation pairs have a zero data-free part by
+        # symmetry, so compiling them asks no cdf for a region's mass.
+        def no_probability(*args):
+            raise AssertionError("a TV region probability was computed")
+
+        monkeypatch.setattr(testfam, "_interval_prob", no_probability)
+        engine = PairwiseEngine(LossSpec.tv(), build(config))
+        assert not engine.constant_parts.any()
+
+    def test_unequal_sd_gaussian_constant_sums_regions_left_to_right(self):
+        # Not a translation pair: 1/2 [P(p>q) - Q(q>p)], each sum started at
+        # 0.0 and taken over the sign regions in order, bit for bit.
+        P, Q = GaussianMeasure(0.0, 1.0), GaussianMeasure(0.5, 2.0)
+        p_gt = q_gt = 0.0
+        for a, c, s, _, _ in _tv_sign_regions(P, Q):
+            if s > 0:
+                p_gt += _interval_prob(P, a, c)
+            elif s < 0:
+                q_gt += _interval_prob(Q, a, c)
+        assert tv_score(P, Q).constant_part == 0.5 * (p_gt - q_gt) != 0.0
 
     def test_identical_pair_is_zero(self):
         P = GaussianMeasure(0.3)
@@ -408,6 +444,6 @@ class TestC1Constant:
 
 class TestAtomScoreSafety:
     def test_foreign_point_raises(self):
-        t = AtomScore(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), constants_for(LossSpec.tv()), 0.0)
+        t = AtomScore(np.array([0.0, 1.0]), np.array([-0.5, 0.5]), 0.0)
         with pytest.raises(ConfigError, match="outside the score's finite space"):
             t(np.array([0.5]))
