@@ -26,13 +26,15 @@ class NumericalError(PairfitError, RuntimeError):
 
 
 def _check_keys(cfg: dict, allowed: set[str], where: str, required: set[str] = frozenset()) -> None:
-    """Refuse a config mapping that lacks a ``required`` key or has one outside ``allowed``."""
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"{where} config is missing keys {sorted(missing)}")
-    extra = set(cfg) - allowed
-    if extra:
-        raise ConfigError(f"unknown {where} config keys {sorted(extra)}")
+    """Refuse a config mapping that lacks a ``required`` key or has one outside ``allowed``.
+
+    The key-view comparisons build no set, so a valid config pays little.
+    """
+    keys = cfg.keys()
+    if not keys >= required:
+        raise ConfigError(f"{where} config is missing keys {sorted(required - keys)}")
+    if not keys <= allowed:
+        raise ConfigError(f"unknown {where} config keys {sorted(keys - allowed)}")
 
 
 def _number_list(value, name: str) -> list:

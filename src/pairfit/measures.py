@@ -8,7 +8,8 @@ This module is the numerical foundation of the package.  It provides:
       discrete / point mass / empirical, two-component contamination mixtures),
       each exposing densities, cdfs, sampling, and quadrature hints;
     * a globally adaptive composite Simpson integrator whose panels start at
-      caller-supplied breakpoints;
+      caller-supplied breakpoints; its integrand must be elementwise, since
+      one call evaluates the points of up to ``_LOOKAHEAD`` queued panels;
     * distances: total variation, squared Hellinger, Kullback-Leibler,
       Wasserstein-1 on [0, 1], and L_j norms of density differences, each with
       closed forms where available and quadrature otherwise.
@@ -33,13 +34,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as _special
 
-from .errors import ConfigError, NumericalError, _number_list
+from .errors import ConfigError, NumericalError, _check_keys, _number_list
 
 __all__ = [
     "LebesgueRef",
@@ -73,6 +75,8 @@ _PROB_TOL = 1e-9
 _QUAD_TOL = 1e-8
 _QUAD_MAX_PANELS = 1 << 20
 _QUAD_ERR_BUDGET = 1e-6  # largest error estimate ``integrate`` returns
+_QUAD_WIDTH_FLOOR = 64.0 * sys.float_info.epsilon  # narrowest panel, relative to max(1, |x|)
+_LOOKAHEAD = 64  # panels whose quarter points one integrand call computes
 _PROBE_COUNT = 4096
 _BISECT_ITERS = 90
 
@@ -180,12 +184,21 @@ def integrate(
     below ``_QUAD_TOL``, the panel budget is exhausted, or panels hit the
     floating-point width floor.
 
+    ``fn`` must be elementwise: its value at a point may not depend on the
+    other points of the array it is given.  A bisection needs the integrand
+    at the popped panel's four quarter points; one call of ``fn`` computes
+    them for that panel and for up to ``_LOOKAHEAD - 1`` more panels queued
+    at the front of the heap, which are the next ones likely to be split.
+    The value and the estimate are therefore bitwise those of evaluating each
+    panel's points on their own, as they are bisected.
+
     Returns:
         ``(value, error_estimate)``, the estimate at most ``_QUAD_ERR_BUDGET``.
 
     Raises:
-        NumericalError: if the integrand returns a non-finite value, or the
-            error estimate ends above ``_QUAD_ERR_BUDGET``.
+        NumericalError: if the integrand returns a non-finite value at a
+            point the rule uses (a queued panel that is never split does not
+            count), or the error estimate ends above ``_QUAD_ERR_BUDGET``.
     """
     a = float(a)
     b = float(b)
@@ -208,32 +221,40 @@ def integrate(
             raise NumericalError(f"non-finite integrand value near x={bad.flat[0]!r}")
         return y
 
-    # Panel record: (-err, lo, width, S_coarse, S_fine, f at the 5 quartic nodes).
-    # Each initial segment starts as 8 uniform panels so smooth integrands
-    # usually finish without entering the refinement loop.
+    def quarter_points(lo: float, width: float) -> tuple[float, float, float, float]:
+        h = width / 2.0
+        return (lo + 0.25 * h, lo + 0.75 * h, lo + h + 0.25 * h, lo + h + 0.75 * h)
+
+    # Panel record, all Python floats: (-err, counter, lo, width, S_coarse,
+    # S_fine, f at the 5 quartic nodes).  The unique counter keeps heap
+    # comparisons on scalars and keys the quarter-point values computed
+    # ahead of a panel's bisection.  Each initial segment starts as 8
+    # uniform panels so smooth integrands usually finish without entering
+    # the refinement loop.
     heap: list[tuple] = []
+    ahead: dict[int, list[float]] = {}
     accepted_value = 0.0
     accepted_err = 0.0
     pending_err = 0.0
     n_panels = 0
-    counter = 0  # tie-breaker to keep heap comparisons on scalars
+    counter = 0
 
-    def push_panel(lo: float, width: float, f5: np.ndarray) -> None:
+    def push_panel(lo: float, width: float, f0: float, f1: float, f2: float, f3: float, f4: float) -> None:
         nonlocal pending_err, n_panels, counter, accepted_value, accepted_err
         h = width / 2.0
-        s_coarse = (width / 6.0) * (f5[0] + 4.0 * f5[2] + f5[4])
-        s_left = (h / 6.0) * (f5[0] + 4.0 * f5[1] + f5[2])
-        s_right = (h / 6.0) * (f5[2] + 4.0 * f5[3] + f5[4])
+        s_coarse = (width / 6.0) * (f0 + 4.0 * f2 + f4)
+        s_left = (h / 6.0) * (f0 + 4.0 * f1 + f2)
+        s_right = (h / 6.0) * (f2 + 4.0 * f3 + f4)
         s_fine = s_left + s_right
         err = abs(s_fine - s_coarse) / 15.0
         scale = max(1.0, abs(lo), abs(lo + width))
-        if width < 64.0 * np.finfo(float).eps * scale:
+        if width < _QUAD_WIDTH_FLOOR * scale:
             # Width floor: accept as-is, the panel cannot be refined further.
             accepted_value += s_fine + (s_fine - s_coarse) / 15.0
             accepted_err += err
             return
         counter += 1
-        heapq.heappush(heap, (-err, counter, lo, width, s_coarse, s_fine, tuple(f5)))
+        heapq.heappush(heap, (-err, counter, lo, width, s_coarse, s_fine, f0, f1, f2, f3, f4))
         pending_err += err
         n_panels += 1
 
@@ -241,23 +262,34 @@ def integrate(
         seg_w = seg_hi - seg_lo
         n_sub = 8
         grid = np.linspace(seg_lo, seg_hi, 4 * n_sub + 1)
-        vals = evaluate(grid)
+        vals = evaluate(grid).tolist()
+        grid = grid.tolist()
         for k in range(n_sub):
-            push_panel(grid[4 * k], seg_w / n_sub, vals[4 * k : 4 * k + 5])
+            push_panel(grid[4 * k], seg_w / n_sub, *vals[4 * k : 4 * k + 5])
 
     while heap and pending_err + accepted_err > _QUAD_TOL and n_panels < _QUAD_MAX_PANELS:
-        neg_err, _, lo, width, s_coarse, s_fine, f5 = heapq.heappop(heap)
+        neg_err, key, lo, width, _, _, f0, f1, f2, f3, f4 = heapq.heappop(heap)
         pending_err -= -neg_err
         n_panels -= 1
+        quarter = ahead.pop(key, None)
+        if quarter is None:
+            queued = [entry for entry in heap[: _LOOKAHEAD - 1] if entry[1] not in ahead]
+            x = list(quarter_points(lo, width))
+            for entry in queued:
+                x.extend(quarter_points(entry[2], entry[3]))
+            y = np.asarray(fn(np.array(x)), dtype=float).tolist()
+            quarter = y[:4]
+            for i, entry in enumerate(queued, 1):
+                ahead[entry[1]] = y[4 * i : 4 * i + 4]
+        q0, q1, q2, q3 = quarter
+        if not math.isfinite(q0 + q1 + q2 + q3):
+            # Checked only now, for a panel that is split.  ``evaluate``
+            # raises on a non-finite value; values whose sum merely
+            # overflowed come back unchanged.
+            q0, q1, q2, q3 = evaluate(np.array(quarter_points(lo, width))).tolist()
         h = width / 2.0
-        new_x = np.array(
-            [lo + 0.25 * h, lo + 0.75 * h, lo + h + 0.25 * h, lo + h + 0.75 * h]
-        )
-        new_f = evaluate(new_x)
-        left5 = np.array([f5[0], new_f[0], f5[1], new_f[1], f5[2]])
-        right5 = np.array([f5[2], new_f[2], f5[3], new_f[3], f5[4]])
-        push_panel(lo, h, left5)
-        push_panel(lo + h, h, right5)
+        push_panel(lo, h, f0, q0, f1, q1, f2)
+        push_panel(lo + h, h, f2, q2, f3, q3, f4)
 
     value = accepted_value
     err_total = accepted_err + pending_err
@@ -328,14 +360,19 @@ class Measure:
     """Base class for measures on the real line.
 
     Subclasses set ``tag`` (a family identifier used for closed-form
-    dispatch), ``reference``, ``is_probability``, and ``params`` (the
-    family parameters, round-trippable through ``to_config``).
+    dispatch), ``reference`` and ``is_probability``, and define ``params``
+    (the family parameters, round-trippable through ``to_config``).
+    ``params`` is built when read, by ``to_config`` and ``repr``; building
+    a measure does not pay for it.
     """
 
     tag: str = "measure"
     reference: object = LebesgueRef()
     is_probability: bool = True
-    params: dict
+
+    @property
+    def params(self) -> dict:
+        raise NotImplementedError
 
     # -- continuous/atomic decomposition (w.r.t. Lebesgue) ------------------
 
@@ -397,7 +434,7 @@ class Measure:
     # -- config --------------------------------------------------------------
 
     def to_config(self) -> dict:
-        return {"family": self.tag, "params": dict(self.params)}
+        return {"family": self.tag, "params": self.params}
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -416,7 +453,10 @@ class GaussianMeasure(Measure):
         self.sd = float(sd)
         if not math.isfinite(self.mean):
             raise ConfigError(f"gaussian mean must be finite, got {mean}")
-        self.params = {"mean": self.mean, "sd": self.sd}
+
+    @property
+    def params(self):
+        return {"mean": self.mean, "sd": self.sd}
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
@@ -458,7 +498,10 @@ class CauchyMeasure(Measure):
         self.scale = float(scale)
         if not math.isfinite(self.loc):
             raise ConfigError(f"cauchy loc must be finite, got {loc}")
-        self.params = {"loc": self.loc, "scale": self.scale}
+
+    @property
+    def params(self):
+        return {"loc": self.loc, "scale": self.scale}
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -508,7 +551,10 @@ class UniformMeasure(Measure):
         self.width = float(width)
         if not math.isfinite(self.low):
             raise ConfigError(f"uniform low must be finite, got {low}")
-        self.params = {"low": self.low, "width": self.width}
+
+    @property
+    def params(self):
+        return {"low": self.low, "width": self.width}
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -552,7 +598,10 @@ class PowerMeasure(Measure):
         self.shift = float(shift)
         if not math.isfinite(self.shift):
             raise ConfigError(f"power shift must be finite, got {shift}")
-        self.params = {"alpha": self.alpha, "shift": self.shift}
+
+    @property
+    def params(self):
+        return {"alpha": self.alpha, "shift": self.shift}
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -612,9 +661,12 @@ class HistogramMeasure(Measure):
         self.reference = partition
         total = float(heights.mean())  # == sum of cell masses
         self.is_probability = bool(np.all(heights >= -1e-12) and abs(total - 1.0) <= _PROB_TOL)
-        self.params = {
-            "support": list(partition.support),
-            "heights": [float(h) for h in heights],
+
+    @property
+    def params(self):
+        return {
+            "support": list(self.partition.support),
+            "heights": [float(h) for h in self.heights],
         }
 
     @property
@@ -699,7 +751,16 @@ class DiscreteMeasure(Measure):
         if tuple(pts) != self.reference.points:
             raise ConfigError("discrete measure points must match the reference points")
         self.is_probability = bool(np.all(ms >= -1e-12) and abs(ms.sum() - 1.0) <= _PROB_TOL)
-        self.params = {"points": [float(p) for p in pts], "masses": [float(m) for m in ms]}
+
+    @property
+    def params(self):
+        params = {
+            "points": [float(p) for p in self.points],
+            "masses": [float(m) for m in self.masses],
+        }
+        if self.reference.weights != (1.0,) * len(self.points):
+            params["weights"] = list(self.reference.weights)
+        return params
 
     def pdf(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -759,10 +820,13 @@ class MixtureMeasure(Measure):
         self.base = base
         self.alpha = float(alpha)
         self.contaminant = contaminant
-        self.params = {
-            "base": base.to_config(),
+
+    @property
+    def params(self):
+        return {
+            "base": self.base.to_config(),
             "alpha": self.alpha,
-            "contaminant": contaminant.to_config(),
+            "contaminant": self.contaminant.to_config(),
         }
 
     def pdf(self, x):
@@ -1368,6 +1432,23 @@ def cdf_sign_intervals(P: Measure, Q: Measure) -> list[tuple[float, float, float
 # ---------------------------------------------------------------------------
 
 
+# The keys a measure config may have, and every parameter a family's config
+# may name (``to_config`` emits a subset).  ``measure_from_config`` tests
+# them inline and calls ``_check_keys`` only for the message: a command
+# reads dozens of measure configs, so a valid one should pay little.
+_MEASURE_KEYS = frozenset({"family", "params"})
+_MEASURE_PARAMS = {
+    "gaussian": {"mean", "sd"},
+    "cauchy": {"loc", "scale"},
+    "uniform": {"low", "width"},
+    "power": {"alpha", "shift"},
+    "histogram": {"support", "heights", "cells"},
+    "discrete": {"points", "masses", "weights"},
+    "point-mass": {"at"},
+    "mixture": {"base", "alpha", "contaminant"},
+}
+
+
 def _numbers(family: str, params: dict, key: str, default: tuple | None = None) -> list:
     """The list parameter ``key``, checked to hold numbers only; a missing
     required key raises KeyError."""
@@ -1380,14 +1461,23 @@ def measure_from_config(cfg: dict) -> Measure:
 
     The record must have a ``family`` key plus a ``params`` mapping; see each
     measure class for its parameters.  Raises ``ConfigError`` for unknown
-    families or bad parameters, naming the parameter.
+    families, unknown keys or bad parameters, naming the key.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"measure config must be a mapping, got {type(cfg).__name__}")
+    # Counting the known keys present finds any other key without building
+    # a set.
+    if len(cfg) != ("family" in cfg) + ("params" in cfg):
+        _check_keys(cfg, _MEASURE_KEYS, "measure")
     family = cfg.get("family")
+    allowed = _MEASURE_PARAMS.get(family) if isinstance(family, str) else None
+    if allowed is None:
+        raise ConfigError(f"unknown measure family {family!r}")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("measure config 'params' must be a mapping")
+    if not allowed.issuperset(params):
+        _check_keys(params, allowed, f"{family} measure")
     try:
         if family == "gaussian":
             return GaussianMeasure(params["mean"], params.get("sd", 1.0))
@@ -1418,12 +1508,12 @@ def measure_from_config(cfg: dict) -> Measure:
             return DiscreteMeasure(points, _numbers(family, params, "masses"), ref=ref)
         if family == "point-mass":
             return point_mass(params["at"])
-        if family == "mixture":
-            return MixtureMeasure(
-                measure_from_config(params["base"]),
-                params["alpha"],
-                measure_from_config(params["contaminant"]),
-            )
+        # The one family left in _MEASURE_PARAMS: "mixture".
+        return MixtureMeasure(
+            measure_from_config(params["base"]),
+            params["alpha"],
+            measure_from_config(params["contaminant"]),
+        )
     except KeyError as exc:
         raise ConfigError(f"measure family {family!r} is missing parameter {exc}") from exc
     except ConfigError:
@@ -1437,4 +1527,3 @@ def measure_from_config(cfg: dict) -> Measure:
             f"measure family {family!r} parameter {bad[0] if bad else '?'!r} must be a "
             f"number, got {params.get(bad[0]) if bad else params!r}"
         ) from exc
-    raise ConfigError(f"unknown measure family {family!r}")

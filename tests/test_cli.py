@@ -690,6 +690,42 @@ class TestConfigErrorsExitTwo:
                 simulate_with(truth={"kind": "iid", "measure": measure("gaussian", mean=0.0), "alphas": [0.1]}),
                 "unknown iid truth config keys ['alphas']",
             ),
+            (
+                "distances",
+                {"pairs": [{"p": measure("gaussian", mean=0.0, sdd=2.0), "q": measure("gaussian", mean=1.0)}], "losses": [{"kind": "tv"}]},
+                "unknown gaussian measure config keys ['sdd']",
+            ),
+            (
+                "distances",
+                {"pairs": [{"p": dict(measure("gaussian", mean=0.0), extra=1), "q": measure("gaussian", mean=1.0)}], "losses": [{"kind": "tv"}]},
+                "unknown measure config keys ['extra']",
+            ),
+            (
+                "test",
+                {
+                    "truth": measure(
+                        "mixture", base=measure("gaussian", mean=0.0), alpha=0.1, contaminant=measure("cauchy", loc=5.0), extra=1
+                    ),
+                    "p": measure("gaussian", mean=0.0),
+                    "q": measure("gaussian", mean=1.0),
+                    "loss": {"kind": "tv"},
+                    "n": 5,
+                    "reps": 2,
+                },
+                "unknown mixture measure config keys ['extra']",
+            ),
+            (
+                "simulate",
+                simulate_with(
+                    truth={
+                        "kind": "contaminated",
+                        "base": measure("gaussian", mean=0.0, scale=1.0),
+                        "alphas": [0.1] * 40,
+                        "contaminant": measure("gaussian", mean=5.0),
+                    }
+                ),
+                "unknown gaussian measure config keys ['scale']",
+            ),
         ],
         ids=[
             "kl-score-bound",
@@ -736,6 +772,10 @@ class TestConfigErrorsExitTwo:
             "epsilon-string",
             "unknown-scenario-key",
             "unknown-truth-key",
+            "measure-param-misspelled",
+            "measure-top-level-extra",
+            "mixture-param-extra",
+            "contaminated-base-param-extra",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):

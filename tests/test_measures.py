@@ -5,6 +5,7 @@ Expected values below were frozen from hand evaluation of the closed forms
 independent oracle rather than a snapshot of its own output.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -15,6 +16,11 @@ from scipy import optimize, stats
 
 from pairfit.errors import ConfigError, NumericalError
 from pairfit.measures import (
+    _QUAD_ERR_BUDGET,
+    _QUAD_MAX_PANELS,
+    _QUAD_TOL,
+    _LOOKAHEAD,
+    _MEASURE_PARAMS,
     CauchyMeasure,
     DiscreteMeasure,
     DiscreteRef,
@@ -38,6 +44,8 @@ from pairfit.measures import (
     sign_change_points,
     tv_distance,
     wasserstein1,
+    _union_breakpoints,
+    _union_window,
 )
 
 
@@ -80,6 +88,188 @@ class TestQuadrature:
         assert len(roots) == 3
         for r, e in zip(roots, expected):
             assert abs(r - e) < 1e-10
+
+
+def _reference_integrate(fn, a, b, breakpoints=()):
+    """The adaptive Simpson loop as it was before panels were evaluated ahead:
+    one ``fn`` call per bisection and ``np.float64`` panel arithmetic.
+
+    ``integrate`` must return bitwise this value and estimate, and raise
+    exactly its messages.
+    """
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NumericalError(f"integration interval must be finite, got [{a}, {b}]")
+    if b <= a:
+        return 0.0, 0.0
+
+    edges = [a, b]
+    for p in breakpoints:
+        p = float(p)
+        if a < p < b:
+            edges.append(p)
+    edges = sorted(set(edges))
+
+    def evaluate(x):
+        y = np.asarray(fn(x), dtype=float)
+        if not np.all(np.isfinite(y)):
+            bad = np.asarray(x)[~np.isfinite(y)]
+            raise NumericalError(f"non-finite integrand value near x={bad.flat[0]!r}")
+        return y
+
+    heap = []
+    accepted_value = 0.0
+    accepted_err = 0.0
+    pending_err = 0.0
+    n_panels = 0
+    counter = 0
+
+    def push_panel(lo, width, f5):
+        nonlocal pending_err, n_panels, counter, accepted_value, accepted_err
+        h = width / 2.0
+        s_coarse = (width / 6.0) * (f5[0] + 4.0 * f5[2] + f5[4])
+        s_left = (h / 6.0) * (f5[0] + 4.0 * f5[1] + f5[2])
+        s_right = (h / 6.0) * (f5[2] + 4.0 * f5[3] + f5[4])
+        s_fine = s_left + s_right
+        err = abs(s_fine - s_coarse) / 15.0
+        scale = max(1.0, abs(lo), abs(lo + width))
+        if width < 64.0 * np.finfo(float).eps * scale:
+            accepted_value += s_fine + (s_fine - s_coarse) / 15.0
+            accepted_err += err
+            return
+        counter += 1
+        heapq.heappush(heap, (-err, counter, lo, width, s_coarse, s_fine, tuple(f5)))
+        pending_err += err
+        n_panels += 1
+
+    for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
+        seg_w = seg_hi - seg_lo
+        n_sub = 8
+        grid = np.linspace(seg_lo, seg_hi, 4 * n_sub + 1)
+        vals = evaluate(grid)
+        for k in range(n_sub):
+            push_panel(grid[4 * k], seg_w / n_sub, vals[4 * k : 4 * k + 5])
+
+    while heap and pending_err + accepted_err > _QUAD_TOL and n_panels < _QUAD_MAX_PANELS:
+        neg_err, _, lo, width, s_coarse, s_fine, f5 = heapq.heappop(heap)
+        pending_err -= -neg_err
+        n_panels -= 1
+        h = width / 2.0
+        new_x = np.array(
+            [lo + 0.25 * h, lo + 0.75 * h, lo + h + 0.25 * h, lo + h + 0.75 * h]
+        )
+        new_f = evaluate(new_x)
+        left5 = np.array([f5[0], new_f[0], f5[1], new_f[1], f5[2]])
+        right5 = np.array([f5[2], new_f[2], f5[3], new_f[3], f5[4]])
+        push_panel(lo, h, left5)
+        push_panel(lo + h, h, right5)
+
+    value = accepted_value
+    err_total = accepted_err + pending_err
+    for entry in heap:
+        s_coarse, s_fine = entry[4], entry[5]
+        value += s_fine + (s_fine - s_coarse) / 15.0
+    if err_total > _QUAD_ERR_BUDGET:
+        raise NumericalError(
+            f"quadrature error estimate {err_total:.3e} exceeds "
+            f"{_QUAD_ERR_BUDGET:.0e} with {n_panels} panels on [{a}, {b}]"
+        )
+    return float(value), float(err_total)
+
+
+def _tv_integrand(shift, alpha=0.5):
+    """|p - q| for U(0, 1) against Power(alpha, shift), with its window and
+    breakpoints (the crossing of the densities is left to the refinement)."""
+    U, P = UniformMeasure(0.0, 1.0), PowerMeasure(alpha, shift)
+    return (lambda x: np.abs(U.pdf(x) - P.pdf(x)), *_union_window(U, P), _union_breakpoints(U, P))
+
+
+def _hellinger_integrand():
+    G, C = GaussianMeasure(0.3, 0.05), CauchyMeasure(-1.0, 2.0)
+    lo, hi = _union_window(G, C)
+    span = hi - lo
+    fn = lambda x: np.sqrt(G.pdf(x) * C.pdf(x))
+    return fn, lo - 200.0 * span, hi + 200.0 * span, _union_breakpoints(G, C)
+
+
+def _sin_integrand():
+    # About 11,000 bisections: every kink of |sin(20x)| is left to the refinement.
+    return lambda x: np.abs(np.sin(20.0 * x)), 0.0, 30.0, ()
+
+
+def _recording(fn, calls):
+    """``fn``, appending a copy of every array it is given to ``calls``."""
+
+    def wrapped(x):
+        calls.append(np.array(x, dtype=float))
+        return fn(x)
+
+    return wrapped
+
+
+def _hex(pair):
+    return tuple(v.hex() for v in pair)
+
+
+class TestIntegrateMatchesReference:
+    """Panels evaluated ahead in one call leave every float of the result alone."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (lambda x: np.where(x > 0, 0.5 / np.sqrt(np.where(x > 0, x, 1.0)), 0.0), 0.0, 1.0, ()),
+            lambda: _tv_integrand(0.1),
+            lambda: _tv_integrand(0.3),
+            lambda: _tv_integrand(0.75),
+            _hellinger_integrand,
+            _sin_integrand,
+        ],
+        ids=["rsqrt", "tv-shift-0.1", "tv-shift-0.3", "tv-shift-0.75", "hellinger-gauss-cauchy", "abs-sin"],
+    )
+    def test_bitwise_equal(self, case):
+        fn, a, b, brk = case()
+        assert _hex(integrate(fn, a, b, brk)) == _hex(_reference_integrate(fn, a, b, brk))
+
+    @settings(max_examples=8, deadline=None)
+    @given(alpha=st.floats(0.5, 0.95), shift=st.floats(0.1, 1.0))
+    def test_bitwise_equal_on_power_pairs(self, alpha, shift):
+        fn, a, b, brk = _tv_integrand(shift, alpha)
+        assert _hex(integrate(fn, a, b, brk)) == _hex(_reference_integrate(fn, a, b, brk))
+
+    def test_fewer_calls_than_bisections(self):
+        fn, a, b, brk = _sin_integrand()
+        ref_calls, calls = [], []
+        _reference_integrate(_recording(fn, ref_calls), a, b, brk)
+        integrate(_recording(fn, calls), a, b, brk)
+        assert len(calls) < len(ref_calls) / 3
+        assert max(len(x) for x in calls) <= 4 * _LOOKAHEAD
+
+    def test_unsplit_panels_may_be_non_finite(self):
+        # The integrand is NaN everywhere the reference never looks, which
+        # includes the quarter points of every panel it leaves unsplit.
+        fn, a, b, brk = _sin_integrand()
+        ref_calls, calls = [], []
+        expected = _reference_integrate(_recording(fn, ref_calls), a, b, brk)
+        seen = np.unique(np.concatenate(ref_calls))
+        masked = lambda x: np.where(np.isin(x, seen), fn(x), np.nan)
+        assert _hex(integrate(_recording(masked, calls), a, b, brk)) == _hex(expected)
+        assert not np.isin(np.concatenate(calls), seen).all()
+
+    @pytest.mark.parametrize("bisection", [0, 1, 500, -1])
+    def test_split_panel_non_finite_raises_reference_message(self, bisection):
+        fn, a, b, brk = _sin_integrand()
+        ref_calls = []
+        _reference_integrate(_recording(fn, ref_calls), a, b, brk)
+        # One initial call per segment, then one call of 4 points per bisection.
+        bad = ref_calls[1:][bisection][2]
+        poisoned = lambda x: np.where(x == bad, np.inf, fn(x))
+        with pytest.raises(NumericalError) as expected:
+            _reference_integrate(poisoned, a, b, brk)
+        with pytest.raises(NumericalError) as got:
+            integrate(poisoned, a, b, brk)
+        assert str(got.value) == str(expected.value)
+        assert repr(bad) in str(got.value)
 
 
 class TestTotalVariation:
@@ -413,6 +603,44 @@ class TestConfigRoundTrip:
         x = np.linspace(-2.0, 3.0, 50)
         assert np.allclose(m.pdf(x), rebuilt.pdf(x))
         assert m.atoms() == rebuilt.atoms()
+
+    def test_every_family_round_trips_exactly(self):
+        configs = {
+            "gaussian": {"family": "gaussian", "params": {"mean": 1.0, "sd": 2.0}},
+            "cauchy": {"family": "cauchy", "params": {"loc": 0.0, "scale": 0.5}},
+            "uniform": {"family": "uniform", "params": {"low": -1.0, "width": 2.0}},
+            "power": {"family": "power", "params": {"alpha": 0.5, "shift": 0.25}},
+            "histogram": {"family": "histogram", "params": {"cells": 2, "support": [0.0, 2.0], "heights": [1.5, 0.5]}},
+            "discrete": {"family": "discrete", "params": {"points": [0.0, 3.0], "masses": [0.4, 0.6], "weights": [0.5, 2.0]}},
+            "point-mass": {"family": "point-mass", "params": {"at": 8.0}},
+            "mixture": {
+                "family": "mixture",
+                "params": {
+                    "base": {"family": "gaussian", "params": {"mean": 0.0}},
+                    "alpha": 0.1,
+                    "contaminant": {"family": "point-mass", "params": {"at": 8.0}},
+                },
+            },
+        }
+        assert set(configs) == set(_MEASURE_PARAMS)
+        for cfg in configs.values():
+            emitted = measure_from_config(cfg).to_config()
+            assert measure_from_config(emitted).to_config() == emitted
+
+    def test_discrete_weights_survive_the_round_trip(self):
+        ref = DiscreteRef((0.0, 1.0), (0.5, 2.0))
+        P = DiscreteMeasure([0.0, 1.0], [0.7, 0.3], ref=ref)
+        Q = DiscreteMeasure([0.0, 1.0], [0.2, 0.8], ref=ref)
+        rebuilt = [measure_from_config(m.to_config()) for m in (P, Q)]
+        assert rebuilt[0].reference == ref
+        assert lj_distance(*rebuilt, 2.0) == lj_distance(P, Q, 2.0)
+        assert "weights" not in DiscreteMeasure([0.0, 1.0], [0.5, 0.5]).to_config()["params"]
+
+    def test_unknown_keys_raise(self):
+        with pytest.raises(ConfigError, match=r"unknown gaussian measure config keys \['sdd'\]"):
+            measure_from_config({"family": "gaussian", "params": {"mean": 0.0, "sdd": 2.0}})
+        with pytest.raises(ConfigError, match=r"unknown measure config keys \['extra'\]"):
+            measure_from_config({"family": "gaussian", "params": {"mean": 0.0}, "extra": 1})
 
     def test_unknown_family_raises(self):
         with pytest.raises(ConfigError, match="unknown measure family"):
