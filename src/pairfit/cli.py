@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sim
-from .errors import ConfigError, NumericalError, _check_keys, _number_list
+from .errors import ConfigError, NumericalError, _check_keys, _number_list, _positive_int
 from .estimator import ell_estimate
 from .losses import LossSpec, loss
 from .measures import (
@@ -165,12 +165,6 @@ def _require(doc: dict, key: str, command: str):
 def _canonical(resolved: dict) -> dict:
     """Normalize to plain JSON types so resolution is idempotent."""
     return json.loads(json.dumps(resolved))
-
-
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    return value
 
 
 def _seed(doc: dict, args: argparse.Namespace) -> int:

@@ -7,9 +7,9 @@ Conventions:
       documented accuracy (quadrature budget exhausted, non-finite integrand).
       The CLI maps it to exit code 3.
 
-The two config-shape checks below are shared by the config readers
-(``from_config`` methods and the CLI resolvers), so each refusal names its
-key the same way.
+The config-shape checks below are shared by the config readers
+(``from_config`` methods, the CLI resolvers and the Monte Carlo entry
+points), so each refusal names its key the same way.
 """
 
 
@@ -48,3 +48,10 @@ def _number_list(value, name: str) -> list:
     ):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
     return list(value)
+
+
+def _positive_int(value, name: str) -> int:
+    """``value`` if it is a positive ``int``; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return value

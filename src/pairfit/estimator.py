@@ -223,6 +223,10 @@ class PairwiseEngine:
 
     def statistic_matrix(self, sample: np.ndarray) -> np.ndarray:
         """Antisymmetric matrix with entry (i, k) = sum of pair (i, k) scores."""
+        return self._fill_matrix(self.pair_statistics(sample))
+
+    def pair_statistics(self, sample: np.ndarray) -> np.ndarray:
+        """Sum of pair (i, k) scores for each pair i < k, in the pair order of ``combinations``."""
         x = np.asarray(sample, dtype=float)
         if x.ndim != 1:
             raise ConfigError(f"sample must be one-dimensional, got shape {x.shape}")
@@ -259,7 +263,7 @@ class PairwiseEngine:
             )
         else:
             halves = self._generic_halves(x)
-        return self._fill_matrix(np.asarray(halves, dtype=float))
+        return np.asarray(halves, dtype=float)
 
     def _generic_halves(self, x: np.ndarray) -> np.ndarray:
         if not self._n_pairs:

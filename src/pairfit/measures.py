@@ -27,7 +27,8 @@ Conventions used throughout:
       canonical version of the density.
     * Randomness flows only through explicit ``numpy.random.Generator``
       instances; ``philox_rng`` builds counter-based generators keyed by
-      ``(seed, stream)`` so replications are reproducible and order-free.
+      ``(seed, stream)`` so replications are reproducible and order-free,
+      and ``_restart_stream`` moves one such generator to another key.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -702,12 +704,14 @@ class HistogramMeasure(Measure):
     def window(self):
         return self.partition.support
 
+    @cached_property
+    def _sampling_cdf(self):
+        return _choice_cdf(self.cell_masses)
+
     def sample(self, n, rng):
         if not self.is_probability:
             raise ConfigError("cannot sample from a signed histogram")
-        probs = np.clip(self.cell_masses, 0.0, None)
-        probs = probs / probs.sum()
-        cells = rng.choice(self.partition.cells, size=n, p=probs)
+        cells = _choice(self._sampling_cdf, n, rng)
         u = rng.random(n)
         lo, _ = self.partition.support
         return lo + (cells + u) * self.partition.cell_width
@@ -787,13 +791,14 @@ class DiscreteMeasure(Measure):
     def window(self):
         return (float(self.points[0]), float(self.points[-1]))
 
+    @cached_property
+    def _sampling_cdf(self):
+        return _choice_cdf(self.masses)
+
     def sample(self, n, rng):
         if not self.is_probability:
             raise ConfigError("cannot sample from a signed discrete measure")
-        probs = np.clip(self.masses, 0.0, None)
-        probs = probs / probs.sum()
-        idx = rng.choice(len(self.points), size=n, p=probs)
-        return self.points[idx]
+        return self.points[_choice(self._sampling_cdf, n, rng)]
 
 
 def point_mass(at: float) -> DiscreteMeasure:
@@ -887,17 +892,75 @@ def expectation(
     return total
 
 
+def _stream_key(seed: int, stream: int) -> tuple[int, int]:
+    """The Philox key of stream ``(seed, stream)``: both numbers mod 2^64.
+
+    A negative seed ``s`` keys the same stream as ``s + 2**64`` (``-1`` is
+    ``2**64 - 1``), and seeds of 2^64 or more wrap the same way.  Python and
+    numpy integers are taken; a bool or a float is refused, since the uint64
+    cast would truncate ``1.5`` to seed 1's stream.
+    """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"RNG {name} must be an integer, got {value!r}")
+    return int(seed) % 2**64, int(stream) % 2**64
+
+
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by ``(seed, stream)``.
+    """A new counter-based generator keyed by ``(seed, stream)``.
 
     Distinct ``(seed, stream)`` pairs give independent reproducible streams,
     so per-replication generators can be created in any order (or in
-    parallel) without affecting the draws.  Both numbers are taken mod 2^64:
-    a negative seed ``s`` keys the same stream as ``s + 2**64`` (``-1`` is
-    ``2**64 - 1``), and seeds of 2^64 or more wrap the same way.
+    parallel) without affecting the draws.  A loop over many streams builds
+    one generator and moves it with ``_restart_stream`` instead.
     """
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    key = np.array(_stream_key(seed, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_PHILOX_ZEROS = (0, 0, 0, 0)
+
+
+def _restart_stream(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generator:
+    """Set ``rng``, a ``philox_rng`` generator, to the start of stream ``(seed, stream)``.
+
+    A Philox stream is fixed by its key and counter, so once the whole state
+    is set as ``Philox(key=...)`` sets it up (counter 0, an empty buffer, no
+    held 32-bit half) ``rng`` draws bitwise what a new ``philox_rng(seed,
+    stream)`` draws, wherever it stood before.  That costs a fraction of
+    building a new generator, which also draws OS entropy it never uses.
+    Returns ``rng``.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS, "key": _stream_key(seed, stream)},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,  # past the end of the 4-word buffer: empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _choice_cdf(masses: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice`` builds for ``p`` = ``masses`` clipped at 0 and normalised.
+
+    Built once per measure; ``_choice`` then draws from it.
+    """
+    probs = np.clip(masses, 0.0, None)
+    probs = probs / probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choice(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(cdf), size=n, p=probs)`` for ``cdf = _choice_cdf(probs)``.
+
+    The same indices from the same ``n`` uniforms, so ``rng`` ends where
+    ``choice`` leaves it; ``choice`` would re-check and re-sum ``p`` per call.
+    """
+    return cdf.searchsorted(rng.random(n), side="right")
 
 
 def empirical_measure(sample: Sequence[float]) -> DiscreteMeasure:
@@ -949,7 +1012,9 @@ def locate_points(points: np.ndarray, x: np.ndarray, space: str) -> np.ndarray:
         ConfigError: naming ``space`` if some value is not one of the points.
     """
     x = np.asarray(x, dtype=float)
-    idx = np.clip(np.searchsorted(points, x), 0, len(points) - 1)
+    # searchsorted returns no negative index, so only the top needs clipping;
+    # np.clip on integers would look up np.iinfo twice per call.
+    idx = np.minimum(np.searchsorted(points, x), len(points) - 1)
     foreign = points[idx] != x
     if foreign.any():
         raise ConfigError(f"observation {float(x[foreign].flat[0])!r} is outside {space}")

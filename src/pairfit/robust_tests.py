@@ -84,8 +84,11 @@ def _pair_model(
 
 
 def _decide(engine: PairwiseEngine, sample: np.ndarray) -> TestOutcome:
-    """The test's decision on one sample, from an engine built on ``_pair_model``."""
-    statistic = float(engine.statistic_matrix(sample)[0, 1])
+    """The test's decision on one sample, from an engine built on ``_pair_model``.
+
+    The statistic is the engine's only pair, entry (0, 1) of its matrix.
+    """
+    statistic = float(engine.pair_statistics(sample)[0])
     return TestOutcome(decision=_sign_decision(statistic), statistic=statistic)
 
 

@@ -3,7 +3,8 @@
 A :class:`Scenario` bundles a data-generating truth (one shared measure, a
 per-coordinate contamination of one, or an explicit vector of measures), a
 candidate-family config, a loss, and the run geometry.  Every replication
-draws its own counter-based RNG stream from (seed, replication index), so
+draws its own counter-based RNG stream keyed by (seed, replication index):
+a loop restarts one generator per thread at each replication's key, so
 results are bit-identical no matter how replications are scheduled across
 threads.  Attained losses are always measured against the true marginals,
 never against the sample.  The artifact builders emit byte-stable CSV, JSON
@@ -22,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import vc_bound_tv, wasserstein_dev_bound
-from .errors import ConfigError, _check_keys, _number_list
+from .errors import ConfigError, _check_keys, _number_list, _positive_int
 from .estimator import PairwiseEngine, ell_estimate
 from .losses import LossSpec, aggregate_loss, loss
 from .measures import (
     Measure,
     MixtureMeasure,
+    _restart_stream,
     measure_from_config,
     philox_rng as replication_rng,
 )
@@ -108,16 +110,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if isinstance(self.truth, list):
             object.__setattr__(self, "truth", tuple(self.truth))
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        if (
-            not isinstance(self.replications, int)
-            or isinstance(self.replications, bool)
-            or self.replications < 1
-        ):
-            raise ConfigError(
-                f"replications must be a positive integer, got {self.replications!r}"
-            )
+        _positive_int(self.n, "n")
+        _positive_int(self.replications, "replications")
         if isinstance(self.epsilon, bool) or not (
             isinstance(self.epsilon, (int, float)) and self.epsilon > 0
         ):
@@ -392,25 +386,37 @@ def _replicate(
     once.
     """
 
-    def one(rep: int) -> ReplicationRow:
-        rng = replication_rng(scenario.seed, rep)
-        x = sample_truth(scenario, rng)
-        report = ell_estimate(
-            x, engine.model, scenario.loss, epsilon=scenario.epsilon, engine=engine
-        )
-        return ReplicationRow(
-            rep=rep,
-            chosen=report.chosen,
-            loss=table(report.chosen),
-            sup_stat=float(report.sup_stat[report.chosen]),
-        )
+    seed = scenario.seed
 
-    reps = range(scenario.replications)
+    def run(reps: range) -> list[ReplicationRow]:
+        # One generator per call, so no two threads share one; each
+        # replication restarts it at its own (seed, rep) stream.
+        rng = replication_rng(seed)
+        rows = []
+        for rep in reps:
+            x = sample_truth(scenario, _restart_stream(rng, seed, rep))
+            report = ell_estimate(
+                x, engine.model, scenario.loss, epsilon=scenario.epsilon, engine=engine
+            )
+            rows.append(
+                ReplicationRow(
+                    rep=rep,
+                    chosen=report.chosen,
+                    loss=table(report.chosen),
+                    sup_stat=float(report.sup_stat[report.chosen]),
+                )
+            )
+        return rows
+
+    total = scenario.replications
     if threads > 1:
+        # Contiguous chunks, one per thread, concatenated in rep order.
+        cuts = [total * i // threads for i in range(threads + 1)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(one, reps))
+            chunks = pool.map(run, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+            rows = tuple(row for chunk in chunks for row in chunk)
     else:
-        rows = tuple(one(r) for r in reps)
+        rows = tuple(run(range(total)))
     return ExperimentRecord(
         digest=scenario.digest(),
         scenario=scenario.to_config(),
@@ -526,15 +532,13 @@ def test_error_mc(
     frequency is reported as None rather than zero.  The pair's engine is
     built once and decides every replication as ``run_test`` would.
     """
-    if not isinstance(reps, int) or reps < 1:
-        raise ConfigError(f"reps must be a positive integer, got {reps!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
+    _positive_int(reps, "reps")
+    _positive_int(n, "n")
     engine = PairwiseEngine(loss_spec, _pair_model(P, Q))
     tallies = {Decision.CHOOSE_P: 0, Decision.CHOOSE_Q: 0, Decision.TIE: 0}
+    rng = replication_rng(seed)
     for rep in range(reps):
-        rng = replication_rng(seed, rep)
-        x = P_star.sample(n, rng)
+        x = P_star.sample(n, _restart_stream(rng, seed, rep))
         tallies[_decide(engine, x).decision] += 1
     consts = constants_for(loss_spec)
     loss_P = loss(loss_spec, P_star, P)

@@ -511,7 +511,7 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     """
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
         pts, masses = atom_mass_matrix(P, Q)
-        vp, vq = np.clip(masses, 0.0, None)
+        vp, vq = np.maximum(masses, 0.0)
         vr = 0.5 * (vp + vq)
         rho_q = float(np.sum(np.sqrt(vr * vq)))
         rho_p = float(np.sum(np.sqrt(vr * vp)))
@@ -529,13 +529,13 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     lo, hi = _union_window(P, Q)
 
     def sqrt_rq(x):
-        p = np.clip(P.pdf(x), 0.0, None)
-        q = np.clip(Q.pdf(x), 0.0, None)
+        p = np.maximum(P.pdf(x), 0.0)
+        q = np.maximum(Q.pdf(x), 0.0)
         return np.sqrt(0.5 * (p + q) * q)
 
     def sqrt_rp(x):
-        p = np.clip(P.pdf(x), 0.0, None)
-        q = np.clip(Q.pdf(x), 0.0, None)
+        p = np.maximum(P.pdf(x), 0.0)
+        q = np.maximum(Q.pdf(x), 0.0)
         return np.sqrt(0.5 * (p + q) * p)
 
     rho_q = integrate(sqrt_rq, lo, hi, brk)[0]
@@ -544,8 +544,8 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     const = scale * (rho_q - rho_p)
 
     def fn(x):
-        p = np.clip(P.pdf(x), 0.0, None)
-        q = np.clip(Q.pdf(x), 0.0, None)
+        p = np.maximum(P.pdf(x), 0.0)
+        q = np.maximum(Q.pdf(x), 0.0)
         r = 0.5 * (p + q)
         ratio = np.where(r > 0.0, (np.sqrt(q) - np.sqrt(p)) / np.sqrt(np.where(r > 0, r, 1.0)), 0.0)
         return const + scale * ratio

@@ -16,6 +16,8 @@ from scipy import optimize, stats
 
 from pairfit.errors import ConfigError, NumericalError
 from pairfit.measures import (
+    _choice_cdf,
+    _restart_stream,
     _QUAD_ERR_BUDGET,
     _QUAD_MAX_PANELS,
     _QUAD_TOL,
@@ -499,6 +501,22 @@ class TestSamplingAndEmpirical:
         b = philox_rng(5, 1).random(8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [(1.5, 0), (0, 2.7), (True, 0), (0, False), ("3", 0), (None, 0), (np.float64(2.0), 0)],
+    )
+    def test_philox_refuses_non_integer_keys(self, seed, stream):
+        # numpy's uint64 cast would take 1.5 as seed 1 and 2.7 as stream 2.
+        with pytest.raises(ConfigError, match="RNG (seed|stream) must be an integer"):
+            philox_rng(seed, stream)
+        with pytest.raises(ConfigError, match="RNG (seed|stream) must be an integer"):
+            _restart_stream(philox_rng(0), seed, stream)
+
+    def test_philox_takes_numpy_integers(self):
+        for seed, stream in ((np.int64(-1), np.uint8(3)), (np.uint64(2**64 - 1), np.int32(3))):
+            got = philox_rng(seed, stream).random(4)
+            assert got.tobytes() == philox_rng(2**64 - 1, 3).random(4).tobytes()
+
     def test_philox_wraps_negative_seed(self):
         # Seeds are taken mod 2^64, so -1 keys the stream of 2^64 - 1.
         assert np.array_equal(philox_rng(-1).random(4), philox_rng(2**64 - 1).random(4))
@@ -510,8 +528,11 @@ class TestSamplingAndEmpirical:
             DiscreteMeasure([0.0, 1.0], [-0.5, 1.5]),
         ]
         for m in signed:
+            rng = philox_rng(0)
             with pytest.raises(ConfigError, match="cannot sample from a signed"):
-                m.sample(4, philox_rng(0))
+                m.sample(4, rng)
+            # Refused before any draw: the generator has not moved.
+            assert rng.random(3).tobytes() == philox_rng(0).random(3).tobytes()
 
     def test_mixture_alpha_zero_matches_base(self):
         base = GaussianMeasure(0.0)
@@ -539,11 +560,120 @@ class TestSamplingAndEmpirical:
         res = stats.kstest(x, lambda t: np.asarray(m.cdf(t), dtype=float))
         assert res.pvalue > 1e-3
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        masses=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+            min_size=1,
+            max_size=9,
+        ).filter(lambda v: sum(v) > 0),
+        n=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @example(masses=[0.6, 0.0, 0.3, 0.1], n=50, seed=0)
+    def test_categorical_draws_equal_generator_choice(self, masses, n, seed):
+        # The cached cdf must give ``rng.choice(k, size=n, p=probs)`` bitwise,
+        # with probs the clipped, normalised masses, and leave the generator
+        # at the same position.
+        k = len(masses)
+        total = sum(masses)
+        probs = np.clip(np.array([v / total for v in masses]), 0.0, None)
+        probs = probs / probs.sum()
+        points = np.arange(k, dtype=float) * 1.5 - 2.0
+        discrete = DiscreteMeasure(points, [v / total for v in masses])
+        hist = HistogramMeasure(PartitionRef(k, (-1.0, 2.0)), [k * v / total for v in masses])
+        assert discrete.is_probability and hist.is_probability
+        # choice's own cdf ends at exactly 1, so no uniform maps past the last atom.
+        assert discrete._sampling_cdf[-1] == 1.0 and hist._sampling_cdf[-1] == 1.0
+
+        rng, ref = philox_rng(seed), philox_rng(seed)
+        got = discrete.sample(n, rng)
+        want = points[ref.choice(k, size=n, p=probs)]
+        assert got.tobytes() == want.tobytes()
+        assert rng.random(2).tobytes() == ref.random(2).tobytes()
+
+        rng, ref = philox_rng(seed, 1), philox_rng(seed, 1)
+        got = hist.sample(n, rng)
+        cell_probs = np.clip(hist.cell_masses, 0.0, None)
+        cells = ref.choice(k, size=n, p=cell_probs / cell_probs.sum())
+        want = -1.0 + (cells + ref.random(n)) * hist.partition.cell_width
+        assert got.tobytes() == want.tobytes()
+        assert rng.random(2).tobytes() == ref.random(2).tobytes()
+
+    def test_uniform_on_a_cdf_entry_draws_the_next_atom(self):
+        # choice searches its cdf with side="right": a uniform equal to an
+        # entry goes to the next atom, so a zero-mass atom is never drawn.
+        class Uniforms:
+            def __init__(self, values):
+                self.values = np.array(values)
+
+            def random(self, n):
+                assert n == len(self.values)
+                return self.values
+
+        m = DiscreteMeasure([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.0, 0.5])
+        u = [0.0, 0.5, np.nextafter(0.5, 0.0), 1.0 - 2.0**-53]
+        assert m.sample(4, Uniforms(u)).tolist() == [1.0, 3.0, 1.0, 3.0]
+
+    def test_choice_cdf_is_built_like_generator_choice(self):
+        # Normalising the cumulative sum by its last entry is what makes that
+        # entry exactly 1 even when the masses' running sum misses it.
+        masses = np.array([0.6, 0.3, 0.1])
+        probs = masses / masses.sum()
+        assert probs.cumsum()[-1] != 1.0
+        cdf = _choice_cdf(masses)
+        assert cdf[-1] == 1.0
+        assert cdf.tobytes() == (probs.cumsum() / probs.cumsum()[-1]).tobytes()
+
     def test_discrete_sampler_frequencies(self):
         m = DiscreteMeasure([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
         x = m.sample(20000, philox_rng(7))
         freq = np.array([(x == v).mean() for v in [0.0, 1.0, 2.0]])
         assert np.abs(freq - [0.2, 0.3, 0.5]).max() < 0.02
+
+
+class TestRestartStream:
+    """``_restart_stream`` gives bitwise the stream of a new ``philox_rng``."""
+
+    # How the previous stream was left: (action, buffer_pos, has_uint32).
+    LEFT = {
+        "new": (lambda rng: None, 4, 0),
+        "mid-buffer": (lambda rng: rng.random(3), 3, 0),
+        "held-uint32": (lambda rng: rng.integers(0, 2**32, size=1, dtype=np.uint32), 1, 1),
+        "both": (
+            lambda rng: (rng.random(2), rng.integers(0, 2**32, size=1, dtype=np.uint32)),
+            3,
+            1,
+        ),
+    }
+
+    @staticmethod
+    def _draws(rng):
+        # An odd uint32 count leaves a held 32-bit half behind for the next draw.
+        return (
+            rng.random(5).tobytes(),
+            rng.standard_normal(7).tobytes(),
+            rng.integers(0, 2**32, size=5, dtype=np.uint32).tobytes(),
+            rng.random(3).tobytes(),
+        )
+
+    @pytest.mark.parametrize("left", list(LEFT))
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 - 1, 2**64, 2**80 + 17])
+    def test_restart_equals_new_generator(self, seed, left):
+        action, buffer_pos, has_uint32 = self.LEFT[left]
+        for stream in (0, 1, 2**64 + 5, -2):
+            rng = philox_rng(123, 4)
+            action(rng)
+            state = rng.bit_generator.state
+            assert (state["buffer_pos"], state["has_uint32"]) == (buffer_pos, has_uint32)
+            assert _restart_stream(rng, seed, stream) is rng
+            fresh = philox_rng(seed, stream)
+            state, want = rng.bit_generator.state, fresh.bit_generator.state
+            assert state["state"]["key"].tolist() == want["state"]["key"].tolist()
+            assert self._draws(rng) == self._draws(fresh)
+            # Wherever those draws left it, a second restart starts over.
+            _restart_stream(rng, seed, stream)
+            assert self._draws(rng) == self._draws(philox_rng(seed, stream))
 
 
 class TestCdfMachinery:

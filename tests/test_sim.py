@@ -12,6 +12,7 @@ assertions cannot flake.
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -276,6 +277,32 @@ class TestRunEstimation:
             assert sim.records_jsonl_text(first) == sim.records_jsonl_text(other)
             assert sim.summary_json_text(first) == sim.summary_json_text(other)
 
+    def test_rows_follow_a_new_generator_per_replication(self):
+        # A replication's draws depend only on (seed, rep): the loop's
+        # restarted generator must give what a new philox_rng gives.
+        s = gaussian_grid_scenario(n=30, replications=12, seed=-5)
+        record = sim.run_estimation(s)
+        model = build(s.model)
+        for row in record.rows:
+            x = sim.sample_truth(s, sim.replication_rng(s.seed, row.rep))
+            report = ell_estimate(x, model, s.loss, epsilon=s.epsilon)
+            assert row.chosen == report.chosen
+            assert row.sup_stat == float(report.sup_stat[report.chosen])
+
+    def test_no_generator_shared_across_threads(self):
+        # More threads than cores, and a short switch interval so threads
+        # interleave inside replications: a shared generator restarted by
+        # one thread while another draws would change some row.
+        s = gaussian_grid_scenario(n=30, replications=24)
+        first = sim.records_csv_text(sim.run_estimation(s, threads=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (4, 30):
+                assert sim.records_csv_text(sim.run_estimation(s, threads=threads)) == first
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_summary_recomputable_from_rows(self):
         s = gaussian_grid_scenario(n=30, replications=50)
         record = sim.run_estimation(s)
@@ -489,6 +516,32 @@ class TestTestErrorMc:
         with pytest.raises(ConfigError, match="n must"):
             sim.test_error_mc(P, P, P, LossSpec.tv(), n=0, reps=5, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"reps": True}, "reps must be a positive integer, got True"),
+            ({"reps": 5.0}, "reps must be a positive integer"),
+            ({"n": True}, "n must be a positive integer, got True"),
+            ({"n": 10.0}, "n must be a positive integer"),
+            ({"seed": 1.5}, "RNG seed must be an integer, got 1.5"),
+            ({"seed": True}, "RNG seed must be an integer"),
+        ],
+    )
+    def test_refuses_bools_and_floats(self, kwargs, match):
+        # Scenario's positive-integer rule for n and reps; the stream key's
+        # integer rule for seed, which the uint64 cast would truncate.
+        P = DiscreteMeasure([0.0, 1.0], [0.7, 0.3])
+        args = {"n": 10, "reps": 5, "seed": 0, **kwargs}
+        with pytest.raises(ConfigError, match=match):
+            sim.test_error_mc(P, P, P, LossSpec.tv(), **args)
+
+    def test_numpy_integer_seed_draws_the_int_stream(self):
+        P = DiscreteMeasure([0.0, 1.0], [0.7, 0.3])
+        Q = DiscreteMeasure([0.0, 1.0], [0.2, 0.8])
+        got = sim.test_error_mc(P, P, Q, LossSpec.tv(), n=5, reps=200, seed=np.int64(-3))
+        want = sim.test_error_mc(P, P, Q, LossSpec.tv(), n=5, reps=200, seed=2**64 - 3)
+        assert got == want
+
 
 @pytest.fixture
 def engine_builds(monkeypatch):
@@ -625,6 +678,28 @@ class TestEngineReuse:
         assert (out / "curve.csv").read_text() == sim.curve_csv_text(extra["rate"])
         assert (out / "summary.json").read_text() == sim.summary_json_text(record, extra)
         assert (out / "records.csv").read_text() == sim.records_csv_text(record)
+
+    def test_simulate_artifacts_identical_at_one_and_three_threads(self, tmp_path):
+        # ACCEPTANCE 9 through the command: every artifact byte-identical.
+        doc = {
+            "command": "simulate",
+            "scenario": gaussian_grid_scenario(n=40, replications=25).to_config(),
+            "xis": [0.5, 1.0],
+            "ns": [20, 40, 80],
+            "formats": ["csv", "summary"],
+            "verbosity": 0,
+        }
+        config = tmp_path / "simulate.json"
+        config.write_text(json.dumps(doc))
+        outputs = {}
+        for threads in ("1", "3"):
+            out = tmp_path / f"out-{threads}"
+            assert cli.main(["simulate", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+            outputs[threads] = {
+                name: (out / name).read_bytes()
+                for name in ("curve.csv", "summary.json", "records.csv")
+            }
+        assert outputs["1"] == outputs["3"]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rate_curve_rows_equal_separate_runs(self, threads):
