@@ -23,7 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from . import sim
-from .errors import ConfigError, NumericalError, _check_keys, _number_list, _positive_int
+from .errors import (
+    ConfigError, NumericalError, _check_keys, _number_list, _positive_finite, _positive_int
+)
 from .estimator import ell_estimate
 from .losses import LossSpec, loss
 from .measures import (
@@ -194,8 +196,7 @@ def _resolve_estimate(doc: dict, args: argparse.Namespace) -> dict:
     ).to_config()
     loss_cfg = LossSpec.from_config(_require(doc, "loss", "estimate")).to_config()
     epsilon = args.epsilon if args.epsilon is not None else doc.get("epsilon", 1.0)
-    if not (isinstance(epsilon, (int, float)) and epsilon > 0):
-        raise ConfigError(f"epsilon must be positive, got {epsilon!r}")
+    _positive_finite(epsilon, "epsilon")
     resolved = {
         "command": "estimate",
         "model": model_cfg,

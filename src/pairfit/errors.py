@@ -12,6 +12,8 @@ The config-shape checks below are shared by the config readers
 points), so each refusal names its key the same way.
 """
 
+import sys
+
 
 class PairfitError(Exception):
     """Base class for package-specific failures."""
@@ -55,3 +57,14 @@ def _positive_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def _positive_finite(value, name: str) -> None:
+    """Refuse ``value`` unless it is a positive finite ``int`` or ``float`` (not a bool).
+
+    An ``int`` above the largest float is refused too, since ``float`` cannot take it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0 < value <= sys.float_info.max
+    ):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _positive_finite
 from .losses import LossSpec
 from .measures import HistogramMeasure, Measure, PartitionRef, locate_points
 from .testfam import (
@@ -294,8 +294,7 @@ def ell_estimate(
     chosen candidate is the lowest index attaining the exact minimum.  Pass a
     prebuilt ``engine`` to amortize score construction across many samples.
     """
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    _positive_finite(epsilon, "epsilon")
     if engine is None:
         engine = PairwiseEngine(loss, model)
     M = engine.statistic_matrix(sample)

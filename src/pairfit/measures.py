@@ -353,6 +353,17 @@ def sign_change_points(
     return sorted(out)
 
 
+def _sign_cuts(fn: Callable, a: float, b: float, breakpoints: Sequence[float]) -> list[float]:
+    """``a``, ``b``, the breakpoints strictly between them and the sign
+    changes of ``fn``, sorted and without repeats.
+
+    The one owner of the cuts at which a density or cdf difference is split
+    by sign, for quadrature of its absolute value and for sign regions.
+    """
+    inner = {p for p in breakpoints if a < p < b}
+    return sorted({a, b} | inner | set(sign_change_points(fn, a, b, breakpoints)))
+
+
 # ---------------------------------------------------------------------------
 # Measure families
 # ---------------------------------------------------------------------------
@@ -983,11 +994,6 @@ def _require_probability(*measures: Measure) -> None:
             raise ConfigError(f"{m!r} is not a probability measure")
 
 
-def _validate_method(method: str) -> None:
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-
-
 def atom_mass_matrix(*measures: Measure) -> tuple[np.ndarray, np.ndarray]:
     """The measures' atoms aligned on one finite point set.
 
@@ -1029,6 +1035,15 @@ def _has_continuous_part(m: Measure) -> bool:
             m.alpha > 0.0 and _has_continuous_part(m.contaminant)
         )
     return True
+
+
+def _continuous_support(m: Measure) -> tuple[float, float]:
+    """Closure of the support of ``m``'s continuous part, which must exist."""
+    if not isinstance(m, MixtureMeasure):
+        return m.support()
+    parts = ((m.base, 1.0 - m.alpha), (m.contaminant, m.alpha))
+    spans = [_continuous_support(c) for c, w in parts if w > 0.0 and _has_continuous_part(c)]
+    return (min(lo for lo, _ in spans), max(hi for _, hi in spans))
 
 
 def _union_window(*measures: Measure) -> tuple[float, float]:
@@ -1101,6 +1116,7 @@ def _tv_closed_form(P: Measure, Q: Measure) -> float | None:
 
 
 def _tv_quadrature(P: Measure, Q: Measure) -> float:
+    """TV for any pair: atoms exactly, ``|p - q|`` by quadrature between sign cuts."""
     atom_part = 0.0
     if P.atoms() or Q.atoms():
         _, (vp, vq) = atom_mass_matrix(P, Q)
@@ -1108,10 +1124,9 @@ def _tv_quadrature(P: Measure, Q: Measure) -> float:
     cont_part = 0.0
     if _has_continuous_part(P) or _has_continuous_part(Q):
         lo, hi = _union_window(P, Q)
-        brk = _union_breakpoints(P, Q)
         diff = lambda x: P.pdf(x) - Q.pdf(x)
-        brk = sorted(set(brk) | set(sign_change_points(diff, lo, hi, brk)))
-        cont_part = integrate(lambda x: np.abs(diff(x)), lo, hi, brk)[0]
+        cuts = _sign_cuts(diff, lo, hi, _union_breakpoints(P, Q))
+        cont_part = integrate(lambda x: np.abs(diff(x)), lo, hi, cuts)[0]
         if P.heavy_tails or Q.heavy_tails:
             # Add the tail mass outside the window, where p - q keeps one sign
             # so each side contributes its cdf gap.  The left gap stops just
@@ -1122,28 +1137,14 @@ def _tv_quadrature(P: Measure, Q: Measure) -> float:
     return min(1.0, 0.5 * (cont_part + atom_part))
 
 
-def tv_distance(P: Measure, Q: Measure, method: str = "auto") -> float:
-    """Total variation distance between two probability measures.
+def tv_distance(P: Measure, Q: Measure) -> float:
+    """Total variation distance between two probability measures, in [0, 1].
 
-    Args:
-        P, Q: probability measures.
-        method: "closed_form" (matched families only), "quadrature", or
-            "auto" (closed form when available, quadrature otherwise).
-
-    Returns:
-        TV(P, Q) in [0, 1].
+    The closed form for matched families, quadrature otherwise.
     """
-    _validate_method(method)
     _require_probability(P, Q)
-    if method in ("auto", "closed_form"):
-        closed = _tv_closed_form(P, Q)
-        if closed is not None:
-            return closed
-        if method == "closed_form":
-            raise ValueError(
-                f"no closed-form TV for families ({P.tag!r}, {Q.tag!r}) with these parameters"
-            )
-    return _tv_quadrature(P, Q)
+    closed = _tv_closed_form(P, Q)
+    return _tv_quadrature(P, Q) if closed is None else closed
 
 
 # ---------------------------------------------------------------------------
@@ -1151,32 +1152,22 @@ def tv_distance(P: Measure, Q: Measure, method: str = "auto") -> float:
 # ---------------------------------------------------------------------------
 
 
-def hellinger_sq(P: Measure, Q: Measure, method: str = "auto") -> float:
+def hellinger_sq(P: Measure, Q: Measure) -> float:
     """Squared Hellinger distance ``h²(P, Q) = 1 - ∫ sqrt(dP dQ)`` in [0, 1]."""
-    _validate_method(method)
     _require_probability(P, Q)
-    if method in ("auto", "closed_form"):
-        if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
-            d = P.mean - Q.mean
-            return 1.0 - math.exp(-(d * d) / (8.0 * P.sd * P.sd))
-        if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-            _, (vp, vq) = atom_mass_matrix(P, Q)
-            aff = float(np.sqrt(np.clip(vp, 0, None) * np.clip(vq, 0, None)).sum())
-            return min(1.0, max(0.0, 1.0 - aff))
-        if (
-            isinstance(P, HistogramMeasure)
-            and isinstance(Q, HistogramMeasure)
-            and P.partition == Q.partition
-        ):
-            aff = float(
-                np.sqrt(np.clip(P.cell_masses, 0, None) * np.clip(Q.cell_masses, 0, None)).sum()
-            )
-            return min(1.0, max(0.0, 1.0 - aff))
-        if method == "closed_form":
-            raise ValueError(
-                f"no closed-form Hellinger for families ({P.tag!r}, {Q.tag!r})"
-            )
-    # Affinity splits over the continuous and atomic parts.
+    if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
+        d = P.mean - Q.mean
+        return 1.0 - math.exp(-(d * d) / (8.0 * P.sd * P.sd))
+    if isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
+        aff = float(
+            np.sqrt(np.clip(P.cell_masses, 0, None) * np.clip(Q.cell_masses, 0, None)).sum()
+        )
+        return min(1.0, max(0.0, 1.0 - aff))
+    return _hellinger_quadrature(P, Q)
+
+
+def _hellinger_quadrature(P: Measure, Q: Measure) -> float:
+    """``h²(P, Q)`` for any pair: affinity over atoms plus quadrature over pdfs."""
     aff = 0.0
     if P.atoms() and Q.atoms():
         _, (vp, vq) = atom_mass_matrix(P, Q)
@@ -1208,38 +1199,38 @@ def _xlogx_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def kl_divergence(P: Measure, Q: Measure, method: str = "auto") -> float:
+def kl_divergence(P: Measure, Q: Measure) -> float:
     """Kullback-Leibler divergence ``KL(P || Q)``; returns ``inf`` when P ⊄ Q."""
-    _validate_method(method)
     _require_probability(P, Q)
-    if method in ("auto", "closed_form"):
-        if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-            _, (vp, vq) = atom_mass_matrix(P, Q)
-            return float(_xlogx_ratio(vp, vq).sum())
-        if (
-            isinstance(P, HistogramMeasure)
-            and isinstance(Q, HistogramMeasure)
-            and P.partition == Q.partition
-        ):
-            return float(_xlogx_ratio(P.cell_masses, Q.cell_masses).sum())
-        if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
-            d = P.mean - Q.mean
-            return (d * d) / (2.0 * P.sd * P.sd)
-        if method == "closed_form":
-            raise ValueError(f"no closed-form KL for families ({P.tag!r}, {Q.tag!r})")
-    # Absolute-continuity screen: P's support must sit inside Q's, and P may
-    # not put atoms where Q has none.
+    if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
+        _, (vp, vq) = atom_mass_matrix(P, Q)
+        return float(_xlogx_ratio(vp, vq).sum())
+    if isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
+        return float(_xlogx_ratio(P.cell_masses, Q.cell_masses).sum())
+    if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
+        d = P.mean - Q.mean
+        return (d * d) / (2.0 * P.sd * P.sd)
+    return _kl_quadrature(P, Q)
+
+
+def _kl_quadrature(P: Measure, Q: Measure) -> float:
+    """``KL(P || Q)`` for any pair: atoms exactly, the continuous part by quadrature.
+
+    Screen: P may not put mass where Q has no atom, and the support of P's
+    continuous part must sit inside Q's; atoms, even of zero mass, widen
+    neither support.
+    """
     _, (vp, vq) = atom_mass_matrix(P, Q)
     if np.any((vp > 0.0) & (vq <= 0.0)):
         return math.inf
-    if _has_continuous_part(P) and not _has_continuous_part(Q):
-        return math.inf
-    lo_p, hi_p = P.support()
-    lo_q, hi_q = Q.support()
-    if lo_p < lo_q - 1e-12 or hi_p > hi_q + 1e-12:
-        return math.inf
     total = float(_xlogx_ratio(vp, vq).sum())
     if _has_continuous_part(P):
+        if not _has_continuous_part(Q):
+            return math.inf
+        lo_p, hi_p = _continuous_support(P)
+        lo_q, hi_q = _continuous_support(Q)
+        if lo_p < lo_q - 1e-12 or hi_p > hi_q + 1e-12:
+            return math.inf
         lo, hi = P.window()
 
         def fn(x):
@@ -1373,36 +1364,29 @@ def _abs_cdf_diff_exact(P: Measure, Q: Measure) -> float:
     return float(total)
 
 
-def wasserstein1(P: Measure, Q: Measure, method: str = "auto") -> float:
+def wasserstein1(P: Measure, Q: Measure) -> float:
     """Wasserstein-1 distance between probability measures on [0, 1].
 
     Equal to ``∫_0^1 |F_P - F_Q|``.  Exact for piecewise-linear and step
     cdfs (uniform, histogram, discrete, empirical); closed form for the power
     shape family; adaptive quadrature otherwise.
     """
-    _validate_method(method)
     _require_probability(P, Q)
     _check_unit_interval(P)
     _check_unit_interval(Q)
-    if method in ("auto", "closed_form"):
-        if (
-            isinstance(P, PowerMeasure)
-            and isinstance(Q, PowerMeasure)
-            and P.shift == 0.0
-            and Q.shift == 0.0
-        ):
-            # F_P = x^a and F_Q = x^b are ordered on all of [0, 1].
-            return abs(1.0 / (P.alpha + 1.0) - 1.0 / (Q.alpha + 1.0))
-        if method == "closed_form" and not (P.cdf_knots() and Q.cdf_knots()):
-            raise ValueError(f"no closed-form W for families ({P.tag!r}, {Q.tag!r})")
+    if isinstance(P, PowerMeasure) and isinstance(Q, PowerMeasure) and P.shift == Q.shift == 0.0:
+        # F_P = x^a and F_Q = x^b are ordered on all of [0, 1].
+        return abs(1.0 / (P.alpha + 1.0) - 1.0 / (Q.alpha + 1.0))
     if P.cdf_knots() is not None and Q.cdf_knots() is not None:
         return _abs_cdf_diff_exact(P, Q)
+    return _w1_quadrature(P, Q)
+
+
+def _w1_quadrature(P: Measure, Q: Measure) -> float:
+    """``∫_0^1 |F_P - F_Q|`` for any pair on [0, 1], by quadrature between sign cuts."""
     diff = lambda x: np.asarray(P.cdf(x), dtype=float) - np.asarray(Q.cdf(x), dtype=float)
-    brk = sorted(
-        set(np.clip(_union_breakpoints(P, Q), 0.0, 1.0))
-        | set(sign_change_points(diff, 0.0, 1.0, _union_breakpoints(P, Q)))
-    )
-    return integrate(lambda x: np.abs(diff(x)), 0.0, 1.0, brk)[0]
+    cuts = _sign_cuts(diff, 0.0, 1.0, _union_breakpoints(P, Q))
+    return integrate(lambda x: np.abs(diff(x)), 0.0, 1.0, cuts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1464,18 +1448,16 @@ def cdf_sign_intervals(P: Measure, Q: Measure) -> list[tuple[float, float, float
     def diff(x: np.ndarray) -> np.ndarray:
         return np.asarray(Q.cdf(x), dtype=float) - np.asarray(P.cdf(x), dtype=float)
 
-    cuts = {0.0, 1.0}
-    if P.cdf_knots() is not None and Q.cdf_knots() is not None:
+    if P.cdf_knots() is None or Q.cdf_knots() is None:
+        cuts = _sign_cuts(diff, 0.0, 1.0, _union_breakpoints(P, Q))
+    else:
         # The pieces fit F_P - F_Q, the exact negation of diff: same roots.
+        cuts = {0.0, 1.0}
         for a, b, ga, gb in _cdf_gap_pieces(P, Q):
             cuts.add(a)
             cuts.add(b)
             if ga * gb < 0.0:
                 cuts.add(a + (b - a) * abs(ga) / (abs(ga) + abs(gb)))
-    else:
-        brk = [float(k) for k in _union_breakpoints(P, Q) if 0.0 <= k <= 1.0]
-        cuts |= set(brk)
-        cuts |= set(sign_change_points(diff, 0.0, 1.0, brk))
     edges = np.array(sorted(cuts))
     out: list[tuple[float, float, float]] = []
     mids = 0.5 * (edges[:-1] + edges[1:])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import vc_bound_tv, wasserstein_dev_bound
-from .errors import ConfigError, _check_keys, _number_list, _positive_int
+from .errors import ConfigError, _check_keys, _number_list, _positive_finite, _positive_int
 from .estimator import PairwiseEngine, ell_estimate
 from .losses import LossSpec, aggregate_loss, loss
 from .measures import (
@@ -112,10 +112,7 @@ class Scenario:
             object.__setattr__(self, "truth", tuple(self.truth))
         _positive_int(self.n, "n")
         _positive_int(self.replications, "replications")
-        if isinstance(self.epsilon, bool) or not (
-            isinstance(self.epsilon, (int, float)) and self.epsilon > 0
-        ):
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
+        _positive_finite(self.epsilon, "epsilon")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if isinstance(self.truth, Contamination) and len(self.truth.alphas) != self.n:

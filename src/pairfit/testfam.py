@@ -54,6 +54,7 @@ from .measures import (
     PowerMeasure,
     UniformMeasure,
     _log_ratio_bound,
+    _sign_cuts,
     _union_breakpoints,
     _union_window,
     atom_mass_matrix,
@@ -62,7 +63,6 @@ from .measures import (
     integrate,
     lj_distance,
     locate_points,
-    sign_change_points,
     tv_distance,
 )
 
@@ -321,7 +321,9 @@ def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, 
     is the score-evaluation interval, with strict open/closed endpoint
     conventions pushed one ulp where needed.  Every other pair is probed
     (sign changes located by bisection), and its evaluation interval is the
-    region itself.
+    region itself.  Neighbouring probed regions of one nonzero sign merge;
+    zero regions stay as probed, since a merged one may not read 0 at its
+    midpoint.
     """
     gaussian = isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd
     if gaussian or (isinstance(P, CauchyMeasure) and isinstance(Q, CauchyMeasure) and P.scale == Q.scale):
@@ -365,16 +367,13 @@ def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, 
             (th, th + 1.0, 1.0, _UP(th, math.inf), _UP(th + 1.0, math.inf)),
             (c2, th2 + 1.0, -1.0, _UP(c2, math.inf), _UP(th2 + 1.0, math.inf)),
         ]
-    lo, hi = _union_window(P, Q)
-    brk = _union_breakpoints(P, Q)
     diff = lambda x: P.pdf(x) - Q.pdf(x)
-    cuts = sorted({lo, hi} | {b for b in brk if lo < b < hi} | set(sign_change_points(diff, lo, hi, brk)))
-    edges = np.array(cuts)
+    edges = np.array(_sign_cuts(diff, *_union_window(P, Q), _union_breakpoints(P, Q)))
     mids = 0.5 * (edges[:-1] + edges[1:])
     out: list[tuple[float, float, float, float, float]] = []
     for a, c, v in zip(edges[:-1], edges[1:], diff(mids)):
         s = 0.0 if v == 0.0 else math.copysign(1.0, v)
-        if out and out[-1][2] == s:
+        if out and s != 0.0 and out[-1][2] == s:
             a = out.pop()[0]
         out.append((float(a), float(c), s, float(a), float(c)))
     return out

@@ -38,6 +38,7 @@ from pairfit.measures import (
     PartitionRef,
     PowerMeasure,
     UniformMeasure,
+    _tv_quadrature,
     hellinger_sq,
     tv_distance,
 )
@@ -89,38 +90,24 @@ def test_c2_closed_form_distances_on_grids(capsys):
     deltas = np.linspace(0.05, 3.0, 50)
     for d in deltas:
         closed = tv_distance(GaussianMeasure(0.0, 1.0), GaussianMeasure(float(d), 1.0))
-        quad = tv_distance(
-            GaussianMeasure(0.0, 1.0),
-            GaussianMeasure(float(d), 1.0),
-            method="quadrature",
-        )
+        quad = _tv_quadrature(GaussianMeasure(0.0, 1.0), GaussianMeasure(float(d), 1.0))
         worst = max(worst, abs(closed - quad))
         assert abs(closed - quad) <= 1e-6
         cap = min(1.0, float(d) / math.sqrt(2.0 * math.pi))
         assert 0.78 * cap <= closed <= cap
     for d in np.linspace(0.05, 6.0, 50):
         closed = tv_distance(CauchyMeasure(0.0, 1.0), CauchyMeasure(float(d), 1.0))
-        quad = tv_distance(
-            CauchyMeasure(0.0, 1.0),
-            CauchyMeasure(float(d), 1.0),
-            method="quadrature",
-        )
+        quad = _tv_quadrature(CauchyMeasure(0.0, 1.0), CauchyMeasure(float(d), 1.0))
         worst = max(worst, abs(closed - quad))
         assert abs(closed - quad) <= 1e-6
     for d in np.linspace(0.01, 1.2, 50):
         closed = tv_distance(UniformMeasure(0.0, 1.0), UniformMeasure(float(d), 1.0))
-        quad = tv_distance(
-            UniformMeasure(0.0, 1.0),
-            UniformMeasure(float(d), 1.0),
-            method="quadrature",
-        )
+        quad = _tv_quadrature(UniformMeasure(0.0, 1.0), UniformMeasure(float(d), 1.0))
         worst = max(worst, abs(closed - quad))
         assert abs(closed - quad) <= 1e-6
     for d in np.linspace(0.01, 1.2, 50):
         closed = tv_distance(PowerMeasure(0.5, 0.0), PowerMeasure(0.5, float(d)))
-        quad = tv_distance(
-            PowerMeasure(0.5, 0.0), PowerMeasure(0.5, float(d)), method="quadrature"
-        )
+        quad = _tv_quadrature(PowerMeasure(0.5, 0.0), PowerMeasure(0.5, float(d)))
         worst = max(worst, abs(closed - quad))
         assert abs(closed - quad) <= 1e-6
     announce(capsys, 2, f"4 families x 50 parameters, worst gap {worst:.2e}")

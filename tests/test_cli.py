@@ -684,6 +684,11 @@ class TestConfigErrorsExitTwo:
                 "'alphas' must be a list of numbers",
             ),
             ("simulate", simulate_with(epsilon="0.5"), "epsilon must be positive"),
+            ("simulate", simulate_with(epsilon=True), "epsilon must be positive and finite"),
+            ("simulate", simulate_with(epsilon=math.inf), "epsilon must be positive and finite"),
+            ("estimate", dict(estimate_doc(), epsilon=True), "epsilon must be positive and finite"),
+            ("estimate", dict(estimate_doc(), epsilon=math.inf), "epsilon must be positive and finite"),
+            ("estimate", dict(estimate_doc(), epsilon=10**400), "epsilon must be positive and finite"),
             ("simulate", simulate_with(replicates=5), "unknown scenario config keys ['replicates']"),
             (
                 "simulate",
@@ -770,6 +775,11 @@ class TestConfigErrorsExitTwo:
             "alphas-not-a-list",
             "alphas-not-numeric",
             "epsilon-string",
+            "simulate-epsilon-bool",
+            "simulate-epsilon-inf",
+            "estimate-epsilon-bool",
+            "estimate-epsilon-inf",
+            "estimate-epsilon-huge-int",
             "unknown-scenario-key",
             "unknown-truth-key",
             "measure-param-misspelled",
@@ -784,6 +794,16 @@ class TestConfigErrorsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "1e999", "nan", "-1"])
+    @pytest.mark.parametrize("command, doc", [("estimate", estimate_doc()), ("simulate", simulate_doc())])
+    def test_epsilon_flag_must_be_positive_and_finite(self, tmp_path, capsys, command, doc, value):
+        path = write_config(tmp_path, "c.json", doc)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), "--epsilon", value]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: epsilon must be positive and finite")
+        assert not (tmp_path / "o").exists()
 
     def test_oversized_monotone_net_refused_before_enumeration(self, tmp_path, capsys, monkeypatch):
         # 40 cells, d = 8 and 10 levels: about 1.6e10 run-and-level choices.

@@ -46,8 +46,13 @@ from pairfit.measures import (
     sign_change_points,
     tv_distance,
     wasserstein1,
+    _hellinger_quadrature,
+    _kl_quadrature,
+    _tv_closed_form,
+    _tv_quadrature,
     _union_breakpoints,
     _union_window,
+    _w1_quadrature,
 )
 
 
@@ -302,8 +307,8 @@ class TestTotalVariation:
     )
     def test_quadrature_matches_closed_form(self, pair):
         P, Q = pair
-        closed = tv_distance(P, Q, method="closed_form")
-        quad = tv_distance(P, Q, method="quadrature")
+        closed = _tv_closed_form(P, Q)
+        quad = _tv_quadrature(P, Q)
         assert abs(closed - quad) < 1e-6
 
     def test_power_alpha_above_one_uses_quadrature(self):
@@ -354,9 +359,10 @@ class TestTotalVariation:
         with pytest.raises(ValueError, match="not a probability"):
             tv_distance(signed, HistogramMeasure(part, [1.0, 1.0]))
 
-    def test_closed_form_unavailable_raises(self):
-        with pytest.raises(ValueError, match="closed-form"):
-            tv_distance(GaussianMeasure(0.0), UniformMeasure(0.0), method="closed_form")
+    def test_without_closed_form_uses_quadrature(self):
+        P, Q = GaussianMeasure(0.0), UniformMeasure(0.0)
+        assert _tv_closed_form(P, Q) is None
+        assert tv_distance(P, Q) == _tv_quadrature(P, Q)
 
     @given(p=masses_strategy(4), q=masses_strategy(4))
     @settings(max_examples=50, deadline=None)
@@ -377,7 +383,7 @@ class TestHellingerAndKL:
 
     def test_gaussian_hellinger_quadrature(self):
         closed = hellinger_sq(GaussianMeasure(0.0), GaussianMeasure(1.0))
-        quad = hellinger_sq(GaussianMeasure(0.0), GaussianMeasure(1.0), method="quadrature")
+        quad = _hellinger_quadrature(GaussianMeasure(0.0), GaussianMeasure(1.0))
         assert abs(closed - quad) < 1e-8
 
     def test_discrete_hellinger_orthogonal(self):
@@ -401,9 +407,23 @@ class TestHellingerAndKL:
         assert abs(kl_divergence(UniformMeasure(0.0, 1.0), UniformMeasure(0.0, 2.0)) - math.log(2.0)) < 1e-8
         assert kl_divergence(UniformMeasure(0.0, 2.0), UniformMeasure(0.0, 1.0)) == math.inf
 
+    def test_kl_support_screen_skips_atoms(self):
+        # P's zero-mass atom at 1 lies outside Q's support [0, 0.5]: KL is
+        # still that of the point mass at 0, 1 * log(1 / 0.5).
+        Q = MixtureMeasure(UniformMeasure(0.0, 0.5), 0.5, point_mass(0.0))
+        P = DiscreteMeasure([0.0, 1.0], [1.0, 0.0])
+        assert kl_divergence(P, Q) == kl_divergence(point_mass(0.0), Q) == math.log(2.0)
+        mixed = MixtureMeasure(UniformMeasure(0.0, 0.5), 0.5, P)
+        assert kl_divergence(mixed, Q) == 0.0
+        # Q's atom at 1, or its weightless component, does not cover P's
+        # density on (0.5, 1].
+        assert kl_divergence(UniformMeasure(0.0, 1.0), MixtureMeasure(Q.base, 0.5, point_mass(1.0))) == math.inf
+        weightless = MixtureMeasure(Q.base, 0.0, UniformMeasure(0.0, 1.0))
+        assert kl_divergence(UniformMeasure(0.0, 1.0), weightless) == math.inf
+
     def test_kl_gaussian(self):
         assert abs(kl_divergence(GaussianMeasure(0.0), GaussianMeasure(1.0)) - 0.5) < 1e-12
-        quad = kl_divergence(GaussianMeasure(0.0), GaussianMeasure(1.0), method="quadrature")
+        quad = _kl_quadrature(GaussianMeasure(0.0), GaussianMeasure(1.0))
         assert abs(quad - 0.5) < 1e-7
 
     @given(p=masses_strategy(5), q=masses_strategy(5))
@@ -432,7 +452,7 @@ class TestWasserstein:
         # W(x^a, x^b on [0,1]) = |1/(a+1) - 1/(b+1)|.
         val = wasserstein1(PowerMeasure(1.0), PowerMeasure(2.0))
         assert abs(val - (0.5 - 1.0 / 3.0)) < 1e-12
-        quad = wasserstein1(PowerMeasure(0.7), PowerMeasure(2.5), method="quadrature")
+        quad = _w1_quadrature(PowerMeasure(0.7), PowerMeasure(2.5))
         assert abs(quad - abs(1.0 / 1.7 - 1.0 / 3.5)) < 1e-8
 
     def test_histogram_pair_exact(self):

@@ -26,7 +26,8 @@ from pairfit.measures import (
     PowerMeasure,
     UniformMeasure,
     _log_ratio_bound,
-    tv_distance,
+    _tv_closed_form,
+    _tv_quadrature,
 )
 from pairfit.models import ModelBuilderConfig, build
 
@@ -115,8 +116,8 @@ class TestTranslationGrid:
         assert all(isinstance(m, PowerMeasure) for m in model.candidates)
         p0, p1, p2 = model.candidates
         for pair, shift in [((p0, p1), 0.25), ((p0, p2), 0.5), ((p1, p2), 0.25)]:
-            closed = tv_distance(*pair, method="closed_form")
-            quad = tv_distance(*pair, method="quadrature")
+            closed = _tv_closed_form(*pair)
+            quad = _tv_quadrature(*pair)
             assert closed == pytest.approx(min(shift**0.5, 1.0), rel=1e-12)
             assert quad == pytest.approx(closed, abs=1e-6)
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairfit.measures as measures
@@ -61,9 +61,9 @@ _QUADRATURE_CONSUMERS = {
     "cdf_integral": lambda: MixtureMeasure(_G0, 0.3, _G1).cdf_integral(-1.0, 2.0),
     "expectation": lambda: expectation(_G0, lambda x: x * x),
     "tv_distance": lambda: tv_distance(_G0, _G1),
-    "hellinger_sq": lambda: hellinger_sq(_G0, _G1, method="quadrature"),
-    "kl_divergence": lambda: kl_divergence(_G0, _G1, method="quadrature"),
-    "wasserstein1": lambda: wasserstein1(PowerMeasure(2.0), PowerMeasure(3.0), method="quadrature"),
+    "hellinger_sq": lambda: hellinger_sq(_G0, _G1),
+    "kl_divergence": lambda: kl_divergence(_G0, _G1),
+    "wasserstein1": lambda: wasserstein1(PowerMeasure(2.0), UniformMeasure(0.0)),
     "lj_distance": lambda: lj_distance(_G0, _G1, 2.0),
     "lj_score": lambda: lj_score(_G0, _G1, 2.0, 1.0),
     "hellinger_score": lambda: hellinger_score(_G0, _G1),
@@ -143,7 +143,7 @@ def probed_regions(P, Q):
     out = []
     for a, c, v in zip(edges[:-1], edges[1:], vals):
         s = 0.0 if v == 0.0 else math.copysign(1.0, v)
-        if out and out[-1][2] == s:
+        if out and s != 0.0 and out[-1][2] == s:
             out[-1] = (out[-1][0], float(c), s)
         else:
             out.append((float(a), float(c), s))
@@ -223,6 +223,9 @@ def expected_regions(P, Q):
 
 class TestTvSignRegions:
     @given(continuous_pairs())
+    # Nearly equal widths: p - q reads 0 at the midpoints of some probed
+    # regions, and a merge of two of them would not.
+    @example((GaussianMeasure(0.0, 0.5000000000000001), GaussianMeasure(0.0, 0.5)))
     @settings(max_examples=60, deadline=None)
     def test_regions_carry_the_sign_of_p_minus_q(self, pair):
         P, Q = pair

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairfit.errors import ConfigError
@@ -121,10 +121,19 @@ class TestRunTest:
             assert rev.statistic == -fwd.statistic
 
     @given(p=masses_strategy(4), q=masses_strategy(4), seed=st.integers(0, 2**32 - 1))
+    # Mirrored masses and one draw at each mirrored point: the likelihoods
+    # are exactly equal, yet the sum below reads -5.6e-17.
+    @example(
+        p=[x / 1.201171875 for x in [0.0625, 0.0625, 1.0, 0.076171875]],
+        q=[x / 1.201171875 for x in [0.076171875, 0.0625, 1.0, 0.0625]],
+        seed=6,
+    )
     @settings(max_examples=25, deadline=None)
     def test_kl_matches_likelihood_ratio(self, p, q, seed):
         # The KL-family decision is the likelihood-ratio rule: choose Q
         # exactly when sum log(q/p)(X_i) > 0 (independently coded here).
+        # Within rounding of 0, neither this sum nor the engine's can tell
+        # the sign, so there the statistic need only be rounding-sized.
         pts = [0.0, 1.0, 2.0, 3.0]
         rng = np.random.default_rng(seed)
         xs = rng.choice(pts, size=11, p=p)
@@ -132,12 +141,12 @@ class TestRunTest:
         llr = sum(log_ratio[x] for x in xs)
         bound_a = max(abs(v) for v in log_ratio.values()) + 0.5
         out = run_test(xs, DiscreteMeasure(pts, p), DiscreteMeasure(pts, q), LossSpec.kl(a=bound_a))
-        if llr > 0:
+        if abs(llr) <= 1e-12:
+            assert abs(out.statistic) <= 1e-12
+        elif llr > 0:
             assert out.decision is Decision.CHOOSE_Q
-        elif llr < 0:
-            assert out.decision is Decision.CHOOSE_P
         else:
-            assert out.decision is Decision.TIE
+            assert out.decision is Decision.CHOOSE_P
 
     def test_per_coordinate_candidates(self):
         P = [GaussianMeasure(0.0, 1.0), GaussianMeasure(0.5, 1.0)]
