@@ -35,11 +35,7 @@ from .measures import (
     measure_from_config,
 )
 from .models import ModelBuilderConfig, build
-from .testfam import (
-    check_assumption1_exact,
-    check_assumption2_exact,
-    check_cond3bis,
-)
+from .testfam import check_assumptions_exact, check_cond3bis
 
 _FORMATS = ("csv", "json-lines", "summary")
 _ASSUMPTION_LOSSES = ("tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf")
@@ -558,36 +554,30 @@ def run_assumption_suite(
             )
         else:
             P, Q, S = (DiscreteMeasure(pts, list(v)) for v in vecs)
-        rep1 = check_assumption1_exact(spec, [P, Q], [P, Q, S], tol=_SLACK_TOL)
-        pairs += rep1.pairs_checked
-        worst["antisymmetry"] = max(worst["antisymmetry"], rep1.worst_antisymmetry)
-        worst["mean"] = max(worst["mean"], rep1.worst_mean_slack)
-        worst["oscillation"] = max(worst["oscillation"], rep1.worst_oscillation)
-        violations += [f"triple {t_idx}: {v}" for v in rep1.violations]
-        if loss_name in ("hellinger", "kl"):
-            a2 = None  # the family's own variance constant applies
-        elif loss_name == "tv":
+        a2 = c3 = None  # Hellinger and KL fall back to their family constant
+        if loss_name == "tv":
             c3 = check_cond3bis([P, Q])
             prev = worst["cond3bis_a2_prime"]
             worst["cond3bis_a2_prime"] = (
                 c3.a2_prime if prev is None else max(prev, c3.a2_prime)
             )
-            if not c3.passes:
-                violations.append(f"triple {t_idx}: cond-3bis unbounded")
-                continue
-            a2 = c3.tv_a2
-        else:
-            continue
-        rep2 = check_assumption2_exact(
-            spec, [P, Q], [P, Q, S], a2=a2, tol=_SLACK_TOL
-        )
-        prev_var = worst["variance"]
-        worst["variance"] = (
-            rep2.worst_variance_slack
-            if prev_var is None
-            else max(prev_var, rep2.worst_variance_slack)
-        )
-        violations += [f"triple {t_idx}: {v}" for v in rep2.violations]
+            if c3.passes:
+                a2 = c3.tv_a2
+        rep = check_assumptions_exact(spec, [P, Q], [P, Q, S], a2=a2, tol=_SLACK_TOL)
+        pairs += rep.pairs_checked
+        worst["antisymmetry"] = max(worst["antisymmetry"], rep.worst_antisymmetry)
+        worst["mean"] = max(worst["mean"], rep.worst_mean_slack)
+        worst["oscillation"] = max(worst["oscillation"], rep.worst_oscillation)
+        violations += [f"triple {t_idx}: {v}" for v in rep.violations]
+        if c3 is not None and not c3.passes:
+            violations.append(f"triple {t_idx}: cond-3bis unbounded")
+        if rep.worst_variance_slack is not None:
+            prev_var = worst["variance"]
+            worst["variance"] = (
+                rep.worst_variance_slack
+                if prev_var is None
+                else max(prev_var, rep.worst_variance_slack)
+            )
     return {
         "loss": loss_name,
         "space_size": space_size,

@@ -315,11 +315,11 @@ def histogram_estimator(sample: np.ndarray, partition: PartitionRef) -> Histogra
     """Cellwise-constant density with mass count/n on each partition cell."""
     x = np.asarray(sample, dtype=float)
     if x.size == 0:
-        raise ValueError("histogram estimator needs a nonempty sample")
+        raise ConfigError("histogram estimator needs a nonempty sample")
     cells = partition.locate(x)
     if np.any(cells < 0):
         bad = x[cells < 0]
-        raise ValueError(f"observation {bad.flat[0]!r} falls outside the partition")
+        raise ConfigError(f"observation {bad.flat[0]!r} falls outside the partition")
     counts = np.bincount(cells, minlength=partition.cells)
     heights = counts / (x.size * partition.cell_width)
     return HistogramMeasure(partition, heights)
@@ -333,6 +333,6 @@ def median_tv_estimator(sample: np.ndarray) -> float:
     """
     x = np.sort(np.asarray(sample, dtype=float))
     if x.size < 2:
-        raise ValueError(f"median estimator needs n >= 2, got n = {x.size}")
+        raise ConfigError(f"median estimator needs n >= 2, got n = {x.size}")
     k = math.ceil(x.size / 2)
     return 0.5 * (float(x[k - 1]) + float(x[k]))

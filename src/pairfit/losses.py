@@ -180,7 +180,7 @@ def aggregate_loss(
     if len(truth_vec) == 1 and len(cand_vec) == 1 and n is not None:
         return n * loss(spec, truth_vec[0], cand_vec[0])
     if len(truth_vec) != len(cand_vec):
-        raise ValueError(
+        raise ConfigError(
             f"truth and candidate vectors have different lengths "
             f"({len(truth_vec)} vs {len(cand_vec)})"
         )

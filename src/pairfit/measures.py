@@ -479,15 +479,6 @@ class GaussianMeasure(Measure):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
         return _special.ndtr(z)
 
-    def cdf_integral(self, a, b):
-        # ∫ Φ(z) dz = z Φ(z) + φ(z)
-        def anti(x: float) -> float:
-            z = (x - self.mean) / self.sd
-            phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-            return self.sd * (z * float(_special.ndtr(z)) + phi)
-
-        return anti(b) - anti(a)
-
     def window(self):
         return (self.mean - 12.0 * self.sd, self.mean + 12.0 * self.sd)
 
@@ -523,17 +514,6 @@ class CauchyMeasure(Measure):
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
         return 0.5 + np.arctan(z) / math.pi
-
-    def cdf_integral(self, a, b):
-        # ∫ F dt with F(t) = 1/2 + arctan(z)/π, z = (t - loc)/scale:
-        # antiderivative scale * [z/2 + (z arctan z - log(1+z²)/2)/π].
-        def anti(x: float) -> float:
-            z = (x - self.loc) / self.scale
-            return self.scale * (
-                0.5 * z + (z * math.atan(z) - 0.5 * math.log1p(z * z)) / math.pi
-            )
-
-        return anti(b) - anti(a)
 
     def window(self):
         # Truncating at 2500 scales leaves a cdf gap ~1e-7 between two family
@@ -978,7 +958,7 @@ def empirical_measure(sample: Sequence[float]) -> DiscreteMeasure:
     """Empirical measure: mass ``count/n`` at each distinct observed value."""
     data = np.asarray(sample, dtype=float)
     if data.size == 0:
-        raise ValueError("empirical measure needs at least one observation")
+        raise ConfigError("empirical measure needs at least one observation")
     values, counts = np.unique(data, return_counts=True)
     return DiscreteMeasure(values, counts / data.size)
 
@@ -1037,13 +1017,32 @@ def _has_continuous_part(m: Measure) -> bool:
     return True
 
 
-def _continuous_support(m: Measure) -> tuple[float, float]:
-    """Closure of the support of ``m``'s continuous part, which must exist."""
-    if not isinstance(m, MixtureMeasure):
-        return m.support()
-    parts = ((m.base, 1.0 - m.alpha), (m.contaminant, m.alpha))
-    spans = [_continuous_support(c) for c, w in parts if w > 0.0 and _has_continuous_part(c)]
-    return (min(lo for lo, _ in spans), max(hi for _, hi in spans))
+def _continuous_support(m: Measure) -> list[tuple[float, float]]:
+    """Closure of the support of ``m``'s continuous part, which must exist.
+
+    Returned as sorted, disjoint intervals, so a gap between a mixture's
+    weighted components, or a zero-height histogram cell, stays a gap.
+    """
+    if isinstance(m, HistogramMeasure):
+        edges = m.partition.edges.tolist()
+        spans = [(edges[c], edges[c + 1]) for c in np.flatnonzero(m.heights > 0.0).tolist()]
+    elif isinstance(m, MixtureMeasure):
+        parts = ((m.base, 1.0 - m.alpha), (m.contaminant, m.alpha))
+        spans = sorted(
+            span
+            for c, w in parts
+            if w > 0.0 and _has_continuous_part(c)
+            for span in _continuous_support(c)
+        )
+    else:
+        return [m.support()]
+    merged = [spans[0]]
+    for lo, hi in spans[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def _union_window(*measures: Measure) -> tuple[float, float]:
@@ -1216,9 +1215,9 @@ def kl_divergence(P: Measure, Q: Measure) -> float:
 def _kl_quadrature(P: Measure, Q: Measure) -> float:
     """``KL(P || Q)`` for any pair: atoms exactly, the continuous part by quadrature.
 
-    Screen: P may not put mass where Q has no atom, and the support of P's
-    continuous part must sit inside Q's; atoms, even of zero mass, widen
-    neither support.
+    Screen: P may not put mass where Q has no atom, and each interval of the
+    support of P's continuous part must sit inside one of Q's; atoms, even
+    of zero mass, widen neither support.
     """
     _, (vp, vq) = atom_mass_matrix(P, Q)
     if np.any((vp > 0.0) & (vq <= 0.0)):
@@ -1227,10 +1226,10 @@ def _kl_quadrature(P: Measure, Q: Measure) -> float:
     if _has_continuous_part(P):
         if not _has_continuous_part(Q):
             return math.inf
-        lo_p, hi_p = _continuous_support(P)
-        lo_q, hi_q = _continuous_support(Q)
-        if lo_p < lo_q - 1e-12 or hi_p > hi_q + 1e-12:
-            return math.inf
+        q_spans = _continuous_support(Q)
+        for lo_p, hi_p in _continuous_support(P):
+            if not any(lo_q - 1e-12 <= lo_p and hi_p <= hi_q + 1e-12 for lo_q, hi_q in q_spans):
+                return math.inf
         lo, hi = P.window()
 
         def fn(x):
@@ -1402,7 +1401,7 @@ def lj_distance(P: Measure, Q: Measure, j: float) -> float:
     measures must share the same reference.
     """
     if not (j > 1.0):
-        raise ValueError(f"L_j norms need j in (1, inf], got {j}")
+        raise ConfigError(f"L_j norms need j in (1, inf], got {j}")
     if P.reference != Q.reference:
         raise ConfigError(
             f"L_j distance needs a shared reference, got {P.reference!r} vs {Q.reference!r}"

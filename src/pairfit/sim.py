@@ -346,9 +346,7 @@ def run_estimation(scenario: Scenario, threads: int = 1) -> ExperimentRecord:
     Deterministic for a given (scenario, seed): thread count only changes
     scheduling, never any recorded value.
     """
-    model = build(scenario.model)
-    engine = PairwiseEngine(scenario.loss, model)
-    return _replicate(scenario, engine, _LossTable(scenario, model), threads)
+    return simulate(scenario, threads=threads)[0]
 
 
 def simulate(

@@ -26,7 +26,7 @@ and some additionally control the variance:
 
     (iv)  Var_S[t] <= a2 * [loss(S, P) + loss(S, Q)]
 
-The checkers at the bottom verify (i)-(iv) exactly on finite spaces, reading
+The checker at the bottom verifies (i)-(iv) exactly on finite spaces, reading
 the constants from ``constants_for``; the scores themselves never need them.
 Each constructed score records its data-free constant part; strict density
 comparisons are used everywhere, and points with p = q contribute only
@@ -82,8 +82,7 @@ __all__ = [
     "linf_score",
     "hellinger_score",
     "kl_score",
-    "check_assumption1_exact",
-    "check_assumption2_exact",
+    "check_assumptions_exact",
     "check_cond3bis",
     "c1_constant",
 ]
@@ -766,117 +765,76 @@ def _score_moments(t: ScoreFunction, S: Measure) -> tuple[float, float]:
     return mean, second - mean * mean
 
 
-def check_assumption1_exact(
-    spec: LossSpec,
-    model: Sequence[Measure],
-    probes: Sequence[Measure],
-    tol: float = 1e-12,
-) -> AssumptionReport:
-    """Verify antisymmetry, the mean bound, and the oscillation bound.
-
-    For every ordered candidate pair (P, Q), P != Q, and every probe measure
-    S, checks:
-
-        (i)   t_{(P,Q)} + t_{(Q,P)} = 0 at every evaluation point,
-        (ii)  E_S[t] - [a0 loss(S,P) - a1 loss(S,Q)] <= tol,
-        (iii) (sup t - inf t) - 1 <= tol.
-
-    Everything is exact on finite spaces (atom sums, no quadrature).
-    """
-    candidates = list(model)
-    pts = _probe_points(list(candidates) + list(probes))
-    worst_anti = 0.0
-    worst_mean = -math.inf
-    worst_osc = -math.inf
-    violations: list[str] = []
-    consts = constants_for(spec)
-    pair_count = 0
-    loss_cache: dict[tuple[int, int], float] = {}
-
-    def cached_loss(si: int, S: Measure, qi: int, Q: Measure) -> float:
-        key = (si, qi)
-        if key not in loss_cache:
-            loss_cache[key] = loss(spec, S, Q)
-        return loss_cache[key]
-
-    for i, P in enumerate(candidates):
-        for k, Q in enumerate(candidates):
-            if i == k:
-                continue
-            pair_count += 1
-            t = score(spec, P, Q)
-            t_rev = score(spec, Q, P)
-            anti = float(np.max(np.abs(t(pts) + t_rev(pts))))
-            worst_anti = max(worst_anti, anti)
-            if anti > tol:
-                violations.append(f"antisymmetry pair ({i},{k}): {anti:.3e}")
-            vals = t(pts)
-            osc = float(vals.max() - vals.min()) - 1.0
-            worst_osc = max(worst_osc, osc)
-            if osc > tol:
-                violations.append(f"oscillation pair ({i},{k}): 1 + {osc:.3e}")
-            for si, S in enumerate(probes):
-                mean, _ = _score_moments(t, S)
-                bound = consts.a0 * cached_loss(-si - 1, S, i, P) - consts.a1 * cached_loss(-si - 1, S, k, Q)
-                slack = mean - bound
-                worst_mean = max(worst_mean, slack)
-                if slack > tol:
-                    violations.append(f"mean bound pair ({i},{k}) probe {si}: slack {slack:.3e}")
-    return AssumptionReport(
-        family=spec.kind,
-        pairs_checked=pair_count,
-        worst_antisymmetry=worst_anti,
-        worst_mean_slack=worst_mean if pair_count else 0.0,
-        worst_oscillation=worst_osc if pair_count else 0.0,
-        worst_variance_slack=None,
-        violations=tuple(violations),
-    )
-
-
-def check_assumption2_exact(
+def check_assumptions_exact(
     spec: LossSpec,
     model: Sequence[Measure],
     probes: Sequence[Measure],
     a2: float | None = None,
     tol: float = 1e-12,
 ) -> AssumptionReport:
-    """Verify the variance bound Var_S[t] <= a2 [loss(S,P) + loss(S,Q)].
+    """Verify the family assumptions (i)-(iv) over a model.
 
-    ``a2`` defaults to the family constant; for TV it must be supplied
-    (usually ``1 + a2'`` from ``check_cond3bis``).
+    For every ordered candidate pair (P, Q), P != Q, and every probe measure
+    S, checks:
+
+        (i)   t_{(P,Q)} + t_{(Q,P)} = 0 at every evaluation point,
+        (ii)  E_S[t] - [a0 loss(S,P) - a1 loss(S,Q)] <= tol,
+        (iii) (sup t - inf t) - 1 <= tol,
+        (iv)  Var_S[t] - a2 [loss(S,P) + loss(S,Q)] <= tol.
+
+    ``a2`` defaults to the family constant; without either (TV, whose
+    constant ``1 + a2'`` comes from ``check_cond3bis``, and the W, L_j and
+    L_inf families) (iv) is skipped and ``worst_variance_slack`` is None.
+    Each ordered pair's score is built once.  Violations of (i)-(iii) come
+    in pair order, followed by those of (iv).  Everything is exact on finite
+    spaces (atom sums, no quadrature).
     """
     consts = constants_for(spec)
     if a2 is None:
         a2 = consts.a2
-    if a2 is None:
-        raise ConfigError(
-            f"family {spec.kind!r} has no intrinsic variance constant; pass a2 explicitly"
-        )
     candidates = list(model)
-    worst_var = -math.inf
+    pts = _probe_points(candidates + list(probes))
+    scores = {
+        (i, k): score(spec, P, Q)
+        for i, P in enumerate(candidates)
+        for k, Q in enumerate(candidates)
+        if i != k
+    }
+    values = {key: t(pts) for key, t in scores.items()}
+    losses = [[loss(spec, S, P) for P in candidates] for S in probes] if scores else []
+    worst_anti = 0.0
+    worst_mean = worst_osc = worst_var = -math.inf
     violations: list[str] = []
-    pair_count = 0
-    for i, P in enumerate(candidates):
-        for k, Q in enumerate(candidates):
-            if i == k:
-                continue
-            pair_count += 1
-            t = score(spec, P, Q)
-            for si, S in enumerate(probes):
-                _, var = _score_moments(t, S)
-                bound = a2 * (loss(spec, S, P) + loss(spec, S, Q))
-                slack = var - bound
+    var_violations: list[str] = []
+    for (i, k), t in scores.items():
+        vals = values[(i, k)]
+        anti = float(np.max(np.abs(vals + values[(k, i)])))
+        worst_anti = max(worst_anti, anti)
+        if anti > tol:
+            violations.append(f"antisymmetry pair ({i},{k}): {anti:.3e}")
+        osc = float(vals.max() - vals.min()) - 1.0
+        worst_osc = max(worst_osc, osc)
+        if osc > tol:
+            violations.append(f"oscillation pair ({i},{k}): 1 + {osc:.3e}")
+        for si, S in enumerate(probes):
+            mean, var = _score_moments(t, S)
+            slack = mean - (consts.a0 * losses[si][i] - consts.a1 * losses[si][k])
+            worst_mean = max(worst_mean, slack)
+            if slack > tol:
+                violations.append(f"mean bound pair ({i},{k}) probe {si}: slack {slack:.3e}")
+            if a2 is not None:
+                slack = var - a2 * (losses[si][i] + losses[si][k])
                 worst_var = max(worst_var, slack)
                 if slack > tol:
-                    violations.append(f"variance pair ({i},{k}) probe {si}: slack {slack:.3e}")
+                    var_violations.append(f"variance pair ({i},{k}) probe {si}: slack {slack:.3e}")
     return AssumptionReport(
         family=spec.kind,
-        pairs_checked=pair_count,
-        worst_antisymmetry=0.0,
-        worst_mean_slack=0.0,
-        worst_oscillation=0.0,
-        worst_variance_slack=worst_var if pair_count else 0.0,
-        violations=tuple(violations),
+        pairs_checked=len(scores),
+        worst_antisymmetry=worst_anti,
+        worst_mean_slack=worst_mean if scores else 0.0,
+        worst_oscillation=worst_osc if scores else 0.0,
+        worst_variance_slack=None if a2 is None else worst_var if scores else 0.0,
+        violations=tuple(violations + var_violations),
     )
 
 

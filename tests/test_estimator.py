@@ -304,9 +304,9 @@ class TestHistogramEstimator:
 
     def test_rejects_empty_and_outside(self):
         part = PartitionRef(2, (0.0, 1.0))
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ConfigError, match="nonempty"):
             histogram_estimator(np.array([]), part)
-        with pytest.raises(ValueError, match="outside the partition"):
+        with pytest.raises(ConfigError, match="outside the partition"):
             histogram_estimator(np.array([0.5, 1.5]), part)
 
 
@@ -316,7 +316,7 @@ class TestMedianEstimator:
         assert median_tv_estimator(np.array([5.0, 1.0, 3.0])) == 4.0
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError, match="n >= 2"):
+        with pytest.raises(ConfigError, match="n >= 2"):
             median_tv_estimator(np.array([3.0]))
 
     def test_nearest_grid_point_is_half_minimizer(self):

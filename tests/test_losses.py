@@ -123,7 +123,7 @@ class TestAggregateLoss:
         assert abs(total - 0.5) < 1e-12  # 0.2 + 0.3, truth broadcast to both
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(ConfigError, match="lengths"):
             aggregate_loss(
                 LossSpec.tv(),
                 [GaussianMeasure(0.0), GaussianMeasure(0.5)],

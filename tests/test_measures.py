@@ -421,6 +421,22 @@ class TestHellingerAndKL:
         weightless = MixtureMeasure(Q.base, 0.0, UniformMeasure(0.0, 1.0))
         assert kl_divergence(UniformMeasure(0.0, 1.0), weightless) == math.inf
 
+    def test_kl_support_screen_sees_gaps_between_components(self):
+        # Q's components cover [0, 0.2] and [0.8, 1], whose hull [0, 1]
+        # holds P's support; Q has no density on (0.2, 0.8), so KL is inf.
+        P = UniformMeasure(0.0, 1.0)
+        gapped = MixtureMeasure(UniformMeasure(0.0, 0.2), 0.5, UniformMeasure(0.8, 0.2))
+        assert kl_divergence(P, gapped) == math.inf
+        # Overlapping components [0, 0.6] and [0.5, 1] cover [0, 1]:
+        # KL = 0.5 log 1.2 - 0.1 log(11/6).
+        covering = MixtureMeasure(UniformMeasure(0.0, 0.6), 0.5, UniformMeasure(0.5, 0.5))
+        exact = 0.5 * math.log(1.2) - 0.1 * math.log(11.0 / 6.0)
+        assert abs(kl_divergence(P, covering) - exact) < 1e-6
+        # A zero-height histogram cell is a gap too.
+        holed = HistogramMeasure(PartitionRef(3, (0.0, 1.0)), [1.5, 0.0, 1.5])
+        assert kl_divergence(P, holed) == math.inf
+        assert abs(kl_divergence(UniformMeasure(0.0, 1.0 / 3.0), holed) - math.log(2.0)) < 1e-6
+
     def test_kl_gaussian(self):
         assert abs(kl_divergence(GaussianMeasure(0.0), GaussianMeasure(1.0)) - 0.5) < 1e-12
         quad = _kl_quadrature(GaussianMeasure(0.0), GaussianMeasure(1.0))
@@ -507,7 +523,7 @@ class TestLjDistance:
 
     def test_j_must_exceed_one(self):
         P = HistogramMeasure(PartitionRef(2, (0.0, 1.0)), [1.0, 1.0])
-        with pytest.raises(ValueError, match="j in"):
+        with pytest.raises(ConfigError, match="j in"):
             lj_distance(P, P, 1.0)
 
 
@@ -515,6 +531,10 @@ class TestSamplingAndEmpirical:
     def test_empirical_measure_merges_duplicates(self):
         m = empirical_measure([1.0, 2.0, 2.0, 5.0])
         assert m.atoms() == ((1.0, 0.25), (2.0, 0.5), (5.0, 0.25))
+
+    def test_empirical_measure_needs_an_observation(self):
+        with pytest.raises(ConfigError, match="at least one observation"):
+            empirical_measure([])
 
     def test_philox_streams_are_independent(self):
         a = philox_rng(5, 0).random(8)
@@ -700,8 +720,6 @@ class TestCdfMachinery:
     @pytest.mark.parametrize(
         "m",
         [
-            GaussianMeasure(0.2, 0.9),
-            CauchyMeasure(0.1, 1.1),
             UniformMeasure(0.0, 1.0),
             PowerMeasure(0.7, 0.0),
             HistogramMeasure(PartitionRef(3, (0.0, 1.0)), [0.6, 1.8, 0.6]),

@@ -1,4 +1,4 @@
-"""Tests for the per-loss score families and the assumption checkers.
+"""Tests for the per-loss score families and the assumption checker.
 
 Frozen values were hand-computed from the family formulas (noted inline).
 """
@@ -34,8 +34,7 @@ from pairfit.testfam import (
     _interval_prob,
     _tv_sign_regions,
     c1_constant,
-    check_assumption1_exact,
-    check_assumption2_exact,
+    check_assumptions_exact,
     check_cond3bis,
     constants_for,
     hellinger_score,
@@ -344,7 +343,7 @@ class TestCheckers:
     )
     def test_assumption1_passes_on_small_model(self, spec):
         model = self.small_model()
-        report = check_assumption1_exact(spec, model, model)
+        report = check_assumptions_exact(spec, model, model)
         assert report.passed, report.violations
         assert report.worst_mean_slack <= 1e-12
         assert report.worst_antisymmetry <= 1e-12
@@ -353,33 +352,58 @@ class TestCheckers:
     def test_assumption2_hellinger_and_kl(self):
         model = self.small_model()
         for spec in [LossSpec.hellinger2(), LossSpec.kl(a=1.0)]:
-            report = check_assumption2_exact(spec, model, model)
+            report = check_assumptions_exact(spec, model, model)
             assert report.passed, report.violations
             assert report.worst_variance_slack <= 1e-12
 
-    def test_assumption2_tv_needs_a2(self):
+    def test_tv_without_a2_skips_variance(self):
+        # TV has no variance constant of its own: without a2 the checker
+        # still audits (i)-(iii) on every ordered pair and skips (iv).
         model = self.small_model()
-        with pytest.raises(ConfigError, match="pass a2"):
-            check_assumption2_exact(LossSpec.tv(), model, model)
+        report = check_assumptions_exact(LossSpec.tv(), model, model)
+        assert report.passed, report.violations
+        assert report.worst_variance_slack is None
+        assert report.pairs_checked == len(model) * (len(model) - 1)
         c3 = check_cond3bis(model)
         assert c3.passes
-        report = check_assumption2_exact(LossSpec.tv(), model, model, a2=c3.tv_a2)
+        report = check_assumptions_exact(LossSpec.tv(), model, model, a2=c3.tv_a2)
         assert report.passed
+        assert report.worst_variance_slack <= 1e-12
+
+    def test_each_ordered_pair_builds_one_score(self, monkeypatch):
+        calls = []
+
+        def counting_score(spec, P, Q):
+            calls.append((P, Q))
+            return score(spec, P, Q)
+
+        monkeypatch.setattr(testfam, "score", counting_score)
+        model = self.small_model()
+        check_assumptions_exact(LossSpec.hellinger2(), model, model)
+        assert len(calls) == 6
 
     def test_violation_is_reported(self):
         # An L_j family with R far below the true norm ratio breaks the
-        # oscillation bound, and the checker must say so.
+        # oscillation bound, and the checker must say so; the variance
+        # violations forced by a tiny a2 come after every (i)-(iii) one.
         pts = [0.0, 1.0]
         model = [DiscreteMeasure(pts, [0.9, 0.1]), DiscreteMeasure(pts, [0.1, 0.9])]
-        report = check_assumption1_exact(LossSpec.lj(j=2.0, R=0.1), model, model)
+        report = check_assumptions_exact(LossSpec.lj(j=2.0, R=0.1), model, model, a2=1e-9)
         assert not report.passed
-        assert any("oscillation" in v for v in report.violations)
+        kinds = [v.split(" pair ")[0] for v in report.violations]
+        assert "variance" in kinds
+        first_variance = kinds.index("variance")
+        assert set(kinds[first_variance:]) == {"variance"}
+        head = report.violations[:first_variance]
+        assert head.index("oscillation pair (0,1): 1 + 6.071e+00") < head.index(
+            "oscillation pair (1,0): 1 + 6.071e+00"
+        )
 
     def test_assumption1_on_continuous_model(self):
         # Continuous candidates route the mean/variance computation through
         # the exact piecewise-constant path rather than quadrature.
         model = [GaussianMeasure(0.0), GaussianMeasure(1.0)]
-        report = check_assumption1_exact(LossSpec.tv(), model, model, tol=1e-9)
+        report = check_assumptions_exact(LossSpec.tv(), model, model, tol=1e-9)
         assert report.passed, report.violations
 
     def test_cond3bis_zero_for_uniform_translations(self):
