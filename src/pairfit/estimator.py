@@ -223,52 +223,101 @@ class PairwiseEngine:
 
     def statistic_matrix(self, sample: np.ndarray) -> np.ndarray:
         """Antisymmetric matrix with entry (i, k) = sum of pair (i, k) scores."""
-        return self._fill_matrix(self.pair_statistics(sample))
+        return self._fill_matrix(self._block_halves(_sample_array(sample)[None])[0])
 
     def pair_statistics(self, sample: np.ndarray) -> np.ndarray:
-        """Sum of pair (i, k) scores for each pair i < k, in the pair order of ``combinations``."""
-        x = np.asarray(sample, dtype=float)
-        if x.ndim != 1:
-            raise ConfigError(f"sample must be one-dimensional, got shape {x.shape}")
-        if x.size == 0 or not np.isfinite(x).all():
-            raise ConfigError("sample must be a non-empty array of finite numbers")
+        """Sum of pair (i, k) scores for each pair i < k, in the pair order of ``combinations``.
+
+        ``sample`` is one sample, shape (n,), or a block of equal-length
+        samples, shape (R, n), which gives shape (R, pairs): row r is
+        bitwise the result for ``sample[r]`` alone.
+        """
+        x = _sample_array(sample, block=True)
+        if x.ndim == 1:
+            return self._block_halves(x[None])[0]
+        return np.asarray(self._block_halves(x))
+
+    def _block_halves(self, rows: np.ndarray) -> np.ndarray | list[np.ndarray]:
+        """Pair statistics of each checked sample in ``rows``, shape (R, n).
+
+        Row r of the result is sample r's statistics: an (R, pairs) array,
+        or for the piecewise backend a list of R arrays, so that one
+        sample's statistics are not copied into a block.
+        """
         if self._mode == "tuple":
-            width = len(self.model.candidates[0])
-            if x.size != width:
-                raise ConfigError(
-                    f"per-coordinate model expects samples of length {width}, got {x.size}"
-                )
-            halves = np.array(
+            return self._tuple_halves(rows)
+        if self._mode == "atom":
+            return self._atom_halves(rows)
+        if self._mode == "piecewise":
+            return [self._piecewise_halves(row) for row in rows]
+        return self._generic_halves(rows)
+
+    def _tuple_halves(self, rows: np.ndarray) -> np.ndarray:
+        width = len(self.model.candidates[0])
+        if rows.shape[1] != width:
+            raise ConfigError(
+                f"per-coordinate model expects samples of length {width}, got {rows.shape[1]}"
+            )
+        return np.array(
+            [
                 [
                     sum(float(coord[c](x[c : c + 1])[0]) for c in range(width))
                     for coord in self._coord_scores
                 ]
-            )
-        elif self._mode == "atom":
-            idx = locate_points(self._atom_points, x, "the model's finite space")
-            counts = np.bincount(idx, minlength=len(self._atom_points))
-            halves = self._atom_values @ counts
-        elif self._mode == "piecewise":
-            tab = self._table
-            xs = np.sort(x)
-            # Observations below each distinct cut, gathered per component end.
-            pos = np.searchsorted(xs, tab.cuts, side="left")
-            lo_i, hi_i = pos[tab.lo], pos[tab.hi]
-            contrib = tab.const * (hi_i - lo_i)
-            if tab.slope is not None:
-                cums = np.concatenate([[0.0], np.cumsum(xs)])
-                contrib = contrib + tab.slope * (cums[hi_i] - cums[lo_i])
-            halves = x.size * tab.bases + np.bincount(
-                tab.pair, weights=contrib, minlength=self._n_pairs
-            )
-        else:
-            halves = self._generic_halves(x)
-        return np.asarray(halves, dtype=float)
+                for x in rows
+            ]
+        )
 
-    def _generic_halves(self, x: np.ndarray) -> np.ndarray:
-        if not self._n_pairs:
-            return np.zeros(0)
-        return np.array([float(t(x).sum()) for t in self._scores])
+    def _atom_halves(self, rows: np.ndarray) -> np.ndarray:
+        k = len(self._atom_points)
+        idx = locate_points(self._atom_points, rows, "the model's finite space")
+        # One count vector per row: row r's indices are offset by r * k.
+        counts = np.bincount(
+            (idx + k * np.arange(len(rows))[:, None]).ravel(), minlength=len(rows) * k
+        ).reshape(len(rows), k)
+        return np.stack([self._atom_values @ c for c in counts])
+
+    def _piecewise_halves(self, x: np.ndarray) -> np.ndarray:
+        tab = self._table
+        xs = np.sort(x)
+        # Observations below each distinct cut, gathered per component end.
+        pos = np.searchsorted(xs, tab.cuts, side="left")
+        lo_i, hi_i = pos[tab.lo], pos[tab.hi]
+        contrib = tab.const * (hi_i - lo_i)
+        if tab.slope is not None:
+            cums = np.concatenate([[0.0], np.cumsum(xs)])
+            contrib = contrib + tab.slope * (cums[hi_i] - cums[lo_i])
+        return x.size * tab.bases + np.bincount(
+            tab.pair, weights=contrib, minlength=self._n_pairs
+        )
+
+    def _generic_halves(self, rows: np.ndarray) -> np.ndarray:
+        # Scores are elementwise, so one call scores the whole block; each
+        # row is then summed by itself, as a lone sample's scores would be.
+        flat = rows.reshape(-1)
+        sums = [t(flat).reshape(rows.shape).sum(axis=1) for t in self._scores]
+        return np.stack(sums, axis=1) if sums else np.zeros((len(rows), 0))
+
+
+def _sample_array(
+    sample: np.ndarray, block: bool = False, allow_empty: bool = False
+) -> np.ndarray:
+    """``sample`` as a float array, checked: finite, one-dimensional and non-empty.
+
+    With ``block``, a 2-D block of equal-length samples is accepted too, and
+    it must have at least one row and one column.  ``allow_empty`` lets an
+    empty one-dimensional sample through.
+
+    Raises:
+        ConfigError: if the sample breaks one of these rules.
+    """
+    x = np.asarray(sample, dtype=float)
+    if x.ndim != 1 and not (block and x.ndim == 2):
+        shapes = "one-dimensional or a 2-D block of samples" if block else "one-dimensional"
+        raise ConfigError(f"sample must be {shapes}, got shape {x.shape}")
+    if (x.size == 0 and not (allow_empty and x.ndim == 1)) or not np.isfinite(x).all():
+        raise ConfigError("sample must be a non-empty array of finite numbers")
+    return x
 
 
 def _shared_partition_table(spec: LossSpec, cands: list) -> PiecewiseTable | None:

@@ -24,9 +24,9 @@ import numpy as np
 
 from .bounds import _require_count, _require_nonnegative, _require_positive
 from .errors import ConfigError
-from .estimator import Model, PairwiseEngine
+from .estimator import Model, PairwiseEngine, _sample_array
 from .losses import LossSpec
-from .measures import DiscreteMeasure, Measure, atom_mass_matrix
+from .measures import DiscreteMeasure, Measure, atom_mass_matrix, locate_points
 from .testfam import _interval_prob, _tv_sign_regions
 
 __all__ = [
@@ -87,8 +87,10 @@ def _decide(engine: PairwiseEngine, sample: np.ndarray) -> TestOutcome:
     """The test's decision on one sample, from an engine built on ``_pair_model``.
 
     The statistic is the engine's only pair, entry (0, 1) of its matrix.
+    The sample must be one-dimensional: the engine would read a 2-D array
+    as a block of samples.
     """
-    statistic = float(engine.pair_statistics(sample)[0])
+    statistic = float(engine.pair_statistics(_sample_array(sample))[0])
     return TestOutcome(decision=_sign_decision(statistic), statistic=statistic)
 
 
@@ -107,7 +109,7 @@ def run_test(
     when negative, ``TIE`` at zero, which by antisymmetry is the same as
     comparing ``T(X, P, Q)`` against ``T(X, Q, P)``).  This builds the
     pair's engine for one sample; a Monte Carlo loop over one pair builds
-    it once and calls ``_decide`` per sample.
+    it once and scores blocks of samples with ``pair_statistics``.
     """
     return _decide(PairwiseEngine(loss, _pair_model(P, Q)), sample)
 
@@ -117,23 +119,21 @@ def _q_dominates_split(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float, float]:
     """The set ``A = {q > p}``: a sample-membership test, ``P(A)``, ``Q(A)``.
 
-    Discrete pairs compare atom masses directly; continuous pairs reuse the
-    total-variation sign regions (exact for the matched translation
-    families, probed elsewhere), with membership following the same
-    half-open evaluation intervals as the TV score.
+    Discrete pairs compare atom masses directly, and their membership test
+    raises ``ConfigError`` on a value that is no atom of ``P`` or ``Q``;
+    continuous pairs reuse the total-variation sign regions (exact for the
+    matched translation families, probed elsewhere), with membership
+    following the same half-open evaluation intervals as the TV score.
     """
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
         points, (vp, vq) = atom_mass_matrix(P, Q)
         in_a = vq > vp
-        selected = points[in_a]
         # Left-to-right Python float sums: numpy's pairwise sum rounds differently.
         prob_p = float(sum(vp[in_a].tolist()))
         prob_q = float(sum(vq[in_a].tolist()))
 
         def member(xs: np.ndarray) -> np.ndarray:
-            if selected.size == 0:
-                return np.zeros(xs.shape, dtype=bool)
-            return np.isin(xs, selected)
+            return in_a[locate_points(points, xs, "the pair's finite space")]
 
         return member, prob_p, prob_q
     if isinstance(P, DiscreteMeasure) or isinstance(Q, DiscreteMeasure):
@@ -164,9 +164,11 @@ def devroye_lugosi_test(
     when it is positive, so a zero statistic keeps ``P`` rather than tying.
     Unlike :func:`run_test` this comparison is asymmetric in ``(P, Q)``:
     when every sample point lands where the densities agree, it picks
-    whichever candidate puts less mass on ``A``.
+    whichever candidate puts less mass on ``A``.  The sample is checked as
+    :func:`run_test` checks it, except that an empty one reads frequency 0;
+    for a discrete pair every value must be an atom of ``P`` or ``Q``.
     """
-    xs = np.asarray(sample, dtype=float)
+    xs = _sample_array(sample, allow_empty=True)
     member, prob_p, prob_q = _q_dominates_split(P, Q)
     freq = float(np.mean(member(xs))) if xs.size else 0.0
     statistic = abs(freq - prob_q) - abs(freq - prob_p)

@@ -36,8 +36,8 @@ from .measures import (
 from .models import ModelBuilderConfig, build
 from .robust_tests import (
     Decision,
-    _decide,
     _pair_model,
+    _sign_decision,
     bernstein_bound,
     hoeffding_bound,
 )
@@ -64,6 +64,11 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
+
+# ``test_error_mc`` scores its replications in blocks of at most this many
+# observations, so the per-call overhead is paid once a block while a
+# block's score temporaries stay small.
+_BLOCK_OBSERVATIONS = 2**14
 
 
 @dataclass(frozen=True)
@@ -524,17 +529,29 @@ def test_error_mc(
     P is the candidate the truth is (weakly) closer to, so a wrong decision
     is choosing Q; ties abstain in favor of P and are tallied separately.
     When every replication ties (P and Q indistinguishable) the error
-    frequency is reported as None rather than zero.  The pair's engine is
-    built once and decides every replication as ``run_test`` would.
+    frequency is reported as None rather than zero.
+
+    The pair's engine is built once.  Replications are decided in blocks
+    of whole replications, at most ``_BLOCK_OBSERVATIONS`` observations
+    (and at least one replication) each: every replication draws its own
+    ``(seed, rep)`` stream into its row of the block, and one
+    ``pair_statistics`` call scores the block.  Row r of that call is
+    bitwise the statistic ``run_test`` computes on replication r's sample
+    alone, so every decision is ``run_test``'s.
     """
     _positive_int(reps, "reps")
     _positive_int(n, "n")
     engine = PairwiseEngine(loss_spec, _pair_model(P, Q))
     tallies = {Decision.CHOOSE_P: 0, Decision.CHOOSE_Q: 0, Decision.TIE: 0}
     rng = replication_rng(seed)
-    for rep in range(reps):
-        x = P_star.sample(n, _restart_stream(rng, seed, rep))
-        tallies[_decide(engine, x).decision] += 1
+    per_block = max(1, _BLOCK_OBSERVATIONS // n)
+    block = np.empty((min(per_block, reps), n))
+    for start in range(0, reps, per_block):
+        rows = block[: min(per_block, reps - start)]
+        for r in range(len(rows)):
+            rows[r] = P_star.sample(n, _restart_stream(rng, seed, start + r))
+        for statistic in engine.pair_statistics(rows)[:, 0].tolist():
+            tallies[_sign_decision(statistic)] += 1
     consts = constants_for(loss_spec)
     loss_P = loss(loss_spec, P_star, P)
     loss_Q = loss(loss_spec, P_star, Q)

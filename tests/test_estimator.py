@@ -1,5 +1,6 @@
 """Tests for the pairwise engine, the estimator, and the plug-in estimators."""
 
+import functools
 import math
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from pairfit.estimator import (
 )
 from pairfit.losses import LossSpec
 from pairfit.measures import (
+    CauchyMeasure,
     DiscreteMeasure,
     GaussianMeasure,
     HistogramMeasure,
@@ -30,6 +32,7 @@ from pairfit.measures import (
     wasserstein1,
 )
 from pairfit.models import build
+from pairfit.robust_tests import run_test
 from pairfit.testfam import PiecewiseScore, PiecewiseTable, score
 
 
@@ -600,3 +603,144 @@ class TestBackendProperty:
     def test_generic_hellinger(self, means, x):
         cands = [GaussianMeasure(c) for c in means]
         assert_matches_scores(LossSpec.hellinger2(), cands, np.array(x))
+
+
+# ---------------------------------------------------------------------------
+# Blocks of samples
+# ---------------------------------------------------------------------------
+
+_BLOCK_PART = PartitionRef(4, (0.0, 1.0))
+_BLOCK_ATOMS = [0.0, 1.0, 2.0]
+
+
+def _tuple_model(n):
+    """Two per-coordinate tuples of length ``n`` on ``_BLOCK_ATOMS``, masses varying by coordinate."""
+    P = tuple(DiscreteMeasure(_BLOCK_ATOMS, [0.5, 0.3 - 0.02 * (c % 7), 0.2 + 0.02 * (c % 7)]) for c in range(n))
+    Q = tuple(DiscreteMeasure(_BLOCK_ATOMS, [0.2 + 0.03 * (c % 5), 0.3, 0.5 - 0.03 * (c % 5)]) for c in range(n))
+    return Model(candidates=[P, Q], product_form="tuples")
+
+
+# Backend name -> (loss, model for sample length n, draw of shape (R, n), engine mode).
+_BLOCK_BACKENDS = {
+    "atom": (
+        LossSpec.tv(),
+        lambda n: [DiscreteMeasure(_BLOCK_ATOMS, w) for w in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.1, 0.6, 0.3])],
+        lambda rng, shape: rng.choice(_BLOCK_ATOMS, size=shape),
+        "atom",
+    ),
+    "piecewise-constant": (
+        LossSpec.tv(),
+        lambda n: [GaussianMeasure(c) for c in (-0.4, 0.0, 0.3, 0.9)],
+        lambda rng, shape: rng.standard_normal(shape),
+        "piecewise",
+    ),
+    "piecewise-linear-w1": (
+        LossSpec.wasserstein1(),
+        lambda n: [HistogramMeasure(_BLOCK_PART, h) for h in ([1.2, 1.0, 0.8, 1.0], [0.5, 1.5, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0])],
+        lambda rng, shape: rng.random(shape),
+        "piecewise",
+    ),
+    "generic-hellinger": (
+        LossSpec.hellinger2(),
+        lambda n: [GaussianMeasure(0.0), GaussianMeasure(0.5), GaussianMeasure(0.2, 1.3)],
+        lambda rng, shape: rng.standard_normal(shape),
+        "generic",
+    ),
+    "generic-kl": (
+        LossSpec.kl(a=5.0),
+        lambda n: [CauchyMeasure(0.0, 1.0), CauchyMeasure(0.5, 1.0), CauchyMeasure(-0.3, 1.2)],
+        lambda rng, shape: rng.standard_cauchy(shape),
+        "generic",
+    ),
+    "generic-lj": (
+        LossSpec.lj(2.0, 5.0),
+        lambda n: [GaussianMeasure(0.0), GaussianMeasure(0.5), GaussianMeasure(0.2, 1.3)],
+        lambda rng, shape: rng.standard_normal(shape),
+        "generic",
+    ),
+    "tuple": (
+        LossSpec.hellinger2(),
+        _tuple_model,
+        lambda rng, shape: rng.choice(_BLOCK_ATOMS, size=shape),
+        "tuple",
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _block_engine(backend, n):
+    spec, model, _, _ = _BLOCK_BACKENDS[backend]
+    return PairwiseEngine(spec, model(n))
+
+
+class TestSampleBlocks:
+    """``pair_statistics`` on an (R, n) block: row r is bitwise the 1-D call on row r."""
+
+    @pytest.mark.parametrize("R", [1, 2, 64])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 1000])
+    @pytest.mark.parametrize("backend", list(_BLOCK_BACKENDS))
+    def test_rows_are_bitwise_the_one_dimensional_call(self, backend, n, R):
+        eng = _block_engine(backend, n)
+        assert eng._mode == _BLOCK_BACKENDS[backend][3]
+        block = _BLOCK_BACKENDS[backend][2](philox_rng(n, R), (R, n))
+        got = eng.pair_statistics(block)
+        assert got.shape == (R, eng._n_pairs)
+        for r in range(R):
+            assert got[r].tobytes() == eng.pair_statistics(block[r]).tobytes(), r
+        if eng._mode == "generic":
+            # Each row sums as numpy sums one sample's scores (pairwise).
+            by_score = np.array([[t(row).sum() for t in eng._scores] for row in block])
+            assert got.tobytes() == by_score.tobytes()
+
+    def test_signed_zero_rows(self):
+        # Equal candidates score every observation 0: each row keeps the
+        # sign bit of its own sum.
+        atoms = [DiscreteMeasure([0.0, 1.0], [0.5, 0.5]) for _ in range(2)]
+        gaussians = [GaussianMeasure(0.0), GaussianMeasure(0.0)]
+        cases = [(LossSpec.tv(), atoms), (LossSpec.hellinger2(), atoms), (LossSpec.hellinger2(), gaussians)]
+        block = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        for spec, cands in cases:
+            eng = PairwiseEngine(spec, cands)
+            got = eng.pair_statistics(block)
+            for r in range(2):
+                assert got[r].tobytes() == eng.pair_statistics(block[r]).tobytes()
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [[0.1, math.nan], [0.2, 0.3]],
+            [[0.1, 0.2], [math.inf, 0.3]],
+            [[0.1, 0.2], [0.3, -math.inf]],
+            np.empty((0, 4)),
+            np.empty((3, 0)),
+        ],
+        ids=["nan", "inf", "-inf", "zero-rows", "zero-columns"],
+    )
+    @pytest.mark.parametrize("backend", ["piecewise-constant", "generic-hellinger", "atom"])
+    def test_bad_blocks_raise_the_sample_error(self, backend, block):
+        with pytest.raises(ConfigError, match="non-empty array of finite numbers"):
+            _block_engine(backend, 2).pair_statistics(np.array(block, dtype=float))
+
+    @pytest.mark.parametrize("backend", ["piecewise-constant", "generic-hellinger", "atom"])
+    def test_three_dimensional_block_raises(self, backend):
+        with pytest.raises(ConfigError, match=r"one-dimensional .*got shape \(2, 3, 4\)"):
+            _block_engine(backend, 4).pair_statistics(np.zeros((2, 3, 4)))
+
+    def test_atom_block_outside_space_raises(self):
+        eng = PairwiseEngine(LossSpec.tv(), two_point_tv_model())
+        with pytest.raises(ConfigError, match="observation 2.0 is outside the model's finite space"):
+            eng.pair_statistics(np.array([[0.0, 1.0], [1.0, 2.0]]))
+
+    def test_tuple_block_of_wrong_width_raises(self):
+        with pytest.raises(ConfigError, match="length 3"):
+            _block_engine("tuple", 3).pair_statistics(np.zeros((2, 4)))
+
+    def test_one_sample_entry_points_refuse_blocks(self):
+        # A block is a pair_statistics input only: the matrix and the
+        # two-point test still take one sample.
+        eng = PairwiseEngine(LossSpec.tv(), two_point_tv_model())
+        block = np.zeros((2, 3))
+        with pytest.raises(ConfigError, match=r"one-dimensional, got shape \(2, 3\)"):
+            eng.statistic_matrix(block)
+        with pytest.raises(ConfigError, match=r"one-dimensional, got shape \(2, 3\)"):
+            run_test(block, *two_point_tv_model(), LossSpec.tv())

@@ -215,6 +215,40 @@ class TestDevroyeLugosi:
         out = devroye_lugosi_test(np.array([]), P, Q)
         assert abs(out.statistic - 0.1974126513658474) < 1e-9
 
+    @pytest.mark.parametrize(
+        "sample",
+        [[math.nan, 0.9, 0.8], [math.inf, -math.inf], [0.5, -math.inf]],
+        ids=["nan", "inf-pair", "-inf"],
+    )
+    @pytest.mark.parametrize("discrete", [False, True], ids=["gaussian", "discrete"])
+    def test_non_finite_sample_is_config_error(self, sample, discrete):
+        # Until the shared check, [nan, 0.9, 0.8] chose P and [inf, -inf] Q.
+        if discrete:
+            P, Q = two_point(0.9), two_point(0.1)
+        else:
+            P, Q = GaussianMeasure(0.0, 1.0), GaussianMeasure(0.5, 1.0)
+        with pytest.raises(ConfigError, match="non-empty array of finite numbers"):
+            devroye_lugosi_test(np.array(sample), P, Q)
+
+    def test_two_dimensional_sample_is_config_error(self):
+        P, Q = GaussianMeasure(0.0, 1.0), GaussianMeasure(0.5, 1.0)
+        with pytest.raises(ConfigError, match=r"one-dimensional, got shape \(2, 2\)"):
+            devroye_lugosi_test(np.array([[0.3, 0.2], [1.0, 0.1]]), P, Q)
+
+    def test_discrete_value_off_the_atoms_is_config_error(self):
+        # 2.0 is no atom of either candidate on {0, 1}: this chose Q.
+        with pytest.raises(ConfigError, match="observation 2.0 is outside the pair's finite space"):
+            devroye_lugosi_test(np.array([2.0, 2.0, 2.0]), two_point(0.9), two_point(0.1))
+
+    def test_discrete_value_at_a_zero_mass_atom_is_in_the_space(self):
+        # 2.0 is an atom of Q only; p = 0 < q there, so it lands in A.
+        P = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
+        Q = DiscreteMeasure([0.0, 1.0, 2.0], [0.4, 0.4, 0.2])
+        out = devroye_lugosi_test(np.array([2.0, 0.0]), P, Q)
+        # A = {2}: f = 1/2, Q(A) = 0.2, P(A) = 0.
+        assert out.statistic == abs(0.5 - 0.2) - abs(0.5 - 0.0)
+        assert out.decision is Decision.CHOOSE_P
+
     def test_uniform_pair_exact_split(self):
         # U[0,1] vs U[0.5,1.5]: {q > p} = [1, 1.5), untouched by a sample
         # inside [0, 1), so the statistic is Q(A) - P(A) = 0.5 exactly.

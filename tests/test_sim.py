@@ -34,6 +34,7 @@ from pairfit.measures import (
     hellinger_sq,
 )
 from pairfit.models import ModelBuilderConfig, build
+from pairfit import robust_tests
 from pairfit.robust_tests import Decision, hellinger_test_bound, run_test
 
 
@@ -590,29 +591,56 @@ def _two_point_cases():
 class TestEngineReuse:
     """Monte Carlo loops build one engine and decide exactly as the one-shot path."""
 
-    @pytest.mark.parametrize("case", list(_two_point_cases()))
-    def test_test_error_mc_matches_run_test_per_replication(self, case, monkeypatch, engine_builds):
-        P_star, P, Q, spec, n = _two_point_cases()[case]
-        reps, seed = 40, 9
-        decided = []
-        original = sim._decide
+    @pytest.mark.parametrize(
+        "case, n, reps",
+        [pytest.param(case, None, 40, id=case) for case in _two_point_cases()]
+        # Blocks of 16 replications: 16 + 16 + 8.
+        + [
+            pytest.param(case, 1000, 40, id=f"{case}-n1000")
+            for case in ("gaussian-hellinger2", "discrete-tv")
+        ]
+        # One replication is over the block budget: blocks of one.
+        + [
+            pytest.param(
+                "gaussian-hellinger2", sim._BLOCK_OBSERVATIONS + 1, 3, id="gaussian-hellinger2-over-budget"
+            )
+        ],
+    )
+    def test_test_error_mc_matches_run_test_per_replication(
+        self, case, n, reps, monkeypatch, engine_builds
+    ):
+        P_star, P, Q, spec, case_n = _two_point_cases()[case]
+        n = n or case_n
+        seed = 9
+        blocks = []
+        original = estimator.PairwiseEngine.pair_statistics
 
-        def recording(engine, x):
-            outcome = original(engine, x)
-            decided.append((x.copy(), outcome))
-            return outcome
+        def recording(engine, sample):
+            stats = original(engine, sample)
+            blocks.append((np.array(sample, copy=True), stats.copy()))
+            return stats
 
-        monkeypatch.setattr(sim, "_decide", recording)
+        monkeypatch.setattr(estimator.PairwiseEngine, "pair_statistics", recording)
         result = sim.test_error_mc(P_star, P, Q, spec, n=n, reps=reps, seed=seed)
         assert len(engine_builds) == 1
-        assert len(decided) == reps
+        # Whole replications per block, as many as the budget allows.
+        per_block = max(1, sim._BLOCK_OBSERVATIONS // n)
+        sizes = [min(per_block, reps - start) for start in range(0, reps, per_block)]
+        assert [block.shape for block, _ in blocks] == [(size, n) for size in sizes]
+        assert [stats.shape for _, stats in blocks] == [(size, 1) for size in sizes]
+        samples = [row for block, _ in blocks for row in block]
+        statistics = [row[0] for _, stats in blocks for row in stats]
+        assert len(samples) == reps
+        monkeypatch.undo()
         tallies = {Decision.CHOOSE_P: 0, Decision.CHOOSE_Q: 0, Decision.TIE: 0}
-        for rep, (x, outcome) in enumerate(decided):
+        for rep, (x, statistic) in enumerate(zip(samples, statistics)):
             expected_x = P_star.sample(n, sim.replication_rng(seed, rep))
             assert x.tobytes() == expected_x.tobytes()
             oracle = run_test(expected_x, P, Q, spec)
-            assert outcome == oracle
-            assert math.copysign(1.0, outcome.statistic) == math.copysign(1.0, oracle.statistic)
+            # Bitwise, signed zeros included.
+            assert statistic.tobytes() == np.float64(oracle.statistic).tobytes()
+            decision = robust_tests._sign_decision(float(statistic))
+            assert robust_tests.TestOutcome(decision, float(statistic)) == oracle
             tallies[oracle.decision] += 1
         assert result["choose_p"] == tallies[Decision.CHOOSE_P]
         assert result["choose_q"] == tallies[Decision.CHOOSE_Q]
