@@ -137,9 +137,8 @@ class PairwiseEngine:
     """Precompiled pair scores for one (loss, model), reusable across samples.
 
     Construction builds the score of every unordered candidate pair once.
-    When every candidate is a histogram on one shared partition and the loss
-    is TV, L_j or L_inf, all pairs are compiled together from the height
-    matrix (``partition_pair_table``) and no per-pair score is built.
+    When ``partition_pair_table`` compiles all pairs together, no per-pair
+    score is built.
     Evaluation picks the fastest applicable backend: a value-matrix product
     when all scores live on one shared finite space, a sweep over the
     table's distinct cut points when all scores are piecewise linear (with
@@ -182,7 +181,7 @@ class PairwiseEngine:
                 sum(t.constant_part for t in coord) for coord in self._coord_scores
             ]
         else:
-            table = _shared_partition_table(spec, cands)
+            table = partition_pair_table(spec, cands)
             if table is not None:
                 self._mode = "piecewise"
                 self._table = table
@@ -318,16 +317,6 @@ def _sample_array(
     if (x.size == 0 and not (allow_empty and x.ndim == 1)) or not np.isfinite(x).all():
         raise ConfigError("sample must be a non-empty array of finite numbers")
     return x
-
-
-def _shared_partition_table(spec: LossSpec, cands: list) -> PiecewiseTable | None:
-    """All pairs compiled at once, if every candidate is a histogram on one partition."""
-    if not all(isinstance(c, HistogramMeasure) for c in cands):
-        return None
-    partition = cands[0].partition
-    if any(c.partition != partition for c in cands):
-        return None
-    return partition_pair_table(spec, partition, np.stack([c.heights for c in cands]))
 
 
 def ell_estimate(

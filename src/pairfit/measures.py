@@ -1201,9 +1201,6 @@ def _xlogx_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def kl_divergence(P: Measure, Q: Measure) -> float:
     """Kullback-Leibler divergence ``KL(P || Q)``; returns ``inf`` when P ⊄ Q."""
     _require_probability(P, Q)
-    if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
-        _, (vp, vq) = atom_mass_matrix(P, Q)
-        return float(_xlogx_ratio(vp, vq).sum())
     if isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
         return float(_xlogx_ratio(P.cell_masses, Q.cell_masses).sum())
     if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
@@ -1398,7 +1395,8 @@ def lj_distance(P: Measure, Q: Measure, j: float) -> float:
 
     ``j`` may be any value in (1, inf]; ``math.inf`` selects the sup norm.
     Signed measures are allowed (the norm only sees densities), but the two
-    measures must share the same reference.
+    measures must share the same reference, and on the real line neither
+    may have atoms.
     """
     if not (j > 1.0):
         raise ConfigError(f"L_j norms need j in (1, inf], got {j}")
@@ -1420,6 +1418,10 @@ def lj_distance(P: Measure, Q: Measure, j: float) -> float:
             return float(diff.max())
         return float(np.sum(diff**j * ref.weights_array) ** (1.0 / j))
     # Lebesgue reference: quadrature in j < inf, probe-grid sup otherwise.
+    if P.atoms() or Q.atoms():
+        raise ConfigError(
+            f"L_j distance needs Lebesgue densities, but {P!r} or {Q!r} has atoms"
+        )
     lo, hi = _union_window(P, Q)
     brk = _union_breakpoints(P, Q)
     if math.isinf(j):

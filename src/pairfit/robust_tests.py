@@ -83,17 +83,6 @@ def _pair_model(
     return Model(candidates=[list(P), list(Q)], product_form="tuples")
 
 
-def _decide(engine: PairwiseEngine, sample: np.ndarray) -> TestOutcome:
-    """The test's decision on one sample, from an engine built on ``_pair_model``.
-
-    The statistic is the engine's only pair, entry (0, 1) of its matrix.
-    The sample must be one-dimensional: the engine would read a 2-D array
-    as a block of samples.
-    """
-    statistic = float(engine.pair_statistics(_sample_array(sample))[0])
-    return TestOutcome(decision=_sign_decision(statistic), statistic=statistic)
-
-
 def run_test(
     sample: np.ndarray,
     P: Measure | Sequence[Measure],
@@ -111,7 +100,10 @@ def run_test(
     pair's engine for one sample; a Monte Carlo loop over one pair builds
     it once and scores blocks of samples with ``pair_statistics``.
     """
-    return _decide(PairwiseEngine(loss, _pair_model(P, Q)), sample)
+    engine = PairwiseEngine(loss, _pair_model(P, Q))
+    # One-dimensional only: the engine would read a 2-D array as a block.
+    statistic = float(engine.pair_statistics(_sample_array(sample))[0])
+    return TestOutcome(decision=_sign_decision(statistic), statistic=statistic)
 
 
 def _q_dominates_split(
@@ -121,9 +113,10 @@ def _q_dominates_split(
 
     Discrete pairs compare atom masses directly, and their membership test
     raises ``ConfigError`` on a value that is no atom of ``P`` or ``Q``;
-    continuous pairs reuse the total-variation sign regions (exact for the
+    other pairs reuse the total-variation sign regions (exact for the
     matched translation families, probed elsewhere), with membership
-    following the same half-open evaluation intervals as the TV score.
+    following the same half-open evaluation intervals as the TV score, and
+    a pair with atoms raises ``ConfigError`` there.
     """
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
         points, (vp, vq) = atom_mass_matrix(P, Q)
@@ -136,10 +129,6 @@ def _q_dominates_split(
             return in_a[locate_points(points, xs, "the pair's finite space")]
 
         return member, prob_p, prob_q
-    if isinstance(P, DiscreteMeasure) or isinstance(Q, DiscreteMeasure):
-        raise ConfigError(
-            "frequency-comparison split needs both candidates discrete or both continuous"
-        )
 
     negative = [(a, c, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(P, Q) if s < 0]
     prob_p = float(sum(_interval_prob(P, a, c) for a, c, _, _ in negative))

@@ -76,12 +76,6 @@ __all__ = [
     "constants_for",
     "score",
     "partition_pair_table",
-    "tv_score",
-    "wasserstein_score",
-    "lj_score",
-    "linf_score",
-    "hellinger_score",
-    "kl_score",
     "check_assumptions_exact",
     "check_cond3bis",
     "c1_constant",
@@ -253,7 +247,7 @@ def _interval_prob(m: Measure, a: float, b: float) -> float:
     return float(m.cdf(np.array([b]))[0] - m.cdf(np.array([a]))[0])
 
 
-def tv_score(P: Measure, Q: Measure) -> ScoreFunction:
+def _tv_score(P: Measure, Q: Measure) -> ScoreFunction:
     """TV family score; strict comparisons, so p = q regions only shift the constant."""
     if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
         pts, (vp, vq) = atom_mass_matrix(P, Q)
@@ -310,17 +304,18 @@ def _symmetric_translation_pair(P: Measure, Q: Measure) -> bool:
 
 
 def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, float, float]]:
-    """Maximal sign regions of p - q for a pair of continuous measures.
+    """Maximal sign regions of p - q for a pair of measures without atoms.
 
-    Each region is ``(lo, hi, sign, eval_lo, eval_hi)``.  Matched
-    translation families get exact regions: probabilities come from the
-    exact ``[lo, hi]`` (boundary points are null for these continuous
-    families, and nudged bounds would get amplified by cdfs with unbounded
-    slope, e.g. the power family at its shift), and ``[eval_lo, eval_hi)``
-    is the score-evaluation interval, with strict open/closed endpoint
-    conventions pushed one ulp where needed.  Every other pair is probed
-    (sign changes located by bisection), and its evaluation interval is the
-    region itself.  Neighbouring probed regions of one nonzero sign merge;
+    A pair with atoms is refused: p - q only sees the densities, so an atom
+    would fall in no region.  Each region is
+    ``(lo, hi, sign, eval_lo, eval_hi)``.  Matched translation families get
+    exact regions: probabilities come from the exact ``[lo, hi]`` (boundary
+    points are null for these continuous families, and nudged bounds would
+    get amplified by cdfs with unbounded slope, e.g. the power family at its
+    shift), and ``[eval_lo, eval_hi)`` is the score-evaluation interval,
+    with strict open/closed endpoint conventions pushed one ulp where
+    needed.  Every other pair is probed (sign changes located by bisection),
+    and its evaluation interval is the region itself.  Neighbouring probed regions of one nonzero sign merge;
     zero regions stay as probed, since a merged one may not read 0 at its
     midpoint.
     """
@@ -366,6 +361,11 @@ def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, 
             (th, th + 1.0, 1.0, _UP(th, math.inf), _UP(th + 1.0, math.inf)),
             (c2, th2 + 1.0, -1.0, _UP(c2, math.inf), _UP(th2 + 1.0, math.inf)),
         ]
+    if P.atoms() or Q.atoms():
+        raise ConfigError(
+            "TV sign regions miss atoms: the pair must be two discrete measures, two "
+            f"histograms on one partition, or two measures without atoms; got {P!r} and {Q!r}"
+        )
     diff = lambda x: P.pdf(x) - Q.pdf(x)
     edges = np.array(_sign_cuts(diff, *_union_window(P, Q), _union_breakpoints(P, Q)))
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -383,7 +383,7 @@ def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, 
 # ---------------------------------------------------------------------------
 
 
-def wasserstein_score(P: Measure, Q: Measure) -> PiecewiseScore:
+def _wasserstein_score(P: Measure, Q: Measure) -> PiecewiseScore:
     """Wasserstein-1 family score on [0, 1].
 
     With s = sign(F_Q - F_P) piecewise constant, the score is the piecewise
@@ -420,16 +420,13 @@ def _lj_witness_values(dp: np.ndarray, dq: np.ndarray, j: float) -> np.ndarray:
     return np.sign(diff) * np.abs(diff) ** (j - 1.0)
 
 
-def lj_score(P: Measure, Q: Measure, j: float, R: float) -> ScoreFunction:
+def _lj_score(P: Measure, Q: Measure, j: float, R: float) -> ScoreFunction:
     """L_j family score, t = (1/(2 R^{j-1})) [∫ f d(P+Q)/2 - f].
 
     Requires the model-level norm-ratio bound ``R`` with
-    ||p - q||_inf <= R ||p - q||_j; signed densities are allowed.
+    ||p - q||_inf <= R ||p - q||_j; signed densities are allowed.  ``j``
+    and ``R`` come from a ``LossSpec``, which checks them.
     """
-    if not (1.0 < j < math.inf):
-        raise ConfigError(f"lj score needs j in (1, inf), got {j}")
-    if not 0 < R < math.inf:
-        raise ConfigError(f"lj score needs a positive finite R, got {R}")
     scale = 2.0 * R ** (j - 1.0)
     dist = lj_distance(P, Q, j)
     if dist == 0.0:
@@ -475,7 +472,7 @@ def _cell_masses_on(m: Measure, partition: PartitionRef) -> np.ndarray:
     return np.diff(cdf_vals)
 
 
-def linf_score(P: Measure, Q: Measure, partition: PartitionRef) -> PiecewiseScore:
+def _linf_score(P: Measure, Q: Measure, partition: PartitionRef) -> PiecewiseScore:
     """L_inf family score on a D-cell partition.
 
     Only the cell I* with the largest |P(I) - Q(I)| matters (lowest index on
@@ -499,7 +496,7 @@ def linf_score(P: Measure, Q: Measure, partition: PartitionRef) -> PiecewiseScor
 # ---------------------------------------------------------------------------
 
 
-def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
+def _hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     """Squared-Hellinger family score.
 
     With R = (P+Q)/2 and rho the affinity ∫ sqrt(dM dM'), the score is
@@ -556,12 +553,11 @@ def hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
 # ---------------------------------------------------------------------------
 
 
-def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
+def _kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
     """KL family score t = (1/(2a)) log(q/p), under the family-wide bound
     ``exp(-a) <= p/q <= exp(a)`` (checked on the atoms of a discrete pair,
-    otherwise through ``measures._log_ratio_bound``)."""
-    if not 0 < a < math.inf:
-        raise ConfigError(f"kl score needs a positive finite log-ratio bound, got {a}")
+    otherwise through ``measures._log_ratio_bound``); ``a`` comes from a
+    ``LossSpec``, which checks it."""
     scale = 1.0 / (2.0 * a)
     tol = 1e-9
 
@@ -602,22 +598,22 @@ def kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
 def score(spec: LossSpec, P: Measure, Q: Measure) -> ScoreFunction:
     """Score function of the family attached to ``spec`` for the pair (P, Q)."""
     if spec.kind == "tv":
-        return tv_score(P, Q)
+        return _tv_score(P, Q)
     if spec.kind == "hellinger2":
-        return hellinger_score(P, Q)
+        return _hellinger_score(P, Q)
     if spec.kind == "kl":
-        return kl_score(P, Q, spec.a)
+        return _kl_score(P, Q, spec.a)
     if spec.kind == "wasserstein1":
-        return wasserstein_score(P, Q)
+        return _wasserstein_score(P, Q)
     if spec.kind == "lj":
-        return lj_score(P, Q, spec.j, spec.R)
+        return _lj_score(P, Q, spec.j, spec.R)
     if spec.kind == "linf":
         partition = P.reference if isinstance(P.reference, PartitionRef) else None
         if partition is None or partition.cells != spec.D:
             raise ConfigError(
                 f"linf scores need measures on a {spec.D}-cell partition reference"
             )
-        return linf_score(P, Q, partition)
+        return _linf_score(P, Q, partition)
     raise ConfigError(f"no score family for loss kind {spec.kind!r}")
 
 
@@ -626,25 +622,32 @@ def score(spec: LossSpec, P: Measure, Q: Measure) -> ScoreFunction:
 # ---------------------------------------------------------------------------
 
 
-def partition_pair_table(
-    spec: LossSpec, partition: PartitionRef, heights: np.ndarray
-) -> PiecewiseTable | None:
-    """Scores of every pair ``i < k`` of histograms sharing ``partition``.
+def partition_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> PiecewiseTable | None:
+    """Scores of every pair ``i < k`` of ``candidates``, compiled at once.
 
-    ``heights`` is the ``(m, cells)`` matrix of candidate heights; pairs come
-    in ``np.triu_indices(m, 1)`` order.  For the TV, L_j and L_inf families
-    the table is bitwise the one ``PiecewiseTable.from_scores`` builds from
-    the per-pair ``score`` calls, so it repeats their arithmetic exactly:
-    masked sums add the selected entries compacted (``_masked_row_sums``),
-    and the per-pair norm powers stay scalar ``pow`` calls, since array
-    ``**`` rounds differently from it on some inputs.  Every component is
-    one cell, so the table's cuts are the cell starts and the support end
-    closed one ulp up, and cell ``k`` spans cuts ``k`` to ``k + 1``.
-    Returns None for other families and for L_inf on a partition without
-    ``D`` cells.
+    Applies when the family is TV, L_j or L_inf (for L_inf with ``D``
+    equal to the cell count) and every candidate is a histogram on one
+    partition; returns None otherwise, checking the family first.  Pairs
+    come in ``np.triu_indices(m, 1)`` order.  The table is bitwise the one
+    ``PiecewiseTable.from_scores`` builds from the per-pair ``score``
+    calls, so it repeats their arithmetic exactly: masked sums add the
+    selected entries compacted (``_masked_row_sums``), and the per-pair
+    norm powers stay scalar ``pow`` calls, since array ``**`` rounds
+    differently from it on some inputs.  Every component is one cell, so
+    the table's cuts are the cell starts and the support end closed one ulp
+    up, and cell ``k`` spans cuts ``k`` to ``k + 1``.
     """
-    H = np.asarray(heights, dtype=float)
+    if spec.kind not in ("tv", "lj", "linf"):
+        return None
+    if not all(isinstance(c, HistogramMeasure) for c in candidates):
+        return None
+    partition = candidates[0].partition
+    if any(c.partition != partition for c in candidates):
+        return None
     cells = partition.cells
+    if spec.kind == "linf" and cells != spec.D:
+        return None
+    H = np.stack([c.heights for c in candidates])
     iu, ku = np.triu_indices(len(H), 1)
     hp, hq = H[iu], H[ku]
     masses = H / cells
@@ -674,21 +677,17 @@ def partition_pair_table(
         const = (-f_vals[rows] / scale).ravel()
         return PiecewiseTable(bases, np.repeat(rows, cells), cuts, cell, cell + 1, const, None)
 
-    if spec.kind == "linf":
-        if cells != spec.D:
-            return None
-        mp, mq = masses[iu], masses[ku]
-        star = np.abs(mp - mq).argmax(axis=1)  # lowest index on ties
-        at = np.arange(len(star))
-        sp, sq = mp[at, star], mq[at, star]
-        keep = sp - sq != 0.0
-        sign = np.copysign(1.0, sp - sq)
-        bases = np.where(keep, sign * 0.5 * (sp + sq), 0.0)
-        rows = np.flatnonzero(keep)
-        star = star[rows]
-        return PiecewiseTable(bases, rows, cuts, star, star + 1, -sign[rows], None)
-
-    return None
+    # L_inf
+    mp, mq = masses[iu], masses[ku]
+    star = np.abs(mp - mq).argmax(axis=1)  # lowest index on ties
+    at = np.arange(len(star))
+    sp, sq = mp[at, star], mq[at, star]
+    keep = sp - sq != 0.0
+    sign = np.copysign(1.0, sp - sq)
+    bases = np.where(keep, sign * 0.5 * (sp + sq), 0.0)
+    rows = np.flatnonzero(keep)
+    star = star[rows]
+    return PiecewiseTable(bases, rows, cuts, star, star + 1, -sign[rows], None)
 
 
 def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps package functions by module and name, so a
 deleted or renamed one would only show when a traced benchmark run
 (``perfbench/run.py --trace 1``) crashes.  These tests load the tracer from
-its file, without installing it, and resolve every name it wraps.
+its file, without installing it, and resolve every name it wraps; the
+score-class table it counts ``testfam.score`` results by is checked the
+same way.
 """
 
 import importlib
@@ -23,7 +25,8 @@ def load_tracing():
     return module
 
 
-FUNCTIONS = load_tracing().FUNCTIONS
+TRACING_MODULE = load_tracing()
+FUNCTIONS = TRACING_MODULE.FUNCTIONS
 
 
 @pytest.mark.parametrize("span", sorted(FUNCTIONS))
@@ -41,3 +44,17 @@ def test_traced_engine_methods_exist():
     # The tracer calls the original ``__init__(self, spec, model)`` positionally.
     assert list(inspect.signature(vars(engine)["__init__"]).parameters) == ["self", "spec", "model"]
     assert callable(vars(engine)["statistic_matrix"])
+
+
+def test_score_classes_are_the_concrete_score_functions():
+    # ``summarize`` indexes ``SCORE_CLASSES`` by the class name of each
+    # ``testfam.score`` result, so a missing name would raise ``KeyError``.
+    testfam = importlib.import_module("pairfit.testfam")
+    concrete = {
+        name
+        for name, cls in vars(testfam).items()
+        if inspect.isclass(cls)
+        and issubclass(cls, testfam.ScoreFunction)
+        and cls is not testfam.ScoreFunction
+    }
+    assert set(TRACING_MODULE.SCORE_CLASSES) == concrete

@@ -731,6 +731,45 @@ class TestConfigErrorsExitTwo:
                 ),
                 "unknown gaussian measure config keys ['scale']",
             ),
+            (
+                "test",
+                {
+                    "truth": measure("mixture", base=measure("gaussian", mean=0.0), alpha=0.5, contaminant=measure("point-mass", at=0.0)),
+                    "p": measure("mixture", base=measure("gaussian", mean=0.0), alpha=0.5, contaminant=measure("point-mass", at=0.0)),
+                    "q": measure("gaussian", mean=0.0),
+                    "loss": {"kind": "tv"},
+                    "n": 50,
+                    "reps": 200,
+                    "seed": 1,
+                },
+                "TV sign regions miss atoms",
+            ),
+            (
+                "test",
+                {
+                    "truth": measure("discrete", points=[0.0, 1.0], masses=[0.5, 0.5]),
+                    "p": measure("discrete", points=[0.0, 1.0], masses=[0.5, 0.5]),
+                    "q": measure("gaussian", mean=0.5),
+                    "loss": {"kind": "tv"},
+                    "n": 20,
+                    "reps": 100,
+                    "seed": 1,
+                },
+                "TV sign regions miss atoms",
+            ),
+            (
+                "distances",
+                {
+                    "pairs": [
+                        {
+                            "p": measure("mixture", base=measure("gaussian", mean=0.0), alpha=0.5, contaminant=measure("point-mass", at=0.0)),
+                            "q": measure("gaussian", mean=0.0),
+                        }
+                    ],
+                    "losses": [{"kind": "lj", "j": 2.0, "R": 1.0}],
+                },
+                "L_j distance needs Lebesgue densities",
+            ),
         ],
         ids=[
             "kl-score-bound",
@@ -786,6 +825,9 @@ class TestConfigErrorsExitTwo:
             "measure-top-level-extra",
             "mixture-param-extra",
             "contaminated-base-param-extra",
+            "tv-test-candidate-with-atom",
+            "tv-test-discrete-against-gaussian",
+            "lj-distance-mixture-with-atom",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):

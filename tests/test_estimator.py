@@ -33,7 +33,7 @@ from pairfit.measures import (
 )
 from pairfit.models import build
 from pairfit.robust_tests import run_test
-from pairfit.testfam import PiecewiseScore, PiecewiseTable, score
+from pairfit.testfam import PiecewiseScore, PiecewiseTable, partition_pair_table, score
 
 
 def two_point_tv_model():
@@ -453,8 +453,24 @@ class TestPartitionPairTable:
     def test_linf_with_other_cell_count_is_config_error(self):
         part = PartitionRef(4, (0.0, 1.0))
         model = [HistogramMeasure(part, h) for h in ([1, 1, 1, 1], [2, 1, 1, 0])]
+        assert partition_pair_table(LossSpec.linf(D=5), model) is None
         with pytest.raises(ConfigError, match="5-cell partition"):
             PairwiseEngine(LossSpec.linf(D=5), model)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LossSpec.hellinger2(), LossSpec.kl(a=1.0), LossSpec.wasserstein1()],
+        ids=["hellinger2", "kl", "wasserstein1"],
+    )
+    def test_other_families_return_before_reading_candidates(self, spec):
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("candidates were read")
+
+            def __getitem__(self, index):
+                raise AssertionError("candidates were read")
+
+        assert partition_pair_table(spec, Unread()) is None
 
 
 class TestMatrixFill:

@@ -526,6 +526,15 @@ class TestLjDistance:
         with pytest.raises(ConfigError, match="j in"):
             lj_distance(P, P, 1.0)
 
+    @pytest.mark.parametrize("j", [2.0, math.inf])
+    def test_atoms_on_the_real_line_raise(self, j):
+        # An atom has no Lebesgue density; at j = 2 the pdf part alone read
+        # 0.2656 for this pair.
+        P, Q = MixtureMeasure(GaussianMeasure(0.0), 0.5, point_mass(0.0)), GaussianMeasure(0.0)
+        for pair in ((P, Q), (Q, P)):
+            with pytest.raises(ConfigError, match="needs Lebesgue densities"):
+                lj_distance(*pair, j)
+
 
 class TestSamplingAndEmpirical:
     def test_empirical_measure_merges_duplicates(self):

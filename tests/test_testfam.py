@@ -18,6 +18,7 @@ from pairfit.measures import (
     DiscreteMeasure,
     GaussianMeasure,
     HistogramMeasure,
+    MixtureMeasure,
     PartitionRef,
     PowerMeasure,
     UniformMeasure,
@@ -37,13 +38,7 @@ from pairfit.testfam import (
     check_assumptions_exact,
     check_cond3bis,
     constants_for,
-    hellinger_score,
-    kl_score,
-    linf_score,
-    lj_score,
     score,
-    tv_score,
-    wasserstein_score,
 )
 
 
@@ -88,7 +83,7 @@ class TestTvScore:
     def test_discrete_frozen(self):
         P = DiscreteMeasure([0, 1], [0.9, 0.1])
         Q = DiscreteMeasure([0, 1], [0.1, 0.9])
-        t = tv_score(P, Q)
+        t = score(LossSpec.tv(), P, Q)
         assert np.allclose(t(np.array([0.0, 1.0])), [-0.5, 0.5])
         assert t.constant_part == 0.0
         assert t(np.zeros(3)).sum() == -1.5  # a sample favoring P drives T negative
@@ -96,13 +91,13 @@ class TestTvScore:
     def test_equal_masses_contribute_constant_only(self):
         P = DiscreteMeasure([0, 1, 2], [0.4, 0.3, 0.3])
         Q = DiscreteMeasure([0, 1, 2], [0.2, 0.3, 0.5])
-        t = tv_score(P, Q)
+        t = score(LossSpec.tv(), P, Q)
         # At the tied point the indicators vanish; only the constant remains.
         assert t(np.array([1.0]))[0] == t.constant_part
 
     def test_gaussian_midpoint_structure(self):
         P, Q = GaussianMeasure(0.0), GaussianMeasure(1.0)
-        t = tv_score(P, Q)
+        t = score(LossSpec.tv(), P, Q)
         # Exactly zero: symmetric translation pairs have P(p>q) = Q(q>p).
         assert t.constant_part == 0.0
         vals = t(np.array([-1.0, 0.49, 0.5, 0.51, 2.0]))
@@ -111,13 +106,13 @@ class TestTvScore:
     def test_gaussian_mean_bound_is_tight_at_truth(self):
         # E_P[t] = -TV/2 exactly for equal-sd Gaussian pairs.
         P, Q = GaussianMeasure(0.0), GaussianMeasure(1.0)
-        t = tv_score(P, Q)
+        t = score(LossSpec.tv(), P, Q)
         mean = expectation(P, t, [0.5])
         assert abs(mean + 0.5 * tv_distance(P, Q)) < 1e-9
 
     def test_uniform_translation_values(self):
         P, Q = UniformMeasure(0.0), UniformMeasure(0.4)
-        t = tv_score(P, Q)
+        t = score(LossSpec.tv(), P, Q)
         assert t.constant_part == 0.0
         # p-only stretch, overlap, q-only stretch.
         vals = t(np.array([0.2, 0.7, 1.2]))
@@ -126,7 +121,7 @@ class TestTvScore:
     def test_power_translation_constant(self):
         # alpha = 1/2, shifts 0 and 0.25: TV = 0.5 and c = (TV - 1)/2 = -0.25.
         P, Q = PowerMeasure(0.5, 0.0), PowerMeasure(0.5, 0.25)
-        t = tv_score(P, Q)
+        t = score(LossSpec.tv(), P, Q)
         assert abs(t.constant_part + 0.25) < 1e-12
         vals = t(np.array([0.1, 0.5, 1.2]))
         assert np.allclose(vals, [-0.75, 0.25, 0.25])
@@ -166,11 +161,11 @@ class TestTvScore:
                 p_gt += _interval_prob(P, a, c)
             elif s < 0:
                 q_gt += _interval_prob(Q, a, c)
-        assert tv_score(P, Q).constant_part == 0.5 * (p_gt - q_gt) != 0.0
+        assert score(LossSpec.tv(), P, Q).constant_part == 0.5 * (p_gt - q_gt) != 0.0
 
     def test_identical_pair_is_zero(self):
         P = GaussianMeasure(0.3)
-        t = tv_score(P, GaussianMeasure(0.3))
+        t = score(LossSpec.tv(), P, GaussianMeasure(0.3))
         assert np.all(t(np.linspace(-2, 2, 9)) == 0.0)
 
     def test_analytic_matches_generic_constants(self):
@@ -178,7 +173,7 @@ class TestTvScore:
         # region finder; compare expectations under a third measure.
         S = GaussianMeasure(0.25)
         P, Q = GaussianMeasure(0.0), GaussianMeasure(1.0)
-        t = tv_score(P, Q)
+        t = score(LossSpec.tv(), P, Q)
         mean_exact = expectation(S, t, [0.5])
         # Independent route: 0.5 [S(q>p) - Q(q>p)] - 0.5 [S(p>q) - P(p>q)].
         from scipy.special import ndtr
@@ -193,33 +188,33 @@ class TestTvScore:
 
 class TestWassersteinScore:
     def test_point_mass_frozen(self):
-        t = wasserstein_score(point_mass(0.2), point_mass(0.8))
+        t = score(LossSpec.wasserstein1(), point_mass(0.2), point_mass(0.8))
         assert np.allclose(t(np.array([0.0, 1.0])), [-0.3, 0.3])
         assert abs(t.constant_part - 0.3) < 1e-12
 
     def test_mean_bound_tight_for_point_masses(self):
         P, Q = point_mass(0.2), point_mass(0.8)
-        t = wasserstein_score(P, Q)
+        t = score(LossSpec.wasserstein1(), P, Q)
         w = wasserstein1(P, Q)
         assert abs(t(np.array([0.2]))[0] + 0.5 * w) < 1e-12
 
     def test_piecewise_linear_slope(self):
         # Slope of t is -sign(F_Q - F_P); here F_Q < F_P on (0.2, 0.8).
-        t = wasserstein_score(point_mass(0.2), point_mass(0.8))
+        t = score(LossSpec.wasserstein1(), point_mass(0.2), point_mass(0.8))
         x = np.array([0.3, 0.4])
         slope = (t(x)[1] - t(x)[0]) / 0.1
         assert abs(slope - 1.0) < 1e-9
 
     def test_zero_for_identical(self):
         P = UniformMeasure(0.0, 1.0)
-        t = wasserstein_score(P, UniformMeasure(0.0, 1.0))
+        t = score(LossSpec.wasserstein1(), P, UniformMeasure(0.0, 1.0))
         assert np.all(t(np.linspace(0, 1, 11)) == 0.0)
 
     def test_antisymmetry_on_histograms(self):
         part = PartitionRef(4, (0.0, 1.0))
         P = HistogramMeasure(part, [2.0, 1.0, 0.6, 0.4])
         Q = HistogramMeasure(part, [0.4, 0.6, 1.0, 2.0])
-        t, t_rev = wasserstein_score(P, Q), wasserstein_score(Q, P)
+        t, t_rev = score(LossSpec.wasserstein1(), P, Q), score(LossSpec.wasserstein1(), Q, P)
         x = np.linspace(0.0, 1.0, 33)
         assert np.max(np.abs(t(x) + t_rev(x))) < 1e-12
 
@@ -229,24 +224,30 @@ class TestLjScore:
         part = PartitionRef(2, (0.0, 1.0))
         P = HistogramMeasure(part, [1.6, 0.4])
         Q = HistogramMeasure(part, [0.4, 1.6])
-        t = lj_score(P, Q, 2.0, math.sqrt(2.0))
+        t = score(LossSpec.lj(2.0, math.sqrt(2.0)), P, Q)
         assert abs(t(np.array([0.25]))[0] + 1.0 / (2.0 * math.sqrt(2.0))) < 1e-15
         assert t.constant_part == 0.0
 
     def test_zero_for_identical(self):
         part = PartitionRef(2, (0.0, 1.0))
         P = HistogramMeasure(part, [1.2, 0.8])
-        t = lj_score(P, HistogramMeasure(part, [1.2, 0.8]), 2.0, math.sqrt(2.0))
+        t = score(LossSpec.lj(2.0, math.sqrt(2.0)), P, HistogramMeasure(part, [1.2, 0.8]))
         assert np.all(t(np.array([0.2, 0.7])) == 0.0)
 
     def test_signed_candidate(self):
         part = PartitionRef(2, (0.0, 1.0))
         P = HistogramMeasure(part, [2.5, -0.5])
         Q = HistogramMeasure(part, [1.0, 1.0])
-        t = lj_score(P, Q, 2.0, math.sqrt(2.0))
+        t = score(LossSpec.lj(2.0, math.sqrt(2.0)), P, Q)
         vals = t(np.array([0.2, 0.7]))
         assert np.isfinite(vals).all()
         assert vals[0] < 0.0 < vals[1]
+
+
+    def test_measure_with_atoms_raises(self):
+        P = MixtureMeasure(GaussianMeasure(0.0), 0.5, point_mass(0.0))
+        with pytest.raises(ConfigError, match="needs Lebesgue densities"):
+            score(LossSpec.lj(2.0, 1.0), P, GaussianMeasure(0.0))
 
 
 class TestLinfScore:
@@ -254,7 +255,7 @@ class TestLinfScore:
         part = PartitionRef(2, (0.0, 1.0))
         P = HistogramMeasure(part, [1.6, 0.4])
         Q = HistogramMeasure(part, [0.4, 1.6])
-        t = linf_score(P, Q, part)
+        t = score(LossSpec.linf(2), P, Q)
         assert np.allclose(t(np.array([0.25, 0.75])), [-0.5, 0.5])
 
     def test_lowest_index_tie_break(self):
@@ -263,7 +264,7 @@ class TestLinfScore:
         Q = HistogramMeasure(part, [0.9, 1.5, 0.6])
         # Cells 0 and 1 tie on |P(I)-Q(I)| = 0.2; the lower index wins, so
         # sign = +1 and t = 0.4 - 1_{cell 0}.
-        t = linf_score(P, Q, part)
+        t = score(LossSpec.linf(3), P, Q)
         assert np.allclose(t(np.array([0.1, 0.5, 0.9])), [-0.6, 0.4, 0.4])
 
 
@@ -271,18 +272,18 @@ class TestHellingerScore:
     def test_orthogonal_frozen(self):
         P = DiscreteMeasure([0, 1], [1.0, 0.0])
         Q = DiscreteMeasure([0, 1], [0.0, 1.0])
-        t = hellinger_score(P, Q)
+        t = score(LossSpec.hellinger2(), P, Q)
         assert np.allclose(t(np.array([0.0, 1.0])), [-0.5, 0.5])
 
     def test_oscillation_at_most_one(self):
         P = DiscreteMeasure([0, 1, 2], [0.7, 0.2, 0.1])
         Q = DiscreteMeasure([0, 1, 2], [0.1, 0.1, 0.8])
-        vals = hellinger_score(P, Q)(np.array([0.0, 1.0, 2.0]))
+        vals = score(LossSpec.hellinger2(), P, Q)(np.array([0.0, 1.0, 2.0]))
         assert vals.max() - vals.min() <= 1.0 + 1e-12
 
     def test_continuous_mean_bound(self):
         P, Q = GaussianMeasure(0.0), GaussianMeasure(1.0)
-        t = hellinger_score(P, Q)
+        t = score(LossSpec.hellinger2(), P, Q)
         consts = constants_for(LossSpec.hellinger2())
         mean = expectation(P, t)
         bound = consts.a0 * 0.0 - consts.a1 * hellinger_sq(P, Q)
@@ -293,7 +294,7 @@ class TestKlScore:
     def test_frozen(self):
         P = DiscreteMeasure([0, 1], [0.6, 0.4])
         Q = DiscreteMeasure([0, 1], [0.4, 0.6])
-        t = kl_score(P, Q, math.log(1.5))
+        t = score(LossSpec.kl(math.log(1.5)), P, Q)
         assert abs(t(np.array([0.0]))[0] + 0.5) < 1e-12
 
     def test_mean_identity(self):
@@ -303,7 +304,7 @@ class TestKlScore:
         Q = DiscreteMeasure([0, 1, 2], [0.3, 0.3, 0.4])
         S = DiscreteMeasure([0, 1, 2], [0.25, 0.5, 0.25])
         a = 1.0
-        t = kl_score(P, Q, a)
+        t = score(LossSpec.kl(a), P, Q)
         pts = np.array([0.0, 1.0, 2.0])
         mean = float(np.sum(t(pts) * np.array([0.25, 0.5, 0.25])))
         rhs = (kl_divergence(S, P) - kl_divergence(S, Q)) / (2.0 * a)
@@ -313,13 +314,13 @@ class TestKlScore:
         P = DiscreteMeasure([0, 1], [0.9, 0.1])
         Q = DiscreteMeasure([0, 1], [0.1, 0.9])
         with pytest.raises(ValueError, match="log-ratio bound violated"):
-            kl_score(P, Q, a=0.5)
+            score(LossSpec.kl(0.5), P, Q)
 
     def test_zero_density_rejected(self):
         P = DiscreteMeasure([0, 1], [1.0, 0.0])
         Q = DiscreteMeasure([0, 1], [0.5, 0.5])
         with pytest.raises(ValueError, match="strictly positive"):
-            kl_score(P, Q, a=2.0)
+            score(LossSpec.kl(2.0), P, Q)
 
 
 class TestCheckers:
