@@ -31,6 +31,7 @@ from .measures import (
     hellinger_sq,
     kl_divergence,
     lj_distance,
+    pair_kind,
     tv_distance,
     wasserstein1,
 )
@@ -150,14 +151,23 @@ def loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
     if spec.kind == "lj":
         return lj_distance(S, Q, spec.j)
     if spec.kind == "linf":
-        for ref in (S.reference, Q.reference):
-            if not isinstance(ref, PartitionRef) or ref.cells != spec.D:
-                raise ConfigError(
-                    f"linf loss configured for D={spec.D} cells needs measures on "
-                    f"a {spec.D}-cell partition reference, got {ref!r}"
-                )
+        _linf_partition(spec, S, Q)
         return lj_distance(S, Q, math.inf)
     raise AssertionError(f"unreachable loss kind {spec.kind!r}")
+
+
+def _linf_partition(spec: LossSpec, P: Measure, Q: Measure) -> PartitionRef:
+    """The partition of an L_inf pair, which the loss and the score share.
+
+    The pair must be two histograms on one ``spec.D``-cell partition: on
+    any other pair the sup norm would not depend on ``D``.
+    """
+    if pair_kind(P, Q) != "partition" or P.partition.cells != spec.D:
+        raise ConfigError(
+            f"linf loss configured for D={spec.D} cells needs two histograms on "
+            f"one {spec.D}-cell partition, got {P!r} and {Q!r}"
+        )
+    return P.partition
 
 
 def aggregate_loss(

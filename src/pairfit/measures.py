@@ -1017,6 +1017,34 @@ def _has_continuous_part(m: Measure) -> bool:
     return True
 
 
+# Per class: the kind of a matched pair, and the parameter its measures share.
+_MATCHED_FAMILIES = {
+    GaussianMeasure: ("gaussian", "sd"),
+    CauchyMeasure: ("cauchy", "scale"),
+    UniformMeasure: ("uniform", "width"),
+    PowerMeasure: ("power", "alpha"),
+    HistogramMeasure: ("partition", "partition"),
+}
+
+
+def pair_kind(P: Measure, Q: Measure) -> str:
+    """The kind of the pair (P, Q), which decides which exact paths apply.
+
+    ``"atomic"`` when neither measure has a continuous part; ``"partition"``
+    for two histograms on one partition; ``"gaussian"``, ``"cauchy"``,
+    ``"uniform"`` or ``"power"`` for two measures of that family with equal
+    ``sd``, ``scale``, ``width`` or ``alpha``; ``"general"`` otherwise.  The
+    kind is symmetric in P and Q.
+    """
+    family = _MATCHED_FAMILIES.get(type(P))
+    if family is not None and type(Q) is type(P):
+        kind, shape = family
+        return kind if getattr(P, shape) == getattr(Q, shape) else "general"
+    if _has_continuous_part(P) or _has_continuous_part(Q):
+        return "general"
+    return "atomic"
+
+
 def _continuous_support(m: Measure) -> list[tuple[float, float]]:
     """Closure of the support of ``m``'s continuous part, which must exist.
 
@@ -1084,33 +1112,25 @@ def _pw_linear_cdf_integral(
 
 def _tv_closed_form(P: Measure, Q: Measure) -> float | None:
     """Closed-form TV for matched families, or None when no form applies."""
-    if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
+    kind = pair_kind(P, Q)
+    if kind == "gaussian":
         # TV = P[|Z| <= |Δm| / (2 sd)] for a standard normal Z.
         d = abs(P.mean - Q.mean) / (2.0 * P.sd)
         return float(2.0 * _special.ndtr(d) - 1.0)
-    if isinstance(P, CauchyMeasure) and isinstance(Q, CauchyMeasure) and P.scale == Q.scale:
+    if kind == "cauchy":
         return (2.0 / math.pi) * math.atan(abs(P.loc - Q.loc) / (2.0 * P.scale))
-    if isinstance(P, UniformMeasure) and isinstance(Q, UniformMeasure) and P.width == Q.width:
+    if kind == "uniform":
         return min(1.0, abs(P.low - Q.low) / P.width)
-    if (
-        isinstance(P, PowerMeasure)
-        and isinstance(Q, PowerMeasure)
-        and P.alpha == Q.alpha
-        and P.alpha <= 1.0
-    ):
+    if kind == "power" and P.alpha <= 1.0:
         # Translated power laws with alpha <= 1 have {p > q} = (shift_P, shift_Q]
         # (for shift_P < shift_Q), giving TV = min(1, |Δshift|^alpha).  The
         # formula fails for alpha > 1, which falls through to quadrature.
         return min(1.0, abs(P.shift - Q.shift) ** P.alpha)
-    if (
-        isinstance(P, HistogramMeasure)
-        and isinstance(Q, HistogramMeasure)
-        and P.partition == Q.partition
-    ):
+    if kind == "partition":
         return 0.5 * float(np.abs(P.cell_masses - Q.cell_masses).sum())
-    if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
+    if kind == "atomic":
         _, (vp, vq) = atom_mass_matrix(P, Q)
-        return 0.5 * float(np.abs(vp - vq).sum())
+        return min(1.0, 0.5 * float(np.abs(vp - vq).sum()))
     return None
 
 
@@ -1154,10 +1174,11 @@ def tv_distance(P: Measure, Q: Measure) -> float:
 def hellinger_sq(P: Measure, Q: Measure) -> float:
     """Squared Hellinger distance ``h²(P, Q) = 1 - ∫ sqrt(dP dQ)`` in [0, 1]."""
     _require_probability(P, Q)
-    if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
+    kind = pair_kind(P, Q)
+    if kind == "gaussian":
         d = P.mean - Q.mean
         return 1.0 - math.exp(-(d * d) / (8.0 * P.sd * P.sd))
-    if isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
+    if kind == "partition":
         aff = float(
             np.sqrt(np.clip(P.cell_masses, 0, None) * np.clip(Q.cell_masses, 0, None)).sum()
         )
@@ -1201,9 +1222,10 @@ def _xlogx_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def kl_divergence(P: Measure, Q: Measure) -> float:
     """Kullback-Leibler divergence ``KL(P || Q)``; returns ``inf`` when P ⊄ Q."""
     _require_probability(P, Q)
-    if isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
+    kind = pair_kind(P, Q)
+    if kind == "partition":
         return float(_xlogx_ratio(P.cell_masses, Q.cell_masses).sum())
-    if isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd:
+    if kind == "gaussian":
         d = P.mean - Q.mean
         return (d * d) / (2.0 * P.sd * P.sd)
     return _kl_quadrature(P, Q)
@@ -1244,7 +1266,7 @@ def _kl_quadrature(P: Measure, Q: Measure) -> float:
 def _log_spread(stacked: np.ndarray) -> np.ndarray | None:
     """Per-column log spread ``log max_i v_i - log min_i v_i``, or None.
 
-    ``stacked`` holds one row of densities (or masses) per candidate.  None
+    ``stacked`` holds one row of densities per candidate.  None
     means some candidate vanishes at a column where another is positive, so
     no finite family-wide log-ratio bound exists.  Columns where every
     candidate vanishes contribute ``-inf`` (they never host the maximum).
@@ -1264,21 +1286,16 @@ def _log_ratio_bound(candidates: Sequence[Measure]) -> float | None:
 
     Returns None when some candidate vanishes where another is positive,
     or when two power laws share a shift but not alpha (the KL family then
-    has no finite log-ratio bound).  The target equals
-    ``max_x [log max_i p_i(x) - log min_i p_i(x)]``, so one column pass per
-    probe point covers every pair.  Discrete families are exact over their
-    atoms.  Otherwise the coarse probe (a global grid plus every candidate
-    breakpoint and the midpoints between them) is polished by zooming into
-    the best bracket a few times, since windows can span thousands of scale
-    units while the ratio peaks near the centers.
+    has no finite log-ratio bound), and when some candidate has atoms (the
+    KL score checks an atomic pair over its atoms itself).  The target
+    equals ``max_x [log max_i p_i(x) - log min_i p_i(x)]``, so one column
+    pass per probe point covers every pair.  The coarse probe (a global grid
+    plus every candidate breakpoint and the midpoints between them) is
+    polished by zooming into the best bracket a few times, since windows can
+    span thousands of scale units while the ratio peaks near the centers.
     """
     if len(candidates) < 2:
         return None
-    if all(isinstance(m, DiscreteMeasure) for m in candidates):
-        spread = _log_spread(atom_mass_matrix(*candidates)[1])
-        if spread is None or not np.isfinite(spread.max()):
-            return None
-        return float(spread.max())
     if any(m.atoms() for m in candidates):
         return None
     # Power laws at one shift with different alpha: the log ratio

@@ -26,7 +26,7 @@ from .bounds import _require_count, _require_nonnegative, _require_positive
 from .errors import ConfigError
 from .estimator import Model, PairwiseEngine, _sample_array
 from .losses import LossSpec
-from .measures import DiscreteMeasure, Measure, atom_mass_matrix, locate_points
+from .measures import Measure, atom_mass_matrix, locate_points, pair_kind
 from .testfam import _interval_prob, _tv_sign_regions
 
 __all__ = [
@@ -111,14 +111,15 @@ def _q_dominates_split(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float, float]:
     """The set ``A = {q > p}``: a sample-membership test, ``P(A)``, ``Q(A)``.
 
-    Discrete pairs compare atom masses directly, and their membership test
-    raises ``ConfigError`` on a value that is no atom of ``P`` or ``Q``;
+    Purely atomic pairs compare atom masses directly, and their membership
+    test raises ``ConfigError`` on a value that is no atom of ``P`` or ``Q``;
     other pairs reuse the total-variation sign regions (exact for the
     matched translation families, probed elsewhere), with membership
     following the same half-open evaluation intervals as the TV score, and
     a pair with atoms raises ``ConfigError`` there.
     """
-    if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
+    kind = pair_kind(P, Q)
+    if kind == "atomic":
         points, (vp, vq) = atom_mass_matrix(P, Q)
         in_a = vq > vp
         # Left-to-right Python float sums: numpy's pairwise sum rounds differently.
@@ -130,7 +131,7 @@ def _q_dominates_split(
 
         return member, prob_p, prob_q
 
-    negative = [(a, c, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(P, Q) if s < 0]
+    negative = [(a, c, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(P, Q, kind) if s < 0]
     prob_p = float(sum(_interval_prob(P, a, c) for a, c, _, _ in negative))
     prob_q = float(sum(_interval_prob(Q, a, c) for a, c, _, _ in negative))
 
@@ -155,7 +156,7 @@ def devroye_lugosi_test(
     when every sample point lands where the densities agree, it picks
     whichever candidate puts less mass on ``A``.  The sample is checked as
     :func:`run_test` checks it, except that an empty one reads frequency 0;
-    for a discrete pair every value must be an atom of ``P`` or ``Q``.
+    for a purely atomic pair every value must be an atom of ``P`` or ``Q``.
     """
     xs = _sample_array(sample, allow_empty=True)
     member, prob_p, prob_q = _q_dominates_split(P, Q)

@@ -42,17 +42,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .losses import LossSpec, loss
+from .losses import LossSpec, _linf_partition, loss
 from .measures import (
     DiscreteMeasure,
     DiscreteRef,
-    GaussianMeasure,
-    CauchyMeasure,
     HistogramMeasure,
     Measure,
     PartitionRef,
-    PowerMeasure,
-    UniformMeasure,
+    _has_continuous_part,
     _log_ratio_bound,
     _sign_cuts,
     _union_breakpoints,
@@ -63,6 +60,7 @@ from .measures import (
     integrate,
     lj_distance,
     locate_points,
+    pair_kind,
     tv_distance,
 )
 
@@ -249,7 +247,8 @@ def _interval_prob(m: Measure, a: float, b: float) -> float:
 
 def _tv_score(P: Measure, Q: Measure) -> ScoreFunction:
     """TV family score; strict comparisons, so p = q regions only shift the constant."""
-    if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
+    kind = pair_kind(P, Q)
+    if kind == "atomic":
         pts, (vp, vq) = atom_mass_matrix(P, Q)
         p_gt = vp > vq
         q_gt = vq > vp
@@ -257,29 +256,26 @@ def _tv_score(P: Measure, Q: Measure) -> ScoreFunction:
         values = 0.5 * (q_gt.astype(float) - p_gt.astype(float)) + const
         return AtomScore(pts, values, const)
 
-    if isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
+    if kind == "partition":
         edges = P.partition.edges
         hp, hq = P.heights, Q.heights
         const = 0.5 * float(
             P.cell_masses[hp > hq].sum() - Q.cell_masses[hq > hp].sum()
         )
+        cells = P.partition.cells
         comps = []
-        for k in range(P.partition.cells):
-            if hq[k] > hp[k]:
-                comps.append((edges[k], edges[k + 1], 0.5, 0.0))
-            elif hp[k] > hq[k]:
-                comps.append((edges[k], edges[k + 1], -0.5, 0.0))
-        if comps:
-            # Close the right edge of the last cell.
-            last = comps[-1]
-            if last[1] == edges[-1]:
-                comps[-1] = (last[0], _UP(edges[-1], math.inf), last[2], last[3])
+        for k in range(cells):
+            s = 0.5 if hq[k] > hp[k] else -0.5 if hp[k] > hq[k] else 0.0
+            if s != 0.0:
+                # The last cell's right edge is closed.
+                hi = _UP(edges[k + 1], math.inf) if k == cells - 1 else edges[k + 1]
+                comps.append((edges[k], hi, s, 0.0))
         return PiecewiseScore(const, comps)
 
-    regions = _tv_sign_regions(P, Q)
+    regions = _tv_sign_regions(P, Q, kind)
     # -1/2 where p > q, +1/2 where q > p.
     comps = [(ea, ec, -0.5 * s, 0.0) for _, _, s, ea, ec in regions if s != 0.0]
-    if _symmetric_translation_pair(P, Q):
+    if kind in ("gaussian", "cauchy", "uniform"):
         # P(p > q) = Q(q > p) exactly for equal-shape translation pairs, so
         # the data-free term vanishes and no probability is computed;
         # computing the difference would leave half-ulp dust that the
@@ -295,19 +291,12 @@ def _tv_score(P: Measure, Q: Measure) -> ScoreFunction:
     return PiecewiseScore(0.5 * (prob_p_gt - prob_q_gt), comps)
 
 
-def _symmetric_translation_pair(P: Measure, Q: Measure) -> bool:
-    return (
-        (isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd)
-        or (isinstance(P, CauchyMeasure) and isinstance(Q, CauchyMeasure) and P.scale == Q.scale)
-        or (isinstance(P, UniformMeasure) and isinstance(Q, UniformMeasure) and P.width == Q.width)
-    )
-
-
-def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, float, float]]:
+def _tv_sign_regions(P: Measure, Q: Measure, kind: str) -> list[tuple[float, float, float, float, float]]:
     """Maximal sign regions of p - q for a pair of measures without atoms.
 
-    A pair with atoms is refused: p - q only sees the densities, so an atom
-    would fall in no region.  Each region is
+    ``kind`` is ``measures.pair_kind(P, Q)``, which the caller has already
+    asked.  A pair with atoms is refused: p - q only sees the densities, so
+    an atom would fall in no region.  Each region is
     ``(lo, hi, sign, eval_lo, eval_hi)``.  Matched translation families get
     exact regions: probabilities come from the exact ``[lo, hi]`` (boundary
     points are null for these continuous families, and nudged bounds would
@@ -319,9 +308,8 @@ def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, 
     zero regions stay as probed, since a merged one may not read 0 at its
     midpoint.
     """
-    gaussian = isinstance(P, GaussianMeasure) and isinstance(Q, GaussianMeasure) and P.sd == Q.sd
-    if gaussian or (isinstance(P, CauchyMeasure) and isinstance(Q, CauchyMeasure) and P.scale == Q.scale):
-        cp, cq = (P.mean, Q.mean) if gaussian else (P.loc, Q.loc)
+    if kind in ("gaussian", "cauchy"):
+        cp, cq = (P.mean, Q.mean) if kind == "gaussian" else (P.loc, Q.loc)
         if cp == cq:
             return []
         mid = 0.5 * (cp + cq)
@@ -329,11 +317,11 @@ def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, 
         s = 1.0 if cp < cq else -1.0
         # p > q strictly on the side nearer P's center; the densities tie at mid.
         return [(lo, mid, s, lo, mid), (mid, hi, -s, _UP(mid, math.inf), hi)]
-    if isinstance(P, UniformMeasure) and isinstance(Q, UniformMeasure) and P.width == Q.width:
+    if kind == "uniform":
         if P.low == Q.low:
             return []
         if P.low > Q.low:
-            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(Q, P)]
+            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(Q, P, kind)]
         w = P.width
         c1 = min(Q.low, P.low + w)  # end of the {p > q} stretch
         c2 = max(P.low + w, Q.low)  # start of the {q > p} stretch
@@ -342,11 +330,11 @@ def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, 
             (P.low, c1, 1.0, P.low, c1),
             (c2, Q.low + w, -1.0, c2, Q.low + w),
         ]
-    if isinstance(P, PowerMeasure) and isinstance(Q, PowerMeasure) and P.alpha == Q.alpha and P.alpha != 1.0:
+    if kind == "power" and P.alpha != 1.0:
         if P.shift == Q.shift:
             return []
         if P.shift > Q.shift:
-            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(Q, P)]
+            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(Q, P, kind)]
         th, th2 = P.shift, Q.shift
         if P.alpha < 1.0:
             # p > q on (th, min(th2, th+1)], q > p on (th2, th2+1].
@@ -363,8 +351,8 @@ def _tv_sign_regions(P: Measure, Q: Measure) -> list[tuple[float, float, float, 
         ]
     if P.atoms() or Q.atoms():
         raise ConfigError(
-            "TV sign regions miss atoms: the pair must be two discrete measures, two "
-            f"histograms on one partition, or two measures without atoms; got {P!r} and {Q!r}"
+            "TV sign regions miss atoms: the pair must be purely atomic, two histograms "
+            f"on one partition, or two measures without atoms; got {P!r} and {Q!r}"
         )
     diff = lambda x: P.pdf(x) - Q.pdf(x)
     edges = np.array(_sign_cuts(diff, *_union_window(P, Q), _union_breakpoints(P, Q)))
@@ -464,22 +452,13 @@ def _lj_score(P: Measure, Q: Measure, j: float, R: float) -> ScoreFunction:
 # ---------------------------------------------------------------------------
 
 
-def _cell_masses_on(m: Measure, partition: PartitionRef) -> np.ndarray:
-    if isinstance(m, HistogramMeasure) and m.partition == partition:
-        return m.cell_masses
-    edges = partition.edges
-    cdf_vals = np.asarray(m.cdf(edges), dtype=float)
-    return np.diff(cdf_vals)
-
-
-def _linf_score(P: Measure, Q: Measure, partition: PartitionRef) -> PiecewiseScore:
-    """L_inf family score on a D-cell partition.
+def _linf_score(P: HistogramMeasure, Q: HistogramMeasure, partition: PartitionRef) -> PiecewiseScore:
+    """L_inf family score for two histograms on one D-cell partition.
 
     Only the cell I* with the largest |P(I) - Q(I)| matters (lowest index on
     ties): t = sign(P(I*) - Q(I*)) [(P(I*) + Q(I*))/2 - 1_{I*}].
     """
-    mp = _cell_masses_on(P, partition)
-    mq = _cell_masses_on(Q, partition)
+    mp, mq = P.cell_masses, Q.cell_masses
     gaps = np.abs(mp - mq)
     star = int(np.argmax(gaps))  # argmax returns the lowest index on ties
     if gaps[star] == 0.0:
@@ -504,18 +483,15 @@ def _hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     understood w.r.t. any common dominating measure; the ratio term is set to
     0 where p = q = 0.
     """
-    if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
+    if pair_kind(P, Q) == "atomic":
         pts, masses = atom_mass_matrix(P, Q)
         vp, vq = np.maximum(masses, 0.0)
         vr = 0.5 * (vp + vq)
         rho_q = float(np.sum(np.sqrt(vr * vq)))
         rho_p = float(np.sum(np.sqrt(vr * vp)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(vr > 0.0, (np.sqrt(vq) - np.sqrt(vp)) / np.sqrt(np.where(vr > 0, vr, 1.0)), 0.0)
         scale = 1.0 / (2.0 * math.sqrt(2.0))
         const = scale * (rho_q - rho_p)
-        values = const + scale * ratio
-        return AtomScore(pts, values, const)
+        return AtomScore(pts, const + scale * _hellinger_ratio(vp, vq), const)
 
     if P.atoms() or Q.atoms():
         raise ConfigError("hellinger scores support finite spaces or continuous pairs, not mixtures")
@@ -523,29 +499,28 @@ def _hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     brk = _union_breakpoints(P, Q)
     lo, hi = _union_window(P, Q)
 
+    def densities(x):
+        return np.maximum(P.pdf(x), 0.0), np.maximum(Q.pdf(x), 0.0)
+
     def sqrt_rq(x):
-        p = np.maximum(P.pdf(x), 0.0)
-        q = np.maximum(Q.pdf(x), 0.0)
+        p, q = densities(x)
         return np.sqrt(0.5 * (p + q) * q)
 
     def sqrt_rp(x):
-        p = np.maximum(P.pdf(x), 0.0)
-        q = np.maximum(Q.pdf(x), 0.0)
+        p, q = densities(x)
         return np.sqrt(0.5 * (p + q) * p)
 
     rho_q = integrate(sqrt_rq, lo, hi, brk)[0]
     rho_p = integrate(sqrt_rp, lo, hi, brk)[0]
     scale = 1.0 / (2.0 * math.sqrt(2.0))
     const = scale * (rho_q - rho_p)
+    return CallableScore(lambda x: const + scale * _hellinger_ratio(*densities(x)), const)
 
-    def fn(x):
-        p = np.maximum(P.pdf(x), 0.0)
-        q = np.maximum(Q.pdf(x), 0.0)
-        r = 0.5 * (p + q)
-        ratio = np.where(r > 0.0, (np.sqrt(q) - np.sqrt(p)) / np.sqrt(np.where(r > 0, r, 1.0)), 0.0)
-        return const + scale * ratio
 
-    return CallableScore(fn, const)
+def _hellinger_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``(sqrt q - sqrt p) / sqrt r`` with ``r = (p + q) / 2``, and 0 where r = 0."""
+    r = 0.5 * (p + q)
+    return np.where(r > 0.0, (np.sqrt(q) - np.sqrt(p)) / np.sqrt(np.where(r > 0, r, 1.0)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +530,13 @@ def _hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
 
 def _kl_score(P: Measure, Q: Measure, a: float) -> ScoreFunction:
     """KL family score t = (1/(2a)) log(q/p), under the family-wide bound
-    ``exp(-a) <= p/q <= exp(a)`` (checked on the atoms of a discrete pair,
-    otherwise through ``measures._log_ratio_bound``); ``a`` comes from a
-    ``LossSpec``, which checks it."""
+    ``exp(-a) <= p/q <= exp(a)`` (checked on the atoms of a purely atomic
+    pair, otherwise through ``measures._log_ratio_bound``); ``a`` comes from
+    a ``LossSpec``, which checks it."""
     scale = 1.0 / (2.0 * a)
     tol = 1e-9
 
-    if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
+    if pair_kind(P, Q) == "atomic":
         pts, (vp, vq) = atom_mass_matrix(P, Q)
         if np.any(vp <= 0.0) or np.any(vq <= 0.0):
             raise ConfigError("kl scores need strictly positive densities on the space")
@@ -608,12 +583,7 @@ def score(spec: LossSpec, P: Measure, Q: Measure) -> ScoreFunction:
     if spec.kind == "lj":
         return _lj_score(P, Q, spec.j, spec.R)
     if spec.kind == "linf":
-        partition = P.reference if isinstance(P.reference, PartitionRef) else None
-        if partition is None or partition.cells != spec.D:
-            raise ConfigError(
-                f"linf scores need measures on a {spec.D}-cell partition reference"
-            )
-        return _linf_score(P, Q, partition)
+        return _linf_score(P, Q, _linf_partition(spec, P, Q))
     raise ConfigError(f"no score family for loss kind {spec.kind!r}")
 
 
@@ -733,8 +703,8 @@ class AssumptionReport:
 
 
 def _probe_points(measures: Sequence[Measure]) -> np.ndarray:
-    """Evaluation points: all atoms, or a grid over the union window."""
-    if all(m.atoms() for m in measures):
+    """Evaluation points: all atoms of purely atomic measures, else a grid over the union window."""
+    if not any(_has_continuous_part(m) for m in measures):
         return atom_mass_matrix(*measures)[0]
     lo, hi = _union_window(*measures)
     brk = _union_breakpoints(*measures)
@@ -866,16 +836,17 @@ def check_cond3bis(model: Sequence[Measure]) -> Cond3bisReport:
             tv = tv_distance(P, Q)
             if tv == 0.0:
                 continue
-            if isinstance(P, DiscreteMeasure) and isinstance(Q, DiscreteMeasure):
+            kind = pair_kind(P, Q)
+            if kind == "atomic":
                 _, (vp, vq) = atom_mass_matrix(P, Q)
                 p_le = float(vp[vp <= vq].sum())
                 q_gt = float(vq[vp > vq].sum())
-            elif isinstance(P, HistogramMeasure) and isinstance(Q, HistogramMeasure) and P.partition == Q.partition:
+            elif kind == "partition":
                 hp, hq = P.heights, Q.heights
                 p_le = float(P.cell_masses[hp <= hq].sum())
                 q_gt = float(Q.cell_masses[hp > hq].sum())
             else:
-                regions = _tv_sign_regions(P, Q)
+                regions = _tv_sign_regions(P, Q, kind)
                 p_gt = sum(_interval_prob(P, a, c) for a, c, s, _, _ in regions if s > 0)
                 q_gt = sum(_interval_prob(Q, a, c) for a, c, s, _, _ in regions if s > 0)
                 p_le = 1.0 - p_gt

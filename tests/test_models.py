@@ -30,6 +30,7 @@ from pairfit.measures import (
     _tv_quadrature,
 )
 from pairfit.models import ModelBuilderConfig, build
+from pairfit.testfam import score
 
 
 def total_mass(measure, hi):
@@ -370,7 +371,12 @@ class TestDiscreteFamily:
             )
         )
         assert len(model.candidates) == 2
-        assert _log_ratio_bound(model.candidates) == pytest.approx(0.916290731874155, rel=1e-12)
+        # The KL score checks a discrete pair's log-ratio bound over its
+        # atoms; with a = 1 its values are log(q/p) / 2.
+        t = score(LossSpec.kl(a=1.0), *model.candidates)
+        assert 2.0 * np.abs(t.values).max() == pytest.approx(0.916290731874155, rel=1e-12)
+        with pytest.raises(ConfigError, match="log-ratio bound violated"):
+            score(LossSpec.kl(a=0.9), *model.candidates)
 
     def test_zero_mass_disables_log_ratio_bound(self):
         model = build(
@@ -379,7 +385,8 @@ class TestDiscreteFamily:
                 candidates=((0.5, 0.5, 0.0), (0.2, 0.3, 0.5)),
             )
         )
-        assert _log_ratio_bound(model.candidates) is None
+        with pytest.raises(ConfigError, match="strictly positive"):
+            score(LossSpec.kl(a=100.0), *model.candidates)
 
     def test_masses_must_sum_to_one(self):
         with pytest.raises(ConfigError, match="sum"):

@@ -2,6 +2,8 @@
 
 * ``measures.integrate`` owns the quadrature accuracy budget: every
   quadrature consumer raises through it.
+* ``measures.pair_kind`` owns a pair's kind (purely atomic, one partition,
+  a matched translation family or general), which every exact path keys on.
 * ``testfam._tv_sign_regions`` owns the TV sign regions of a pair without
   atoms, and refuses a pair with atoms; the TV score, ``check_cond3bis``
   and the frequency-comparison test each keep their own probability sums
@@ -14,6 +16,7 @@ before the helpers were shared, so the properties check that sharing a
 helper changed no returned bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 import pairfit.measures as measures
 from pairfit.errors import ConfigError, NumericalError
-from pairfit.losses import LossSpec
+from pairfit.losses import LossSpec, loss
 from pairfit.measures import (
     CauchyMeasure,
     DiscreteMeasure,
@@ -38,6 +41,7 @@ from pairfit.measures import (
     hellinger_sq,
     kl_divergence,
     lj_distance,
+    pair_kind,
     sign_change_points,
     tv_distance,
     wasserstein1,
@@ -45,7 +49,7 @@ from pairfit.measures import (
 from pairfit.robust_tests import _q_dominates_split
 from pairfit.testfam import (
     _interval_prob,
-    _symmetric_translation_pair,
+    _probe_points,
     _tv_sign_regions,
     check_assumptions_exact,
     check_cond3bis,
@@ -161,7 +165,8 @@ def tv_score_oracle(P, Q, regions):
         elif s < 0:
             comps.append((ea, ec, 0.5, 0.0))
             prob_q_gt += _interval_prob(Q, a, c)
-    const = 0.0 if _symmetric_translation_pair(P, Q) else 0.5 * (prob_p_gt - prob_q_gt)
+    translation = pair_kind(P, Q) in ("gaussian", "cauchy", "uniform")
+    const = 0.0 if translation else 0.5 * (prob_p_gt - prob_q_gt)
     return const, comps
 
 
@@ -212,11 +217,9 @@ def continuous_pairs(draw):
 
 def expected_regions(P, Q):
     """Probed regions for mismatched pairs; exact ones are checked by sign."""
-    regions = _tv_sign_regions(P, Q)
-    matched = _symmetric_translation_pair(P, Q) or (
-        isinstance(P, PowerMeasure) and isinstance(Q, PowerMeasure) and P.alpha == Q.alpha
-    )
-    if not matched:
+    kind = pair_kind(P, Q)
+    regions = _tv_sign_regions(P, Q, kind)
+    if kind == "general":
         assert regions == probed_regions(P, Q)
     return regions
 
@@ -381,3 +384,137 @@ class TestCdfGapPieces:
     @settings(max_examples=150, deadline=None)
     def test_sign_intervals_match_their_oracle(self, P, Q):
         assert cdf_sign_intervals(P, Q) == sign_intervals_oracle(P, Q)
+
+
+# ---------------------------------------------------------------------------
+# Pair kinds
+# ---------------------------------------------------------------------------
+
+_PART = PartitionRef(2, (0.0, 1.0))
+# A purely atomic mixture, its DiscreteMeasure twin and a measure to pair
+# them with.
+_ATOMIC_MIX = MixtureMeasure(DiscreteMeasure([0.0], [1.0]), 0.5, DiscreteMeasure([1.0], [1.0]))
+_ATOMIC_TWIN = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
+_DISCRETE = DiscreteMeasure([0.0, 1.0], [0.9, 0.1])
+# A uniform and a power law, each with an atom.
+_UNIFORM_ATOM = MixtureMeasure(UniformMeasure(0.0, 1.0), 0.3, DiscreteMeasure([0.5], [1.0]))
+_POWER_ATOM = MixtureMeasure(PowerMeasure(2.0, 0.0), 0.2, DiscreteMeasure([0.25], [1.0]))
+_KIND_MEASURES = {
+    "gaussian-sd1": GaussianMeasure(0.0, 1.0),
+    "gaussian-sd2": GaussianMeasure(0.5, 2.0),
+    "cauchy": CauchyMeasure(0.0, 1.0),
+    "uniform-wide": UniformMeasure(0.0, 1.0),
+    "uniform-narrow": UniformMeasure(0.25, 0.5),
+    "power-2": PowerMeasure(2.0),
+    "power-3": PowerMeasure(3.0),
+    "histogram-a": HistogramMeasure(_PART, [1.5, 0.5]),
+    "histogram-b": HistogramMeasure(_PART, [0.5, 1.5]),
+    "discrete": _DISCRETE,
+    "atomic-mixture": _ATOMIC_MIX,
+    "uniform-plus-atom": _UNIFORM_ATOM,
+}
+_ALL_SPECS = (
+    LossSpec.tv(),
+    LossSpec.hellinger2(),
+    LossSpec.kl(5.0),
+    LossSpec.wasserstein1(),
+    LossSpec.lj(2.0, 2.0),
+    LossSpec.linf(2),
+)
+
+
+def _builds(spec, P, Q):
+    try:
+        score(spec, P, Q)
+    except ConfigError:
+        return False
+    return True
+
+
+class TestPairKind:
+    @pytest.mark.parametrize(
+        "P, Q, kind",
+        [
+            (GaussianMeasure(0.0, 1.0), GaussianMeasure(3.0, 1.0), "gaussian"),
+            (GaussianMeasure(0.0, 1.0), GaussianMeasure(0.0, 2.0), "general"),
+            (CauchyMeasure(0.0, 1.0), CauchyMeasure(1.0, 1.0), "cauchy"),
+            (UniformMeasure(0.0, 1.0), UniformMeasure(0.5, 1.0), "uniform"),
+            (PowerMeasure(0.5), PowerMeasure(0.5, 0.2), "power"),
+            (PowerMeasure(0.5), PowerMeasure(2.0), "general"),
+            (HistogramMeasure(_PART, [1.5, 0.5]), HistogramMeasure(_PART, [1.0, 1.0]), "partition"),
+            (HistogramMeasure(_PART, [1.5, 0.5]), HistogramMeasure(PartitionRef(2, (0.0, 2.0)), [1.0, 1.0]), "general"),
+            (_ATOMIC_MIX, _DISCRETE, "atomic"),
+            (_DISCRETE, _ATOMIC_TWIN, "atomic"),
+            (_UNIFORM_ATOM, _DISCRETE, "general"),
+            (GaussianMeasure(0.0), CauchyMeasure(0.0), "general"),
+        ],
+    )
+    def test_kind_is_symmetric(self, P, Q, kind):
+        assert pair_kind(P, Q) == kind
+        assert pair_kind(Q, P) == kind
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["mixture-first", "mixture-second"])
+    def test_atomic_mixture_scores_like_its_discrete_twin(self, swap):
+        # Every atom path keys on "purely atomic", so the mixture gets the
+        # exact answer its DiscreteMeasure twin gets, bit for bit.
+        pair, twin = (_ATOMIC_MIX, _DISCRETE), (_ATOMIC_TWIN, _DISCRETE)
+        if swap:
+            pair, twin = pair[::-1], twin[::-1]
+        for spec in (LossSpec.tv(), LossSpec.hellinger2(), LossSpec.kl(5.0)):
+            got, want = score(spec, *pair), score(spec, *twin)
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.constant_part == want.constant_part
+        assert check_cond3bis(list(pair)).a2_prime == check_cond3bis(list(twin)).a2_prime
+        member, prob_p, prob_q = _q_dominates_split(*pair)
+        twin_member, twin_p, twin_q = _q_dominates_split(*twin)
+        assert (prob_p, prob_q) == (twin_p, twin_q)
+        xs = np.array([0.0, 1.0, 1.0, 0.0])
+        assert np.array_equal(member(xs), twin_member(xs))
+
+    def test_atomic_mixture_tv_score_reaches_the_distance(self):
+        # TV(A, D) = 0.4, and the TV score's mean under D minus its mean
+        # under A is TV(A, D).
+        t = score(LossSpec.tv(), _ATOMIC_MIX, _DISCRETE)
+        gap = float(np.dot(t.values, [0.9, 0.1]) - np.dot(t.values, [0.5, 0.5]))
+        assert gap == pytest.approx(tv_distance(_ATOMIC_MIX, _DISCRETE)) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize(
+        "other", ["gaussian-sd1", "uniform-wide", "discrete", "atomic-mixture"]
+    )
+    def test_linf_refuses_a_histogram_against_anything_else_in_both_orders(self, other):
+        # Score and loss share one rule: two histograms on one D-cell
+        # partition.  The score used to read the other measure's cdf on the
+        # histogram's partition when the histogram came first.
+        H, X = _KIND_MEASURES["histogram-a"], _KIND_MEASURES[other]
+        spec = LossSpec.linf(2)
+        for P, Q in ((H, X), (X, H)):
+            with pytest.raises(ConfigError, match="2-cell partition"):
+                score(spec, P, Q)
+            with pytest.raises(ConfigError, match="2-cell partition"):
+                loss(spec, P, Q)
+
+    def test_linf_refuses_histograms_on_two_partitions(self):
+        P = HistogramMeasure(_PART, [1.5, 0.5])
+        Q = HistogramMeasure(PartitionRef(2, (0.0, 2.0)), [0.75, 0.25])
+        for A, B in ((P, Q), (Q, P)):
+            with pytest.raises(ConfigError, match="2-cell partition"):
+                score(LossSpec.linf(2), A, B)
+
+    def test_every_score_builds_in_both_orders_or_in_neither(self):
+        mismatched = [
+            (a, b, spec.kind)
+            for (a, P), (b, Q) in itertools.combinations(_KIND_MEASURES.items(), 2)
+            for spec in _ALL_SPECS
+            if _builds(spec, P, Q) != _builds(spec, Q, P)
+        ]
+        assert mismatched == []
+
+    def test_probe_grid_sees_between_the_atoms_of_a_density_with_atoms(self):
+        # Both measures have atoms but also a density, so the audit probes a
+        # grid over their union window, not only the two atoms; the W1
+        # score's oscillation there is 1/2, where the atoms alone read 1/4.
+        assert _probe_points([_UNIFORM_ATOM, _POWER_ATOM]).size == 514
+        pair = [_UNIFORM_ATOM, _POWER_ATOM]
+        report = check_assumptions_exact(LossSpec.wasserstein1(), pair, pair)
+        assert report.worst_oscillation == pytest.approx(-0.5, abs=1e-12)

@@ -156,7 +156,7 @@ class TestTvScore:
         # 0.0 and taken over the sign regions in order, bit for bit.
         P, Q = GaussianMeasure(0.0, 1.0), GaussianMeasure(0.5, 2.0)
         p_gt = q_gt = 0.0
-        for a, c, s, _, _ in _tv_sign_regions(P, Q):
+        for a, c, s, _, _ in _tv_sign_regions(P, Q, "general"):
             if s > 0:
                 p_gt += _interval_prob(P, a, c)
             elif s < 0:
