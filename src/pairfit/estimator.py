@@ -15,6 +15,7 @@ observation k is scored against coordinate k.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -35,6 +36,7 @@ from .testfam import (
 
 __all__ = [
     "Model",
+    "EngineStats",
     "EstimateReport",
     "PairwiseEngine",
     "as_model",
@@ -133,6 +135,25 @@ class EstimateReport:
         return rec
 
 
+@dataclass(frozen=True)
+class EngineStats:
+    """What a ``PairwiseEngine`` compiled, and how long that took.
+
+    Attributes:
+        backend: ``"atom"``, ``"piecewise"``, ``"generic"`` or ``"tuple"``.
+        pairs: unordered candidate pairs, m(m-1)/2.
+        components: the piecewise table's components; None for other backends.
+        cuts: the piecewise table's distinct cut points; None for other backends.
+        build_seconds: wall time of the engine's construction.
+    """
+
+    backend: str
+    pairs: int
+    components: int | None
+    cuts: int | None
+    build_seconds: float
+
+
 class PairwiseEngine:
     """Precompiled pair scores for one (loss, model), reusable across samples.
 
@@ -144,10 +165,12 @@ class PairwiseEngine:
     table's distinct cut points when all scores are piecewise linear (with
     prefix sums only when some piece has a slope), and a per-pair loop
     otherwise.  Entries are computed once per unordered pair, so the matrix
-    is exactly antisymmetric.
+    is exactly antisymmetric.  ``stats`` tells which backend was picked,
+    what was compiled and how long construction took.
     """
 
     def __init__(self, spec: LossSpec, model: Model | Sequence[Measure]):
+        started = time.perf_counter()
         self.spec = spec
         self.model = as_model(model)
         m = len(self.model)
@@ -194,6 +217,19 @@ class PairwiseEngine:
                 consts = [t.constant_part for t in self._scores]
                 self._mode = self._classify()
         self.constant_parts = self._fill_matrix(np.asarray(consts, dtype=float))
+        table = self._table if self._mode == "piecewise" else None
+        self._stats = EngineStats(
+            backend=self._mode,
+            pairs=self._n_pairs,
+            components=None if table is None else len(table.pair),
+            cuts=None if table is None else len(table.cuts),
+            build_seconds=time.perf_counter() - started,
+        )
+
+    @property
+    def stats(self) -> EngineStats:
+        """Backend, compiled sizes and build time; never part of any artifact."""
+        return self._stats
 
     # -- compilation ---------------------------------------------------------
 
@@ -215,14 +251,30 @@ class PairwiseEngine:
         return "generic"
 
     def _fill_matrix(self, halves: np.ndarray) -> np.ndarray:
+        buf = np.empty(1 + 2 * self._n_pairs)
+        buf[1 : 1 + self._n_pairs] = halves
+        return self._signed_matrix(buf)
+
+    def _signed_matrix(self, buf: np.ndarray) -> np.ndarray:
+        """The (m, m) matrix that ``_gather`` reads from ``buf``, given its halves.
+
+        ``buf`` holds the pair halves at ``1 .. n_pairs``; its zero and the
+        negated halves are written here, in place.
+        """
+        p = self._n_pairs
+        buf[0] = 0.0
+        np.negative(buf[1 : p + 1], out=buf[p + 1 :])
         m = len(self.model)
-        return np.concatenate(([0.0], halves, -halves))[self._gather].reshape(m, m)
+        return buf.take(self._gather).reshape(m, m)
 
     # -- evaluation ----------------------------------------------------------
 
     def statistic_matrix(self, sample: np.ndarray) -> np.ndarray:
         """Antisymmetric matrix with entry (i, k) = sum of pair (i, k) scores."""
-        return self._fill_matrix(self._block_halves(_sample_array(sample)[None])[0])
+        # A fresh buffer per call, so that threads may share one engine.
+        buf = np.empty(1 + 2 * self._n_pairs)
+        self._block_halves(_sample_array(sample)[None], buf[1 : 1 + self._n_pairs][None])
+        return self._signed_matrix(buf)
 
     def pair_statistics(self, sample: np.ndarray) -> np.ndarray:
         """Sum of pair (i, k) scores for each pair i < k, in the pair order of ``combinations``.
@@ -232,70 +284,77 @@ class PairwiseEngine:
         bitwise the result for ``sample[r]`` alone.
         """
         x = _sample_array(sample, block=True)
-        if x.ndim == 1:
-            return self._block_halves(x[None])[0]
-        return np.asarray(self._block_halves(x))
+        rows = x if x.ndim == 2 else x[None]
+        out = np.empty((len(rows), self._n_pairs))
+        self._block_halves(rows, out)
+        return out if x.ndim == 2 else out[0]
 
-    def _block_halves(self, rows: np.ndarray) -> np.ndarray | list[np.ndarray]:
-        """Pair statistics of each checked sample in ``rows``, shape (R, n).
+    def _block_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write the pair statistics of each checked sample in ``rows``, shape (R, n), to ``out``.
 
-        Row r of the result is sample r's statistics: an (R, pairs) array,
-        or for the piecewise backend a list of R arrays, so that one
-        sample's statistics are not copied into a block.
+        Row r of ``out``, shape (R, pairs), receives sample r's statistics.
         """
         if self._mode == "tuple":
-            return self._tuple_halves(rows)
-        if self._mode == "atom":
-            return self._atom_halves(rows)
-        if self._mode == "piecewise":
-            return [self._piecewise_halves(row) for row in rows]
-        return self._generic_halves(rows)
+            self._tuple_halves(rows, out)
+        elif self._mode == "atom":
+            self._atom_halves(rows, out)
+        elif self._mode == "piecewise":
+            for row, dest in zip(rows, out):
+                self._piecewise_halves(row, dest)
+        else:
+            self._generic_halves(rows, out)
 
-    def _tuple_halves(self, rows: np.ndarray) -> np.ndarray:
+    def _tuple_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
         width = len(self.model.candidates[0])
         if rows.shape[1] != width:
             raise ConfigError(
                 f"per-coordinate model expects samples of length {width}, got {rows.shape[1]}"
             )
-        return np.array(
-            [
-                [
-                    sum(float(coord[c](x[c : c + 1])[0]) for c in range(width))
-                    for coord in self._coord_scores
-                ]
-                for x in rows
-            ]
-        )
+        for r, x in enumerate(rows):
+            for p, coord in enumerate(self._coord_scores):
+                out[r, p] = sum(float(coord[c](x[c : c + 1])[0]) for c in range(width))
 
-    def _atom_halves(self, rows: np.ndarray) -> np.ndarray:
+    def _atom_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
         k = len(self._atom_points)
         idx = locate_points(self._atom_points, rows, "the model's finite space")
         # One count vector per row: row r's indices are offset by r * k.
         counts = np.bincount(
             (idx + k * np.arange(len(rows))[:, None]).ravel(), minlength=len(rows) * k
         ).reshape(len(rows), k)
-        return np.stack([self._atom_values @ c for c in counts])
+        for dest, c in zip(out, counts):
+            dest[:] = self._atom_values @ c
 
-    def _piecewise_halves(self, x: np.ndarray) -> np.ndarray:
+    def _piecewise_halves(self, x: np.ndarray, out: np.ndarray) -> None:
         tab = self._table
         xs = np.sort(x)
         # Observations below each distinct cut, gathered per component end.
+        # As floats the counts are exact and the gathers and the product
+        # skip an integer-to-float cast.  The per-component arithmetic runs
+        # in place, which keeps fewer component-sized temporaries alive on
+        # large compiled tables; IEEE products commute, so it stays bitwise.
         pos = np.searchsorted(xs, tab.cuts, side="left")
-        lo_i, hi_i = pos[tab.lo], pos[tab.hi]
-        contrib = tab.const * (hi_i - lo_i)
+        contrib = _increments(pos.astype(float), tab)
+        contrib *= tab.const
         if tab.slope is not None:
-            cums = np.concatenate([[0.0], np.cumsum(xs)])
-            contrib = contrib + tab.slope * (cums[hi_i] - cums[lo_i])
-        return x.size * tab.bases + np.bincount(
-            tab.pair, weights=contrib, minlength=self._n_pairs
-        )
+            linear = _increments(np.concatenate([[0.0], np.cumsum(xs)]).take(pos), tab)
+            linear *= tab.slope
+            contrib += linear
+        np.multiply(x.size, tab.bases, out=out)
+        out += np.bincount(tab.pair, weights=contrib, minlength=self._n_pairs)
 
-    def _generic_halves(self, rows: np.ndarray) -> np.ndarray:
+    def _generic_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
         # Scores are elementwise, so one call scores the whole block; each
         # row is then summed by itself, as a lone sample's scores would be.
         flat = rows.reshape(-1)
-        sums = [t(flat).reshape(rows.shape).sum(axis=1) for t in self._scores]
-        return np.stack(sums, axis=1) if sums else np.zeros((len(rows), 0))
+        for p, t in enumerate(self._scores):
+            out[:, p] = t(flat).reshape(rows.shape).sum(axis=1)
+
+
+def _increments(at_cuts: np.ndarray, tab: PiecewiseTable) -> np.ndarray:
+    """Each component's increment of a per-cut quantity: ``at_cuts[hi] - at_cuts[lo]``, in a new array."""
+    out = at_cuts.take(tab.hi)
+    out -= at_cuts.take(tab.lo)
+    return out
 
 
 def _sample_array(
@@ -336,7 +395,7 @@ def ell_estimate(
     if engine is None:
         engine = PairwiseEngine(loss, model)
     M = engine.statistic_matrix(sample)
-    sup = M.max(axis=1)
+    sup, chosen = _suprema_and_choice(M)
     lowest = float(sup.min())
     mset = tuple(int(i) for i in np.flatnonzero(sup <= lowest + epsilon))
     return EstimateReport(
@@ -344,9 +403,15 @@ def ell_estimate(
         sup_stat=sup,
         epsilon=float(epsilon),
         minimizer_set=mset,
-        chosen=int(np.argmin(sup)),
+        chosen=chosen,
         constant_parts=engine.constant_parts,
     )
+
+
+def _suprema_and_choice(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-wise suprema of a statistic matrix, and the lowest index attaining their minimum."""
+    sup = M.max(axis=1)
+    return sup, int(np.argmin(sup))
 
 
 def histogram_estimator(sample: np.ndarray, partition: PartitionRef) -> HistogramMeasure:

@@ -839,6 +839,12 @@ class MixtureMeasure(Measure):
     def cdf(self, x):
         return (1.0 - self.alpha) * self.base.cdf(x) + self.alpha * self.contaminant.cdf(x)
 
+    def cdf_integral(self, a, b):
+        # Componentwise, so each component's exact integral is kept.
+        return (1.0 - self.alpha) * self.base.cdf_integral(a, b) + self.alpha * (
+            self.contaminant.cdf_integral(a, b)
+        )
+
     def breakpoints(self):
         return tuple(_union_breakpoints(self.base, self.contaminant))
 

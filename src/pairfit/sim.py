@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import vc_bound_tv, wasserstein_dev_bound
 from .errors import ConfigError, _check_keys, _number_list, _positive_finite, _positive_int
-from .estimator import PairwiseEngine, ell_estimate
+from .estimator import PairwiseEngine, _suprema_and_choice
 from .losses import LossSpec, aggregate_loss, loss
 from .measures import (
     Measure,
@@ -395,15 +395,10 @@ def _replicate(
         rows = []
         for rep in reps:
             x = sample_truth(scenario, _restart_stream(rng, seed, rep))
-            report = ell_estimate(
-                x, engine.model, scenario.loss, epsilon=scenario.epsilon, engine=engine
-            )
+            sup, chosen = _suprema_and_choice(engine.statistic_matrix(x))
             rows.append(
                 ReplicationRow(
-                    rep=rep,
-                    chosen=report.chosen,
-                    loss=table(report.chosen),
-                    sup_stat=float(report.sup_stat[report.chosen]),
+                    rep=rep, chosen=chosen, loss=table(chosen), sup_stat=float(sup[chosen])
                 )
             )
         return rows

@@ -760,3 +760,33 @@ class TestSampleBlocks:
             eng.statistic_matrix(block)
         with pytest.raises(ConfigError, match=r"one-dimensional, got shape \(2, 3\)"):
             run_test(block, *two_point_tv_model(), LossSpec.tv())
+
+
+class TestEngineStats:
+    @pytest.mark.parametrize("backend", list(_BLOCK_BACKENDS))
+    def test_backend_pairs_and_build_time(self, backend):
+        eng = _block_engine(backend, 3)
+        stats = eng.stats
+        assert stats.backend == _BLOCK_BACKENDS[backend][3] == eng._mode
+        m = len(eng.model)
+        assert stats.pairs == m * (m - 1) // 2
+        assert stats.build_seconds >= 0.0
+        if stats.backend == "piecewise":
+            assert (stats.components, stats.cuts) == (len(eng._table.pair), len(eng._table.cuts))
+        else:
+            assert stats.components is None and stats.cuts is None
+
+    def test_compiled_partition_table_sizes(self):
+        # TV on one 4-cell partition: a component per cell where the heights
+        # differ, and the cell starts plus the closed support end as cuts.
+        part = PartitionRef(4, (0.0, 1.0))
+        cands = [HistogramMeasure(part, h) for h in ([1, 1, 1, 1], [2, 0, 1, 1], [2, 0, 0, 2])]
+        stats = PairwiseEngine(LossSpec.tv(), cands).stats
+        assert (stats.backend, stats.pairs, stats.components, stats.cuts) == ("piecewise", 3, 2 + 4 + 2, 5)
+
+    def test_read_only(self):
+        eng = _block_engine("atom", 3)
+        with pytest.raises(AttributeError):
+            eng.stats = None
+        with pytest.raises(AttributeError):
+            eng.stats.pairs = 0

@@ -10,6 +10,7 @@ assertions cannot flake.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -588,6 +589,105 @@ def _two_point_cases():
     }
 
 
+def _row_contract_scenarios():
+    """Backend -> a small scenario whose engine evaluates with that backend."""
+    atoms = [0.0, 1.0, 2.0]
+    gaussian_tuple = {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}}
+    return {
+        # A repeated candidate scores every observation 0 against its twin.
+        "atom": (
+            "atom",
+            sim.Scenario(
+                truth=DiscreteMeasure(atoms, [0.4, 0.35, 0.25]),
+                model=ModelBuilderConfig(
+                    family="discrete",
+                    space_size=3,
+                    candidates=((0.5, 0.3, 0.2), (0.2, 0.3, 0.5), (0.5, 0.3, 0.2), (0.1, 0.6, 0.3)),
+                ),
+                loss=LossSpec.tv(),
+                n=9,
+                replications=40,
+                seed=3,
+            ),
+        ),
+        "compiled-partition": (
+            "piecewise",
+            histogram_w_scenario(loss=LossSpec.tv(), n=25, replications=40),
+        ),
+        "piecewise-scores": ("piecewise", gaussian_grid_scenario(n=25, replications=40)),
+        "piecewise-linear": ("piecewise", histogram_w_scenario(n=25, replications=40)),
+        "generic": (
+            "generic",
+            gaussian_grid_scenario(loss=LossSpec.hellinger2(), n=25, replications=20),
+        ),
+        "tuple": (
+            "tuple",
+            sim.Scenario(
+                truth=(GaussianMeasure(0.1), GaussianMeasure(0.2), GaussianMeasure(0.0)),
+                model=ModelBuilderConfig(
+                    family="regression-tuples",
+                    theta_net=((0.0, 0.0, 0.0), (0.1, 0.2, 0.0), (0.5, -0.5, 0.5)),
+                    base_q=gaussian_tuple,
+                    n=3,
+                ),
+                loss=LossSpec.hellinger2(),
+                n=3,
+                replications=20,
+                seed=4,
+            ),
+        ),
+    }
+
+
+class TestReplicationRowContract:
+    """A replication row reads only the row suprema of ``statistic_matrix``.
+
+    For every backend, each row is bitwise what ``ell_estimate`` chooses on
+    that replication's sample, signed zeros included.
+    """
+
+    CASES = _row_contract_scenarios()
+
+    @pytest.mark.parametrize("backend", list(CASES))
+    def test_rows_equal_a_per_replication_estimate(self, backend):
+        mode, s = self.CASES[backend]
+        model = build(s.model)
+        engine = estimator.PairwiseEngine(s.loss, model)
+        assert engine.stats.backend == mode
+        record = sim._replicate(s, engine, sim._LossTable(s, model), threads=1)
+        for row in record.rows:
+            x = sim.sample_truth(s, sim.replication_rng(s.seed, row.rep))
+            report = ell_estimate(x, model, s.loss, epsilon=s.epsilon, engine=engine)
+            assert row.chosen == report.chosen
+            assert np.float64(row.sup_stat).tobytes() == report.sup_stat[report.chosen].tobytes()
+
+    @pytest.mark.parametrize("backend", list(CASES))
+    def test_matrix_is_the_signed_gather_of_the_pair_statistics(self, backend):
+        _, s = self.CASES[backend]
+        model = build(s.model)
+        engine = estimator.PairwiseEngine(s.loss, model)
+        m = len(model)
+        for rep in range(s.replications):
+            x = sim.sample_truth(s, sim.replication_rng(s.seed, rep))
+            h = engine.pair_statistics(x)
+            expected = np.concatenate(([0.0], h, -h))[engine._gather].reshape(m, m)
+            assert engine.statistic_matrix(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("backend", list(CASES))
+    def test_two_threads_write_the_same_artifacts(self, backend):
+        _, s = self.CASES[backend]
+        one, two = (sim.run_estimation(s, threads=t) for t in (1, 2))
+        for write in (sim.records_csv_text, sim.records_jsonl_text, sim.summary_json_text):
+            assert write(one) == write(two)
+
+    def test_twin_candidates_put_negative_zeros_in_the_matrix(self):
+        # So the bitwise checks above see both signs of zero.
+        _, s = self.CASES["atom"]
+        engine = estimator.PairwiseEngine(s.loss, build(s.model))
+        M = engine.statistic_matrix(sim.sample_truth(s, sim.replication_rng(s.seed, 0)))
+        assert M[2, 0] == 0.0 and np.signbit(M[2, 0]) and not np.signbit(M[0, 2])
+
+
 class TestEngineReuse:
     """Monte Carlo loops build one engine and decide exactly as the one-shot path."""
 
@@ -728,6 +828,40 @@ class TestEngineReuse:
                 for name in ("curve.csv", "summary.json", "records.csv")
             }
         assert outputs["1"] == outputs["3"]
+
+    def test_engine_stats_stay_out_of_the_artifacts(self, tmp_path, monkeypatch):
+        # Two runs whose engines report very different build times write
+        # the same bytes, and no stats field name appears in any artifact.
+        doc = {
+            "command": "simulate",
+            "scenario": gaussian_grid_scenario(n=30, replications=10).to_config(),
+            "formats": ["csv", "json-lines", "summary"],
+            "verbosity": 0,
+        }
+        config = tmp_path / "simulate.json"
+        config.write_text(json.dumps(doc))
+        engines = []
+        real_init = estimator.PairwiseEngine.__init__
+
+        def recording(self, spec, model):
+            real_init(self, spec, model)
+            engines.append(self)
+
+        monkeypatch.setattr(estimator.PairwiseEngine, "__init__", recording)
+        outputs = []
+        for skew in (0.0, 1e6):
+            clock = itertools.count(step=1.0 + skew)
+            monkeypatch.setattr(estimator.time, "perf_counter", lambda: float(next(clock)))
+            out = tmp_path / f"out-{skew}"
+            assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append(
+                {name: (out / name).read_bytes() for name in ("summary.json", "records.csv", "records.jsonl")}
+            )
+        assert engines[0].stats.build_seconds != engines[1].stats.build_seconds
+        assert outputs[0] == outputs[1]
+        fields = [f.name for f in dataclasses.fields(estimator.EngineStats)]
+        for blob in outputs[0].values():
+            assert not any(name.encode() in blob for name in fields)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rate_curve_rows_equal_separate_runs(self, threads):

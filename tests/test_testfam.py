@@ -218,6 +218,15 @@ class TestWassersteinScore:
         x = np.linspace(0.0, 1.0, 33)
         assert np.max(np.abs(t(x) + t_rev(x))) < 1e-12
 
+    def test_mixture_constant_from_exact_component_cdf_integrals(self):
+        # Both mixtures' components have exact cdf integrals, so C is exact
+        # (301/960) and the mean bound holds to rounding.
+        P = MixtureMeasure(UniformMeasure(0.0, 1.0), 0.3, point_mass(0.5))
+        Q = MixtureMeasure(PowerMeasure(2.0), 0.2, point_mass(0.25))
+        report = check_assumptions_exact(LossSpec.wasserstein1(), [P, Q], [P, Q], tol=1e-12)
+        assert report.violations == ()
+        assert abs(score(LossSpec.wasserstein1(), P, Q).constant_part - 301 / 960) < 1e-15
+
 
 class TestLjScore:
     def test_histogram_frozen(self):
