@@ -121,7 +121,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     }[args.command]
     resolved = resolver(doc, args)
     if args.describe:
-        print(json.dumps(resolved, indent=2, sort_keys=True))
+        sys.stdout.write(sim._json_text(resolved))
         return 0
     return runner(resolved, args)
 
@@ -339,18 +339,20 @@ def _resolve_check(doc: dict, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _write(out_dir: Path, name: str, text: str, written: list[Path]) -> None:
+def _write(out_dir: Path, name: str, text: str) -> Path:
+    path = out_dir / name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / name
         path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
-    written.append(path)
+    return path
 
 
-def _summary_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _summary_text(resolved: dict, **payload) -> str:
+    """A command's ``summary.json``: its resolved config, then its payload."""
+    head = {"format_version": sim.FORMAT_VERSION, "command": resolved["command"]}
+    return sim._json_text({**head, "config": resolved, **payload})
 
 
 def _say(resolved: dict, message: str) -> None:
@@ -374,28 +376,18 @@ def _run_estimate(resolved: dict, args: argparse.Namespace) -> int:
             resolved["n"], sim.replication_rng(resolved["seed"], 0)
         )
     report = ell_estimate(sample, model, spec, epsilon=resolved["epsilon"])
-    summary = {
-        "format_version": sim.FORMAT_VERSION,
-        "command": "estimate",
-        "config": resolved,
-        "report": report.to_record(),
-    }
+    summary = _write(args.out, "summary.json", _summary_text(resolved, report=report.to_record()))
     in_set = set(report.minimizer_set)
-    lines = ["candidate,sup_stat,in_minimizer_set"]
-    lines += [
-        f"{i},{float(v)!r},{int(i in in_set)}"
-        for i, v in enumerate(report.sup_stat)
-    ]
-    written: list[Path] = []
-    _write(args.out, "summary.json", _summary_text(summary), written)
-    _write(args.out, "records.csv", "\n".join(lines) + "\n", written)
+    rows = ((i, v, int(i in in_set)) for i, v in enumerate(report.sup_stat))
+    csv_text = sim._csv_text(("candidate", "sup_stat", "in_minimizer_set"), rows)
+    records = _write(args.out, "records.csv", csv_text)
     chosen_note = f"chosen candidate {report.chosen}"
     if model.candidate_params is not None:
         chosen_note += f" (parameter {model.candidate_params[report.chosen]})"
     _say(
         resolved,
         f"{chosen_note}; minimizer set has {len(report.minimizer_set)} of "
-        f"{len(report.sup_stat)} candidates; wrote {written[0]} and {written[1]}",
+        f"{len(report.sup_stat)} candidates; wrote {summary} and {records}",
     )
     return 0
 
@@ -410,50 +402,39 @@ def _run_test(resolved: dict, args: argparse.Namespace) -> int:
         reps=resolved["reps"],
         seed=resolved["seed"],
     )
-    summary = {
-        "format_version": sim.FORMAT_VERSION,
-        "command": "test",
-        "config": resolved,
-        "result": result,
-    }
-    rows = [
+    summary = _write(args.out, "summary.json", _summary_text(resolved, result=result))
+    rows = (
         ("choose_p", result["choose_p"]),
         ("choose_q", result["choose_q"]),
         ("tie", result["ties"]),
-    ]
-    csv_text = "outcome,count\n" + "".join(f"{k},{v}\n" for k, v in rows)
-    written: list[Path] = []
-    _write(args.out, "summary.json", _summary_text(summary), written)
-    _write(args.out, "records.csv", csv_text, written)
+    )
+    _write(args.out, "records.csv", sim._csv_text(("outcome", "count"), rows))
     err = result["empirical_error"]
     err_text = "undefined (all ties)" if err is None else f"{err:.6g}"
     _say(
         resolved,
         f"empirical error {err_text}; Hoeffding bound "
-        f"{result['bound_hoeffding']:.6g}; wrote {written[0]}",
+        f"{result['bound_hoeffding']:.6g}; wrote {summary}",
     )
     return 0
 
 
 def _run_simulate(resolved: dict, args: argparse.Namespace) -> int:
     scenario = sim.Scenario.from_config(resolved["scenario"])
-    threads = max(1, int(args.threads))
     record, extra = sim.simulate(
-        scenario, resolved.get("xis"), resolved.get("ns"), threads=threads
+        scenario, resolved.get("xis"), resolved.get("ns"), threads=args.threads
     )
     extra["command"] = "simulate"
-    written: list[Path] = []
-    if "rate" in extra:
-        _write(args.out, "curve.csv", sim.curve_csv_text(extra["rate"]), written)
     formats = resolved["formats"]
+    written = []
+    if "rate" in extra:
+        written.append(_write(args.out, "curve.csv", sim.curve_csv_text(extra["rate"])))
     if "summary" in formats:
-        _write(
-            args.out, "summary.json", sim.summary_json_text(record, extra), written
-        )
+        written.append(_write(args.out, "summary.json", sim.summary_json_text(record, extra)))
     if "csv" in formats:
-        _write(args.out, "records.csv", sim.records_csv_text(record), written)
+        written.append(_write(args.out, "records.csv", sim.records_csv_text(record)))
     if "json-lines" in formats:
-        _write(args.out, "records.jsonl", sim.records_jsonl_text(record), written)
+        written.append(_write(args.out, "records.jsonl", sim.records_jsonl_text(record)))
     _say(
         resolved,
         f"design {record.digest[:16]} seed {scenario.seed}: "
@@ -475,31 +456,17 @@ def _loss_token(spec: LossSpec) -> str:
 
 def _run_distances(resolved: dict, args: argparse.Namespace) -> int:
     specs = [LossSpec.from_config(c) for c in resolved["losses"]]
-    rows = []
-    for idx, pair in enumerate(resolved["pairs"]):
-        P = measure_from_config(pair["p"])
-        Q = measure_from_config(pair["q"])
-        for spec in specs:
-            rows.append(
-                {
-                    "pair": idx,
-                    "loss": _loss_token(spec),
-                    "value": float(loss(spec, P, Q)),
-                }
-            )
-    csv_text = "pair,loss,value\n" + "".join(
-        f"{r['pair']},{r['loss']},{r['value']!r}\n" for r in rows
-    )
-    summary = {
-        "format_version": sim.FORMAT_VERSION,
-        "command": "distances",
-        "config": resolved,
-        "rows": rows,
-    }
-    written: list[Path] = []
-    _write(args.out, "summary.json", _summary_text(summary), written)
-    _write(args.out, "records.csv", csv_text, written)
-    _say(resolved, f"evaluated {len(rows)} distances; wrote {written[1]}")
+    pairs = [(measure_from_config(p["p"]), measure_from_config(p["q"])) for p in resolved["pairs"]]
+    rows = [
+        {"pair": idx, "loss": _loss_token(spec), "value": float(loss(spec, P, Q))}
+        for idx, (P, Q) in enumerate(pairs)
+        for spec in specs
+    ]
+    _write(args.out, "summary.json", _summary_text(resolved, rows=rows))
+    # The loss token is not quoted yet, so an ``lj[R=...,j=...]`` row splits.
+    csv_text = sim._csv_text(("pair", "loss", "value"), (r.values() for r in rows))
+    records = _write(args.out, "records.csv", csv_text)
+    _say(resolved, f"evaluated {len(rows)} distances; wrote {records}")
     return 0
 
 
@@ -616,15 +583,8 @@ def _run_check(resolved: dict, args: argparse.Namespace) -> int:
             f"  regularity constant a2':  {worst['cond3bis_a2_prime']:.6g}",
         )
     if args.out != Path("."):
-        summary = {
-            "format_version": sim.FORMAT_VERSION,
-            "command": "check-assumptions",
-            "config": resolved,
-            "report": report,
-        }
-        written: list[Path] = []
-        _write(args.out, "summary.json", _summary_text(summary), written)
-        _say(resolved, f"  wrote {written[0]}")
+        path = _write(args.out, "summary.json", _summary_text(resolved, report=report))
+        _say(resolved, f"  wrote {path}")
     if not report["passed"]:
         _say(resolved, f"FAIL: {len(report['violations'])} violations")
         raise NumericalError(

@@ -839,6 +839,13 @@ class MixtureMeasure(Measure):
     def cdf(self, x):
         return (1.0 - self.alpha) * self.base.cdf(x) + self.alpha * self.contaminant.cdf(x)
 
+    def cdf_knots(self):
+        # Piecewise linear (with jumps) exactly when both components are.
+        base, cont = self.base.cdf_knots(), self.contaminant.cdf_knots()
+        if base is None or cont is None:
+            return None
+        return tuple(sorted({*base, *cont}))
+
     def cdf_integral(self, a, b):
         # Componentwise, so each component's exact integral is kept.
         return (1.0 - self.alpha) * self.base.cdf_integral(a, b) + self.alpha * (

@@ -383,9 +383,10 @@ def _replicate(
 
     The engine depends only on the model and the loss, so callers that run
     several scenarios over one model (``rate_curve``, ``simulate``) build it
-    once.
+    once.  At most one worker per replication runs; a row depends only on
+    ``(seed, rep)``, so the worker count never changes a byte.
     """
-
+    _positive_int(threads, "threads")
     seed = scenario.seed
 
     def run(reps: range) -> list[ReplicationRow]:
@@ -404,10 +405,11 @@ def _replicate(
         return rows
 
     total = scenario.replications
-    if threads > 1:
-        # Contiguous chunks, one per thread, concatenated in rep order.
-        cuts = [total * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, total)
+    if workers > 1:
+        # Contiguous chunks, one per worker, concatenated in rep order.
+        cuts = [total * i // workers for i in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(run, [range(a, b) for a, b in zip(cuts, cuts[1:])])
             rows = tuple(row for chunk in chunks for row in chunk)
     else:
@@ -591,44 +593,38 @@ def test_error_mc(
 # ---------------------------------------------------------------------------
 
 
-def records_csv_text(record: ExperimentRecord) -> str:
-    lines = ["rep,chosen,loss,sup_stat"]
-    for r in record.rows:
-        lines.append(f"{r.rep},{r.chosen},{r.loss!r},{r.sup_stat!r}")
+def _csv_text(header: tuple[str, ...], rows) -> str:
+    """The one CSV format: floats as ``repr(float(v))``, all else as ``str``, no quoting."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def records_jsonl_text(record: ExperimentRecord) -> str:
-    out = []
-    for r in record.rows:
-        out.append(
-            json.dumps(
-                {
-                    "rep": r.rep,
-                    "chosen": r.chosen,
-                    "loss": r.loss,
-                    "sup_stat": r.sup_stat,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(out) + "\n"
-
-
-def summary_json_text(record: ExperimentRecord, extra: dict | None = None) -> str:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "digest": record.digest,
-        "scenario": record.scenario,
-        "summary": record.summary,
-    }
-    if extra:
-        doc.update(extra)
+def _json_text(doc: dict) -> str:
+    """The one JSON document format: sorted keys, two-space indent."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def records_csv_text(record: ExperimentRecord) -> str:
+    rows = ((r.rep, r.chosen, r.loss, r.sup_stat) for r in record.rows)
+    return _csv_text(("rep", "chosen", "loss", "sup_stat"), rows)
+
+
+def records_jsonl_text(record: ExperimentRecord) -> str:
+    # An explicit dict: ``dataclasses.asdict`` doubles the time per row.
+    rows = (
+        {"rep": r.rep, "chosen": r.chosen, "loss": r.loss, "sup_stat": r.sup_stat}
+        for r in record.rows
+    )
+    return "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
+
+
+def summary_json_text(record: ExperimentRecord, extra: dict | None = None) -> str:
+    doc = {"format_version": FORMAT_VERSION, "digest": record.digest, "scenario": record.scenario}
+    return _json_text({**doc, "summary": record.summary, **(extra or {})})
+
+
 def curve_csv_text(table: dict) -> str:
-    lines = ["n,median_loss"]
-    for row in table["rows"]:
-        lines.append(f"{row['n']},{row['median_loss']!r}")
-    return "\n".join(lines) + "\n"
+    rows = ((row["n"], row["median_loss"]) for row in table["rows"])
+    return _csv_text(("n", "median_loss"), rows)

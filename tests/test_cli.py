@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end, run in process."""
 
+import csv
 import itertools
 import json
 import math
@@ -299,6 +300,14 @@ class TestSimulate:
                 }
             )
         assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path, "s.json", simulate_doc())
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out), "--threads", threads]) == 2
+        assert f"threads must be a positive integer, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_required(self, tmp_path, capsys):
         doc = simulate_doc()
@@ -906,6 +915,26 @@ class TestDistances:
         for row in lines[1:]:
             _, token, value = row.split(",")
             assert float(value) == expected[token]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="records.csv writes the lj loss token unquoted, so its commas split "
+        "the row; quoting it is the second half of ROADMAP item 6",
+    )
+    def test_records_read_back_through_a_csv_reader(self, tmp_path):
+        gaussian = lambda mean: {"family": "gaussian", "params": {"mean": mean, "sd": 1.0}}
+        doc = {
+            "pairs": [{"p": gaussian(0.0), "q": gaussian(1.0)}],
+            "losses": [{"kind": "lj", "j": 2.0, "R": 1.0}],
+        }
+        path = write_config(tmp_path, "d.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["distances", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["loss"] for row in rows] == ["lj[R=1.0,j=2.0]"]
+        P, Q = GaussianMeasure(0.0, 1.0), GaussianMeasure(1.0, 1.0)
+        assert float(rows[0]["value"]) == loss(LossSpec.lj(j=2.0, R=1.0), P, Q)
 
     def test_unsupported_measure_for_loss(self, tmp_path, capsys):
         doc = {

@@ -478,6 +478,19 @@ class TestWasserstein:
         # F_P - F_Q is the tent map peaking at 1/2; integral = 1/2.
         assert abs(wasserstein1(P, Q) - 0.5) < 1e-15
 
+    def test_mixture_of_knotted_cdfs_is_exact(self):
+        # 0.7·U(0,1) + 0.3·δ0.5 against ½δ0.25 + ½δ0.5: by hand over [0, 0.25),
+        # [0.25, 0.5) and [0.5, 1] the cdf gap integrates to 0.16875.
+        P = MixtureMeasure(UniformMeasure(0.0, 1.0), 0.3, point_mass(0.5))
+        Q = DiscreteMeasure([0.25, 0.5], [0.5, 0.5])
+        assert P.cdf_knots() == (0.0, 0.5, 1.0)
+        assert abs(wasserstein1(P, Q) - 0.16875) < 1e-14
+        assert abs(wasserstein1(Q, P) - 0.16875) < 1e-14
+        assert cdf_sign_intervals(P, Q) == [(0.0, 0.25, -1.0), (0.25, 1.0, 1.0)]
+
+    def test_mixture_with_a_smooth_component_has_no_knots(self):
+        assert MixtureMeasure(UniformMeasure(0.0, 1.0), 0.3, PowerMeasure(2.0)).cdf_knots() is None
+
     def test_returns_python_float_on_every_path(self):
         H = HistogramMeasure(PartitionRef(2, (0.0, 1.0)), [0.5, 1.5])
         for P, Q in [

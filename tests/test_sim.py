@@ -305,6 +305,39 @@ class TestRunEstimation:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("threads", [2, 5, 64])
+    def test_workers_capped_at_replications(self, monkeypatch, threads):
+        # A fake pool records the worker count and runs the chunks serially,
+        # so no thread starts however many are asked for.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        s = gaussian_grid_scenario(n=20, replications=5)
+        first = sim.records_csv_text(sim.run_estimation(s, threads=1))
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+        assert sim.records_csv_text(sim.run_estimation(s, threads=threads)) == first
+        assert asked == [min(threads, 5)]
+
+    @pytest.mark.parametrize("threads", [0, -1, True, 2.0])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        s = gaussian_grid_scenario(n=20, replications=5)
+        with pytest.raises(ConfigError, match="threads must be a positive integer"):
+            sim.run_estimation(s, threads=threads)
+        with pytest.raises(ConfigError, match="threads must be a positive integer"):
+            sim.rate_curve(s, [10], threads=threads)
+
     def test_summary_recomputable_from_rows(self):
         s = gaussian_grid_scenario(n=30, replications=50)
         record = sim.run_estimation(s)
@@ -919,3 +952,20 @@ class TestArtifacts:
     def test_curve_csv(self):
         table = {"rows": [{"n": 100, "median_loss": 0.25}], "slope": -1.0}
         assert sim.curve_csv_text(table) == "n,median_loss\n100,0.25\n"
+
+    def test_numpy_float_cells_write_plain_repr(self):
+        # repr(np.float64(0.25)) is "np.float64(0.25)" under numpy 2; the
+        # one CSV writer must still write "0.25".
+        table = {"rows": [{"n": 100, "median_loss": np.float64(0.25)}]}
+        assert sim.curve_csv_text(table) == "n,median_loss\n100,0.25\n"
+        record = self.record()
+        as_numpy = dataclasses.replace(
+            record,
+            rows=tuple(
+                dataclasses.replace(r, loss=np.float64(r.loss), sup_stat=np.float64(r.sup_stat))
+                for r in record.rows
+            ),
+        )
+        text = sim.records_csv_text(as_numpy)
+        assert "np." not in text
+        assert text == sim.records_csv_text(record)
