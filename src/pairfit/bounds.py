@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigError
+from .errors import ConfigError, _positive_int
 
 __all__ = [
     "FAST_TV_CONSTANT",
@@ -59,8 +59,7 @@ def _require_nonnegative(**values: float) -> None:
 
 def _require_count(**values: int) -> None:
     for name, value in values.items():
-        if not isinstance(value, (int,)) or isinstance(value, bool) or value < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        _positive_int(value, name)
 
 
 def thm1_bound(

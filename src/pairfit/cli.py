@@ -111,6 +111,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    # Only simulate uses --threads, but every command takes it, so each one checks it.
+    _positive_int(args.threads, "threads")
     doc = _load_document(args.config)
     resolver, runner = {
         "estimate": (_resolve_estimate, _run_estimate),

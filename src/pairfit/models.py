@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, _check_keys
+from .errors import ConfigError, _check_keys, _number_list, _positive_int
 from .estimator import Model
 from .measures import (
     CauchyMeasure,
@@ -34,26 +35,6 @@ from .measures import (
 )
 
 __all__ = ["ModelBuilderConfig", "build"]
-
-_FAMILIES = (
-    "gaussian-location-grid",
-    "translation-grid",
-    "histogram-net",
-    "monotone-net",
-    "l2-linear",
-    "discrete",
-    "regression-tuples",
-)
-
-_RELEVANT = {
-    "gaussian-location-grid": {"d", "lo", "hi", "step"},
-    "translation-grid": {"base", "alpha", "lo", "hi", "step"},
-    "histogram-net": {"cells", "value_grid"},
-    "monotone-net": {"d", "breakpoint_grid", "level_grid"},
-    "l2-linear": {"basis", "cells", "coefficient_net"},
-    "discrete": {"space_size", "candidates"},
-    "regression-tuples": {"theta_net", "base_q", "n"},
-}
 
 _TRANSLATION_BASES = ("cauchy", "uniform", "power")
 
@@ -70,10 +51,11 @@ _MAX_NET_TUPLES = 10**6
 class ModelBuilderConfig:
     """Declarative description of one candidate family.
 
-    ``family`` selects the builder; the other fields are family-specific and
-    must stay None for families that do not use them (mirroring how loss
-    configs work).  Grids are given either as (lo, hi, step) ranges or as
-    explicit value tuples, depending on the field.
+    ``family`` selects a row of ``_FAMILIES``: the parameters the family
+    takes, its checker and its builder.  Every other field must stay None.
+    Each parameter is read by its kind (``_READERS``): counts are positive
+    integers, scalars finite numbers, grids and nets nonempty lists of finite
+    numbers, stored as float tuples.
     """
 
     family: str
@@ -96,190 +78,27 @@ class ModelBuilderConfig:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        entry = _FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if entry is None:
             raise ConfigError(
-                f"unknown model family {self.family!r}; expected one of {_FAMILIES}"
+                f"unknown model family {self.family!r}; expected one of {tuple(_FAMILIES)}"
             )
-        for name in ("value_grid", "breakpoint_grid", "level_grid"):
-            self._freeze(name, _as_float_tuple)
-        for name in ("coefficient_net", "candidates", "theta_net"):
-            self._freeze(name, _as_vector_tuple)
-        for name in ("lo", "hi", "step", "alpha"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-                raise ConfigError(f"model parameter {name!r} must be a number, got {value!r}")
-        relevant = _RELEVANT[self.family]
+        params, check, _ = entry
         for name, value in vars(self).items():
-            if name == "family":
-                continue
-            if value is not None and name not in relevant:
-                raise ConfigError(
-                    f"model family {self.family!r} does not take parameter {name!r}"
-                )
-        checker = getattr(self, "_check_" + self.family.replace("-", "_"))
-        checker()
-
-    def _freeze(self, name: str, normalize) -> None:
-        value = getattr(self, name)
-        if value is not None:
-            object.__setattr__(self, name, normalize(name, value))
-
-    # -- per-family field validation ------------------------------------------
-
-    def _require(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is None:
+            if name not in params:
+                if value is not None and name != "family":
+                    raise ConfigError(
+                        f"model family {self.family!r} does not take parameter {name!r}"
+                    )
+            elif value is not None:
+                if name in _READERS:
+                    object.__setattr__(self, name, _READERS[name](value, name))
+            # The translation-grid checker asks for alpha by base.
+            elif name != "alpha":
                 raise ConfigError(
                     f"model family {self.family!r} requires parameter {name!r}"
                 )
-
-    def _check_range(self) -> None:
-        self._require("lo", "hi", "step")
-        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.step)):
-            raise ConfigError(
-                f"grid lo, hi and step must be finite, got {self.lo!r}, {self.hi!r}, {self.step!r}"
-            )
-        if not self.step > 0:
-            raise ConfigError(f"step must be positive, got {self.step!r}")
-        if self.hi < self.lo:
-            raise ConfigError(f"empty grid: hi = {self.hi!r} < lo = {self.lo!r}")
-        # The grid has floor(span) + 1 points; a span that overflows to
-        # infinity is refused too.
-        if not _grid_span(self.lo, self.hi, self.step) < _MAX_NET_TUPLES:
-            raise ConfigError(
-                f"location grid from {self.lo!r} to {self.hi!r} by {self.step!r} has more "
-                f"than {_MAX_NET_TUPLES} points"
-            )
-
-    def _check_gaussian_location_grid(self) -> None:
-        self._require("d")
-        if self.d != 1:
-            raise ConfigError(
-                f"gaussian location grids are one-dimensional here; d = {self.d!r} "
-                "is not supported"
-            )
-        self._check_range()
-
-    def _check_translation_grid(self) -> None:
-        self._require("base")
-        if self.base not in _TRANSLATION_BASES:
-            raise ConfigError(
-                f"translation base must be one of {_TRANSLATION_BASES}, got {self.base!r}"
-            )
-        if self.base == "power":
-            self._require("alpha")
-            if not 0.0 < self.alpha <= 1.0:
-                raise ConfigError(
-                    f"power base needs alpha in (0, 1], got {self.alpha!r}"
-                )
-        elif self.alpha is not None:
-            raise ConfigError(f"base {self.base!r} does not take alpha")
-        self._check_range()
-
-    def _check_histogram_net(self) -> None:
-        self._require("cells", "value_grid")
-        if not isinstance(self.cells, int) or self.cells < 1:
-            raise ConfigError(f"cells must be a positive integer, got {self.cells!r}")
-        if not self.value_grid:
-            raise ConfigError("value_grid must be nonempty")
-        if any(v < 0 for v in self.value_grid):
-            raise ConfigError("value_grid entries must be nonnegative heights")
-        # The exponent is capped so a huge cell count cannot stall the check:
-        # two or more values already pass the limit at 64 cells.
-        if len(self.value_grid) ** min(self.cells, 64) > _MAX_NET_TUPLES:
-            raise ConfigError(
-                f"histogram net enumerates {len(self.value_grid)}^{self.cells} height "
-                f"tuples, above the limit of {_MAX_NET_TUPLES}"
-            )
-
-    def _check_monotone_net(self) -> None:
-        self._require("d", "breakpoint_grid", "level_grid")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ConfigError(f"piece count d must be a positive integer, got {self.d!r}")
-        grid = self.breakpoint_grid
-        if len(grid) < 2:
-            raise ConfigError("breakpoint_grid needs at least two points")
-        diffs = np.diff(grid)
-        if np.any(diffs <= 0):
-            raise ConfigError("breakpoint_grid must be strictly increasing")
-        if np.max(diffs) - np.min(diffs) > 1e-9 * np.max(diffs):
-            raise ConfigError(
-                "breakpoint_grid must be equally spaced (candidates share one partition)"
-            )
-        if not self.level_grid or any(v <= 0 for v in self.level_grid):
-            raise ConfigError("level_grid must be nonempty with positive density levels")
-        # The builder tries C(cells - start, p) run ends times C(levels, p)
-        # level choices per start cell and piece count p; summed over the
-        # start cell, the ends give C(cells + 1, p + 1).  The sum stops at
-        # the first p past the limit, so no grid is too large to refuse.
-        cells, levels = len(grid) - 1, len(set(self.level_grid))
-        count = 0
-        for p in range(1, min(self.d, cells, levels) + 1):
-            count += math.comb(cells + 1, p + 1) * math.comb(levels, p)
-            if count > _MAX_NET_TUPLES:
-                raise ConfigError(
-                    f"monotone net with {cells} cells, d = {self.d} and {levels} levels "
-                    f"enumerates more than {_MAX_NET_TUPLES} run-and-level choices"
-                )
-
-    def _check_l2_linear(self) -> None:
-        self._require("basis")
-        if self.basis == "user":
-            raise ConfigError(
-                "user bases carry no concrete densities; only the indicator basis "
-                "builds a model"
-            )
-        if self.basis != "indicator":
-            raise ConfigError(
-                f"basis must be 'indicator' or 'user', got {self.basis!r}"
-            )
-        self._require("cells", "coefficient_net")
-        if not isinstance(self.cells, int) or self.cells < 1:
-            raise ConfigError(f"cells must be a positive integer, got {self.cells!r}")
-        if not self.coefficient_net:
-            raise ConfigError("coefficient_net must be nonempty")
-        for row in self.coefficient_net:
-            if len(row) != self.cells:
-                raise ConfigError(
-                    f"coefficient vectors must have length {self.cells}, got {len(row)}"
-                )
-
-    def _check_discrete(self) -> None:
-        self._require("space_size", "candidates")
-        if not isinstance(self.space_size, int) or self.space_size < 1:
-            raise ConfigError(
-                f"space_size must be a positive integer, got {self.space_size!r}"
-            )
-        if not self.candidates:
-            raise ConfigError("candidate list must be nonempty")
-        for idx, row in enumerate(self.candidates):
-            if len(row) != self.space_size:
-                raise ConfigError(
-                    f"candidate {idx} has {len(row)} masses for a "
-                    f"{self.space_size}-point space"
-                )
-            if any(v < 0 for v in row):
-                raise ConfigError(f"candidate {idx} has negative masses")
-            if abs(sum(row) - 1.0) > _MASS_TOL:
-                raise ConfigError(
-                    f"candidate {idx} masses sum to {sum(row)!r}, not 1"
-                )
-
-    def _check_regression_tuples(self) -> None:
-        self._require("theta_net", "base_q", "n")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        if not self.theta_net:
-            raise ConfigError("theta_net must be nonempty")
-        for idx, row in enumerate(self.theta_net):
-            if len(row) != self.n:
-                raise ConfigError(
-                    f"theta vector {idx} has length {len(row)}, expected n = {self.n}"
-                )
-        if not isinstance(self.base_q, dict) or "family" not in self.base_q:
-            raise ConfigError("base_q must be a measure config with a 'family' key")
-
-    # -- config round-trip -----------------------------------------------------
+        check(self)
 
     def to_config(self) -> dict:
         cfg: dict = {"family": self.family}
@@ -295,22 +114,160 @@ class ModelBuilderConfig:
     def from_config(cls, cfg: dict) -> "ModelBuilderConfig":
         if not isinstance(cfg, dict) or "family" not in cfg:
             raise ConfigError("model config must be a mapping with a 'family' key")
-        _check_keys(cfg, {"family"} | set().union(*_RELEVANT.values()), "model")
+        _check_keys(cfg, {f.name for f in fields(cls)}, "model")
         return cls(**cfg)
 
 
-def _as_float_tuple(name: str, value) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a sequence of numbers") from exc
+def _finite(value, name: str):
+    """``value`` if it is a finite ``int`` or ``float`` (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"model parameter {name!r} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"model parameter {name!r} must be finite, got {value!r}")
+    return value
 
 
-def _as_vector_tuple(name: str, value) -> tuple[tuple[float, ...], ...]:
-    try:
-        return tuple(tuple(float(v) for v in row) for row in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a sequence of numeric vectors") from exc
+def _floats(value, name: str) -> tuple[float, ...]:
+    """A nonempty list of finite numbers, as a float tuple."""
+    values = _number_list(value, name)
+    if not values or not all(abs(v) <= sys.float_info.max for v in values):
+        raise ConfigError(f"{name} must be a nonempty list of finite numbers, got {value!r}")
+    return tuple(float(v) for v in values)
+
+
+def _vectors(value, name: str) -> tuple[tuple[float, ...], ...]:
+    """A nonempty list of :func:`_floats` rows."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{name} must be a nonempty list of number lists, got {value!r}")
+    return tuple(_floats(row, f"{name} entry") for row in value)
+
+
+# How each parameter of these kinds is read and stored; the strings base and
+# basis and the measure base_q are read by their family's checker.
+_READERS = {
+    **dict.fromkeys(("d", "cells", "space_size", "n"), _positive_int),
+    **dict.fromkeys(("lo", "hi", "step", "alpha"), _finite),
+    **dict.fromkeys(("value_grid", "breakpoint_grid", "level_grid"), _floats),
+    **dict.fromkeys(("coefficient_net", "candidates", "theta_net"), _vectors),
+}
+
+
+def _check_range(config: ModelBuilderConfig) -> None:
+    lo, hi, step = config.lo, config.hi, config.step
+    if not step > 0:
+        raise ConfigError(f"step must be positive, got {step!r}")
+    if hi < lo:
+        raise ConfigError(f"empty grid: hi = {hi!r} < lo = {lo!r}")
+    # The grid has floor(span) + 1 points; a span that overflows to
+    # infinity is refused too.
+    if not _grid_span(lo, hi, step) < _MAX_NET_TUPLES:
+        raise ConfigError(
+            f"location grid from {lo!r} to {hi!r} by {step!r} has more "
+            f"than {_MAX_NET_TUPLES} points"
+        )
+
+
+def _check_gaussian_grid(config: ModelBuilderConfig) -> None:
+    if config.d != 1:
+        raise ConfigError(
+            f"gaussian location grids are one-dimensional here; d = {config.d!r} "
+            "is not supported"
+        )
+    _check_range(config)
+
+
+def _check_translation_grid(config: ModelBuilderConfig) -> None:
+    if config.base not in _TRANSLATION_BASES:
+        raise ConfigError(
+            f"translation base must be one of {_TRANSLATION_BASES}, got {config.base!r}"
+        )
+    if config.base == "power":
+        if config.alpha is None or not 0.0 < config.alpha <= 1.0:
+            raise ConfigError(f"power base needs alpha in (0, 1], got {config.alpha!r}")
+    elif config.alpha is not None:
+        raise ConfigError(f"base {config.base!r} does not take alpha")
+    _check_range(config)
+
+
+def _check_histogram_net(config: ModelBuilderConfig) -> None:
+    if any(v < 0 for v in config.value_grid):
+        raise ConfigError("value_grid entries must be nonnegative heights")
+    # The exponent is capped so a huge cell count cannot stall the check:
+    # two or more values already pass the limit at 64 cells.
+    if len(config.value_grid) ** min(config.cells, 64) > _MAX_NET_TUPLES:
+        raise ConfigError(
+            f"histogram net enumerates {len(config.value_grid)}^{config.cells} height "
+            f"tuples, above the limit of {_MAX_NET_TUPLES}"
+        )
+
+
+def _check_monotone_net(config: ModelBuilderConfig) -> None:
+    grid = config.breakpoint_grid
+    if len(grid) < 2:
+        raise ConfigError("breakpoint_grid needs at least two points")
+    diffs = np.diff(grid)
+    if np.any(diffs <= 0):
+        raise ConfigError("breakpoint_grid must be strictly increasing")
+    if np.max(diffs) - np.min(diffs) > 1e-9 * np.max(diffs):
+        raise ConfigError(
+            "breakpoint_grid must be equally spaced (candidates share one partition)"
+        )
+    if any(v <= 0 for v in config.level_grid):
+        raise ConfigError("level_grid entries must be positive density levels")
+    # The builder tries C(cells - start, p) run ends times C(levels, p)
+    # level choices per start cell and piece count p; summed over the
+    # start cell, the ends give C(cells + 1, p + 1).  The sum stops at
+    # the first p past the limit, so no grid is too large to refuse.
+    cells, levels = len(grid) - 1, len(set(config.level_grid))
+    count = 0
+    for p in range(1, min(config.d, cells, levels) + 1):
+        count += math.comb(cells + 1, p + 1) * math.comb(levels, p)
+        if count > _MAX_NET_TUPLES:
+            raise ConfigError(
+                f"monotone net with {cells} cells, d = {config.d} and {levels} levels "
+                f"enumerates more than {_MAX_NET_TUPLES} run-and-level choices"
+            )
+
+
+def _check_l2_linear(config: ModelBuilderConfig) -> None:
+    if config.basis == "user":
+        raise ConfigError(
+            "user bases carry no concrete densities; only the indicator basis "
+            "builds a model"
+        )
+    if config.basis != "indicator":
+        raise ConfigError(f"basis must be 'indicator' or 'user', got {config.basis!r}")
+    for row in config.coefficient_net:
+        if len(row) != config.cells:
+            raise ConfigError(
+                f"coefficient vectors must have length {config.cells}, got {len(row)}"
+            )
+
+
+def _check_discrete(config: ModelBuilderConfig) -> None:
+    for idx, row in enumerate(config.candidates):
+        if len(row) != config.space_size:
+            raise ConfigError(
+                f"candidate {idx} has {len(row)} masses for a "
+                f"{config.space_size}-point space"
+            )
+        if any(v < 0 for v in row):
+            raise ConfigError(f"candidate {idx} has negative masses")
+        if abs(sum(row) - 1.0) > _MASS_TOL:
+            raise ConfigError(f"candidate {idx} masses sum to {sum(row)!r}, not 1")
+
+
+def _check_regression_tuples(config: ModelBuilderConfig) -> None:
+    for idx, row in enumerate(config.theta_net):
+        if len(row) != config.n:
+            raise ConfigError(
+                f"theta vector {idx} has length {len(row)}, expected n = {config.n}"
+            )
+    # Read at config time, so --describe refuses what the run would, and
+    # stored canonical, so one base has one config and one scenario digest.
+    base = measure_from_config(config.base_q)
+    _translate(base, 0.0)
+    object.__setattr__(config, "base_q", base.to_config())
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +279,7 @@ def build(config: ModelBuilderConfig | dict) -> Model:
     """Build the candidate model described by ``config``."""
     if isinstance(config, dict):
         config = ModelBuilderConfig.from_config(config)
-    builder = _BUILDERS[config.family]
-    return builder(config)
+    return _FAMILIES[config.family][2](config)
 
 
 def _grid_span(lo: float, hi: float, step: float) -> float:
@@ -336,26 +292,18 @@ def _location_grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-def _build_gaussian_grid(config: ModelBuilderConfig) -> Model:
+def _build_location_grid(config: ModelBuilderConfig) -> Model:
+    """The base measure moved to each grid point; a gaussian grid has no ``base``."""
     grid = _location_grid(config.lo, config.hi, config.step)
-    candidates = [GaussianMeasure(m, 1.0) for m in grid]
-    return Model(
-        candidates=candidates,
-        vc_dimension=float(config.d + 1),
-        candidate_params=grid,
-    )
-
-
-def _build_translation_grid(config: ModelBuilderConfig) -> Model:
-    grid = _location_grid(config.lo, config.hi, config.step)
-    if config.base == "cauchy":
-        candidates: list[Measure] = [CauchyMeasure(t, 1.0) for t in grid]
-    elif config.base == "uniform":
-        candidates = [UniformMeasure(t, 1.0) for t in grid]
+    if config.base == "power":
+        origin: Measure = PowerMeasure(config.alpha)
     else:
-        candidates = [PowerMeasure(config.alpha, shift=t) for t in grid]
+        shape = {None: GaussianMeasure, "cauchy": CauchyMeasure, "uniform": UniformMeasure}
+        origin = shape[config.base](0.0, 1.0)
+    # No grid point is -0.0, so each location is its grid point bitwise.
     return Model(
-        candidates=candidates,
+        candidates=[_translate(origin, t) for t in grid],
+        vc_dimension=None if config.d is None else float(config.d + 1),
         candidate_params=grid,
     )
 
@@ -370,13 +318,8 @@ def _build_histogram_net(config: ModelBuilderConfig) -> Model:
             candidates.append(HistogramMeasure(part, heights))
             params.append(heights)
     if not candidates:
-        raise ConfigError(
-            "no height combination from value_grid averages to 1; the net is empty"
-        )
-    return Model(
-        candidates=candidates,
-        candidate_params=params,
-    )
+        raise ConfigError("no height combination from value_grid averages to 1; the net is empty")
+    return Model(candidates=candidates, candidate_params=params)
 
 
 def _build_monotone_net(config: ModelBuilderConfig) -> Model:
@@ -437,10 +380,7 @@ def _build_l2_linear(config: ModelBuilderConfig) -> Model:
 def _build_discrete(config: ModelBuilderConfig) -> Model:
     points = [float(k) for k in range(config.space_size)]
     candidates = [DiscreteMeasure(points, row) for row in config.candidates]
-    return Model(
-        candidates=candidates,
-        candidate_params=[list(row) for row in config.candidates],
-    )
+    return Model(candidates=candidates, candidate_params=[list(row) for row in config.candidates])
 
 
 def _translate(base: Measure, shift: float) -> Measure:
@@ -452,9 +392,7 @@ def _translate(base: Measure, shift: float) -> Measure:
         return UniformMeasure(base.low + shift, base.width)
     if isinstance(base, PowerMeasure):
         return PowerMeasure(base.alpha, base.shift + shift)
-    raise ConfigError(
-        f"base family {base.tag!r} has no translation parameter"
-    )
+    raise ConfigError(f"base family {base.tag!r} has no translation parameter")
 
 
 def _build_regression_tuples(config: ModelBuilderConfig) -> Model:
@@ -470,12 +408,22 @@ def _build_regression_tuples(config: ModelBuilderConfig) -> Model:
     )
 
 
-_BUILDERS = {
-    "gaussian-location-grid": _build_gaussian_grid,
-    "translation-grid": _build_translation_grid,
-    "histogram-net": _build_histogram_net,
-    "monotone-net": _build_monotone_net,
-    "l2-linear": _build_l2_linear,
-    "discrete": _build_discrete,
-    "regression-tuples": _build_regression_tuples,
+# Each family: the parameters it takes, the checker of the rules their kinds
+# cannot state, and its builder.
+_FAMILIES = {
+    "gaussian-location-grid": (
+        ("d", "lo", "hi", "step"), _check_gaussian_grid, _build_location_grid
+    ),
+    "translation-grid": (
+        ("base", "alpha", "lo", "hi", "step"), _check_translation_grid, _build_location_grid
+    ),
+    "histogram-net": (("cells", "value_grid"), _check_histogram_net, _build_histogram_net),
+    "monotone-net": (
+        ("d", "breakpoint_grid", "level_grid"), _check_monotone_net, _build_monotone_net
+    ),
+    "l2-linear": (("basis", "cells", "coefficient_net"), _check_l2_linear, _build_l2_linear),
+    "discrete": (("space_size", "candidates"), _check_discrete, _build_discrete),
+    "regression-tuples": (
+        ("theta_net", "base_q", "n"), _check_regression_tuples, _build_regression_tuples
+    ),
 }

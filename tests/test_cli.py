@@ -109,6 +109,44 @@ class TestParsing:
         cli.main([command, "--threads", "1", "--describe"])
         assert "unrecognized arguments" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("estimate", estimate_doc()),
+            (
+                "test",
+                {
+                    "truth": {"family": "gaussian", "params": {"mean": 0.0}},
+                    "p": {"family": "gaussian", "params": {"mean": 0.0}},
+                    "q": {"family": "gaussian", "params": {"mean": 1.0}},
+                    "loss": {"kind": "tv"},
+                    "n": 5,
+                    "reps": 3,
+                },
+            ),
+            (
+                "distances",
+                {
+                    "pairs": [
+                        {
+                            "p": {"family": "gaussian", "params": {"mean": 0.0}},
+                            "q": {"family": "gaussian", "params": {"mean": 1.0}},
+                        }
+                    ],
+                    "losses": [{"kind": "tv"}],
+                },
+            ),
+            ("check-assumptions", {"triples": 2}),
+        ],
+    )
+    def test_threads_below_one_exit_two_on_every_command(self, tmp_path, capsys, command, doc, threads):
+        path = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out), "--threads", threads]) == 2
+        assert f"threads must be a positive integer, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_balanced_sample_picks_middle_candidate(self, tmp_path, capsys):
@@ -231,6 +269,57 @@ class TestDescribe:
         echo = write_config(tmp_path, "echo.json", json.loads(first))
         assert cli.main(["simulate", "--config", str(echo), "--describe"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_estimate_describe_refuses_boolean_count(self, tmp_path, capsys):
+        doc = {
+            "model": {"family": "gaussian-location-grid", "d": True, "lo": -1.0, "hi": 1.0, "step": 0.5},
+            "loss": {"kind": "tv"},
+            "sample": [0.0],
+        }
+        path = write_config(tmp_path, "e.json", doc)
+        assert cli.main(["estimate", "--config", str(path), "--describe"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "d must be a positive integer, got True" in captured.err
+
+    @staticmethod
+    def regression_doc(base_q):
+        return simulate_with(
+            truth={
+                "kind": "tuples",
+                "components": [{"family": "gaussian", "params": {"mean": 0.1}}] * 2,
+            },
+            model={
+                "family": "regression-tuples",
+                "theta_net": [[0.0, 0.0], [0.5, -0.5]],
+                "base_q": base_q,
+                "n": 2,
+            },
+            loss={"kind": "hellinger2"},
+            n=2,
+            replications=3,
+        )
+
+    def test_simulate_describe_reads_base_q(self, tmp_path, capsys):
+        bad = self.regression_doc({"family": "gaussian", "params": {"mean": "x"}})
+        path = write_config(tmp_path, "bad.json", bad)
+        assert cli.main(["simulate", "--config", str(path), "--describe"]) == 2
+        assert "'mean'" in capsys.readouterr().err
+        # One design written two ways resolves, and runs, as one.
+        outputs = []
+        for name, base_q in [
+            ("short", {"family": "gaussian", "params": {"mean": 0}}),
+            ("canonical", {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}}),
+        ]:
+            path = write_config(tmp_path, f"{name}.json", self.regression_doc(base_q))
+            assert cli.main(["simulate", "--config", str(path), "--describe"]) == 0
+            described = capsys.readouterr().out
+            out = tmp_path / name
+            assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            capsys.readouterr()
+            outputs.append((described, (out / "summary.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["scenario"]["model"]["base_q"]["params"] == {"mean": 0.0, "sd": 1.0}
 
     def test_check_assumptions_describe_normalizes_alias(self, capsys):
         code = cli.main(

@@ -29,12 +29,60 @@ from pairfit.measures import (
     _tv_closed_form,
     _tv_quadrature,
 )
-from pairfit.models import ModelBuilderConfig, build
+from pairfit.models import _FAMILIES, ModelBuilderConfig, build
 from pairfit.testfam import score
 
 
 def total_mass(measure, hi):
     return float(measure.cdf(np.array([hi]))[0])
+
+
+# One valid config per family, keys in field order, as a reader of JSON
+# would pass it; every grid and net holds an entry equal to 1.
+FAMILY_CONFIGS = {
+    "gaussian-location-grid": {"d": 1, "lo": -1, "hi": 1.0, "step": 0.5},
+    "translation-grid": {"lo": 0.0, "hi": 0.5, "step": 0.25, "base": "power", "alpha": 0.5},
+    "histogram-net": {"cells": 2, "value_grid": [0.2, 0.6, 1.0, 1.4, 1.8]},
+    "monotone-net": {"d": 2, "breakpoint_grid": [0.0, 0.5, 1.0], "level_grid": [0.5, 1, 2.0]},
+    "l2-linear": {"cells": 2, "basis": "indicator", "coefficient_net": [[0.5, 0.5], [1, 0.0]]},
+    "discrete": {"space_size": 2, "candidates": [[0.2, 0.8], [1, 0]]},
+    "regression-tuples": {
+        "theta_net": [[0.0, 0.5], [1.0, -1.0]],
+        "base_q": {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+        "n": 2,
+    },
+}
+
+COUNT_FIELDS = ("d", "cells", "space_size", "n")
+GRID_FIELDS = ("value_grid", "breakpoint_grid", "level_grid")
+NET_FIELDS = ("coefficient_net", "candidates", "theta_net")
+
+
+def family_config(family, **changes):
+    return {"family": family, **FAMILY_CONFIGS[family], **changes}
+
+
+def with_one_as(value, bad):
+    """A grid or net with its first entry equal to 1 replaced by ``bad``."""
+    if isinstance(value[0], list):
+        k = next(k for k, row in enumerate(value) if 1 in row)
+        return [*value[:k], with_one_as(value[k], bad), *value[k + 1 :]]
+    k = value.index(1)
+    return [*value[:k], bad, *value[k + 1 :]]
+
+
+def bad_entry_cases():
+    """(family, field, bad value) for every count, grid and net field of every family.
+
+    ``float`` reads each bad value as a valid one: True and "1" as 1.0.
+    """
+    for family, cfg in FAMILY_CONFIGS.items():
+        for name, value in cfg.items():
+            if name in COUNT_FIELDS:
+                yield family, name, True
+            elif name in GRID_FIELDS or name in NET_FIELDS:
+                for bad in ("1", True):
+                    yield family, name, with_one_as(value, bad)
 
 
 class TestGaussianLocationGrid:
@@ -479,6 +527,19 @@ class TestConfigHandling:
         assert cfg["value_grid"] == [0.2, 0.6, 1.0, 1.4, 1.8]
         rebuilt = ModelBuilderConfig.from_config(cfg)
         assert rebuilt == original
+        assert set(FAMILY_CONFIGS) == set(_FAMILIES)
+        for family in FAMILY_CONFIGS:
+            original = ModelBuilderConfig.from_config(family_config(family))
+            cfg = original.to_config()
+            assert cfg == family_config(family)
+            assert list(cfg) == ["family", *FAMILY_CONFIGS[family]]
+            # List entries come back as floats, scalars as given.
+            lists = [cfg[name] for name in GRID_FIELDS if name in cfg]
+            lists += [row for name in NET_FIELDS if name in cfg for row in cfg[name]]
+            assert all(type(v) is float for entries in lists for v in entries)
+            assert all(type(cfg[k]) is type(v) for k, v in FAMILY_CONFIGS[family].items())
+            assert ModelBuilderConfig.from_config(cfg) == original
+            assert build(cfg).candidate_params == build(original).candidate_params
 
     def test_round_trip_nested_vectors(self):
         original = ModelBuilderConfig(
@@ -487,6 +548,59 @@ class TestConfigHandling:
         )
         rebuilt = ModelBuilderConfig.from_config(original.to_config())
         assert rebuilt == original
+
+    @pytest.mark.parametrize(
+        "family, name, value",
+        list(bad_entry_cases()),
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_counts_refuse_bools_and_lists_refuse_strings_and_bools(self, family, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name}\b"):
+            ModelBuilderConfig.from_config(family_config(family, **{name: value}))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400])
+    @pytest.mark.parametrize(
+        "family, name",
+        [
+            ("gaussian-location-grid", "lo"),
+            ("translation-grid", "alpha"),
+            ("histogram-net", "value_grid"),
+            ("monotone-net", "breakpoint_grid"),
+            ("l2-linear", "coefficient_net"),
+            ("discrete", "candidates"),
+            ("regression-tuples", "theta_net"),
+        ],
+    )
+    def test_non_finite_numbers_refused(self, family, name, value):
+        # A NaN coefficient or mass used to build a NaN candidate, and an
+        # integer past the float range failed with OverflowError.
+        old = FAMILY_CONFIGS[family][name]
+        if isinstance(old, list):
+            value = with_one_as(old, value)
+        with pytest.raises(ConfigError, match=name):
+            ModelBuilderConfig.from_config(family_config(family, **{name: value}))
+
+    def test_empty_lists_refused(self):
+        for family, name in [("histogram-net", "value_grid"), ("discrete", "candidates")]:
+            with pytest.raises(ConfigError, match=f"{name} must be a nonempty"):
+                ModelBuilderConfig.from_config(family_config(family, **{name: []}))
+
+    def test_base_q_is_read_and_stored_canonical(self):
+        short = ModelBuilderConfig.from_config(
+            family_config("regression-tuples", base_q={"family": "gaussian", "params": {"mean": 0}})
+        )
+        canonical = ModelBuilderConfig.from_config(family_config("regression-tuples"))
+        assert short == canonical
+        assert short.to_config() == family_config("regression-tuples")
+        with pytest.raises(ConfigError, match="mean"):
+            ModelBuilderConfig.from_config(
+                family_config(
+                    "regression-tuples", base_q={"family": "gaussian", "params": {"mean": "x"}}
+                )
+            )
+        histogram = {"family": "histogram", "params": {"heights": [1.0]}}
+        with pytest.raises(ConfigError, match="no translation parameter"):
+            ModelBuilderConfig.from_config(family_config("regression-tuples", base_q=histogram))
 
     def test_from_config_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown model config keys"):
