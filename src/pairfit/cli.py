@@ -38,7 +38,7 @@ from .models import ModelBuilderConfig, build
 from .testfam import check_assumptions_exact, check_cond3bis
 
 _FORMATS = ("csv", "json-lines", "summary")
-_ASSUMPTION_LOSSES = ("tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf")
+_ASSUMPTION_LOSSES = ("tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf", "wasserstein1")
 _SLACK_TOL = 1e-12
 
 
@@ -473,10 +473,6 @@ def _run_distances(resolved: dict, args: argparse.Namespace) -> int:
 
 
 def _assumption_spec(loss_name: str, p: np.ndarray, q: np.ndarray, size: int):
-    if loss_name == "tv":
-        return LossSpec.tv()
-    if loss_name == "hellinger":
-        return LossSpec.hellinger2()
     if loss_name == "kl":
         amax = float(np.max(np.abs(np.log(p / q))))
         return LossSpec.kl(a=max(amax, 1e-6) + 1e-9)
@@ -484,7 +480,8 @@ def _assumption_spec(loss_name: str, p: np.ndarray, q: np.ndarray, size: int):
         return LossSpec.lj(j=float(loss_name[1:]), R=1.0)
     if loss_name == "linf":
         return LossSpec.linf(D=size)
-    raise ConfigError(f"no assumption audit for loss {loss_name!r}")
+    # tv, wasserstein1 and hellinger; LossSpec refuses any other name.
+    return LossSpec(kind="hellinger2" if loss_name == "hellinger" else loss_name)
 
 
 def run_assumption_suite(
@@ -503,7 +500,8 @@ def run_assumption_suite(
     """
     rng = np.random.default_rng(seed)
     partition = PartitionRef(space_size, (0.0, 1.0))
-    pts = [float(i) for i in range(space_size)]
+    # The atoms lie in [0, 1], where the W1 family lives.
+    pts = [i / (space_size - 1) for i in range(space_size)]
     worst = {
         "antisymmetry": 0.0,
         "mean": -math.inf,

@@ -53,14 +53,16 @@ def _number_list(value, name: str) -> list:
 
 
 def _positive_int(value, name: str) -> int:
-    """``value`` if it is a positive ``int``; a bool or a float is refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+    """``value`` if it is a positive ``int`` that ``float`` can take; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or not (
+        0 < value <= sys.float_info.max
+    ):
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 
-def _positive_finite(value, name: str) -> None:
-    """Refuse ``value`` unless it is a positive finite ``int`` or ``float`` (not a bool).
+def _positive_finite(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a positive finite ``int`` or ``float`` (not a bool).
 
     An ``int`` above the largest float is refused too, since ``float`` cannot take it.
     """
@@ -68,3 +70,4 @@ def _positive_finite(value, name: str) -> None:
         0 < value <= sys.float_info.max
     ):
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)

@@ -1,16 +1,10 @@
 """Loss specifications and loss evaluation.
 
-A ``LossSpec`` names one of the six supported loss functions together with
-its family parameters:
-
-    * ``tv``           total variation
-    * ``hellinger2``   squared Hellinger distance
-    * ``kl``           Kullback-Leibler divergence (needs the log-ratio bound
-                       ``a`` satisfied by the model)
-    * ``wasserstein1`` Wasserstein-1 distance on [0, 1]
-    * ``lj``           L_j norm of the density difference, j in (1, inf),
-                       with the sup/L_j norm-ratio bound ``R``
-    * ``linf``         sup norm over a D-cell partition
+A ``LossSpec`` names one of the six loss kinds of ``_FAMILIES`` with its
+family parameters: total variation, squared Hellinger, Kullback-Leibler
+(with the model's log-ratio bound ``a``), Wasserstein-1 on [0, 1], the L_j
+norm of the density difference (j in (1, inf), with the sup/L_j norm-ratio
+bound ``R``) and the sup norm over a ``D``-cell partition.
 
 ``loss(spec, S, Q)`` evaluates the loss between two measures; for tuple-type
 data (independent, non-identically distributed observations),
@@ -24,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, _check_keys
+from .errors import ConfigError, _check_keys, _positive_finite, _positive_int
 from .measures import (
     Measure,
     PartitionRef,
@@ -38,14 +32,16 @@ from .measures import (
 
 __all__ = ["LossSpec", "loss", "aggregate_loss"]
 
-_KINDS = ("tv", "hellinger2", "kl", "wasserstein1", "lj", "linf")
-
 
 @dataclass(frozen=True)
 class LossSpec:
     """A loss function choice plus its family parameters.
 
-    Fields irrelevant to the chosen kind must stay None.
+    ``kind`` selects a row of ``_FAMILIES``: the parameters the loss takes,
+    the checker of the rules their kinds cannot state, and its distance.
+    Every other field must stay None.  Each parameter is read by
+    ``_READERS``: ``D`` is a positive integer, and ``j``, ``R`` and ``a``
+    are positive finite numbers, stored as floats.
     """
 
     kind: str
@@ -55,28 +51,21 @@ class LossSpec:
     D: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {_KINDS}")
-        for name in ("j", "R", "a", "D"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            if name not in _RELEVANT[self.kind]:
-                raise ConfigError(f"loss kind {self.kind!r} does not take parameter {name!r}")
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"loss parameter {name!r} must be a number, got {val!r}")
-        if self.kind == "lj":
-            if self.j is None or not (1.0 < self.j < math.inf):
-                raise ConfigError(f"lj loss needs j in (1, inf), got {self.j}")
-            if self.R is None or not 0 < self.R < math.inf:
-                raise ConfigError(f"lj loss needs a positive finite norm-ratio bound R, got {self.R}")
-        elif self.kind == "kl":
-            if self.a is None or not 0 < self.a < math.inf:
-                raise ConfigError(f"kl loss needs a positive finite log-ratio bound a, got {self.a}")
-        elif self.kind == "linf":
-            # A NaN compares false and infinity is no integer, so both fail.
-            if self.D is None or not (self.D >= 1 and float(self.D).is_integer()):
-                raise ConfigError(f"linf loss needs a positive cell count D (a whole number), got {self.D}")
+        entry = _FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
+        if entry is None:
+            raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {tuple(_FAMILIES)}")
+        params, check, _ = entry
+        for name, (read, what) in _READERS.items():
+            value = getattr(self, name)
+            if name not in params:
+                if value is not None:
+                    raise ConfigError(f"loss kind {self.kind!r} does not take parameter {name!r}")
+            elif value is None:
+                raise ConfigError(f"loss kind {self.kind!r} requires {what}")
+            else:
+                object.__setattr__(self, name, read(value, what))
+        if check is not None:
+            check(self)
 
     # -- constructors --------------------------------------------------------
 
@@ -90,7 +79,7 @@ class LossSpec:
 
     @classmethod
     def kl(cls, a: float) -> "LossSpec":
-        return cls(kind="kl", a=float(a))
+        return cls(kind="kl", a=a)
 
     @classmethod
     def wasserstein1(cls) -> "LossSpec":
@@ -98,62 +87,50 @@ class LossSpec:
 
     @classmethod
     def lj(cls, j: float, R: float) -> "LossSpec":
-        return cls(kind="lj", j=float(j), R=float(R))
+        return cls(kind="lj", j=j, R=R)
 
     @classmethod
     def linf(cls, D: int) -> "LossSpec":
-        return cls(kind="linf", D=int(D))
+        return cls(kind="linf", D=D)
 
     # -- config --------------------------------------------------------------
 
     def to_config(self) -> dict:
-        cfg: dict = {"kind": self.kind}
-        for name in ("j", "R", "a", "D"):
-            val = getattr(self, name)
-            if val is not None:
-                cfg[name] = val
-        return cfg
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LossSpec":
         if not isinstance(cfg, dict) or "kind" not in cfg:
             raise ConfigError("loss config must be a mapping with a 'kind' key")
-        _check_keys(cfg, {"kind", "j", "R", "a", "D"}, "loss")
-        return cls(
-            kind=cfg["kind"],
-            j=cfg.get("j"),
-            R=cfg.get("R"),
-            a=cfg.get("a"),
-            D=cfg.get("D"),
-        )
+        _check_keys(cfg, cls.__dataclass_fields__.keys(), "loss")
+        return cls(**cfg)
 
 
-_RELEVANT = {
-    "tv": set(),
-    "hellinger2": set(),
-    "kl": {"a"},
-    "wasserstein1": set(),
-    "lj": {"j", "R"},
-    "linf": {"D"},
+# How each parameter is read, and what a refusal calls it.
+_READERS = {
+    "j": (_positive_finite, "loss parameter 'j' (exponent j)"),
+    "R": (_positive_finite, "loss parameter 'R' (positive finite norm-ratio bound R)"),
+    "a": (_positive_finite, "loss parameter 'a' (positive finite log-ratio bound a)"),
+    "D": (_positive_int, "loss parameter 'D' (positive cell count D)"),
 }
+
+
+def _check_lj(spec: LossSpec) -> None:
+    if not spec.j > 1.0:
+        raise ConfigError(f"lj loss needs j in (1, inf), got {spec.j!r}")
+    # The score family scales by R^(j-1) (testfam.constants_for, _lj_score),
+    # and float ** raises on overflow.
+    try:
+        scale = spec.R ** (spec.j - 1.0)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"lj loss needs a positive finite family scale R ** (j - 1), got {scale!r}")
 
 
 def loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
     """Evaluate the loss named by ``spec`` between measures ``S`` and ``Q``."""
-    if spec.kind == "tv":
-        return tv_distance(S, Q)
-    if spec.kind == "hellinger2":
-        return hellinger_sq(S, Q)
-    if spec.kind == "kl":
-        return kl_divergence(S, Q)
-    if spec.kind == "wasserstein1":
-        return wasserstein1(S, Q)
-    if spec.kind == "lj":
-        return lj_distance(S, Q, spec.j)
-    if spec.kind == "linf":
-        _linf_partition(spec, S, Q)
-        return lj_distance(S, Q, math.inf)
-    raise AssertionError(f"unreachable loss kind {spec.kind!r}")
+    return _FAMILIES[spec.kind][2](spec, S, Q)
 
 
 def _linf_partition(spec: LossSpec, P: Measure, Q: Measure) -> PartitionRef:
@@ -168,6 +145,23 @@ def _linf_partition(spec: LossSpec, P: Measure, Q: Measure) -> PartitionRef:
             f"one {spec.D}-cell partition, got {P!r} and {Q!r}"
         )
     return P.partition
+
+
+def _linf_loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
+    _linf_partition(spec, S, Q)
+    return lj_distance(S, Q, math.inf)
+
+
+# Each loss kind: the parameters it takes, the checker of the rules their
+# kinds cannot state (or None), and its distance ``(spec, S, Q)``.
+_FAMILIES = {
+    "tv": ((), None, lambda spec, S, Q: tv_distance(S, Q)),
+    "hellinger2": ((), None, lambda spec, S, Q: hellinger_sq(S, Q)),
+    "kl": (("a",), None, lambda spec, S, Q: kl_divergence(S, Q)),
+    "wasserstein1": ((), None, lambda spec, S, Q: wasserstein1(S, Q)),
+    "lj": (("j", "R"), _check_lj, lambda spec, S, Q: lj_distance(S, Q, spec.j)),
+    "linf": (("D",), None, _linf_loss),
+}
 
 
 def aggregate_loss(

@@ -192,11 +192,13 @@ def _check_translation_grid(config: ModelBuilderConfig) -> None:
 def _check_histogram_net(config: ModelBuilderConfig) -> None:
     if any(v < 0 for v in config.value_grid):
         raise ConfigError("value_grid entries must be nonnegative heights")
-    # The exponent is capped so a huge cell count cannot stall the check:
-    # two or more values already pass the limit at 64 cells.
-    if len(config.value_grid) ** min(config.cells, 64) > _MAX_NET_TUPLES:
+    # The net enumerates the distinct values.  The exponent is capped so a
+    # huge cell count cannot stall the check: two or more values already
+    # pass the limit at 64 cells.
+    values = len(set(config.value_grid))
+    if values ** min(config.cells, 64) > _MAX_NET_TUPLES:
         raise ConfigError(
-            f"histogram net enumerates {len(config.value_grid)}^{config.cells} height "
+            f"histogram net enumerates {values}^{config.cells} height "
             f"tuples, above the limit of {_MAX_NET_TUPLES}"
         )
 
@@ -313,7 +315,8 @@ def _build_histogram_net(config: ModelBuilderConfig) -> Model:
     part = PartitionRef(cells, (0.0, 1.0))
     candidates = []
     params = []
-    for heights in itertools.product(config.value_grid, repeat=cells):
+    # A repeated grid value would repeat candidates; dict keeps first-occurrence order.
+    for heights in itertools.product(dict.fromkeys(config.value_grid), repeat=cells):
         if abs(sum(heights) / cells - 1.0) <= _MASS_TOL:
             candidates.append(HistogramMeasure(part, heights))
             params.append(heights)

@@ -54,7 +54,7 @@ def announce(capsys, k, details):
 
 def test_c1_exact_assumption_audit(capsys):
     start = time.perf_counter()
-    families = ("tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf")
+    families = ("tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf", "wasserstein1")
     worst_seen = 0.0
     for name in families:
         report = cli.run_assumption_suite(name, 5, 200, seed=3)
@@ -81,7 +81,7 @@ def test_c1_exact_assumption_audit(capsys):
     announce(
         capsys,
         1,
-        f"7 families x 200 spaces, worst slack {worst_seen:.2e}, {elapsed:.1f}s",
+        f"{len(families)} families x 200 spaces, worst slack {worst_seen:.2e}, {elapsed:.1f}s",
     )
 
 

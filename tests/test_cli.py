@@ -868,6 +868,35 @@ class TestConfigErrorsExitTwo:
                 },
                 "L_j distance needs Lebesgue densities",
             ),
+            (
+                "distances",
+                {"pairs": [{"p": histogram([1.5, 0.5]), "q": histogram([0.5, 1.5])}], "losses": [{"kind": "linf", "D": 10**400}]},
+                "positive cell count D",
+            ),
+            (
+                "test",
+                {
+                    "truth": measure("gaussian", mean=0.0),
+                    "p": measure("gaussian", mean=0.0),
+                    "q": measure("gaussian", mean=1.0),
+                    "loss": {"kind": "kl", "a": 10**400},
+                    "n": 5,
+                    "reps": 2,
+                },
+                "positive finite log-ratio bound a",
+            ),
+            (
+                "test",
+                {
+                    "truth": histogram([1.5, 0.5]),
+                    "p": histogram([1.5, 0.5]),
+                    "q": histogram([0.5, 1.5]),
+                    "loss": {"kind": "lj", "j": 1e300, "R": 2.0},
+                    "n": 5,
+                    "reps": 2,
+                },
+                "family scale R ** (j - 1)",
+            ),
         ],
         ids=[
             "kl-score-bound",
@@ -926,6 +955,9 @@ class TestConfigErrorsExitTwo:
             "tv-test-candidate-with-atom",
             "tv-test-discrete-against-gaussian",
             "lj-distance-mixture-with-atom",
+            "linf-d-huge-int",
+            "kl-a-huge-int",
+            "lj-scale-overflow",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):
@@ -1025,6 +1057,20 @@ class TestDistances:
         P, Q = GaussianMeasure(0.0, 1.0), GaussianMeasure(1.0, 1.0)
         assert float(rows[0]["value"]) == loss(LossSpec.lj(j=2.0, R=1.0), P, Q)
 
+    def test_int_and_float_spelled_lj_write_the_same_bytes(self, tmp_path):
+        gaussian = lambda mean: {"family": "gaussian", "params": {"mean": mean, "sd": 1.0}}
+        outputs = []
+        for tag, j, R in (("int", 2, 1), ("float", 2.0, 1.0)):
+            doc = {
+                "pairs": [{"p": gaussian(0.0), "q": gaussian(1.0)}],
+                "losses": [{"kind": "lj", "j": j, "R": R}],
+            }
+            path = write_config(tmp_path, f"{tag}.json", doc)
+            out = tmp_path / tag
+            assert cli.main(["distances", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("summary.json", "records.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_unsupported_measure_for_loss(self, tmp_path, capsys):
         doc = {
             "pairs": [
@@ -1045,7 +1091,7 @@ class TestDistances:
 
 
 class TestCheckAssumptions:
-    @pytest.mark.parametrize("loss_name", ["tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf"])
+    @pytest.mark.parametrize("loss_name", ["tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf", "wasserstein1"])
     def test_families_pass_quick_audit(self, loss_name, capsys):
         code = cli.main(
             [

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from pairfit.errors import ConfigError
-from pairfit.losses import LossSpec, aggregate_loss, loss
+from pairfit.losses import _FAMILIES, LossSpec, aggregate_loss, loss
 from pairfit.measures import (
     DiscreteMeasure,
     GaussianMeasure,
@@ -63,6 +63,67 @@ class TestLossSpec:
     def test_from_config_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown loss config keys"):
             LossSpec.from_config({"kind": "tv", "bandwidth": 2.0})
+
+
+# One valid config per loss kind, spelled canonically.
+LOSS_CONFIGS = {
+    "tv": {"kind": "tv"},
+    "hellinger2": {"kind": "hellinger2"},
+    "kl": {"kind": "kl", "a": 0.7},
+    "wasserstein1": {"kind": "wasserstein1"},
+    "lj": {"kind": "lj", "j": 2.0, "R": 1.5},
+    "linf": {"kind": "linf", "D": 4},
+}
+LOSS_PARAMS = [(kind, name) for kind, cfg in LOSS_CONFIGS.items() for name in cfg if name != "kind"]
+
+
+class TestLossTable:
+    @pytest.mark.parametrize("kind", list(LOSS_CONFIGS))
+    def test_every_kind_names_its_parameters_and_round_trips(self, kind):
+        assert list(LOSS_CONFIGS) == list(_FAMILIES)
+        assert tuple(name for name in LOSS_CONFIGS[kind] if name != "kind") == _FAMILIES[kind][0]
+        spec = LossSpec.from_config(LOSS_CONFIGS[kind])
+        cfg = spec.to_config()
+        assert cfg == LOSS_CONFIGS[kind]
+        assert all(type(cfg[k]) is type(v) for k, v in LOSS_CONFIGS[kind].items())
+        assert LossSpec.from_config(cfg) == spec
+
+    @pytest.mark.parametrize("kind, name", LOSS_PARAMS)
+    def test_every_parameter_refuses_non_numbers_and_non_finite_values(self, kind, name):
+        # 10^400 is a JSON integer that no float holds; it used to pass the
+        # checks and fail later with OverflowError.
+        for value in (True, "1", math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(ConfigError, match=f"parameter '{name}'"):
+                LossSpec.from_config(dict(LOSS_CONFIGS[kind], **{name: value}))
+
+    def test_integer_spelled_parameters_read_as_floats(self):
+        spelled_int = LossSpec.from_config({"kind": "lj", "j": 2, "R": 1})
+        assert spelled_int.to_config() == LossSpec.from_config({"kind": "lj", "j": 2.0, "R": 1.0}).to_config()
+        assert [type(v) for v in spelled_int.to_config().values()] == [str, float, float]
+        assert type(LossSpec.from_config({"kind": "kl", "a": 1}).a) is float
+
+    def test_cell_count_refuses_floats_and_bools(self):
+        for value in (5.0, True, 2.5):
+            with pytest.raises(ConfigError, match="positive cell count D"):
+                LossSpec.from_config({"kind": "linf", "D": value})
+
+    def test_constructors_refuse_what_from_config_refuses(self):
+        for make, cfg in [
+            (lambda: LossSpec.linf(2.5), {"kind": "linf", "D": 2.5}),
+            (lambda: LossSpec.linf(True), {"kind": "linf", "D": True}),
+            (lambda: LossSpec.kl("0.5"), {"kind": "kl", "a": "0.5"}),
+        ]:
+            with pytest.raises(ConfigError):
+                make()
+            with pytest.raises(ConfigError):
+                LossSpec.from_config(cfg)
+
+    def test_lj_family_scale_must_be_a_positive_finite_float(self):
+        # 2^(1e300 - 1) overflows and 0.5^(1e300 - 1) is 0.
+        for R in (2.0, 0.5):
+            with pytest.raises(ConfigError, match=r"family scale R \*\* \(j - 1\)"):
+                LossSpec.lj(j=1e300, R=R)
+        assert LossSpec.lj(j=1e300, R=1.0).j == 1e300
 
 
 class TestLossDispatch:

@@ -232,6 +232,15 @@ class TestHistogramNet:
         assert _log_ratio_bound(model.candidates) is None
         assert sorted(model.candidate_params) == [(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]
 
+    def test_repeated_grid_values_enumerated_once(self):
+        model = build(
+            ModelBuilderConfig(family="histogram-net", cells=2, value_grid=(0.5, 1.0, 1.0, 1.5))
+        )
+        assert model.candidate_params == [(0.5, 1.5), (1.0, 1.0), (1.5, 0.5)]
+        # The limit counts distinct values: each of these ten is repeated, and
+        # 10^6 tuples is the largest net allowed.
+        ModelBuilderConfig(family="histogram-net", cells=6, value_grid=tuple(0.2 * k for k in range(10)) * 2)
+
     def test_empty_net_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             build(
