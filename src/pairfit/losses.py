@@ -6,6 +6,7 @@ family parameters: total variation, squared Hellinger, Kullback-Leibler
 norm of the density difference (j in (1, inf), with the sup/L_j norm-ratio
 bound ``R``) and the sup norm over a ``D``-cell partition.
 
+Each kind owns its score family's constants (``LossSpec.constants``).
 ``loss(spec, S, Q)`` evaluates the loss between two measures; for tuple-type
 data (independent, non-identically distributed observations),
 ``aggregate_loss`` sums coordinate losses between a truth vector and a
@@ -15,7 +16,7 @@ candidate (a single candidate measure is broadcast across coordinates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 from .errors import ConfigError, _check_keys, _positive_finite, _positive_int
@@ -30,7 +31,23 @@ from .measures import (
     wasserstein1,
 )
 
-__all__ = ["LossSpec", "loss", "aggregate_loss"]
+__all__ = ["FamilyConstants", "LossSpec", "loss", "aggregate_loss"]
+
+
+@dataclass(frozen=True)
+class FamilyConstants:
+    """Constants (a0, a1, a2, b) attached to a score family.
+
+    ``a2`` is None when the family carries no variance guarantee by itself
+    (TV needs the model-dependent regularity check; W/L_j/L_inf have none).
+    ``b`` is the oscillation scale of the underlying witness construction and
+    is None for the Hellinger and KL families, which are not built that way.
+    """
+
+    a0: float
+    a1: float
+    a2: float | None = None
+    b: float | None = None
 
 
 @dataclass(frozen=True)
@@ -38,10 +55,11 @@ class LossSpec:
     """A loss function choice plus its family parameters.
 
     ``kind`` selects a row of ``_FAMILIES``: the parameters the loss takes,
-    the checker of the rules their kinds cannot state, and its distance.
-    Every other field must stay None.  Each parameter is read by
-    ``_READERS``: ``D`` is a positive integer, and ``j``, ``R`` and ``a``
-    are positive finite numbers, stored as floats.
+    the checker of the rules their kinds cannot state, its distance and its
+    family constants.  Every other field must stay None.  Each parameter is
+    read by ``_READERS``: ``D`` is a positive integer, and ``j``, ``R`` and
+    ``a`` are positive finite numbers, stored as floats.  Each constant that
+    is not None must then be positive and finite.
     """
 
     kind: str
@@ -54,7 +72,7 @@ class LossSpec:
         entry = _FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
         if entry is None:
             raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {tuple(_FAMILIES)}")
-        params, check, _ = entry
+        params, check, _, _, basis = entry
         for name, (read, what) in _READERS.items():
             value = getattr(self, name)
             if name not in params:
@@ -66,6 +84,16 @@ class LossSpec:
                 object.__setattr__(self, name, read(value, what))
         if check is not None:
             check(self)
+        values = astuple(self.constants)
+        if not all(0.0 < v < math.inf for v in values if v is not None):
+            raise ConfigError(
+                f"{self.kind} loss needs positive finite family constants, got {values} from its {basis}"
+            )
+
+    @property
+    def constants(self) -> FamilyConstants:
+        """The score family's constants, evaluated per call: no field, so not in ``to_config``."""
+        return _FAMILIES[self.kind][3](self)
 
     # -- constructors --------------------------------------------------------
 
@@ -116,16 +144,22 @@ _READERS = {
 
 
 def _check_lj(spec: LossSpec) -> None:
+    # The family scale R ** (j - 1) is bounded by LossSpec's check of the constants it gives.
     if not spec.j > 1.0:
         raise ConfigError(f"lj loss needs j in (1, inf), got {spec.j!r}")
-    # The score family scales by R^(j-1) (testfam.constants_for, _lj_score),
-    # and float ** raises on overflow.
+
+
+def _lj_scale(spec: LossSpec) -> float:
+    """The L_j family scale ``R ** (j - 1)``, formed only here; inf where ``**`` overflows."""
     try:
-        scale = spec.R ** (spec.j - 1.0)
+        return spec.R ** (spec.j - 1.0)
     except OverflowError:
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
-        raise ConfigError(f"lj loss needs a positive finite family scale R ** (j - 1), got {scale!r}")
+        return math.inf
+
+
+def _over(num: float, den: float) -> float:
+    """``num / den``, or inf where ``den`` underflowed to 0."""
+    return num / den if den else math.inf
 
 
 def loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
@@ -152,15 +186,34 @@ def _linf_loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
     return lj_distance(S, Q, math.inf)
 
 
-# Each loss kind: the parameters it takes, the checker of the rules their
-# kinds cannot state (or None), and its distance ``(spec, S, Q)``.
+def _kl_constants(spec: LossSpec) -> FamilyConstants:
+    return FamilyConstants(1.0 / (2.0 * spec.a), 1.0 / (2.0 * spec.a), _over(1.0, spec.a * min(2.0, spec.a)))
+
+
+def _lj_constants(spec: LossSpec) -> FamilyConstants:
+    scale = _lj_scale(spec)
+    return FamilyConstants(_over(3.0, 4.0 * scale), _over(1.0, 4.0 * scale), None, 2.0 * scale)
+
+
+_UNIT = FamilyConstants(1.5, 0.5, None, 1.0)  # TV and W1: witnesses of oscillation 1
+_HELLINGER = FamilyConstants((math.sqrt(2.0) + 1.0) / 2.0, (math.sqrt(2.0) - 1.0) / 2.0, 1.5)
+
+# Each loss kind: its parameters, the checker of the rules their kinds cannot state (or None),
+# its distance ``(spec, S, Q)``, its family constants ``(spec)`` and what a refusal of them names.
 _FAMILIES = {
-    "tv": ((), None, lambda spec, S, Q: tv_distance(S, Q)),
-    "hellinger2": ((), None, lambda spec, S, Q: hellinger_sq(S, Q)),
-    "kl": (("a",), None, lambda spec, S, Q: kl_divergence(S, Q)),
-    "wasserstein1": ((), None, lambda spec, S, Q: wasserstein1(S, Q)),
-    "lj": (("j", "R"), _check_lj, lambda spec, S, Q: lj_distance(S, Q, spec.j)),
-    "linf": (("D",), None, _linf_loss),
+    "tv": ((), None, lambda spec, S, Q: tv_distance(S, Q), lambda spec: _UNIT, "fixed values"),
+    "hellinger2": ((), None, lambda spec, S, Q: hellinger_sq(S, Q), lambda spec: _HELLINGER, "fixed values"),
+    "kl": (("a",), None, lambda spec, S, Q: kl_divergence(S, Q), _kl_constants, "log-ratio bound a"),
+    "wasserstein1": ((), None, lambda spec, S, Q: wasserstein1(S, Q), lambda spec: _UNIT, "fixed values"),
+    "lj": (
+        ("j", "R"), _check_lj, lambda spec, S, Q: lj_distance(S, Q, spec.j), _lj_constants,
+        "family scale R ** (j - 1)",
+    ),
+    "linf": (
+        ("D",), None, _linf_loss,
+        lambda spec: FamilyConstants(3.0 / (2.0 * spec.D), 1.0 / (2.0 * spec.D), None, float(spec.D)),
+        "cell count D",
+    ),
 }
 
 

@@ -41,7 +41,6 @@ from .robust_tests import (
     bernstein_bound,
     hoeffding_bound,
 )
-from .testfam import constants_for
 
 __all__ = [
     "FORMAT_VERSION",
@@ -549,18 +548,14 @@ def test_error_mc(
             rows[r] = P_star.sample(n, _restart_stream(rng, seed, start + r))
         for statistic in engine.pair_statistics(rows)[:, 0].tolist():
             tallies[_sign_decision(statistic)] += 1
-    consts = constants_for(loss_spec)
+    consts = loss_spec.constants
     loss_P = loss(loss_spec, P_star, P)
     loss_Q = loss(loss_spec, P_star, Q)
     agg_Q = n * loss_Q
     if loss_Q > 0:
         gamma = (consts.a0 * loss_P) / (consts.a1 * loss_Q)
         bound_h = hoeffding_bound(consts.a1, gamma, agg_Q, n)
-        bound_b = (
-            bernstein_bound(consts.a0, consts.a1, consts.a2, gamma, agg_Q)
-            if consts.a2 is not None
-            else None
-        )
+        bound_b = None if consts.a2 is None else bernstein_bound(consts.a0, consts.a1, consts.a2, gamma, agg_Q)
     else:
         gamma = None
         bound_h = 1.0

@@ -27,7 +27,7 @@ and some additionally control the variance:
     (iv)  Var_S[t] <= a2 * [loss(S, P) + loss(S, Q)]
 
 The checker at the bottom verifies (i)-(iv) exactly on finite spaces, reading
-the constants from ``constants_for``; the scores themselves never need them.
+the constants from ``LossSpec.constants``; the scores themselves never need them.
 Each constructed score records its data-free constant part; strict density
 comparisons are used everywhere, and points with p = q contribute only
 through the constant part.
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .losses import LossSpec, _linf_partition, loss
+from .losses import LossSpec, _linf_partition, _lj_scale, loss
 from .measures import (
     DiscreteMeasure,
     DiscreteRef,
@@ -65,13 +65,11 @@ from .measures import (
 )
 
 __all__ = [
-    "FamilyConstants",
     "ScoreFunction",
     "AtomScore",
     "PiecewiseScore",
     "CallableScore",
     "PiecewiseTable",
-    "constants_for",
     "score",
     "partition_pair_table",
     "check_assumptions_exact",
@@ -81,50 +79,6 @@ __all__ = [
 
 _UP = np.nextafter  # one-ulp shift, used to encode open/closed interval ends
 _PROBE_GRID = 512  # grid size of the checkers' probe points off finite spaces
-
-
-@dataclass(frozen=True)
-class FamilyConstants:
-    """Constants (a0, a1, a2, b) attached to a score family.
-
-    ``a2`` is None when the family carries no variance guarantee by itself
-    (TV needs the model-dependent regularity check; W/L_j/L_inf have none).
-    ``b`` is the oscillation scale of the underlying witness construction and
-    is None for the Hellinger and KL families, which are not built that way.
-    """
-
-    a0: float
-    a1: float
-    a2: float | None = None
-    b: float | None = None
-
-
-def constants_for(spec: LossSpec) -> FamilyConstants:
-    """Family constants for the score family attached to a loss."""
-    if spec.kind == "tv":
-        return FamilyConstants(a0=1.5, a1=0.5, a2=None, b=1.0)
-    if spec.kind == "wasserstein1":
-        return FamilyConstants(a0=1.5, a1=0.5, a2=None, b=1.0)
-    if spec.kind == "lj":
-        scale = spec.R ** (spec.j - 1.0)
-        return FamilyConstants(a0=3.0 / (4.0 * scale), a1=1.0 / (4.0 * scale), a2=None, b=2.0 * scale)
-    if spec.kind == "linf":
-        return FamilyConstants(a0=3.0 / (2.0 * spec.D), a1=1.0 / (2.0 * spec.D), a2=None, b=float(spec.D))
-    if spec.kind == "hellinger2":
-        return FamilyConstants(
-            a0=(math.sqrt(2.0) + 1.0) / 2.0,
-            a1=(math.sqrt(2.0) - 1.0) / 2.0,
-            a2=1.5,
-            b=None,
-        )
-    if spec.kind == "kl":
-        return FamilyConstants(
-            a0=1.0 / (2.0 * spec.a),
-            a1=1.0 / (2.0 * spec.a),
-            a2=1.0 / (spec.a * min(2.0, spec.a)),
-            b=None,
-        )
-    raise ConfigError(f"no score family for loss kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +362,14 @@ def _lj_witness_values(dp: np.ndarray, dq: np.ndarray, j: float) -> np.ndarray:
     return np.sign(diff) * np.abs(diff) ** (j - 1.0)
 
 
-def _lj_score(P: Measure, Q: Measure, j: float, R: float) -> ScoreFunction:
+def _lj_score(P: Measure, Q: Measure, j: float, family_scale: float) -> ScoreFunction:
     """L_j family score, t = (1/(2 R^{j-1})) [∫ f d(P+Q)/2 - f].
 
     Requires the model-level norm-ratio bound ``R`` with
     ||p - q||_inf <= R ||p - q||_j; signed densities are allowed.  ``j``
-    and ``R`` come from a ``LossSpec``, which checks them.
+    and ``family_scale`` = R^{j-1} come from a ``LossSpec``, which checks them.
     """
-    scale = 2.0 * R ** (j - 1.0)
+    scale = 2.0 * family_scale
     dist = lj_distance(P, Q, j)
     if dist == 0.0:
         return _zero_score()
@@ -581,10 +535,8 @@ def score(spec: LossSpec, P: Measure, Q: Measure) -> ScoreFunction:
     if spec.kind == "wasserstein1":
         return _wasserstein_score(P, Q)
     if spec.kind == "lj":
-        return _lj_score(P, Q, spec.j, spec.R)
-    if spec.kind == "linf":
-        return _linf_score(P, Q, _linf_partition(spec, P, Q))
-    raise ConfigError(f"no score family for loss kind {spec.kind!r}")
+        return _lj_score(P, Q, spec.j, _lj_scale(spec))
+    return _linf_score(P, Q, _linf_partition(spec, P, Q))  # LossSpec refuses other kinds
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +585,7 @@ def partition_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> Piece
 
     if spec.kind == "lj":
         j = spec.j
-        scale = 2.0 * spec.R ** (j - 1.0)
+        scale = 2.0 * _lj_scale(spec)
         diff = hp - hq
         sums = (np.abs(diff) ** j).sum(axis=1) / cells
         dist = np.array([s ** (1.0 / j) for s in sums.tolist()])
@@ -758,9 +710,8 @@ def check_assumptions_exact(
     in pair order, followed by those of (iv).  Everything is exact on finite
     spaces (atom sums, no quadrature).
     """
-    consts = constants_for(spec)
-    if a2 is None:
-        a2 = consts.a2
+    consts = spec.constants
+    a2 = consts.a2 if a2 is None else a2
     candidates = list(model)
     pts = _probe_points(candidates + list(probes))
     scores = {

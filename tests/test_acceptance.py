@@ -44,7 +44,7 @@ from pairfit.measures import (
 )
 from pairfit.models import ModelBuilderConfig, build
 from pairfit.robust_tests import hellinger_test_bound
-from pairfit.testfam import c1_constant, constants_for
+from pairfit.testfam import c1_constant
 
 
 def announce(capsys, k, details):
@@ -69,11 +69,11 @@ def test_c1_exact_assumption_audit(capsys):
             worst_seen, w["antisymmetry"], w["mean"], w["oscillation"]
         )
     # The variance constants the audit relies on, stated directly.
-    assert constants_for(LossSpec.hellinger2()).a2 == 1.5
-    assert constants_for(LossSpec.kl(a=0.7)).a2 == pytest.approx(
+    assert LossSpec.hellinger2().constants.a2 == 1.5
+    assert LossSpec.kl(a=0.7).constants.a2 == pytest.approx(
         1.0 / (0.7 * 0.7), rel=1e-15
     )
-    assert constants_for(LossSpec.kl(a=3.0)).a2 == pytest.approx(
+    assert LossSpec.kl(a=3.0).constants.a2 == pytest.approx(
         1.0 / 6.0, rel=1e-15
     )
     elapsed = time.perf_counter() - start
@@ -249,7 +249,7 @@ def _synthetic_triples(name, count=5):
         lq = loss(spec, S, Q)
         if lq <= 0.0:
             continue
-        consts = constants_for(spec)
+        consts = spec.constants
         gamma = consts.a0 * loss(spec, S, P) / (consts.a1 * lq)
         if gamma < 0.95:
             found.append((S, P, Q, spec, gamma))

@@ -37,7 +37,6 @@ from pairfit.testfam import (
     c1_constant,
     check_assumptions_exact,
     check_cond3bis,
-    constants_for,
     score,
 )
 
@@ -51,31 +50,31 @@ def masses_strategy(size: int):
 class TestFamilyConstants:
     def test_tv_and_wasserstein(self):
         for spec in [LossSpec.tv(), LossSpec.wasserstein1()]:
-            c = constants_for(spec)
+            c = spec.constants
             assert (c.a0, c.a1, c.a2, c.b) == (1.5, 0.5, None, 1.0)
 
     def test_lj(self):
-        c = constants_for(LossSpec.lj(j=2.0, R=math.sqrt(2.0)))
+        c = LossSpec.lj(j=2.0, R=math.sqrt(2.0)).constants
         assert abs(c.a0 - 3.0 / (4.0 * math.sqrt(2.0))) < 1e-15
         assert abs(c.a1 - 1.0 / (4.0 * math.sqrt(2.0))) < 1e-15
         assert abs(c.b - 2.0 * math.sqrt(2.0)) < 1e-15
 
     def test_linf(self):
-        c = constants_for(LossSpec.linf(D=2))
+        c = LossSpec.linf(D=2).constants
         assert (c.a0, c.a1, c.b) == (0.75, 0.25, 2.0)
 
     def test_hellinger(self):
-        c = constants_for(LossSpec.hellinger2())
+        c = LossSpec.hellinger2().constants
         assert abs(c.a0 - (math.sqrt(2.0) + 1.0) / 2.0) < 1e-15
         assert abs(c.a1 - (math.sqrt(2.0) - 1.0) / 2.0) < 1e-15
         assert c.a2 == 1.5
         assert c.b is None
 
     def test_kl(self):
-        c = constants_for(LossSpec.kl(a=0.5))
+        c = LossSpec.kl(a=0.5).constants
         assert (c.a0, c.a1) == (1.0, 1.0)
         assert abs(c.a2 - 4.0) < 1e-15  # 1 / (a * min(2, a)) with a = 1/2
-        c2 = constants_for(LossSpec.kl(a=3.0))
+        c2 = LossSpec.kl(a=3.0).constants
         assert abs(c2.a2 - 1.0 / 6.0) < 1e-15
 
 
@@ -293,7 +292,7 @@ class TestHellingerScore:
     def test_continuous_mean_bound(self):
         P, Q = GaussianMeasure(0.0), GaussianMeasure(1.0)
         t = score(LossSpec.hellinger2(), P, Q)
-        consts = constants_for(LossSpec.hellinger2())
+        consts = LossSpec.hellinger2().constants
         mean = expectation(P, t)
         bound = consts.a0 * 0.0 - consts.a1 * hellinger_sq(P, Q)
         assert mean <= bound + 1e-7
@@ -454,7 +453,7 @@ class TestCheckers:
             assert np.max(np.abs(t(pvec) + t_rev(pvec))) < 1e-12
             vals = t(pvec)
             assert vals.max() - vals.min() <= 1.0 + 1e-12
-            consts = constants_for(spec)
+            consts = spec.constants
             mean = float(np.sum(vals * sm))
             bound = consts.a0 * loss(spec, S, P) - consts.a1 * loss(spec, S, Q)
             assert mean <= bound + 1e-12
