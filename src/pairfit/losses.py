@@ -16,8 +16,8 @@ candidate (a single candidate measure is broadcast across coordinates).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, _check_keys, _positive_finite, _positive_int
 from .measures import (
@@ -34,8 +34,7 @@ from .measures import (
 __all__ = ["FamilyConstants", "LossSpec", "loss", "aggregate_loss"]
 
 
-@dataclass(frozen=True)
-class FamilyConstants:
+class FamilyConstants(NamedTuple):
     """Constants (a0, a1, a2, b) attached to a score family.
 
     ``a2`` is None when the family carries no variance guarantee by itself
@@ -72,7 +71,7 @@ class LossSpec:
         entry = _FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
         if entry is None:
             raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {tuple(_FAMILIES)}")
-        params, check, _, _, basis = entry
+        params, check, _, constants, basis = entry
         for name, (read, what) in _READERS.items():
             value = getattr(self, name)
             if name not in params:
@@ -84,11 +83,12 @@ class LossSpec:
                 object.__setattr__(self, name, read(value, what))
         if check is not None:
             check(self)
-        values = astuple(self.constants)
-        if not all(0.0 < v < math.inf for v in values if v is not None):
-            raise ConfigError(
-                f"{self.kind} loss needs positive finite family constants, got {values} from its {basis}"
-            )
+        consts = constants(self)
+        for value in consts:
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(
+                    f"{self.kind} loss needs positive finite family constants, got {consts} from its {basis}"
+                )
 
     @property
     def constants(self) -> FamilyConstants:
@@ -186,8 +186,40 @@ def _linf_loss(spec: LossSpec, S: Measure, Q: Measure) -> float:
     return lj_distance(S, Q, math.inf)
 
 
+def _kl_gap(a: float) -> float:
+    """``e^-a - 1 + a`` to full relative precision.
+
+    Below a = 1 the direct sum cancels, so it is the Taylor series
+    ``a^2/2 (1 - a/3 (1 - a/4 (1 - ...)))``, whose terms alternate and shrink;
+    from a = 1 on, ``a + expm1(-a)`` loses at most a factor e to rounding.
+    """
+    if a >= 1.0:
+        return a + math.expm1(-a)
+    total = 1.0
+    for k in range(19, 2, -1):
+        total = 1.0 - a * total / k
+    return a * a * total / 2.0
+
+
 def _kl_constants(spec: LossSpec) -> FamilyConstants:
-    return FamilyConstants(1.0 / (2.0 * spec.a), 1.0 / (2.0 * spec.a), _over(1.0, spec.a * min(2.0, spec.a)))
+    """KL family, t = log(q/p) / (2a): a0 = a1 = 1/(2a), a2 = 1/(2 c(a) a^2).
+
+    The variance constant holds for every S with s <= e^a min(p, q) on its
+    support, where c(a) = (e^-a - 1 + a) / a^2:
+
+    * u -> (e^u - 1 - u) / u^2 increases, so e^u - 1 - u >= c(a) u^2 for
+      every u >= -a;
+    * with u = log(p/s) >= -a on S's support, E_S[e^u] <= 1 and
+      E_S[-u] = KL(S||P), so c(a) E_S[log^2(p/s)] <= E_S[e^u - 1 - u]
+      <= KL(S||P); the same holds for q;
+    * log(q/p) = log(s/p) - log(s/q), so Var_S[log(q/p)] <=
+      2 E_S[log^2(p/s)] + 2 E_S[log^2(q/s)] <= 2 [KL(S||P) + KL(S||Q)] / c(a),
+      and Var_S[t] <= [KL(S||P) + KL(S||Q)] / (2 c(a) a^2).
+
+    a2 = 1 / (2 (e^-a - 1 + a)) tends to 1/a^2 as a -> 0, and it is at
+    least 1/(a min(2, a)) for every a.
+    """
+    return FamilyConstants(1.0 / (2.0 * spec.a), 1.0 / (2.0 * spec.a), _over(1.0, 2.0 * _kl_gap(spec.a)))
 
 
 def _lj_constants(spec: LossSpec) -> FamilyConstants:

@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import _require_count, _require_nonnegative, _require_positive
 from .errors import ConfigError
 from .estimator import Model, PairwiseEngine, _sample_array
-from .losses import LossSpec
+from .losses import LossSpec, _lj_scale
 from .measures import Measure, atom_mass_matrix, locate_points, pair_kind
 from .testfam import _interval_prob, _tv_sign_regions
 
@@ -271,14 +271,18 @@ def lj_test_bound(
     ``iid=True`` it evaluates the i.i.d. special case, whose denominator
     is 32 instead of 8 (a quarter of the exponent).  Returns 1.0 when
     ``gamma >= 1``.
+
+    ``j`` and ``R`` are read as ``LossSpec.lj`` reads them, so a pair the
+    L_j loss refuses raises ``ConfigError``.  The denominator is formed as
+    ``(32 or 8) * scale * scale`` from the family scale ``R^(j-1)``: where
+    that product overflows it is inf, and the bound is the trivial 1.0.
     """
-    if not j > 1.0:
-        raise ConfigError(f"the L_j test needs j > 1, got {j!r}")
-    _require_positive(R=R, mean_loss_Q=mean_loss_Q)
+    scale = _lj_scale(LossSpec.lj(j, R))
+    _require_positive(mean_loss_Q=mean_loss_Q)
     _require_nonnegative(gamma=gamma)
     _require_count(n=n)
     if gamma >= 1.0:
         return 1.0
-    denominator = (32.0 if iid else 8.0) * R ** (2.0 * (j - 1.0))
+    denominator = (32.0 if iid else 8.0) * scale * scale
     exponent = ((1.0 - gamma) ** 2 * n / denominator) * mean_loss_Q**2
     return math.exp(-exponent)

@@ -70,11 +70,12 @@ def test_c1_exact_assumption_audit(capsys):
         )
     # The variance constants the audit relies on, stated directly.
     assert LossSpec.hellinger2().constants.a2 == 1.5
+    # KL: 1 / (2 (e^-a - 1 + a)), to 17 digits.
     assert LossSpec.kl(a=0.7).constants.a2 == pytest.approx(
-        1.0 / (0.7 * 0.7), rel=1e-15
+        2.5434251205803987, rel=1e-15
     )
     assert LossSpec.kl(a=3.0).constants.a2 == pytest.approx(
-        1.0 / 6.0, rel=1e-15
+        0.24392777558018420, rel=1e-15
     )
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -897,6 +897,30 @@ class TestConfigErrorsExitTwo:
                 },
                 "family scale R ** (j - 1)",
             ),
+            (
+                "test",
+                {
+                    "truth": histogram([1.5, 0.5]),
+                    "p": histogram([1.5, 0.5]),
+                    "q": histogram([0.5, 1.5]),
+                    "loss": {"kind": "lj", "j": 1024.0, "R": 2.0},
+                    "n": 5,
+                    "reps": 2,
+                },
+                "family scale R ** (j - 1)",
+            ),
+            (
+                "test",
+                {
+                    "truth": histogram([1.0, 1.0]),
+                    "p": histogram([1.0, 1.0]),
+                    "q": histogram([1.0000000001, 0.9999999999]),
+                    "loss": {"kind": "kl", "a": 1e-200},
+                    "n": 5,
+                    "reps": 2,
+                },
+                "log-ratio bound a",
+            ),
         ],
         ids=[
             "kl-score-bound",
@@ -958,6 +982,8 @@ class TestConfigErrorsExitTwo:
             "linf-d-huge-int",
             "kl-a-huge-int",
             "lj-scale-overflow",
+            "lj-constants-overflow",
+            "kl-variance-constant-overflow",
         ],
     )
     def test_exit_two_without_traceback(self, tmp_path, capsys, command, doc, message):
@@ -1103,6 +1129,12 @@ class TestCheckAssumptions:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "worst mean-bound slack" in out
+
+    @pytest.mark.parametrize("seed", [1, 2, 11])
+    def test_kl_audit_passes_where_the_old_variance_constant_failed(self, seed, capsys):
+        # 1 / (a min(2, a)) broke the variance bound (iv) at these seeds.
+        assert cli.main(["check-assumptions", "--loss", "kl", "--seed", str(seed)]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_summary_written_when_out_given(self, tmp_path):
         out = tmp_path / "audit"

@@ -1,11 +1,14 @@
 """Tests for loss descriptors and the loss dispatch."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairfit.errors import ConfigError
-from pairfit.losses import _FAMILIES, LossSpec, aggregate_loss, loss
+from pairfit.losses import _FAMILIES, LossSpec, _kl_gap, aggregate_loss, loss
 from pairfit.measures import (
     DiscreteMeasure,
     GaussianMeasure,
@@ -124,6 +127,59 @@ class TestLossTable:
             with pytest.raises(ConfigError, match=r"family scale R \*\* \(j - 1\)"):
                 LossSpec.lj(j=1e300, R=R)
         assert LossSpec.lj(j=1e300, R=1.0).j == 1e300
+
+
+def positive_floats(lo, hi):
+    """Floats in [lo, hi], drawn both as hypothesis floats and log-uniformly."""
+    log_uniform = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+    return st.floats(lo, hi) | log_uniform
+
+
+class TestFamilyConstants:
+    """Every accepted loss has positive finite constants (a0, a1, a2, b)."""
+
+    def test_zero_or_infinite_constants_are_refused(self):
+        for make in (
+            lambda: LossSpec.kl(a=1e308),  # a0 = a1 = 0
+            lambda: LossSpec.linf(D=10**308),  # a0 = a1 = 0
+            lambda: LossSpec.lj(j=2.0, R=1e-320),  # a0 = a1 = inf
+            lambda: LossSpec.lj(j=1024.0, R=2.0),  # scale 2^1023, a0 = a1 = 0, b = inf
+            lambda: LossSpec.kl(a=1e-200),  # e^-a - 1 + a underflows, a2 = inf
+        ):
+            with pytest.raises(ConfigError, match="positive finite family constants"):
+                make()
+
+    @given(
+        kind=st.sampled_from(list(_FAMILIES)),
+        j=st.floats(1.0, 1e300) | st.floats(1.0, 10.0),
+        R=positive_floats(1e-320, 1e308),
+        a=positive_floats(1e-320, 1e308),
+        D=st.integers(1, 10**308) | st.integers(0, 308).map(lambda e: 10**e),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_accepted_loss_has_positive_finite_constants(self, kind, j, R, a, D):
+        drawn = {"j": j, "R": R, "a": a, "D": D}
+        cfg = {"kind": kind, **{name: drawn[name] for name in _FAMILIES[kind][0]}}
+        try:
+            spec = LossSpec.from_config(cfg)
+        except ConfigError:
+            return
+        values = [v for v in spec.constants if v is not None]
+        assert values and all(0.0 < v < math.inf for v in values), (cfg, values)
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.7, 1.4364, 3.0, 50.0])
+    def test_kl_gap_matches_a_decimal_reference(self, a):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = Decimal(-a).exp() - 1 + Decimal(a)
+        assert abs(Decimal(_kl_gap(a)) - exact) <= Decimal(1e-12) * exact
+        assert LossSpec.kl(a=a).constants.a2 == 1.0 / (2.0 * _kl_gap(a))
+
+    @given(a=positive_floats(1e-150, 1e300))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_kl_variance_constant_is_at_least_the_old_one(self, a):
+        # The old constant 1 / (a min(2, a)) failed the exact audit.
+        assert LossSpec.kl(a=a).constants.a2 >= (1.0 - 1e-15) / (a * min(2.0, a))
 
 
 class TestLossDispatch:

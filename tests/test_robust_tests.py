@@ -492,6 +492,14 @@ class TestLjTestBound:
         assert lj_test_bound(2, 2.0, 1.0, 0.3, 50) == 1.0
         assert lj_test_bound(2, 2.0, 1.0, 0.3, 50, iid=True) == 1.0
 
+    def test_overflowing_denominator_gives_the_trivial_bound(self):
+        # The scale 2^599 is finite, but 8 * scale^2 overflows.
+        assert lj_test_bound(600.0, 2.0, 0.5, 0.1, 10) == 1.0
+        assert lj_test_bound(600.0, 2.0, 0.5, 0.1, 10, iid=True) == 1.0
+        # A scale the L_j loss refuses is a config error.
+        with pytest.raises(ConfigError, match=r"family scale R \*\* \(j - 1\)"):
+            lj_test_bound(1025.0, 2.0, 0.5, 0.1, 10)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
             lj_test_bound(1.0, 2.0, 0.2, 0.3, 50)

@@ -73,9 +73,10 @@ class TestFamilyConstants:
     def test_kl(self):
         c = LossSpec.kl(a=0.5).constants
         assert (c.a0, c.a1) == (1.0, 1.0)
-        assert abs(c.a2 - 4.0) < 1e-15  # 1 / (a * min(2, a)) with a = 1/2
+        # 1 / (2 (e^-a - 1 + a)) with a = 1/2, to 40 digits 4.6934844987231898...
+        assert abs(c.a2 - 4.6934844987231898) < 1e-15
         c2 = LossSpec.kl(a=3.0).constants
-        assert abs(c2.a2 - 1.0 / 6.0) < 1e-15
+        assert abs(c2.a2 - 0.24392777558018420) < 1e-15
 
 
 class TestTvScore:
