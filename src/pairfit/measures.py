@@ -9,7 +9,10 @@ This module is the numerical foundation of the package.  It provides:
       each exposing densities, cdfs, sampling, and quadrature hints;
     * a globally adaptive composite Simpson integrator whose panels start at
       caller-supplied breakpoints; its integrand must be elementwise, since
-      one call evaluates the points of up to ``_LOOKAHEAD`` queued panels;
+      one call evaluates the points of up to ``_LOOKAHEAD`` queued panels.
+      A pending panel is a row of nine floats in one ``array('d')`` plus an
+      ``int`` heap key, about 200 bytes, so the ``_QUAD_MAX_PANELS`` budget
+      of 2^20 pending panels holds about 200 MiB;
     * distances: total variation, squared Hellinger, Kullback-Leibler,
       Wasserstein-1 on [0, 1], and L_j norms of density differences, each with
       closed forms where available and quadrature otherwise.
@@ -36,6 +39,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -194,13 +199,22 @@ def integrate(
     The value and the estimate are therefore bitwise those of evaluating each
     panel's points on their own, as they are bisected.
 
+    A pending panel is one row of nine floats in an ``array('d')`` (its
+    ``lo``, width, the integrand at its five nodes, its error estimate and
+    its term of the value) and one ``int`` heap key.  Rows are only ever
+    appended, so a run holds about two per pending panel: about 200 bytes
+    a panel in all, and about 200 MiB when the 2^20-panel budget
+    ``_QUAD_MAX_PANELS`` runs out.
+
     Returns:
-        ``(value, error_estimate)``, the estimate at most ``_QUAD_ERR_BUDGET``.
+        ``(value, error_estimate)``, both finite, the estimate at most
+        ``_QUAD_ERR_BUDGET``.
 
     Raises:
         NumericalError: if the integrand returns a non-finite value at a
             point the rule uses (a queued panel that is never split does not
-            count), or the error estimate ends above ``_QUAD_ERR_BUDGET``.
+            count), a panel's Simpson sums or the value overflow, or the
+            error estimate ends above ``_QUAD_ERR_BUDGET``.
     """
     a = float(a)
     b = float(b)
@@ -227,62 +241,69 @@ def integrate(
         h = width / 2.0
         return (lo + 0.25 * h, lo + 0.75 * h, lo + h + 0.25 * h, lo + h + 0.75 * h)
 
-    # Panel record, all Python floats: (-err, counter, lo, width, S_coarse,
-    # S_fine, f at the 5 quartic nodes).  The unique counter keeps heap
-    # comparisons on scalars and keys the quarter-point values computed
-    # ahead of a panel's bisection.  Each initial segment starts as 8
-    # uniform panels so smooth integrands usually finish without entering
-    # the refinement loop.
-    heap: list[tuple] = []
+    # A pending panel is 9 floats of ``rows`` at its offset: lo, width, f at
+    # the 5 quartic nodes, err and its term S_fine + (S_fine - S_coarse) / 15
+    # of the value.  Its heap key is the offset minus err's IEEE bits shifted
+    # above all offsets, so keys pop in (-err, push order) order: the bits
+    # order like the values because every err is finite and >= 0.  ``ahead``
+    # holds, by key, the quarter-point values computed ahead of a panel's
+    # bisection.  Each initial segment starts as 8 uniform panels so smooth
+    # integrands usually finish without entering the refinement loop.
+    tol, max_panels, floor = _QUAD_TOL, _QUAD_MAX_PANELS, _QUAD_WIDTH_FLOOR
+    wide = 2.0 * floor * max(1.0, abs(a), abs(b))  # wider panels clear the floor anywhere
+    offset_mask = (1 << 64) - 1
+    raw = memoryview(bytearray(8))
+    err_slot, err_bits = raw.cast("d"), raw.cast("Q")
+    push, pop, inf = heapq.heappush, heapq.heappop, math.inf
+    rows = array("d")
+    row = struct.Struct("9d")
+    add_row, pack_row, read_row = rows.frombytes, row.pack, row.unpack_from
+    heap: list[int] = []
     ahead: dict[int, list[float]] = {}
-    accepted_value = 0.0
-    accepted_err = 0.0
-    pending_err = 0.0
-    n_panels = 0
-    counter = 0
+    accepted_value = accepted_err = pending_err = 0.0
 
-    def push_panel(lo: float, width: float, f0: float, f1: float, f2: float, f3: float, f4: float) -> None:
-        nonlocal pending_err, n_panels, counter, accepted_value, accepted_err
-        h = width / 2.0
-        s_coarse = (width / 6.0) * (f0 + 4.0 * f2 + f4)
-        s_left = (h / 6.0) * (f0 + 4.0 * f1 + f2)
-        s_right = (h / 6.0) * (f2 + 4.0 * f3 + f4)
-        s_fine = s_left + s_right
-        err = abs(s_fine - s_coarse) / 15.0
-        scale = max(1.0, abs(lo), abs(lo + width))
-        if width < _QUAD_WIDTH_FLOOR * scale:
-            # Width floor: accept as-is, the panel cannot be refined further.
-            accepted_value += s_fine + (s_fine - s_coarse) / 15.0
-            accepted_err += err
-            return
-        counter += 1
-        heapq.heappush(heap, (-err, counter, lo, width, s_coarse, s_fine, f0, f1, f2, f3, f4))
-        pending_err += err
-        n_panels += 1
-
+    new: list[tuple] = []
     for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
-        seg_w = seg_hi - seg_lo
-        n_sub = 8
-        grid = np.linspace(seg_lo, seg_hi, 4 * n_sub + 1)
+        grid = np.linspace(seg_lo, seg_hi, 33)
         vals = evaluate(grid).tolist()
-        grid = grid.tolist()
-        for k in range(n_sub):
-            push_panel(grid[4 * k], seg_w / n_sub, *vals[4 * k : 4 * k + 5])
+        width = (seg_hi - seg_lo) / 8
+        new += [(lo, width, *vals[4 * k : 4 * k + 5]) for k, lo in enumerate(grid[:-1:4].tolist())]
 
-    while heap and pending_err + accepted_err > _QUAD_TOL and n_panels < _QUAD_MAX_PANELS:
-        neg_err, key, lo, width, _, _, f0, f1, f2, f3, f4 = heapq.heappop(heap)
-        pending_err -= -neg_err
-        n_panels -= 1
+    while True:
+        for lo, width, f0, f1, f2, f3, f4 in new:
+            h = width / 2.0
+            s_coarse = (width / 6.0) * (f0 + 4.0 * f2 + f4)
+            s_fine = (h / 6.0) * (f0 + 4.0 * f1 + f2) + (h / 6.0) * (f2 + 4.0 * f3 + f4)
+            gap = s_fine - s_coarse
+            err = abs(gap) / 15.0
+            if not err < inf:
+                raise NumericalError(f"Simpson sums overflow on the panel [{lo!r}, {lo + width!r}]")
+            term = s_fine + gap / 15.0
+            if width <= wide and width < floor * max(1.0, abs(lo), abs(lo + width)):
+                # Width floor: accept as-is, the panel cannot be refined further.
+                accepted_value += term
+                accepted_err += err
+                continue
+            err_slot[0] = err
+            push(heap, len(rows) - (err_bits[0] << 64))
+            add_row(pack_row(lo, width, f0, f1, f2, f3, f4, err, term))
+            pending_err += err
+        if not (heap and pending_err + accepted_err > tol and len(heap) < max_panels):
+            break
+        key = pop(heap)
+        lo, width, f0, f1, f2, f3, f4, err, _ = read_row(rows, 8 * (key & offset_mask))
+        pending_err -= err
         quarter = ahead.pop(key, None)
         if quarter is None:
-            queued = [entry for entry in heap[: _LOOKAHEAD - 1] if entry[1] not in ahead]
+            queued = [k for k in heap[: _LOOKAHEAD - 1] if k not in ahead]
             x = list(quarter_points(lo, width))
-            for entry in queued:
-                x.extend(quarter_points(entry[2], entry[3]))
+            for k in queued:
+                offset = k & offset_mask
+                x.extend(quarter_points(rows[offset], rows[offset + 1]))
             y = np.asarray(fn(np.array(x)), dtype=float).tolist()
             quarter = y[:4]
-            for i, entry in enumerate(queued, 1):
-                ahead[entry[1]] = y[4 * i : 4 * i + 4]
+            for i, k in enumerate(queued, 1):
+                ahead[k] = y[4 * i : 4 * i + 4]
         q0, q1, q2, q3 = quarter
         if not math.isfinite(q0 + q1 + q2 + q3):
             # Checked only now, for a panel that is split.  ``evaluate``
@@ -290,19 +311,19 @@ def integrate(
             # overflowed come back unchanged.
             q0, q1, q2, q3 = evaluate(np.array(quarter_points(lo, width))).tolist()
         h = width / 2.0
-        push_panel(lo, h, f0, q0, f1, q1, f2)
-        push_panel(lo + h, h, f2, q2, f3, q3, f4)
+        new = [(lo, h, f0, q0, f1, q1, f2), (lo + h, h, f2, q2, f3, q3, f4)]
 
     value = accepted_value
     err_total = accepted_err + pending_err
-    for entry in heap:
-        s_coarse, s_fine = entry[4], entry[5]
-        value += s_fine + (s_fine - s_coarse) / 15.0
+    for key in heap:
+        value += rows[(key & offset_mask) + 8]
     if err_total > _QUAD_ERR_BUDGET:
         raise NumericalError(
             f"quadrature error estimate {err_total:.3e} exceeds "
-            f"{_QUAD_ERR_BUDGET:.0e} with {n_panels} panels on [{a}, {b}]"
+            f"{_QUAD_ERR_BUDGET:.0e} with {len(heap)} panels on [{a}, {b}]"
         )
+    if not math.isfinite(value):
+        raise NumericalError(f"quadrature value overflows on [{a}, {b}]")
     return float(value), float(err_total)
 
 

@@ -553,7 +553,9 @@ def test_error_mc(
     loss_Q = loss(loss_spec, P_star, Q)
     agg_Q = n * loss_Q
     if loss_Q > 0:
-        gamma = (consts.a0 * loss_P) / (consts.a1 * loss_Q)
+        # a1 * loss_Q can underflow to 0 for a tiny a1; a0 / a1 is at most 6.
+        scaled_Q = consts.a1 * loss_Q
+        gamma = (consts.a0 * loss_P) / scaled_Q if scaled_Q > 0 else (consts.a0 / consts.a1) * (loss_P / loss_Q)
         bound_h = hoeffding_bound(consts.a1, gamma, agg_Q, n)
         bound_b = None if consts.a2 is None else bernstein_bound(consts.a0, consts.a1, consts.a2, gamma, agg_Q)
     else:

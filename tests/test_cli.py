@@ -366,6 +366,24 @@ class TestTestCommand:
         assert sum(counts.values()) == 300
         assert counts["choose_p"] >= 290
 
+    def test_kl_gamma_where_a1_times_loss_q_underflows(self, tmp_path):
+        # q = p (1 + 1e-9 noise), renormalised: KL(p || q) reads 1.7e-16 > 0,
+        # and a1 = 1 / (2a) = 6.25e-309 times that underflows to 0.
+        points = [0.0, 1.0, 2.0, 3.0, 4.0]
+        p = {"family": "discrete", "params": {"points": points, "masses": [
+            0.2626816761851793, 0.26327303391236223, 0.20437304422487626, 0.1581725373287011, 0.11149970834888125,
+        ]}}
+        q = {"family": "discrete", "params": {"points": points, "masses": [
+            0.26268167620778693, 0.2632730337606408, 0.20437304405965656, 0.15817253744339263, 0.11149970852852303,
+        ]}}
+        doc = {"truth": p, "p": p, "q": q, "loss": {"kind": "kl", "a": 8e307}, "n": 20, "reps": 50}
+        path = write_config(tmp_path, "t.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["test", "--config", str(path), "--seed", "1", "--out", str(out)]) == 0
+        result = json.loads((out / "summary.json").read_text())["result"]
+        assert result["gamma"] == 0.0
+        assert result["bound_hoeffding"] == 1.0 and result["bound_bernstein"] == 1.0
+
 
 class TestSimulate:
     def test_outputs_and_thread_byte_identity(self, tmp_path):
@@ -1109,6 +1127,23 @@ class TestDistances:
         }
         path = write_config(tmp_path, "d.json", doc)
         assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_overflowing_lj_integrand_exits_three(self, tmp_path, capsys):
+        # (p - q)^2 reaches 1.56e308 on U(0, 8e-155), so the Simpson sums
+        # overflow; the row read nan and the command exited 0.
+        doc = {
+            "pairs": [
+                {
+                    "p": {"family": "uniform", "params": {"low": 0.0, "width": 8e-155}},
+                    "q": {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                }
+            ],
+            "losses": [{"kind": "lj", "j": 2.0, "R": 1.0}],
+        }
+        path = write_config(tmp_path, "d.json", doc)
+        assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Simpson sums overflow" in err
 
     def test_pair_shape_validated(self, tmp_path):
         doc = {"pairs": [{"p": {"family": "gaussian", "params": {}}}], "losses": [{"kind": "tv"}]}

@@ -7,6 +7,8 @@ independent oracle rather than a snapshot of its own output.
 
 import heapq
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
+from pairfit import measures
 from pairfit.errors import ConfigError, NumericalError
 from pairfit.measures import (
     _choice_cdf,
@@ -35,6 +38,7 @@ from pairfit.measures import (
     atom_mass_matrix,
     cdf_sign_intervals,
     empirical_measure,
+    expectation,
     hellinger_sq,
     integrate,
     kl_divergence,
@@ -48,6 +52,7 @@ from pairfit.measures import (
     wasserstein1,
     _hellinger_quadrature,
     _kl_quadrature,
+    _sign_cuts,
     _tv_closed_form,
     _tv_quadrature,
     _union_breakpoints,
@@ -88,6 +93,22 @@ class TestQuadrature:
 
     def test_empty_interval(self):
         assert integrate(np.sin, 1.0, 1.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            # 4 * 5e307 overflows, so every panel's Simpson sums are inf, and
+            # the NaN error estimate inf - inf passed the budget check.
+            (lambda: integrate(lambda x: np.full_like(x, 5e307), 0.0, 10.0), "Simpson sums overflow"),
+            (lambda: expectation(GaussianMeasure(0.0, 1.0), lambda x: np.full_like(x, 1e308)), "Simpson sums overflow"),
+            # Each of the 8 panels holds 5e307; their sum, the value, is inf.
+            (lambda: integrate(lambda x: np.full_like(x, 1e307), 0.0, 40.0), "value overflows"),
+        ],
+        ids=["simpson-sums", "expectation", "value"],
+    )
+    def test_overflow_raises(self, run, message):
+        with pytest.raises(NumericalError, match=message):
+            run()
 
     def test_sign_changes_located(self):
         roots = sign_change_points(np.cos, 0.0, 8.0)
@@ -192,6 +213,23 @@ def _tv_integrand(shift, alpha=0.5):
     return (lambda x: np.abs(U.pdf(x) - P.pdf(x)), *_union_window(U, P), _union_breakpoints(U, P))
 
 
+def _singular_tv_integrand():
+    """|p - q| for U(0, 1) against Power(0.5, 0.02) with the window and the
+    cuts ``_tv_quadrature`` gives it: it runs to the panel budget."""
+    U, P = UniformMeasure(0.0, 1.0), PowerMeasure(0.5, 0.02)
+    diff = lambda x: U.pdf(x) - P.pdf(x)
+    lo, hi = _union_window(U, P)
+    return (lambda x: np.abs(diff(x)), lo, hi, _sign_cuts(diff, lo, hi, _union_breakpoints(U, P)))
+
+
+def _bell_integrand():
+    # Every node is a dyadic rational, so x and -x are both nodes and
+    # f(-x) == f(x) bitwise: each panel's error equals its mirror's, and the
+    # push order breaks every tie.  Popping ties last-pushed first moves the
+    # result.
+    return lambda x: np.exp(-x * x), -4.0, 4.0, ()
+
+
 def _hellinger_integrand():
     G, C = GaussianMeasure(0.3, 0.05), CauchyMeasure(-1.0, 2.0)
     lo, hi = _union_window(G, C)
@@ -231,8 +269,9 @@ class TestIntegrateMatchesReference:
             lambda: _tv_integrand(0.75),
             _hellinger_integrand,
             _sin_integrand,
+            _bell_integrand,
         ],
-        ids=["rsqrt", "tv-shift-0.1", "tv-shift-0.3", "tv-shift-0.75", "hellinger-gauss-cauchy", "abs-sin"],
+        ids=["rsqrt", "tv-shift-0.1", "tv-shift-0.3", "tv-shift-0.75", "hellinger-gauss-cauchy", "abs-sin", "bell-ties"],
     )
     def test_bitwise_equal(self, case):
         fn, a, b, brk = case()
@@ -262,6 +301,29 @@ class TestIntegrateMatchesReference:
         masked = lambda x: np.where(np.isin(x, seen), fn(x), np.nan)
         assert _hex(integrate(_recording(masked, calls), a, b, brk)) == _hex(expected)
         assert not np.isin(np.concatenate(calls), seen).all()
+
+    def test_bitwise_equal_when_the_budget_runs_out(self, monkeypatch):
+        # The budget patched in both modules: ``_reference_integrate`` reads
+        # this module's name.
+        monkeypatch.setattr(measures, "_QUAD_MAX_PANELS", 1 << 12)
+        monkeypatch.setattr(sys.modules[__name__], "_QUAD_MAX_PANELS", 1 << 12)
+        fn, a, b, cuts = _singular_tv_integrand()
+        got = integrate(fn, a, b, cuts)
+        assert got[1] > _QUAD_TOL  # stopped by the budget, not the tolerance
+        assert _hex(got) == _hex(_reference_integrate(fn, a, b, cuts))
+
+    def test_pending_panels_are_compact(self, monkeypatch):
+        cap = 1 << 13
+        monkeypatch.setattr(measures, "_QUAD_MAX_PANELS", cap)
+        fn, a, b, cuts = _singular_tv_integrand()
+        tracemalloc.start()
+        try:
+            _, err = integrate(fn, a, b, cuts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err > _QUAD_TOL  # the budget ran out: `cap` panels were pending
+        assert peak / cap <= 250.0
 
     @pytest.mark.parametrize("bisection", [0, 1, 500, -1])
     def test_split_panel_non_finite_raises_reference_message(self, bisection):
