@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sim
 from .errors import (
-    ConfigError, NumericalError, _check_keys, _number_list, _positive_finite, _positive_int
+    ConfigError, NumericalError, _check_keys, _integer, _number_list, _positive_finite, _positive_int
 )
 from .estimator import ell_estimate
 from .losses import LossSpec, loss
@@ -168,10 +168,7 @@ def _canonical(resolved: dict) -> dict:
 
 
 def _seed(doc: dict, args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return seed
+    return _integer(args.seed if args.seed is not None else doc.get("seed", 0), "seed")
 
 
 def _verbosity(doc: dict) -> int:

@@ -8,11 +8,15 @@ Conventions:
       The CLI maps it to exit code 3.
 
 The config-shape checks below are shared by the config readers
-(``from_config`` methods, the CLI resolvers and the Monte Carlo entry
-points), so each refusal names its key the same way.
+(``from_config`` methods, the measure constructors, the CLI resolvers and
+the Monte Carlo entry points), so each refusal names its key the same way.
+A bool is never a number, and an ``int`` above the largest float is not
+finite.  The scalar readers test the exact types ``int`` and ``float`` first.
 """
 
 import sys
+
+_MAX = sys.float_info.max
 
 
 class PairfitError(Exception):
@@ -39,6 +43,11 @@ def _check_keys(cfg: dict, allowed: set[str], where: str, required: set[str] = f
         raise ConfigError(f"unknown {where} config keys {sorted(keys - allowed)}")
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an ``int`` or a ``float`` and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def _number_list(value, name: str) -> list:
     """``value`` as a list, refused unless every entry is a number.
 
@@ -52,22 +61,39 @@ def _number_list(value, name: str) -> list:
     return list(value)
 
 
+def _floats(value, name: str) -> tuple[float, ...]:
+    """A nonempty list of finite numbers, as a float tuple."""
+    values = _number_list(value, name)
+    if not values or not all(abs(v) <= _MAX for v in values):
+        raise ConfigError(f"{name} must be a nonempty list of finite numbers, got {value!r}")
+    return tuple(map(float, values))
+
+
+def _integer(value, name: str) -> int:
+    """``value`` if it is an ``int``; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _positive_int(value, name: str) -> int:
     """``value`` if it is a positive ``int`` that ``float`` can take; a bool or a float is refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or not (
-        0 < value <= sys.float_info.max
-    ):
+    if isinstance(value, bool) or not isinstance(value, int) or not (0 < value <= _MAX):
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 
-def _positive_finite(value, name: str) -> float:
-    """``value`` as a ``float`` if it is a positive finite ``int`` or ``float`` (not a bool).
+def _finite(value, name: str):
+    """``value``, its type kept, if it is a finite number."""
+    if (type(value) is float or type(value) is int or _is_number(value)) and -_MAX <= value <= _MAX:
+        return value
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    raise ConfigError(f"{name} must be finite, got {value!r}")
 
-    An ``int`` above the largest float is refused too, since ``float`` cannot take it.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        0 < value <= sys.float_info.max
-    ):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+
+def _positive_finite(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a positive finite number."""
+    if (type(value) is float or type(value) is int or _is_number(value)) and 0 < value <= _MAX:
+        return float(value)
+    raise ConfigError(f"{name} must be positive and finite, got {value!r}")

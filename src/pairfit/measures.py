@@ -15,7 +15,12 @@ This module is the numerical foundation of the package.  It provides:
       of 2^20 pending panels holds about 200 MiB;
     * distances: total variation, squared Hellinger, Kullback-Leibler,
       Wasserstein-1 on [0, 1], and L_j norms of density differences, each with
-      closed forms where available and quadrature otherwise.
+      closed forms where available and quadrature otherwise;
+    * ``measure_from_config``, which builds a measure through its family's
+      row of ``_FAMILIES``.  Each constructor (or builder) reads every
+      parameter through the shared ``errors`` readers (``_finite``,
+      ``_positive_finite``, ``_positive_int``, ``_floats``), so a config and
+      a direct call refuse the same values, naming the family and the key.
 
 Conventions used throughout:
 
@@ -37,18 +42,21 @@ Conventions used throughout:
 from __future__ import annotations
 
 import heapq
+import inspect
 import math
 import sys
 import struct
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special as _special
 
-from .errors import ConfigError, NumericalError, _check_keys, _number_list
+from .errors import (
+    ConfigError, NumericalError, _check_keys, _finite, _floats, _positive_finite, _positive_int
+)
 
 __all__ = [
     "LebesgueRef",
@@ -88,6 +96,20 @@ _PROBE_COUNT = 4096
 _BISECT_ITERS = 90
 
 
+def _finite_entries(values, name: str) -> np.ndarray:
+    """``values`` as a float array, refused unless it is a nonempty list of finite numbers.
+
+    A numeric array passes with one vectorised test; anything else is read
+    by ``errors._floats``, which refuses bools and strings that numpy would
+    convert.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "fiu" and values.size and np.isfinite(values).all():
+            return values.astype(float, copy=False)
+        values = values.tolist()
+    return np.array(_floats(values, name))
+
+
 # ---------------------------------------------------------------------------
 # Reference measures
 # ---------------------------------------------------------------------------
@@ -113,11 +135,11 @@ class PartitionRef:
     support: tuple[float, float]
 
     def __post_init__(self) -> None:
-        lo, hi = self.support
-        if self.cells < 1:
-            raise ConfigError(f"partition needs at least one cell, got {self.cells}")
-        if not hi > lo:
-            raise ConfigError(f"partition support must be an interval, got {self.support}")
+        _positive_int(self.cells, "measure parameter 'cells': histogram cells")
+        support = _floats(self.support, "measure parameter 'support': histogram support")
+        if len(support) != 2 or not support[1] > support[0]:
+            raise ConfigError(f"histogram needs a [lo, hi] 'support' with lo < hi, got {self.support!r}")
+        object.__setattr__(self, "support", support)
 
     @property
     def edges(self) -> np.ndarray:
@@ -144,20 +166,27 @@ class PartitionRef:
 
 @dataclass(frozen=True)
 class DiscreteRef:
-    """Finite weighted discrete space: points ``x_i`` with weights ``w_i > 0``."""
+    """Finite weighted discrete space: points ``x_i`` with weights ``w_i > 0``.
+
+    Points may come in any order; they are stored sorted, each with its weight.
+    """
 
     points: tuple[float, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.points) != len(self.weights):
+        pts = _finite_entries(self.points, "measure parameter 'points': discrete points")
+        weights = _finite_entries(self.weights, "measure parameter 'weights': discrete weights")
+        if pts.shape != weights.shape or pts.ndim != 1:
             raise ConfigError("discrete reference needs one weight per point")
-        if len(self.points) == 0:
-            raise ConfigError("discrete reference needs at least one point")
-        if any(w <= 0 for w in self.weights):
+        if not np.all(weights > 0):
             raise ConfigError("discrete reference weights must be positive")
-        if list(self.points) != sorted(set(self.points)):
-            raise ConfigError("discrete reference points must be sorted and distinct")
+        order = np.argsort(pts)
+        pts = pts[order]
+        if np.any(np.diff(pts) == 0.0):
+            raise ConfigError("discrete reference points must be distinct")
+        object.__setattr__(self, "points", tuple(pts.tolist()))
+        object.__setattr__(self, "weights", tuple(weights[order].tolist()))
 
     @property
     def points_array(self) -> np.ndarray:
@@ -481,12 +510,8 @@ class GaussianMeasure(Measure):
     tag = "gaussian"
 
     def __init__(self, mean: float, sd: float = 1.0):
-        if not 0 < sd < math.inf:
-            raise ConfigError(f"gaussian sd must be positive and finite, got {sd}")
-        self.mean = float(mean)
-        self.sd = float(sd)
-        if not math.isfinite(self.mean):
-            raise ConfigError(f"gaussian mean must be finite, got {mean}")
+        self.mean = float(_finite(mean, "measure parameter 'mean': gaussian mean"))
+        self.sd = _positive_finite(sd, "measure parameter 'sd': gaussian sd")
 
     @property
     def params(self):
@@ -517,12 +542,8 @@ class CauchyMeasure(Measure):
     heavy_tails = True
 
     def __init__(self, loc: float, scale: float = 1.0):
-        if not 0 < scale < math.inf:
-            raise ConfigError(f"cauchy scale must be positive and finite, got {scale}")
-        self.loc = float(loc)
-        self.scale = float(scale)
-        if not math.isfinite(self.loc):
-            raise ConfigError(f"cauchy loc must be finite, got {loc}")
+        self.loc = float(_finite(loc, "measure parameter 'loc': cauchy loc"))
+        self.scale = _positive_finite(scale, "measure parameter 'scale': cauchy scale")
 
     @property
     def params(self):
@@ -559,12 +580,8 @@ class UniformMeasure(Measure):
     tag = "uniform"
 
     def __init__(self, low: float, width: float = 1.0):
-        if not 0 < width < math.inf:
-            raise ConfigError(f"uniform width must be positive and finite, got {width}")
-        self.low = float(low)
-        self.width = float(width)
-        if not math.isfinite(self.low):
-            raise ConfigError(f"uniform low must be finite, got {low}")
+        self.low = float(_finite(low, "measure parameter 'low': uniform low"))
+        self.width = _positive_finite(width, "measure parameter 'width': uniform width")
 
     @property
     def params(self):
@@ -606,12 +623,8 @@ class PowerMeasure(Measure):
     tag = "power"
 
     def __init__(self, alpha: float, shift: float = 0.0):
-        if not 0 < alpha < math.inf:
-            raise ConfigError(f"power alpha must be positive and finite, got {alpha}")
-        self.alpha = float(alpha)
-        self.shift = float(shift)
-        if not math.isfinite(self.shift):
-            raise ConfigError(f"power shift must be finite, got {shift}")
+        self.alpha = _positive_finite(alpha, "measure parameter 'alpha': power alpha")
+        self.shift = float(_finite(shift, "measure parameter 'shift': power shift"))
 
     @property
     def params(self):
@@ -664,11 +677,10 @@ class HistogramMeasure(Measure):
     tag = "histogram"
 
     def __init__(self, partition: PartitionRef, heights: Sequence[float]):
-        heights = np.asarray(heights, dtype=float)
+        heights = _finite_entries(heights, "measure parameter 'heights': histogram heights")
         if heights.shape != (partition.cells,):
             raise ConfigError(
-                f"need {partition.cells} heights for a {partition.cells}-cell "
-                f"partition, got shape {heights.shape}"
+                f"histogram needs one of 'heights' per cell, got shape {heights.shape} for cells {partition.cells}"
             )
         self.partition = partition
         self.heights = heights
@@ -750,19 +762,17 @@ class DiscreteMeasure(Measure):
         masses: Sequence[float],
         ref: DiscreteRef | None = None,
     ):
-        pts = np.asarray(points, dtype=float)
-        ms = np.asarray(masses, dtype=float)
+        pts = _finite_entries(points, "measure parameter 'points': discrete points")
+        ms = _finite_entries(masses, "measure parameter 'masses': discrete masses")
         if pts.shape != ms.shape or pts.ndim != 1:
             raise ConfigError("discrete measure needs matching 1-d points and masses")
         order = np.argsort(pts)
         pts, ms = pts[order], ms[order]
-        if np.any(np.diff(pts) == 0.0):
-            raise ConfigError("discrete measure points must be distinct")
         self.points = pts
         self.masses = ms
         if ref is None:
-            # Counting measure on the points.
-            ref = DiscreteRef(tuple(float(p) for p in pts), (1.0,) * len(pts))
+            # Counting measure on the points; it refuses repeated points.
+            ref = DiscreteRef(pts, np.ones(len(pts)))
         self.reference = ref
         if tuple(pts) != self.reference.points:
             raise ConfigError("discrete measure points must match the reference points")
@@ -815,7 +825,7 @@ class DiscreteMeasure(Measure):
 
 def point_mass(at: float) -> DiscreteMeasure:
     """Dirac measure at a single point."""
-    return DiscreteMeasure([at], [1.0])
+    return DiscreteMeasure([_finite(at, "measure parameter 'at': point-mass at")], [1.0])
 
 
 class MixtureMeasure(Measure):
@@ -830,8 +840,8 @@ class MixtureMeasure(Measure):
     tag = "mixture"
 
     def __init__(self, base: Measure, alpha: float, contaminant: Measure):
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"mixture weight must lie in [0, 1], got {alpha}")
+        if not 0.0 <= _finite(alpha, "measure parameter 'alpha': mixture alpha") <= 1.0:
+            raise ConfigError(f"measure parameter 'alpha': mixture alpha must lie in [0, 1], got {alpha!r}")
         if not (base.is_probability and contaminant.is_probability):
             raise ConfigError("mixture components must be probability measures")
         self.base = base
@@ -1254,15 +1264,19 @@ def _xlogx_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def kl_divergence(P: Measure, Q: Measure) -> float:
-    """Kullback-Leibler divergence ``KL(P || Q)``; returns ``inf`` when P ⊄ Q."""
+    """Kullback-Leibler divergence ``KL(P || Q)``; returns ``inf`` when P ⊄ Q.
+
+    Summed ``p log(p/q)`` terms of two nearly equal measures cancel to a
+    rounding error of either sign, so the sum is clamped at 0.
+    """
     _require_probability(P, Q)
     kind = pair_kind(P, Q)
     if kind == "partition":
-        return float(_xlogx_ratio(P.cell_masses, Q.cell_masses).sum())
+        return max(0.0, float(_xlogx_ratio(P.cell_masses, Q.cell_masses).sum()))
     if kind == "gaussian":
         d = P.mean - Q.mean
         return (d * d) / (2.0 * P.sd * P.sd)
-    return _kl_quadrature(P, Q)
+    return max(0.0, _kl_quadrature(P, Q))
 
 
 def _kl_quadrature(P: Measure, Q: Measure) -> float:
@@ -1531,98 +1545,74 @@ def cdf_sign_intervals(P: Measure, Q: Measure) -> list[tuple[float, float, float
 # ---------------------------------------------------------------------------
 
 
-# The keys a measure config may have, and every parameter a family's config
-# may name (``to_config`` emits a subset).  ``measure_from_config`` tests
-# them inline and calls ``_check_keys`` only for the message: a command
-# reads dozens of measure configs, so a valid one should pay little.
-_MEASURE_KEYS = frozenset({"family", "params"})
-_MEASURE_PARAMS = {
-    "gaussian": {"mean", "sd"},
-    "cauchy": {"loc", "scale"},
-    "uniform": {"low", "width"},
-    "power": {"alpha", "shift"},
-    "histogram": {"support", "heights", "cells"},
-    "discrete": {"points", "masses", "weights"},
-    "point-mass": {"at"},
-    "mixture": {"base", "alpha", "contaminant"},
+def _histogram(heights, support=(0.0, 1.0), cells=None) -> HistogramMeasure:
+    heights = _finite_entries(heights, "measure parameter 'heights': histogram heights")
+    return HistogramMeasure(PartitionRef(len(heights) if cells is None else cells, support), heights)
+
+
+def _discrete(points, masses, weights=None) -> DiscreteMeasure:
+    return DiscreteMeasure(points, masses, None if weights is None else DiscreteRef(points, weights))
+
+
+def _mixture(base, alpha, contaminant) -> MixtureMeasure:
+    return MixtureMeasure(measure_from_config(base), alpha, measure_from_config(contaminant))
+
+
+class _Family(NamedTuple):
+    """One measure family's config.
+
+    ``build`` takes the family's parameters by name and reads each one
+    through the ``errors`` readers, so its signature is the one place that
+    says which parameters the family takes and their defaults.
+    ``location`` is the parameter a translation moves (None if none does).
+    """
+
+    build: Callable[..., Measure]
+    location: str | None = None
+
+
+_FAMILIES = {
+    "gaussian": _Family(GaussianMeasure, "mean"),
+    "cauchy": _Family(CauchyMeasure, "loc"),
+    "uniform": _Family(UniformMeasure, "low"),
+    "power": _Family(PowerMeasure, "shift"),
+    "histogram": _Family(_histogram),
+    "discrete": _Family(_discrete),
+    "point-mass": _Family(point_mass),
+    "mixture": _Family(_mixture),
 }
-
-
-def _numbers(family: str, params: dict, key: str, default: tuple | None = None) -> list:
-    """The list parameter ``key``, checked to hold numbers only; a missing
-    required key raises KeyError."""
-    value = params[key] if default is None else params.get(key, default)
-    return _number_list(value, f"measure family {family!r} parameter {key!r}")
 
 
 def measure_from_config(cfg: dict) -> Measure:
     """Build a measure from a plain-dict configuration record.
 
-    The record must have a ``family`` key plus a ``params`` mapping; see each
-    measure class for its parameters.  Raises ``ConfigError`` for unknown
-    families, unknown keys or bad parameters, naming the key.
+    The record must have a ``family`` key, a row of ``_FAMILIES``, plus a
+    ``params`` mapping; see each family's builder for its parameters.
+    Raises ``ConfigError`` for unknown families, unknown or missing keys
+    and bad parameters, naming the key.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"measure config must be a mapping, got {type(cfg).__name__}")
-    # Counting the known keys present finds any other key without building
-    # a set.
+    # A command reads dozens of measure configs, so a valid one builds no
+    # set: counting the known keys present finds any other key.
     if len(cfg) != ("family" in cfg) + ("params" in cfg):
-        _check_keys(cfg, _MEASURE_KEYS, "measure")
+        _check_keys(cfg, {"family", "params"}, "measure")
     family = cfg.get("family")
-    allowed = _MEASURE_PARAMS.get(family) if isinstance(family, str) else None
-    if allowed is None:
+    entry = _FAMILIES.get(family) if isinstance(family, str) else None
+    if entry is None:
         raise ConfigError(f"unknown measure family {family!r}")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("measure config 'params' must be a mapping")
-    if not allowed.issuperset(params):
-        _check_keys(params, allowed, f"{family} measure")
     try:
-        if family == "gaussian":
-            return GaussianMeasure(params["mean"], params.get("sd", 1.0))
-        if family == "cauchy":
-            return CauchyMeasure(params["loc"], params.get("scale", 1.0))
-        if family == "uniform":
-            return UniformMeasure(params["low"], params.get("width", 1.0))
-        if family == "power":
-            return PowerMeasure(params["alpha"], params.get("shift", 0.0))
-        if family == "histogram":
-            support = _numbers(family, params, "support", (0.0, 1.0))
-            heights = _numbers(family, params, "heights")
-            if len(support) != 2 or params.get("cells", len(heights)) != len(heights):
-                raise ConfigError(
-                    "measure family 'histogram' needs a [lo, hi] 'support' and one of "
-                    f"'heights' per cell, got support {support} and {len(heights)} heights "
-                    f"for cells {params.get('cells')!r}"
-                )
-            return HistogramMeasure(PartitionRef(len(heights), tuple(support)), heights)
-        if family == "discrete":
-            points = _numbers(family, params, "points")
-            ref = None
-            if "weights" in params:
-                ref = DiscreteRef(
-                    tuple(float(p) for p in points),
-                    tuple(float(w) for w in _numbers(family, params, "weights")),
-                )
-            return DiscreteMeasure(points, _numbers(family, params, "masses"), ref=ref)
-        if family == "point-mass":
-            return point_mass(params["at"])
-        # The one family left in _MEASURE_PARAMS: "mixture".
-        return MixtureMeasure(
-            measure_from_config(params["base"]),
-            params["alpha"],
-            measure_from_config(params["contaminant"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"measure family {family!r} is missing parameter {exc}") from exc
-    except ConfigError:
+        return entry.build(**params)
+    except TypeError:
+        # The call refuses an unknown or missing parameter name, and the
+        # builder's readers refuse every wrong value with a ConfigError, so
+        # a TypeError names a key these checks find, or is not a config's.
+        sig = inspect.signature(entry.build).parameters
+        _check_keys(params, sig.keys(), f"{family} measure")
+        missing = [k for k, p in sig.items() if p.default is p.empty and k not in params]
+        if missing:
+            raise ConfigError(f"measure family {family!r} is missing parameters {missing}") from None
         raise
-    except (TypeError, ValueError) as exc:
-        # A scalar parameter the constructor could not read as a number; the
-        # constructors' own conversions are the check, so valid configs pay
-        # nothing for it.
-        bad = [k for k, v in params.items() if not isinstance(v, (int, float, dict))]
-        raise ConfigError(
-            f"measure family {family!r} parameter {bad[0] if bad else '?'!r} must be a "
-            f"number, got {params.get(bad[0]) if bad else params!r}"
-        ) from exc

@@ -15,28 +15,25 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, _check_keys, _number_list, _positive_int
+from .errors import ConfigError, _check_keys, _finite, _floats, _positive_int
 from .estimator import Model
 from .measures import (
-    CauchyMeasure,
+    _FAMILIES as _MEASURE_FAMILIES,
     DiscreteMeasure,
-    GaussianMeasure,
     HistogramMeasure,
     Measure,
     PartitionRef,
-    PowerMeasure,
-    UniformMeasure,
     measure_from_config,
 )
 
 __all__ = ["ModelBuilderConfig", "build"]
 
-_TRANSLATION_BASES = ("cauchy", "uniform", "power")
+# The measure families with a location parameter but gaussian, which has its own grid family.
+_TRANSLATION_BASES = tuple(f for f, row in _MEASURE_FAMILIES.items() if row.location and f != "gaussian")
 
 # Probability-candidate mass must match 1 this closely.
 _MASS_TOL = 1e-9
@@ -118,23 +115,6 @@ class ModelBuilderConfig:
         return cls(**cfg)
 
 
-def _finite(value, name: str):
-    """``value`` if it is a finite ``int`` or ``float`` (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"model parameter {name!r} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"model parameter {name!r} must be finite, got {value!r}")
-    return value
-
-
-def _floats(value, name: str) -> tuple[float, ...]:
-    """A nonempty list of finite numbers, as a float tuple."""
-    values = _number_list(value, name)
-    if not values or not all(abs(v) <= sys.float_info.max for v in values):
-        raise ConfigError(f"{name} must be a nonempty list of finite numbers, got {value!r}")
-    return tuple(float(v) for v in values)
-
-
 def _vectors(value, name: str) -> tuple[tuple[float, ...], ...]:
     """A nonempty list of :func:`_floats` rows."""
     if not isinstance(value, (list, tuple)) or not value:
@@ -146,7 +126,7 @@ def _vectors(value, name: str) -> tuple[tuple[float, ...], ...]:
 # basis and the measure base_q are read by their family's checker.
 _READERS = {
     **dict.fromkeys(("d", "cells", "space_size", "n"), _positive_int),
-    **dict.fromkeys(("lo", "hi", "step", "alpha"), _finite),
+    **dict.fromkeys(("lo", "hi", "step", "alpha"), lambda v, name: _finite(v, f"model parameter {name!r}")),
     **dict.fromkeys(("value_grid", "breakpoint_grid", "level_grid"), _floats),
     **dict.fromkeys(("coefficient_net", "candidates", "theta_net"), _vectors),
 }
@@ -297,11 +277,12 @@ def _location_grid(lo: float, hi: float, step: float) -> list[float]:
 def _build_location_grid(config: ModelBuilderConfig) -> Model:
     """The base measure moved to each grid point; a gaussian grid has no ``base``."""
     grid = _location_grid(config.lo, config.hi, config.step)
-    if config.base == "power":
-        origin: Measure = PowerMeasure(config.alpha)
-    else:
-        shape = {None: GaussianMeasure, "cauchy": CauchyMeasure, "uniform": UniformMeasure}
-        origin = shape[config.base](0.0, 1.0)
+    family = _MEASURE_FAMILIES[config.base or "gaussian"]
+    # Every other parameter takes its default: a unit scale, or a power's shift 0.
+    params = {family.location: 0.0}
+    if config.alpha is not None:
+        params["alpha"] = config.alpha
+    origin = family.build(**params)
     # No grid point is -0.0, so each location is its grid point bitwise.
     return Model(
         candidates=[_translate(origin, t) for t in grid],
@@ -387,15 +368,13 @@ def _build_discrete(config: ModelBuilderConfig) -> Model:
 
 
 def _translate(base: Measure, shift: float) -> Measure:
-    if isinstance(base, GaussianMeasure):
-        return GaussianMeasure(base.mean + shift, base.sd)
-    if isinstance(base, CauchyMeasure):
-        return CauchyMeasure(base.loc + shift, base.scale)
-    if isinstance(base, UniformMeasure):
-        return UniformMeasure(base.low + shift, base.width)
-    if isinstance(base, PowerMeasure):
-        return PowerMeasure(base.alpha, base.shift + shift)
-    raise ConfigError(f"base family {base.tag!r} has no translation parameter")
+    """``base`` with its family's location parameter moved by ``shift``."""
+    family = _MEASURE_FAMILIES[base.tag]
+    if family.location is None:
+        raise ConfigError(f"base family {base.tag!r} has no translation parameter")
+    params = base.params
+    params[family.location] += shift
+    return family.build(**params)
 
 
 def _build_regression_tuples(config: ModelBuilderConfig) -> Model:

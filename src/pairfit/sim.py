@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import vc_bound_tv, wasserstein_dev_bound
-from .errors import ConfigError, _check_keys, _number_list, _positive_finite, _positive_int
+from .errors import ConfigError, _check_keys, _integer, _number_list, _positive_finite, _positive_int
 from .estimator import PairwiseEngine, _suprema_and_choice
 from .losses import LossSpec, aggregate_loss, loss
 from .measures import (
@@ -117,8 +117,7 @@ class Scenario:
         _positive_int(self.n, "n")
         _positive_int(self.replications, "replications")
         _positive_finite(self.epsilon, "epsilon")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        _integer(self.seed, "seed")
         if isinstance(self.truth, Contamination) and len(self.truth.alphas) != self.n:
             raise ConfigError(
                 f"contamination has {len(self.truth.alphas)} weights for n = {self.n}"

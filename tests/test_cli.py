@@ -321,6 +321,46 @@ class TestDescribe:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][1])["scenario"]["model"]["base_q"]["params"] == {"mean": 0.0, "sd": 1.0}
 
+    @staticmethod
+    def int_and_float_spelled(command):
+        """One ``command`` config whose measure parameters are spelled as ints, and as floats."""
+        docs = []
+        for num in (int, float):
+            hist = {"family": "histogram", "params": {"support": [num(0), num(2)], "heights": [num(1), num(1)]}}
+            skewed = {"family": "histogram", "params": {"cells": 2, "support": [num(0), num(2)], "heights": [0.5, 1.5]}}
+            if command == "test":
+                doc = {"truth": hist, "p": hist, "q": skewed, "loss": {"kind": "tv"}, "n": 5, "reps": 2}
+            else:
+                measures = [
+                    {"family": "gaussian", "params": {"mean": num(0), "sd": num(2)}},
+                    {"family": "cauchy", "params": {"loc": num(1), "scale": num(1)}},
+                    {"family": "uniform", "params": {"low": num(-1), "width": num(3)}},
+                    {"family": "power", "params": {"alpha": num(2), "shift": num(-1)}},
+                    {"family": "point-mass", "params": {"at": num(1)}},
+                    # Points in any order: they are sorted with their masses and weights.
+                    {"family": "discrete", "params": {"points": [num(1), num(0)], "masses": [0.5, 0.5], "weights": [num(2), num(1)]}},
+                ]
+                if num is float:
+                    measures[-1]["params"].update(points=[0.0, 1.0], weights=[1.0, 2.0])
+                doc = {
+                    "pairs": [{"p": hist, "q": skewed}] + [{"p": m, "q": m} for m in measures],
+                    "losses": [{"kind": "tv"}],
+                }
+            docs.append(doc)
+        return docs
+
+    @pytest.mark.parametrize("command", ["test", "distances"])
+    def test_int_spelled_measures_describe_as_floats_and_round_trip(self, tmp_path, capsys, command):
+        described = []
+        for name, doc in zip(("int", "float"), self.int_and_float_spelled(command)):
+            path = write_config(tmp_path, f"{name}.json", doc)
+            assert cli.main([command, "--config", str(path), "--describe"]) == 0
+            described.append(capsys.readouterr().out)
+        assert described[0] == described[1]
+        echo = write_config(tmp_path, "echo.json", json.loads(described[0]))
+        assert cli.main([command, "--config", str(echo), "--describe"]) == 0
+        assert capsys.readouterr().out == described[0]
+
     def test_check_assumptions_describe_normalizes_alias(self, capsys):
         code = cli.main(
             ["check-assumptions", "--loss", "hellinger2", "--describe"]
@@ -1144,6 +1184,87 @@ class TestDistances:
         assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "Simpson sums overflow" in err
+
+    @pytest.mark.parametrize(
+        "p, q, loss_cfg, message",
+        [
+            (
+                {"family": "gaussian", "params": {"mean": True}},
+                {"family": "gaussian", "params": {"mean": "0.5"}},
+                {"kind": "tv"},
+                "measure parameter 'mean': gaussian mean must be a number, got True",
+            ),
+            (
+                {"family": "discrete", "params": {"points": [0.0, 1.0], "masses": [0.5, math.nan]}},
+                {"family": "discrete", "params": {"points": [0.0, 1.0], "masses": [0.5, 0.5]}},
+                {"kind": "lj", "j": 2.0, "R": 1.0},
+                "measure parameter 'masses': discrete masses must be",
+            ),
+            (
+                {"family": "histogram", "params": {"support": [0, math.inf], "heights": [1.0, 1.0]}},
+                {"family": "histogram", "params": {"support": [0, math.inf], "heights": [1.5, 0.5]}},
+                {"kind": "tv"},
+                "measure parameter 'support': histogram support must be",
+            ),
+            (
+                {"family": "point-mass", "params": {"at": math.inf}},
+                {"family": "point-mass", "params": {"at": 0.0}},
+                {"kind": "tv"},
+                "measure parameter 'at': point-mass at must be finite",
+            ),
+            (
+                {"family": "gaussian", "params": {"mean": 10**400}},
+                {"family": "gaussian", "params": {"mean": 0.0}},
+                {"kind": "tv"},
+                "measure parameter 'mean': gaussian mean must be finite",
+            ),
+            (
+                {"family": "uniform", "params": {"low": 0.0, "width": 10**400}},
+                {"family": "uniform", "params": {"low": 0.0}},
+                {"kind": "tv"},
+                "measure parameter 'width': uniform width must be positive and finite",
+            ),
+            (
+                {"family": "discrete", "params": {"points": [0.0, 10**400], "masses": [0.5, 0.5]}},
+                {"family": "discrete", "params": {"points": [0.0, 1.0], "masses": [0.5, 0.5]}},
+                {"kind": "tv"},
+                "measure parameter 'points': discrete points must be",
+            ),
+            (
+                {"family": "histogram", "params": {"cells": True, "heights": [1.0]}},
+                {"family": "histogram", "params": {"heights": [1.0]}},
+                {"kind": "tv"},
+                "measure parameter 'cells': histogram cells must be a positive integer, got True",
+            ),
+            (
+                {"family": "histogram", "params": {"cells": 2.0, "heights": [1.5, 0.5]}},
+                {"family": "histogram", "params": {"heights": [1.0, 1.0]}},
+                {"kind": "tv"},
+                "measure parameter 'cells': histogram cells must be a positive integer, got 2.0",
+            ),
+        ],
+        ids=["bool-and-string-mean", "nan-mass", "infinite-support", "infinite-at", "huge-mean",
+             "huge-width", "huge-point", "bool-cells", "float-cells"],
+    )
+    def test_bad_measure_parameters_exit_two_and_write_nothing(self, tmp_path, capsys, p, q, loss_cfg, message):
+        # Each of these exited 0 with a wrong value, or 1 with OverflowError.
+        path = write_config(tmp_path, "d.json", {"pairs": [{"p": p, "q": q}], "losses": [loss_cfg]})
+        assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_discrete_weights_take_points_in_any_order(self, tmp_path):
+        outputs = []
+        for tag, points, masses, weights in (("shuffled", [1, 0], [0.25, 0.75], [2, 1]), ("sorted", [0, 1], [0.75, 0.25], [1, 2])):
+            p = {"family": "discrete", "params": {"points": points, "masses": masses, "weights": weights}}
+            q = {"family": "discrete", "params": {"points": [0, 1], "masses": [0.5, 0.5], "weights": [1, 2]}}
+            doc = {"pairs": [{"p": p, "q": q}], "losses": [{"kind": "lj", "j": 2.0, "R": 1.0}]}
+            path = write_config(tmp_path, f"{tag}.json", doc)
+            out = tmp_path / tag
+            assert cli.main(["distances", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("summary.json", "records.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_pair_shape_validated(self, tmp_path):
         doc = {"pairs": [{"p": {"family": "gaussian", "params": {}}}], "losses": [{"kind": "tv"}]}

@@ -6,7 +6,9 @@ independent oracle rather than a snapshot of its own output.
 """
 
 import heapq
+import inspect
 import math
+import re
 import sys
 import tracemalloc
 
@@ -25,7 +27,7 @@ from pairfit.measures import (
     _QUAD_MAX_PANELS,
     _QUAD_TOL,
     _LOOKAHEAD,
-    _MEASURE_PARAMS,
+    _FAMILIES as _MEASURE_PARAMS,
     CauchyMeasure,
     DiscreteMeasure,
     DiscreteRef,
@@ -504,6 +506,21 @@ class TestHellingerAndKL:
         quad = _kl_quadrature(GaussianMeasure(0.0), GaussianMeasure(1.0))
         assert abs(quad - 0.5) < 1e-7
 
+    def test_kl_of_nearly_equal_measures_is_never_negative(self):
+        # The p log(p/q) terms of two nearly equal measures cancel to a
+        # rounding error of either sign; unclamped, 994 of these 2,000 atom
+        # pairs and 988 of the histogram pairs read below 0.
+        rng = np.random.default_rng(0)
+        part = PartitionRef(5, (0.0, 1.0))
+        for _ in range(2000):
+            p = rng.uniform(0.05, 1.0, 5)
+            p /= p.sum()
+            q = p * (1.0 + 1e-9 * rng.standard_normal(5))
+            q /= q.sum()
+            pts = [0.0, 1.0, 2.0, 3.0, 4.0]
+            assert kl_divergence(DiscreteMeasure(pts, p), DiscreteMeasure(pts, q)) >= 0.0
+            assert kl_divergence(HistogramMeasure(part, 5 * p), HistogramMeasure(part, 5 * q)) >= 0.0
+
     @given(p=masses_strategy(5), q=masses_strategy(5))
     @settings(max_examples=50, deadline=None)
     def test_distance_inequality_chain(self, p, q):
@@ -907,6 +924,86 @@ class TestConfigRoundTrip:
             GaussianMeasure(0.0, sd=-1.0)
         with pytest.raises(ConfigError, match="weight per point"):
             DiscreteRef(points=(0.0, 1.0), weights=(1.0,))
+
+    def test_discrete_weights_take_points_in_any_order(self):
+        shuffled = {"points": [1, 0], "masses": [0.25, 0.75], "weights": [2, 1]}
+        ordered = {"points": [0.0, 1.0], "masses": [0.75, 0.25], "weights": [1.0, 2.0]}
+        P, Q = (measure_from_config({"family": "discrete", "params": p}) for p in (shuffled, ordered))
+        assert P.to_config() == Q.to_config() == {"family": "discrete", "params": ordered}
+        assert P.reference == Q.reference == DiscreteRef((1.0, 0.0), (2.0, 1.0))
+
+    def test_histogram_support_is_read_as_floats(self):
+        configs = [
+            {"family": "histogram", "params": {"support": support, "heights": [1.5, 0.5]}}
+            for support in ([0, 2], [0.0, 2.0])
+        ]
+        emitted = [measure_from_config(cfg).to_config() for cfg in configs]
+        assert emitted[0] == emitted[1]
+        assert [type(v) for v in emitted[0]["params"]["support"]] == [float, float]
+
+
+# One valid parameter set per measure family, every number-valued parameter
+# set; a mixture's base and contaminant are measure configs.
+FAMILY_PARAMS = {
+    "gaussian": {"mean": 0.5, "sd": 2.0},
+    "cauchy": {"loc": 0.5, "scale": 2.0},
+    "uniform": {"low": 0.5, "width": 2.0},
+    "power": {"alpha": 0.5, "shift": 0.25},
+    "histogram": {"cells": 2, "support": [0.0, 2.0], "heights": [1.5, 0.5]},
+    "discrete": {"points": [0.0, 3.0], "masses": [0.4, 0.6], "weights": [0.5, 2.0]},
+    "point-mass": {"at": 8.0},
+    "mixture": {"alpha": 0.1},
+}
+MIXTURE_PARTS = {
+    "base": {"family": "gaussian", "params": {"mean": 0.0}},
+    "contaminant": {"family": "point-mass", "params": {"at": 8.0}},
+}
+# The same measures built through the constructors.
+CONSTRUCTORS = {
+    "gaussian": lambda p: GaussianMeasure(p["mean"], p["sd"]),
+    "cauchy": lambda p: CauchyMeasure(p["loc"], p["scale"]),
+    "uniform": lambda p: UniformMeasure(p["low"], p["width"]),
+    "power": lambda p: PowerMeasure(p["alpha"], p["shift"]),
+    "histogram": lambda p: HistogramMeasure(PartitionRef(p["cells"], p["support"]), p["heights"]),
+    "discrete": lambda p: DiscreteMeasure(p["points"], p["masses"], DiscreteRef(p["points"], p["weights"])),
+    "point-mass": lambda p: point_mass(p["at"]),
+    "mixture": lambda p: MixtureMeasure(GaussianMeasure(0.0), p["alpha"], point_mass(8.0)),
+}
+
+
+def bad_parameter_cases():
+    """(family, key, value) for every parameter: each bad value, or a list holding it."""
+    for family, params in FAMILY_PARAMS.items():
+        for key, good in params.items():
+            for bad in (True, "0.5", math.nan, math.inf, -math.inf, 10**400):
+                yield family, key, [good[0], bad] if isinstance(good, list) else bad
+
+
+class TestParameterRefusals:
+    def test_tables_cover_every_family_and_parameter(self):
+        assert set(FAMILY_PARAMS) == set(CONSTRUCTORS) == set(measures._FAMILIES)
+        for family, params in FAMILY_PARAMS.items():
+            cfg = {"family": family, "params": dict(params, **(MIXTURE_PARTS if family == "mixture" else {}))}
+            assert set(cfg["params"]) == set(inspect.signature(measures._FAMILIES[family].build).parameters)
+            assert measure_from_config(cfg).to_config() == CONSTRUCTORS[family](params).to_config()
+
+    @pytest.mark.parametrize("family, key, value", list(bad_parameter_cases()), ids=lambda v: repr(v)[:16])
+    def test_every_parameter_refuses_non_numbers_and_non_finite_values(self, family, key, value):
+        # Before, a bool or a string could be read as a number, NaN and the
+        # infinities built measures, and 10^400 failed with OverflowError.
+        params = dict(FAMILY_PARAMS[family], **{key: value})
+        cfg = {"family": family, "params": dict(params, **(MIXTURE_PARTS if family == "mixture" else {}))}
+        named = re.escape(f"measure parameter {key!r}: {family} {key} must be")
+        with pytest.raises(ConfigError, match=named):
+            measure_from_config(cfg)
+        with pytest.raises(ConfigError, match=named):
+            CONSTRUCTORS[family](params)
+
+    @pytest.mark.parametrize("cells", [True, 2.0])
+    def test_histogram_cells_refuse_bools_and_floats(self, cells):
+        params = {"cells": cells, "heights": [1.0] * int(cells)}
+        with pytest.raises(ConfigError, match="'cells': histogram cells must be a positive integer"):
+            measure_from_config({"family": "histogram", "params": params})
 
 
 @st.composite
