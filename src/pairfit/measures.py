@@ -11,8 +11,9 @@ This module is the numerical foundation of the package.  It provides:
       caller-supplied breakpoints; its integrand must be elementwise, since
       one call evaluates the points of up to ``_LOOKAHEAD`` queued panels.
       A pending panel is a row of nine floats in one ``array('d')`` plus an
-      ``int`` heap key, about 200 bytes, so the ``_QUAD_MAX_PANELS`` budget
-      of 2^20 pending panels holds about 200 MiB;
+      ``int`` heap key, and a popped panel's row is reused: about 121 bytes
+      a panel, so the ``_QUAD_MAX_PANELS`` budget of 2^20 pending panels
+      holds about 121 MiB;
     * distances: total variation, squared Hellinger, Kullback-Leibler,
       Wasserstein-1 on [0, 1], and L_j norms of density differences, each with
       closed forms where available and quadrature otherwise;
@@ -139,6 +140,8 @@ class PartitionRef:
         support = _floats(self.support, "measure parameter 'support': histogram support")
         if len(support) != 2 or not support[1] > support[0]:
             raise ConfigError(f"histogram needs a [lo, hi] 'support' with lo < hi, got {self.support!r}")
+        if not support[1] - support[0] < math.inf:
+            raise ConfigError(f"measure parameter 'support': histogram hi - lo must be finite, got {self.support!r}")
         object.__setattr__(self, "support", support)
 
     @property
@@ -230,10 +233,12 @@ def integrate(
 
     A pending panel is one row of nine floats in an ``array('d')`` (its
     ``lo``, width, the integrand at its five nodes, its error estimate and
-    its term of the value) and one ``int`` heap key.  Rows are only ever
-    appended, so a run holds about two per pending panel: about 200 bytes
-    a panel in all, and about 200 MiB when the 2^20-panel budget
-    ``_QUAD_MAX_PANELS`` runs out.
+    its term of the value) and one ``int`` heap key.  A later push
+    overwrites the row of each popped panel, so a run holds about one row
+    per pending panel: about 121 bytes a panel in all once 2^16 are
+    pending (131 at 2^13), and about 121 MiB when the 2^20-panel budget
+    ``_QUAD_MAX_PANELS`` runs out, where the distance-table benchmark's
+    singular TV pair peaks at about 178 MiB of resident memory.
 
     Returns:
         ``(value, error_estimate)``, both finite, the estimate at most
@@ -266,81 +271,122 @@ def integrate(
             raise NumericalError(f"non-finite integrand value near x={bad.flat[0]!r}")
         return y
 
-    def quarter_points(lo: float, width: float) -> tuple[float, float, float, float]:
-        h = width / 2.0
-        return (lo + 0.25 * h, lo + 0.75 * h, lo + h + 0.25 * h, lo + h + 0.75 * h)
-
     # A pending panel is 9 floats of ``rows`` at its offset: lo, width, f at
     # the 5 quartic nodes, err and its term S_fine + (S_fine - S_coarse) / 15
-    # of the value.  Its heap key is the offset minus err's IEEE bits shifted
-    # above all offsets, so keys pop in (-err, push order) order: the bits
-    # order like the values because every err is finite and >= 0.  ``ahead``
-    # holds, by key, the quarter-point values computed ahead of a panel's
-    # bisection.  Each initial segment starts as 8 uniform panels so smooth
-    # integrands usually finish without entering the refinement loop.
+    # of the value.  A popped panel's offset goes on ``free``, for a later
+    # push to overwrite its row.  Its heap key is ``(seq << shift | offset)``
+    # minus err's IEEE bits shifted above both, where ``seq`` counts pushes,
+    # so keys pop in (-err, push order) order: the bits order like the values
+    # because every err is finite and >= 0, and no run makes 2^64 pushes.
+    # ``ahead`` holds, by key, the quarter-point values computed ahead of a
+    # panel's bisection.  Panels are settled in sibling pairs: the halves of
+    # a bisected panel, or of a quarter of an initial segment, which starts
+    # as 8 uniform panels so smooth integrands usually finish without
+    # entering the refinement loop.
     tol, max_panels, floor = _QUAD_TOL, _QUAD_MAX_PANELS, _QUAD_WIDTH_FLOOR
     wide = 2.0 * floor * max(1.0, abs(a), abs(b))  # wider panels clear the floor anywhere
-    offset_mask = (1 << 64) - 1
+    # There are never more rows than the larger of the initial panel count
+    # (8 a segment) and the budget, so every offset is below 2^shift.
+    shift = (9 * (8 * len(edges) + max_panels)).bit_length()
+    offset_mask, err_shift = (1 << shift) - 1, shift + 64
+    tick, step = 0, 1 << shift  # seq << shift for the next push
     raw = memoryview(bytearray(8))
     err_slot, err_bits = raw.cast("d"), raw.cast("Q")
     push, pop, inf = heapq.heappush, heapq.heappop, math.inf
     rows = array("d")
     row = struct.Struct("9d")
-    add_row, pack_row, read_row = rows.frombytes, row.pack, row.unpack_from
+    add_row, pack_row, write_row, read_row = rows.frombytes, row.pack, row.pack_into, row.unpack_from
     heap: list[int] = []
+    free: list[int] = []
     ahead: dict[int, list[float]] = {}
     accepted_value = accepted_err = pending_err = 0.0
 
-    new: list[tuple] = []
+    pairs: list[tuple] = []
     for seg_lo, seg_hi in zip(edges[:-1], edges[1:]):
         grid = np.linspace(seg_lo, seg_hi, 33)
         vals = evaluate(grid).tolist()
+        grid = grid.tolist()
         width = (seg_hi - seg_lo) / 8
-        new += [(lo, width, *vals[4 * k : 4 * k + 5]) for k, lo in enumerate(grid[:-1:4].tolist())]
+        pairs += [(grid[8 * j], grid[8 * j + 4], width, *vals[8 * j : 8 * j + 9]) for j in range(4)]
+    pairs.reverse()  # popped from the end, so in order
 
     while True:
-        for lo, width, f0, f1, f2, f3, f4 in new:
+        if pairs:
+            lo, mid, h, f0, f1, f2, f3, f4, f5, f6, f7, f8 = pairs.pop()
+        elif heap and pending_err + accepted_err > tol and len(heap) < max_panels:
+            key = pop(heap)
+            off = key & offset_mask
+            lo, width, f0, f2, f4, f6, f8, err, _ = read_row(rows, 8 * off)
+            free.append(off)
+            pending_err -= err
             h = width / 2.0
-            s_coarse = (width / 6.0) * (f0 + 4.0 * f2 + f4)
-            s_fine = (h / 6.0) * (f0 + 4.0 * f1 + f2) + (h / 6.0) * (f2 + 4.0 * f3 + f4)
-            gap = s_fine - s_coarse
-            err = abs(gap) / 15.0
-            if not err < inf:
-                raise NumericalError(f"Simpson sums overflow on the panel [{lo!r}, {lo + width!r}]")
-            term = s_fine + gap / 15.0
-            if width <= wide and width < floor * max(1.0, abs(lo), abs(lo + width)):
-                # Width floor: accept as-is, the panel cannot be refined further.
-                accepted_value += term
-                accepted_err += err
-                continue
-            err_slot[0] = err
-            push(heap, len(rows) - (err_bits[0] << 64))
-            add_row(pack_row(lo, width, f0, f1, f2, f3, f4, err, term))
-            pending_err += err
-        if not (heap and pending_err + accepted_err > tol and len(heap) < max_panels):
+            mid = lo + h
+            quarter = ahead.pop(key, None)
+            if quarter is None:
+                # The popped row is still intact: only the pair below overwrites it.
+                queued = [k for k in heap[: _LOOKAHEAD - 1] if k not in ahead]
+                x: list[float] = []
+                for k in (key, *queued):
+                    o = k & offset_mask
+                    qlo, qh = rows[o], rows[o + 1] / 2.0
+                    x += (qlo + 0.25 * qh, qlo + 0.75 * qh, qlo + qh + 0.25 * qh, qlo + qh + 0.75 * qh)
+                y = np.asarray(fn(np.array(x)), dtype=float).tolist()
+                quarter = y[:4]
+                for i, k in enumerate(queued, 1):
+                    ahead[k] = y[4 * i : 4 * i + 4]
+            f1, f3, f5, f7 = quarter
+            if not math.isfinite(f1 + f3 + f5 + f7):
+                # Checked only now, for a panel that is split.  ``evaluate``
+                # raises on a non-finite value; values whose sum merely
+                # overflowed come back unchanged.
+                x = [lo + 0.25 * h, lo + 0.75 * h, mid + 0.25 * h, mid + 0.75 * h]
+                f1, f3, f5, f7 = evaluate(np.array(x)).tolist()
+        else:
             break
-        key = pop(heap)
-        lo, width, f0, f1, f2, f3, f4, err, _ = read_row(rows, 8 * (key & offset_mask))
-        pending_err -= err
-        quarter = ahead.pop(key, None)
-        if quarter is None:
-            queued = [k for k in heap[: _LOOKAHEAD - 1] if k not in ahead]
-            x = list(quarter_points(lo, width))
-            for k in queued:
-                offset = k & offset_mask
-                x.extend(quarter_points(rows[offset], rows[offset + 1]))
-            y = np.asarray(fn(np.array(x)), dtype=float).tolist()
-            quarter = y[:4]
-            for i, k in enumerate(queued, 1):
-                ahead[k] = y[4 * i : 4 * i + 4]
-        q0, q1, q2, q3 = quarter
-        if not math.isfinite(q0 + q1 + q2 + q3):
-            # Checked only now, for a panel that is split.  ``evaluate``
-            # raises on a non-finite value; values whose sum merely
-            # overflowed come back unchanged.
-            q0, q1, q2, q3 = evaluate(np.array(quarter_points(lo, width))).tolist()
-        h = width / 2.0
-        new = [(lo, h, f0, q0, f1, q1, f2), (lo + h, h, f2, q2, f3, q3, f4)]
+        # Settle the two panels [lo, lo + h] on f0..f4 and [mid, mid + h] on f4..f8.
+        c, d = h / 6.0, h / 2.0 / 6.0
+        coarse = c * (f0 + 4.0 * f2 + f4)
+        fine = d * (f0 + 4.0 * f1 + f2) + d * (f2 + 4.0 * f3 + f4)
+        gap = fine - coarse
+        err = abs(gap) / 15.0
+        term = fine + gap / 15.0
+        if not err < inf:
+            raise NumericalError(f"Simpson sums overflow on the panel [{lo!r}, {lo + h!r}]")
+        if h > wide or h >= floor * max(1.0, abs(lo), abs(lo + h)):
+            err_slot[0] = err
+            if free:
+                off = free.pop()
+                write_row(rows, 8 * off, lo, h, f0, f1, f2, f3, f4, err, term)
+            else:
+                off = len(rows)
+                add_row(pack_row(lo, h, f0, f1, f2, f3, f4, err, term))
+            push(heap, tick + off - (err_bits[0] << err_shift))
+            tick += step
+            pending_err += err
+        else:  # width floor: accept as-is, the panel cannot be refined further
+            accepted_value += term
+            accepted_err += err
+        coarse = c * (f4 + 4.0 * f6 + f8)
+        fine = d * (f4 + 4.0 * f5 + f6) + d * (f6 + 4.0 * f7 + f8)
+        gap = fine - coarse
+        err = abs(gap) / 15.0
+        term = fine + gap / 15.0
+        if not err < inf:
+            raise NumericalError(f"Simpson sums overflow on the panel [{mid!r}, {mid + h!r}]")
+        if h > wide or h >= floor * max(1.0, abs(mid), abs(mid + h)):
+            err_slot[0] = err
+            if free:
+                off = free.pop()
+                write_row(rows, 8 * off, mid, h, f4, f5, f6, f7, f8, err, term)
+            else:
+                off = len(rows)
+                add_row(pack_row(mid, h, f4, f5, f6, f7, f8, err, term))
+            push(heap, tick + off - (err_bits[0] << err_shift))
+            tick += step
+            pending_err += err
+        else:
+            accepted_value += term
+            accepted_err += err
 
     value = accepted_value
     err_total = accepted_err + pending_err
@@ -512,6 +558,10 @@ class GaussianMeasure(Measure):
     def __init__(self, mean: float, sd: float = 1.0):
         self.mean = float(_finite(mean, "measure parameter 'mean': gaussian mean"))
         self.sd = _positive_finite(sd, "measure parameter 'sd': gaussian sd")
+        if not abs(self.mean) + 12.0 * self.sd < math.inf:
+            raise ConfigError(
+                f"measure parameter 'sd': gaussian window mean +/- 12 sd must be finite, got mean={mean!r}, sd={sd!r}"
+            )
 
     @property
     def params(self):
@@ -544,6 +594,10 @@ class CauchyMeasure(Measure):
     def __init__(self, loc: float, scale: float = 1.0):
         self.loc = float(_finite(loc, "measure parameter 'loc': cauchy loc"))
         self.scale = _positive_finite(scale, "measure parameter 'scale': cauchy scale")
+        if not abs(self.loc) + 2500.0 * self.scale < math.inf:
+            raise ConfigError(
+                f"measure parameter 'scale': cauchy window loc +/- 2500 scale must be finite, got loc={loc!r}, scale={scale!r}"
+            )
 
     @property
     def params(self):
@@ -582,6 +636,8 @@ class UniformMeasure(Measure):
     def __init__(self, low: float, width: float = 1.0):
         self.low = float(_finite(low, "measure parameter 'low': uniform low"))
         self.width = _positive_finite(width, "measure parameter 'width': uniform width")
+        if not self.low + self.width < math.inf:
+            raise ConfigError(f"measure parameter 'width': uniform low + width must be finite, got low={low!r}, width={width!r}")
 
     @property
     def params(self):

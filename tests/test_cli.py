@@ -1242,9 +1242,34 @@ class TestDistances:
                 {"kind": "tv"},
                 "measure parameter 'cells': histogram cells must be a positive integer, got 2.0",
             ),
+            (
+                {"family": "uniform", "params": {"low": 1e308, "width": 1e308}},
+                {"family": "gaussian", "params": {"mean": 0.0}},
+                {"kind": "tv"},
+                "measure parameter 'width': uniform low + width must be finite",
+            ),
+            (
+                {"family": "gaussian", "params": {"mean": 1e308, "sd": 1e307}},
+                {"family": "gaussian", "params": {"mean": 0.0}},
+                {"kind": "tv"},
+                "measure parameter 'sd': gaussian window mean +/- 12 sd must be finite",
+            ),
+            (
+                {"family": "cauchy", "params": {"loc": 1e308, "scale": 1e307}},
+                {"family": "cauchy", "params": {"loc": 0.0}},
+                {"kind": "hellinger2"},
+                "measure parameter 'scale': cauchy window loc +/- 2500 scale must be finite",
+            ),
+            (
+                {"family": "histogram", "params": {"support": [-1e308, 1e308], "heights": [1.0]}},
+                {"family": "gaussian", "params": {"mean": 0.0}},
+                {"kind": "tv"},
+                "measure parameter 'support': histogram hi - lo must be finite",
+            ),
         ],
         ids=["bool-and-string-mean", "nan-mass", "infinite-support", "infinite-at", "huge-mean",
-             "huge-width", "huge-point", "bool-cells", "float-cells"],
+             "huge-width", "huge-point", "bool-cells", "float-cells", "uniform-window-overflow",
+             "gaussian-window-overflow", "cauchy-window-overflow", "histogram-width-overflow"],
     )
     def test_bad_measure_parameters_exit_two_and_write_nothing(self, tmp_path, capsys, p, q, loss_cfg, message):
         # Each of these exited 0 with a wrong value, or 1 with OverflowError.

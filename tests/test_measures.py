@@ -327,6 +327,33 @@ class TestIntegrateMatchesReference:
         assert err > _QUAD_TOL  # the budget ran out: `cap` panels were pending
         assert peak / cap <= 250.0
 
+    def test_popped_rows_are_reused(self, monkeypatch):
+        # Rows that were only appended held about two per pending panel,
+        # 201.8 bytes a panel in all at this cap.
+        cap = 1 << 13
+        monkeypatch.setattr(measures, "_QUAD_MAX_PANELS", cap)
+        fn, a, b, cuts = _singular_tv_integrand()
+        tracemalloc.start()
+        try:
+            _, err = integrate(fn, a, b, cuts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err > _QUAD_TOL  # the budget ran out: `cap` panels were pending
+        assert peak / cap <= 150.0
+
+    def test_bitwise_equal_when_initial_panels_exceed_the_budget(self, monkeypatch):
+        # 2,000 breakpoints give 16,008 initial panels, 62 times the patched
+        # budget, so their row offsets outgrow any key field sized from the
+        # budget alone.
+        monkeypatch.setattr(measures, "_QUAD_MAX_PANELS", 1 << 8)
+        monkeypatch.setattr(sys.modules[__name__], "_QUAD_MAX_PANELS", 1 << 8)
+        fn, a, b = lambda x: np.abs(np.sin(x)), 0.0, 30.0
+        brk = np.linspace(a, b, 2002)[1:-1].tolist()
+        got = integrate(fn, a, b, brk)
+        assert got[1] > _QUAD_TOL  # stopped by the budget, not the tolerance
+        assert _hex(got) == _hex(_reference_integrate(fn, a, b, brk))
+
     @pytest.mark.parametrize("bisection", [0, 1, 500, -1])
     def test_split_panel_non_finite_raises_reference_message(self, bisection):
         fn, a, b, brk = _sin_integrand()
@@ -997,6 +1024,25 @@ class TestParameterRefusals:
         with pytest.raises(ConfigError, match=named):
             measure_from_config(cfg)
         with pytest.raises(ConfigError, match=named):
+            CONSTRUCTORS[family](params)
+
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("uniform", {"low": 1e308, "width": 1e308}, "measure parameter 'width': uniform low + width must be finite"),
+            ("gaussian", {"mean": 1e308, "sd": 1e307}, "measure parameter 'sd': gaussian window mean +/- 12 sd must be finite"),
+            ("gaussian", {"mean": -1e308, "sd": 1e307}, "measure parameter 'sd': gaussian window mean +/- 12 sd must be finite"),
+            ("cauchy", {"loc": 1e308, "scale": 1e307}, "measure parameter 'scale': cauchy window loc +/- 2500 scale must be finite"),
+            ("histogram", {"cells": 1, "support": [-1e308, 1e308], "heights": [1.0]}, "measure parameter 'support': histogram hi - lo must be finite"),
+        ],
+        ids=["uniform", "gaussian", "gaussian-negative", "cauchy", "histogram"],
+    )
+    def test_windows_that_overflow_are_refused(self, family, params, message):
+        # Every parameter is finite, but the window or the width overflowed:
+        # these built, then failed with exit 3 and numpy RuntimeWarnings.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            measure_from_config({"family": family, "params": params})
+        with pytest.raises(ConfigError, match=re.escape(message)):
             CONSTRUCTORS[family](params)
 
     @pytest.mark.parametrize("cells", [True, 2.0])
