@@ -32,6 +32,7 @@ from .testfam import (
     ScoreFunction,
     partition_pair_table,
     score,
+    translation_pair_table,
 )
 
 __all__ = [
@@ -144,6 +145,9 @@ class EngineStats:
         pairs: unordered candidate pairs, m(m-1)/2.
         components: the piecewise table's components; None for other backends.
         cuts: the piecewise table's distinct cut points; None for other backends.
+        compiled: True when a whole-model builder (``partition_pair_table`` or
+            ``translation_pair_table``) compiled the piecewise table in one
+            pass; False when the scores were built pair by pair.
         build_seconds: wall time of the engine's construction.
     """
 
@@ -151,6 +155,7 @@ class EngineStats:
     pairs: int
     components: int | None
     cuts: int | None
+    compiled: bool
     build_seconds: float
 
 
@@ -158,8 +163,10 @@ class PairwiseEngine:
     """Precompiled pair scores for one (loss, model), reusable across samples.
 
     Construction builds the score of every unordered candidate pair once.
-    When ``partition_pair_table`` compiles all pairs together, no per-pair
-    score is built.
+    When a whole-model builder compiles all pairs together, no per-pair
+    score is built: ``partition_pair_table`` covers histograms on one
+    partition (TV, L_j, L_inf) and ``translation_pair_table`` TV on Gaussian,
+    Cauchy or uniform candidates of one shared ``sd``, ``scale`` or ``width``.
     Evaluation picks the fastest applicable backend: a value-matrix product
     when all scores live on one shared finite space, a sweep over the
     table's distinct cut points when all scores are piecewise linear (with
@@ -194,6 +201,7 @@ class PairwiseEngine:
             self._gather[(i + 1) * m + i :: m] = pairs + self._n_pairs
             start = stop
         cands = self.model.candidates
+        compiled = False
         if self.model.product_form == "tuples":
             self._mode = "tuple"
             self._coord_scores = [
@@ -205,7 +213,10 @@ class PairwiseEngine:
             ]
         else:
             table = partition_pair_table(spec, cands)
-            if table is not None:
+            if table is None:
+                table = translation_pair_table(spec, cands)
+            compiled = table is not None
+            if compiled:
                 self._mode = "piecewise"
                 self._table = table
                 # Every compiled family's data-free part is its base.
@@ -223,6 +234,7 @@ class PairwiseEngine:
             pairs=self._n_pairs,
             components=None if table is None else len(table.pair),
             cuts=None if table is None else len(table.cuts),
+            compiled=compiled,
             build_seconds=time.perf_counter() - started,
         )
 

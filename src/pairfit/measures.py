@@ -111,6 +111,26 @@ def _finite_entries(values, name: str) -> np.ndarray:
     return np.array(_floats(values, name))
 
 
+def _narrow_window(family: str, key: str, lo: float, hi: float) -> ConfigError:
+    """The refusal of a window ``[lo, hi]`` narrower than the quadrature width floor at its location.
+
+    Every constructor of a continuous measure refuses a window whose width
+    (24 sd, 5000 scale, the uniform width, 1 for a power law, ``hi - lo``
+    for a histogram) is below ``_QUAD_WIDTH_FLOOR`` times ``max(|lo|,
+    |hi|)``, its reach.  Such a window has collapsed, or nearly, in floating point (``shift + 1
+    == shift`` at 1e308, ``low + width == low`` at 1e17), so its density is
+    not resolved on any float grid and its distances come out silently
+    wrong.  The floor is relative to the reach alone: a narrow window near 0
+    is exactly representable.  Each constructor writes the test out from
+    the width and reach it already has, which keeps building a measure
+    about as cheap as before.
+    """
+    return ConfigError(
+        f"measure parameter '{key}': {family} window [{lo!r}, {hi!r}] is narrower than "
+        f"{_QUAD_WIDTH_FLOOR:.3g} times its largest end, too narrow for quadrature at that location"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Reference measures
 # ---------------------------------------------------------------------------
@@ -140,8 +160,11 @@ class PartitionRef:
         support = _floats(self.support, "measure parameter 'support': histogram support")
         if len(support) != 2 or not support[1] > support[0]:
             raise ConfigError(f"histogram needs a [lo, hi] 'support' with lo < hi, got {self.support!r}")
-        if not support[1] - support[0] < math.inf:
+        lo, hi = support
+        if not hi - lo < math.inf:
             raise ConfigError(f"measure parameter 'support': histogram hi - lo must be finite, got {self.support!r}")
+        if hi - lo < _QUAD_WIDTH_FLOOR * max(hi, -lo):
+            raise _narrow_window("histogram", "support", lo, hi)
         object.__setattr__(self, "support", support)
 
     @property
@@ -245,7 +268,8 @@ def integrate(
         ``_QUAD_ERR_BUDGET``.
 
     Raises:
-        NumericalError: if the integrand returns a non-finite value at a
+        NumericalError: if ``b - a`` overflows, which no grid can span; if
+            the integrand returns a non-finite value at a
             point the rule uses (a queued panel that is never split does not
             count), a panel's Simpson sums or the value overflow, or the
             error estimate ends above ``_QUAD_ERR_BUDGET``.
@@ -256,6 +280,8 @@ def integrate(
         raise NumericalError(f"integration interval must be finite, got [{a}, {b}]")
     if b <= a:
         return 0.0, 0.0
+    if not b - a < math.inf:
+        raise NumericalError(f"integration interval [{a}, {b}] is wider than the largest float")
 
     edges = [a, b]
     for p in breakpoints:
@@ -413,9 +439,12 @@ def sign_change_points(
     The probe grid is the union of ``_PROBE_COUNT`` equispaced points and the given
     breakpoints.  Strict sign flips between adjacent probes are refined by
     bisection; probe points where ``fn`` is exactly zero are returned as-is.
+    Raises ``NumericalError`` if ``b - a`` overflows, before any probe.
     """
     if b <= a:
         return []
+    if not b - a < math.inf:
+        raise NumericalError(f"sign-change search interval [{a}, {b}] is wider than the largest float")
     grid = np.linspace(a, b, _PROBE_COUNT)
     extra = [float(p) for p in breakpoints if a < p < b]
     if extra:
@@ -558,10 +587,13 @@ class GaussianMeasure(Measure):
     def __init__(self, mean: float, sd: float = 1.0):
         self.mean = float(_finite(mean, "measure parameter 'mean': gaussian mean"))
         self.sd = _positive_finite(sd, "measure parameter 'sd': gaussian sd")
-        if not abs(self.mean) + 12.0 * self.sd < math.inf:
+        reach = abs(self.mean) + 12.0 * self.sd  # max(|lo|, |hi|) of the window
+        if not reach < math.inf:
             raise ConfigError(
                 f"measure parameter 'sd': gaussian window mean +/- 12 sd must be finite, got mean={mean!r}, sd={sd!r}"
             )
+        if 24.0 * self.sd < _QUAD_WIDTH_FLOOR * reach:
+            raise _narrow_window("gaussian", "sd", *self.window())
 
     @property
     def params(self):
@@ -594,10 +626,13 @@ class CauchyMeasure(Measure):
     def __init__(self, loc: float, scale: float = 1.0):
         self.loc = float(_finite(loc, "measure parameter 'loc': cauchy loc"))
         self.scale = _positive_finite(scale, "measure parameter 'scale': cauchy scale")
-        if not abs(self.loc) + 2500.0 * self.scale < math.inf:
+        reach = abs(self.loc) + 2500.0 * self.scale  # max(|lo|, |hi|) of the window
+        if not reach < math.inf:
             raise ConfigError(
                 f"measure parameter 'scale': cauchy window loc +/- 2500 scale must be finite, got loc={loc!r}, scale={scale!r}"
             )
+        if 5000.0 * self.scale < _QUAD_WIDTH_FLOOR * reach:
+            raise _narrow_window("cauchy", "scale", *self.window())
 
     @property
     def params(self):
@@ -605,7 +640,9 @@ class CauchyMeasure(Measure):
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
-        return 1.0 / (math.pi * self.scale * (1.0 + z * z))
+        # Far in the tails z * z overflows to inf and the density reads 0.
+        with np.errstate(over="ignore"):
+            return 1.0 / (math.pi * self.scale * (1.0 + z * z))
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.loc) / self.scale
@@ -636,8 +673,11 @@ class UniformMeasure(Measure):
     def __init__(self, low: float, width: float = 1.0):
         self.low = float(_finite(low, "measure parameter 'low': uniform low"))
         self.width = _positive_finite(width, "measure parameter 'width': uniform width")
-        if not self.low + self.width < math.inf:
+        hi = self.low + self.width
+        if not hi < math.inf:
             raise ConfigError(f"measure parameter 'width': uniform low + width must be finite, got low={low!r}, width={width!r}")
+        if self.width < _QUAD_WIDTH_FLOOR * (hi if hi > -self.low else -self.low):
+            raise _narrow_window("uniform", "width", self.low, hi)
 
     @property
     def params(self):
@@ -681,6 +721,9 @@ class PowerMeasure(Measure):
     def __init__(self, alpha: float, shift: float = 0.0):
         self.alpha = _positive_finite(alpha, "measure parameter 'alpha': power alpha")
         self.shift = float(_finite(shift, "measure parameter 'shift': power shift"))
+        hi = self.shift + 1.0
+        if 1.0 < _QUAD_WIDTH_FLOOR * (hi if hi > -self.shift else -self.shift):
+            raise _narrow_window("power", "shift", self.shift, hi)
 
     @property
     def params(self):

@@ -44,6 +44,7 @@ import numpy as np
 from .errors import ConfigError
 from .losses import LossSpec, _linf_partition, _lj_scale, loss
 from .measures import (
+    _FAMILIES as _MEASURE_FAMILIES,
     DiscreteMeasure,
     DiscreteRef,
     HistogramMeasure,
@@ -72,6 +73,7 @@ __all__ = [
     "PiecewiseTable",
     "score",
     "partition_pair_table",
+    "translation_pair_table",
     "check_assumptions_exact",
     "check_cond3bis",
     "c1_constant",
@@ -174,19 +176,28 @@ class PiecewiseTable:
     slope: np.ndarray | None
 
     @classmethod
+    def from_components(cls, bases, pair, lo, hi, const, slope=None) -> "PiecewiseTable":
+        """The table whose component ``c`` spans ``[lo[c], hi[c])``, ends given as values.
+
+        The one place the distinct ends become ``cuts`` and the components'
+        indices into them: a builder that passes the ends ``from_scores``
+        would pass, in the same order, gets its table bitwise.
+        """
+        cuts, ends = np.unique(np.stack([lo, hi]), return_inverse=True)
+        ends = ends.reshape(2, -1)
+        return cls(bases, pair, cuts, ends[0], ends[1], const, slope)
+
+    @classmethod
     def from_scores(cls, scores: Sequence[PiecewiseScore]) -> "PiecewiseTable":
         pair = [p for p, t in enumerate(scores) for _ in t.components]
         flat = np.asarray([c for t in scores for c in t.components], dtype=float).reshape(-1, 4)
-        cuts, ends = np.unique(flat[:, :2].T, return_inverse=True)
-        ends = ends.reshape(2, -1)
-        return cls(
-            bases=np.array([t.base for t in scores], dtype=float),
-            pair=np.asarray(pair, dtype=np.intp),
-            cuts=cuts,
-            lo=ends[0],
-            hi=ends[1],
-            const=flat[:, 2],
-            slope=flat[:, 3] if flat[:, 3].any() else None,
+        return cls.from_components(
+            np.array([t.base for t in scores], dtype=float),
+            np.asarray(pair, dtype=np.intp),
+            flat[:, 0],
+            flat[:, 1],
+            flat[:, 2],
+            flat[:, 3] if flat[:, 3].any() else None,
         )
 
 
@@ -229,7 +240,7 @@ def _tv_score(P: Measure, Q: Measure) -> ScoreFunction:
     regions = _tv_sign_regions(P, Q, kind)
     # -1/2 where p > q, +1/2 where q > p.
     comps = [(ea, ec, -0.5 * s, 0.0) for _, _, s, ea, ec in regions if s != 0.0]
-    if kind in ("gaussian", "cauchy", "uniform"):
+    if kind in _TRANSLATION_LOCATIONS:
         # P(p > q) = Q(q > p) exactly for equal-shape translation pairs, so
         # the data-free term vanishes and no probability is computed;
         # computing the difference would leave half-ulp dust that the
@@ -243,6 +254,41 @@ def _tv_score(P: Measure, Q: Measure) -> ScoreFunction:
         elif s < 0:
             prob_q_gt += _interval_prob(Q, a, c)
     return PiecewiseScore(0.5 * (prob_p_gt - prob_q_gt), comps)
+
+
+# The equal-shape translation kinds whose TV sign regions ``_translation_regions``
+# gives in closed form, each with the parameter its measures move.
+_TRANSLATION_LOCATIONS = {kind: _MEASURE_FAMILIES[kind].location for kind in ("gaussian", "cauchy", "uniform")}
+
+
+def _translation_regions(kind: str, cp, cq, window_p, window_q) -> tuple:
+    """The two sign regions of p - q for equal-shape translation pairs, elementwise.
+
+    The one statement of the rule, for one pair (``_tv_sign_regions``) and
+    for arrays of pairs (``translation_pair_table``).  ``kind`` is a key of
+    ``_TRANSLATION_LOCATIONS``, ``cp != cq`` are the locations and
+    ``window_p``, ``window_q`` the measures' ``(lo, hi)`` windows.  Returns
+    ``(s, a1, c1, a2, e2, c2)``: p - q has sign ``s`` on ``[a1, c1]`` and
+    ``-s`` on ``[a2, c2]``, and the score evaluates the two regions on
+    ``[a1, c1)`` and ``[e2, c2)``.  Ties resolve as ``min`` and ``max`` of
+    Python floats resolve them, so signed zeros come out as a scalar rule's.
+    """
+    (lo_p, hi_p), (lo_q, hi_q) = window_p, window_q
+    p_lower = cp < cq
+    s = np.where(p_lower, 1.0, -1.0)
+    if kind == "uniform":
+        # Supports are right-open, so both regions are naturally [lo, hi).
+        low, up = np.where(p_lower, cp, cq), np.where(p_lower, cq, cp)
+        end, up_end = np.where(p_lower, hi_p, hi_q), np.where(p_lower, hi_q, hi_p)
+        c1 = np.where(end < up, end, up)  # min(up, end): end of the lower-only stretch
+        c2 = np.where(up > end, up, end)  # max(end, up): start of the upper-only stretch
+        return s, low, c1, c2, c2, up_end
+    # Gaussian and Cauchy: p > q strictly on the side nearer P's centre, over
+    # the union window; the densities tie at mid.
+    lo = np.where(lo_q < lo_p, lo_q, lo_p)
+    hi = np.where(hi_q > hi_p, hi_q, hi_p)
+    mid = 0.5 * (cp + cq)
+    return s, lo, mid, mid, _UP(mid, math.inf), hi
 
 
 def _tv_sign_regions(P: Measure, Q: Measure, kind: str) -> list[tuple[float, float, float, float, float]]:
@@ -262,28 +308,14 @@ def _tv_sign_regions(P: Measure, Q: Measure, kind: str) -> list[tuple[float, flo
     zero regions stay as probed, since a merged one may not read 0 at its
     midpoint.
     """
-    if kind in ("gaussian", "cauchy"):
-        cp, cq = (P.mean, Q.mean) if kind == "gaussian" else (P.loc, Q.loc)
+    if kind in _TRANSLATION_LOCATIONS:
+        location = _TRANSLATION_LOCATIONS[kind]
+        cp, cq = getattr(P, location), getattr(Q, location)
         if cp == cq:
             return []
-        mid = 0.5 * (cp + cq)
-        lo, hi = _union_window(P, Q)
-        s = 1.0 if cp < cq else -1.0
-        # p > q strictly on the side nearer P's center; the densities tie at mid.
-        return [(lo, mid, s, lo, mid), (mid, hi, -s, _UP(mid, math.inf), hi)]
-    if kind == "uniform":
-        if P.low == Q.low:
-            return []
-        if P.low > Q.low:
-            return [(a, c, -s, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(Q, P, kind)]
-        w = P.width
-        c1 = min(Q.low, P.low + w)  # end of the {p > q} stretch
-        c2 = max(P.low + w, Q.low)  # start of the {q > p} stretch
-        # Supports are right-open, so both regions are naturally [lo, hi).
-        return [
-            (P.low, c1, 1.0, P.low, c1),
-            (c2, Q.low + w, -1.0, c2, Q.low + w),
-        ]
+        regions = _translation_regions(kind, cp, cq, P.window(), Q.window())
+        s, a1, c1, a2, e2, c2 = (float(v) for v in regions)
+        return [(a1, c1, s, a1, c1), (a2, c2, -s, e2, c2)]
     if kind == "power" and P.alpha != 1.0:
         if P.shift == Q.shift:
             return []
@@ -626,6 +658,46 @@ def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(counts == c)
         out[rows] = values[rows][mask[rows]].reshape(-1, c).sum(axis=1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# All TV pairs of an equal-shape translation model at once
+# ---------------------------------------------------------------------------
+
+
+def translation_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> PiecewiseTable | None:
+    """TV scores of every pair ``i < k`` of ``candidates``, compiled at once.
+
+    Applies when the family is TV and every candidate is a Gaussian, Cauchy
+    or uniform measure with one shared ``sd``, ``scale`` or ``width``: the
+    pairs whose score ``_tv_score`` builds from ``_translation_regions``
+    alone, with base 0 and no probability.  Returns None otherwise, checking
+    the family first.  Pairs come in ``np.triu_indices(m, 1)`` order, and a
+    pair with equal locations has no component.  The table is bitwise the
+    one ``PiecewiseTable.from_scores`` builds from the per-pair ``score``
+    calls: the same formula gives the same ends, passed to
+    ``PiecewiseTable.from_components`` in the same order.
+    """
+    if spec.kind != "tv":
+        return None
+    first = candidates[0]
+    kind = pair_kind(first, first)
+    if kind not in _TRANSLATION_LOCATIONS or any(pair_kind(first, c) != kind for c in candidates):
+        return None
+    loc = np.array([getattr(c, _TRANSLATION_LOCATIONS[kind]) for c in candidates])
+    lo, hi = np.array([c.window() for c in candidates]).T
+    iu, ku = np.triu_indices(len(loc), 1)
+    rows = np.flatnonzero(loc[iu] != loc[ku])
+    i, k = iu[rows], ku[rows]
+    s, a1, c1, _, e2, c2 = _translation_regions(kind, loc[i], loc[k], (lo[i], hi[i]), (lo[k], hi[k]))
+
+    def by_pair(first_region, second_region):
+        return np.stack([first_region, second_region], axis=1).ravel()
+
+    # -1/2 where p > q, +1/2 where q > p, as ``_tv_score`` writes them.
+    return PiecewiseTable.from_components(
+        np.zeros(len(iu)), np.repeat(rows, 2), by_pair(a1, e2), by_pair(c1, c2), -0.5 * by_pair(s, -s)
+    )
 
 
 # ---------------------------------------------------------------------------

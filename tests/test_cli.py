@@ -1279,6 +1279,63 @@ class TestDistances:
         assert err.startswith("config error:") and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "p, q, key",
+        [
+            (
+                {"family": "uniform", "params": {"low": 1e17, "width": 1.0}},
+                {"family": "uniform", "params": {"low": 1e17, "width": 2.0}},
+                "width",
+            ),
+            (
+                {"family": "uniform", "params": {"low": 0.0, "width": 1.0}},
+                {"family": "power", "params": {"alpha": 0.5, "shift": 1e308}},
+                "shift",
+            ),
+            (
+                {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                {"family": "uniform", "params": {"low": 1e17, "width": 1.0}},
+                "width",
+            ),
+        ],
+        ids=["uniforms-at-1e17", "power-at-1e308", "gaussian-and-uniform-at-1e17"],
+    )
+    def test_collapsed_windows_exit_two_and_write_nothing(self, tmp_path, capsys, p, q, key):
+        # These read TV 0.0 (it is 0.5) and 0.50000004 (it is 1), and the
+        # third exited 3 only after the 2^20-panel budget ran out.
+        path = write_config(tmp_path, "d.json", {"pairs": [{"p": p, "q": q}], "losses": [{"kind": "tv"}]})
+        assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: measure parameter '{key}'") and "narrower than" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_window_wider_than_the_largest_float_exits_three(self, tmp_path, capsys):
+        # Before, np.linspace overflowed with a RuntimeWarning first.
+        wide = {
+            "family": "mixture",
+            "params": {
+                "base": {"family": "gaussian", "params": {"mean": -1e308, "sd": 1e300}},
+                "alpha": 0.5,
+                "contaminant": {"family": "gaussian", "params": {"mean": 1e308, "sd": 1e300}},
+            },
+        }
+        doc = {"pairs": [{"p": wide, "q": {"family": "gaussian", "params": {"mean": 0.0}}}], "losses": [{"kind": "tv"}]}
+        path = write_config(tmp_path, "d.json", doc)
+        assert cli.main(["distances", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "wider than the largest float" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_cauchy_far_tail_exits_zero_without_warning(self, tmp_path):
+        cauchy = lambda scale: {"family": "cauchy", "params": {"loc": 0.0, "scale": scale}}
+        doc = {"pairs": [{"p": cauchy(1.0), "q": cauchy(1e155)}], "losses": [{"kind": "tv"}]}
+        path = write_config(tmp_path, "d.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["distances", "--config", str(path), "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "records.csv").read_text().splitlines()))
+        assert [float(row["value"]) for row in rows] == [1.0]
+
     def test_discrete_weights_take_points_in_any_order(self, tmp_path):
         outputs = []
         for tag, points, masses, weights in (("shuffled", [1, 0], [0.25, 0.75], [2, 1]), ("sorted", [0, 1], [0.75, 0.25], [1, 2])):

@@ -3,12 +3,14 @@
 import functools
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairfit import estimator
 from pairfit.errors import ConfigError
 from pairfit.estimator import (
     Model,
@@ -33,7 +35,13 @@ from pairfit.measures import (
 )
 from pairfit.models import build
 from pairfit.robust_tests import run_test
-from pairfit.testfam import PiecewiseScore, PiecewiseTable, partition_pair_table, score
+from pairfit.testfam import (
+    PiecewiseScore,
+    PiecewiseTable,
+    partition_pair_table,
+    score,
+    translation_pair_table,
+)
 
 
 def two_point_tv_model():
@@ -437,11 +445,13 @@ class TestPartitionPairTable:
         assert len(calls) == 3
 
     def test_non_histogram_model_takes_per_pair_path(self, monkeypatch):
-        model = [GaussianMeasure(c) for c in (-0.5, 0.0, 0.5)]
+        # Unequal sds: no whole-model builder covers these Gaussians.
+        model = [GaussianMeasure(-0.5), GaussianMeasure(0.0, 2.0), GaussianMeasure(0.5)]
         calls = count_score_calls(monkeypatch)
         eng = PairwiseEngine(LossSpec.tv(), model)
         assert len(calls) == 3
         assert eng._mode == "piecewise"
+        assert eng.stats.compiled is False
 
     def test_uncompiled_family_takes_per_pair_path(self, monkeypatch):
         part = PartitionRef(4, (0.0, 1.0))
@@ -458,11 +468,22 @@ class TestPartitionPairTable:
             PairwiseEngine(LossSpec.linf(D=5), model)
 
     @pytest.mark.parametrize(
-        "spec",
-        [LossSpec.hellinger2(), LossSpec.kl(a=1.0), LossSpec.wasserstein1()],
-        ids=["hellinger2", "kl", "wasserstein1"],
+        "builder, spec",
+        [(partition_pair_table, spec) for spec in (LossSpec.hellinger2(), LossSpec.kl(a=1.0), LossSpec.wasserstein1())]
+        + [
+            (translation_pair_table, spec)
+            for spec in (
+                LossSpec.hellinger2(),
+                LossSpec.kl(a=1.0),
+                LossSpec.wasserstein1(),
+                LossSpec.lj(j=2.0, R=2.0),
+                LossSpec.linf(D=4),
+            )
+        ],
+        ids=["hellinger2", "kl", "wasserstein1"]
+        + [f"translation-{k}" for k in ("hellinger2", "kl", "wasserstein1", "lj", "linf")],
     )
-    def test_other_families_return_before_reading_candidates(self, spec):
+    def test_other_families_return_before_reading_candidates(self, builder, spec):
         class Unread(list):
             def __iter__(self):
                 raise AssertionError("candidates were read")
@@ -470,7 +491,103 @@ class TestPartitionPairTable:
             def __getitem__(self, index):
                 raise AssertionError("candidates were read")
 
-        assert partition_pair_table(spec, Unread()) is None
+        assert builder(spec, Unread()) is None
+
+
+_TRANSLATION_FAMILIES = {"gaussian": GaussianMeasure, "cauchy": CauchyMeasure, "uniform": UniformMeasure}
+
+
+@st.composite
+def translation_grids(draw):
+    """Equal-shape Gaussian, Cauchy or uniform models, with repeated locations and both zeros."""
+    family = draw(st.sampled_from(sorted(_TRANSLATION_FAMILIES)))
+    shape = draw(st.sampled_from([1.0, 0.25, 3.0, 1e-3]))
+    location = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 12.0, -3.0]) | st.floats(-50.0, 50.0, allow_nan=False)
+    locations = draw(st.lists(location, min_size=2, max_size=12))
+    return [_TRANSLATION_FAMILIES[family](c, shape) for c in locations]
+
+
+def assert_tables_bitwise_equal(got, want):
+    for field in ("bases", "pair", "cuts", "lo", "hi", "const"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.shape == w.shape, field
+        assert g.tobytes() == w.tobytes(), field
+    assert got.slope is None and want.slope is None
+
+
+class TestTranslationPairTable:
+    """Equal-shape translation models compile every TV pair at once, bitwise as pair by pair."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cands=translation_grids(), data=st.data())
+    def test_bitwise_equal_to_per_pair_scores_and_engine(self, cands, data):
+        spec = LossSpec.tv()
+        scores = [score(spec, P, Q) for P, Q in combinations(cands, 2)]
+        assert_tables_bitwise_equal(translation_pair_table(spec, cands), PiecewiseTable.from_scores(scores))
+        eng = PairwiseEngine(spec, cands)
+        assert eng.stats.compiled is True and eng._mode == "piecewise"
+        with mock.patch.object(estimator, "translation_pair_table", lambda spec, candidates: None):
+            per_pair = PairwiseEngine(spec, cands)
+        assert per_pair.stats.compiled is False and per_pair._mode == "piecewise"
+        # Observations on and one ulp beside every cut, plus a few anywhere.
+        cuts = eng._table.cuts
+        near = np.concatenate([cuts, np.nextafter(cuts, -math.inf), np.nextafter(cuts, math.inf)])
+        picks = data.draw(st.lists(st.integers(0, len(near) - 1), min_size=1, max_size=40)) if len(near) else []
+        extra = data.draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False), max_size=10))
+        sample = np.concatenate([near[picks], extra, [0.0]])
+        assert eng.statistic_matrix(sample).tobytes() == per_pair.statistic_matrix(sample).tobytes()
+        assert eng.constant_parts.tobytes() == per_pair.constant_parts.tobytes()
+
+    @pytest.mark.parametrize(
+        "cands",
+        [
+            [UniformMeasure(-3.0, 3.0), UniformMeasure(-0.0, 3.0), UniformMeasure(0.0, 3.0)],
+            [UniformMeasure(-0.0, 3.0), UniformMeasure(-3.0, 3.0), UniformMeasure(3.0, 3.0)],
+            [GaussianMeasure(-1.0), GaussianMeasure(1.0), GaussianMeasure(-0.0), GaussianMeasure(0.0)],
+            [CauchyMeasure(-0.0, 0.5), CauchyMeasure(2.0, 0.5), CauchyMeasure(0.0, 0.5), CauchyMeasure(2.0, 0.5)],
+        ],
+        ids=["uniform-ends-tie-at-zero", "uniform-reversed", "gaussian-mid-at-zero", "cauchy-repeats"],
+    )
+    def test_signed_zero_ties(self, cands):
+        # Where two region ends tie at 0 with opposite signs, the compiled
+        # table keeps the one the scalar rule keeps.
+        spec = LossSpec.tv()
+        scores = [score(spec, P, Q) for P, Q in combinations(cands, 2)]
+        assert_tables_bitwise_equal(translation_pair_table(spec, cands), PiecewiseTable.from_scores(scores))
+
+    def test_uniform_tie_keeps_the_scalar_rule_zeros(self):
+        # U(-3, 3) ends at 0.0 where U(-0, 3) starts: min(-0.0, 0.0) keeps
+        # the start's -0.0 as the first region's end, max(0.0, -0.0) the
+        # end's 0.0 as the second region's start, as the per-pair rule did
+        # before it moved into _translation_regions.
+        lower, upper = UniformMeasure(-3.0, 3.0), UniformMeasure(-0.0, 3.0)
+        for P, Q, s in ((lower, upper, 1.0), (upper, lower, -1.0)):
+            comps = score(LossSpec.tv(), P, Q).components
+            assert comps == ((-3.0, 0.0, -0.5 * s, 0.0), (0.0, 3.0, 0.5 * s, 0.0))
+            assert [math.copysign(1.0, v) for v in (comps[0][1], comps[1][0])] == [-1.0, 1.0]
+
+    def test_grid_sim_model(self, monkeypatch):
+        model = build({"family": "gaussian-location-grid", "d": 1, "lo": -1.0, "hi": 1.0, "step": 0.02})
+        spec = LossSpec.tv()
+        scores = [score(spec, P, Q) for P, Q in combinations(model.candidates, 2)]
+        calls = count_score_calls(monkeypatch)
+        eng = PairwiseEngine(spec, model)
+        assert not calls
+        assert_tables_bitwise_equal(eng._table, PiecewiseTable.from_scores(scores))
+        assert (eng.stats.components, eng.stats.cuts, eng.stats.compiled) == (10100, 983, True)
+
+    @pytest.mark.parametrize(
+        "spec, cands",
+        [
+            (LossSpec.tv(), [GaussianMeasure(0.0), GaussianMeasure(1.0, 2.0)]),
+            (LossSpec.tv(), [GaussianMeasure(0.0), CauchyMeasure(1.0)]),
+            (LossSpec.tv(), [UniformMeasure(0.0), UniformMeasure(0.5, 2.0)]),
+            (LossSpec.hellinger2(), [GaussianMeasure(0.0), GaussianMeasure(1.0)]),
+        ],
+        ids=["unequal-sd", "mixed-families", "unequal-width", "hellinger"],
+    )
+    def test_other_models_return_none(self, spec, cands):
+        assert translation_pair_table(spec, cands) is None
 
 
 class TestMatrixFill:
@@ -775,6 +892,8 @@ class TestEngineStats:
             assert (stats.components, stats.cuts) == (len(eng._table.pair), len(eng._table.cuts))
         else:
             assert stats.components is None and stats.cuts is None
+        # Equal-sd Gaussians under TV compile at once; the others go pair by pair.
+        assert stats.compiled is (backend == "piecewise-constant")
 
     def test_compiled_partition_table_sizes(self):
         # TV on one 4-cell partition: a component per cell where the heights
@@ -783,6 +902,7 @@ class TestEngineStats:
         cands = [HistogramMeasure(part, h) for h in ([1, 1, 1, 1], [2, 0, 1, 1], [2, 0, 0, 2])]
         stats = PairwiseEngine(LossSpec.tv(), cands).stats
         assert (stats.backend, stats.pairs, stats.components, stats.cuts) == ("piecewise", 3, 2 + 4 + 2, 5)
+        assert stats.compiled is True
 
     def test_read_only(self):
         eng = _block_engine("atom", 3)

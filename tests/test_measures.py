@@ -1045,6 +1045,60 @@ class TestParameterRefusals:
         with pytest.raises(ConfigError, match=re.escape(message)):
             CONSTRUCTORS[family](params)
 
+    @pytest.mark.parametrize(
+        "family, params, key",
+        [
+            ("uniform", {"low": 1e17, "width": 1.0}, "width"),
+            ("uniform", {"low": 1e17, "width": 2.0}, "width"),
+            ("power", {"alpha": 0.5, "shift": 1e308}, "shift"),
+            ("gaussian", {"mean": 1e17, "sd": 1e-3}, "sd"),
+            ("cauchy", {"loc": -1e305, "scale": 1.0}, "scale"),
+            ("histogram", {"cells": 2, "support": [1e17, 1e17 + 16.0], "heights": [1.0, 1.0]}, "support"),
+        ],
+        ids=["uniform-width-1", "uniform-width-2", "power", "gaussian", "cauchy", "histogram"],
+    )
+    def test_windows_that_collapse_are_refused(self, family, params, key):
+        # Each window is finite but at most a few ulps wide at its location.
+        # Before, TV(U(1e17, 1), U(1e17, 2)) read 0.0 (it is 0.5),
+        # TV(U(0, 1), Power(0.5, 1e308)) read 0.50000004 (it is 1), and
+        # hellinger_sq(C(-1e305, 1), C(1e305, 1)) warned of overflows.
+        message = re.escape(f"measure parameter '{key}': {family} window [")
+        with pytest.raises(ConfigError, match=message + ".*narrower than"):
+            measure_from_config({"family": family, "params": params})
+        with pytest.raises(ConfigError, match=message + ".*narrower than"):
+            CONSTRUCTORS[family](params)
+
+    def test_narrow_windows_that_stay_representable_build(self):
+        # The floor is relative to the window's largest end: a width of
+        # 8e-155 at 0, and of 1 at 1e13 (seven floors), are exact enough.
+        assert UniformMeasure(0.0, 8e-155).window() == (0.0, 8e-155)
+        assert UniformMeasure(1e13, 1.0).window() == (1e13, 1e13 + 1.0)
+        assert tv_distance(UniformMeasure(1e13, 1.0), UniformMeasure(1e13 + 0.5, 1.0)) == 0.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_window_wider_than_the_largest_float_is_refused(self):
+        # Before, np.linspace overflowed with a RuntimeWarning and the
+        # distance failed on "non-finite integrand value near x=nan".
+        wide = MixtureMeasure(GaussianMeasure(-1e308, 1e300), 0.5, GaussianMeasure(1e308, 1e300))
+        with pytest.raises(NumericalError, match="wider than the largest float"):
+            tv_distance(wide, GaussianMeasure(0.0))
+        with pytest.raises(NumericalError, match=re.escape("integration interval [-1e+308, 1e+308] is wider")):
+            integrate(np.cos, -1e308, 1e308)
+        with pytest.raises(NumericalError, match=re.escape("sign-change search interval [-1e+308, 1e+308] is wider")):
+            sign_change_points(np.cos, -1e308, 1e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_cauchy_far_tail_reads_zero_without_warning(self):
+        # z * z overflows beyond about 1.3e154 scales, where the density is 0.
+        x = np.array([-1e300, -1e200, -2.0, 0.0, 0.5, 3.0, 1e150, 1e200])
+        z = (x - 0.5) / 2.0
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (math.pi * 2.0 * (1.0 + z * z))
+        got = CauchyMeasure(0.5, 2.0).pdf(x)
+        assert got.tobytes() == expected.tobytes()
+        assert got[0] == got[1] == got[-1] == 0.0
+        assert tv_distance(CauchyMeasure(0.0, 1.0), CauchyMeasure(0.0, 1e155)) == 1.0
+
     @pytest.mark.parametrize("cells", [True, 2.0])
     def test_histogram_cells_refuse_bools_and_floats(self, cells):
         params = {"cells": cells, "heights": [1.0] * int(cells)}
