@@ -9,7 +9,9 @@ Candidate models are explicit finite lists (countable models are realized by
 enumeration, so all suprema become maxima).  Two sample regimes are
 supported: i.i.d. candidates (one measure per candidate) and per-coordinate
 candidate tuples, where candidate i is a tuple (P_{i,1}, ..., P_{i,n}) and
-observation k is scored against coordinate k.
+observation k is scored against coordinate k.  A tuple model runs one
+engine per coordinate, over the candidates' k-th measures, and adds their
+statistics coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ class EngineStats:
         cuts: the piecewise table's distinct cut points; None for other backends.
         compiled: True when a whole-model builder (``partition_pair_table`` or
             ``translation_pair_table``) compiled the piecewise table in one
-            pass; False when the scores were built pair by pair.
+            pass; False when the scores were built pair by pair.  A tuple
+            engine is compiled when every coordinate engine is.
         build_seconds: wall time of the engine's construction.
     """
 
@@ -174,6 +177,12 @@ class PairwiseEngine:
     otherwise.  Entries are computed once per unordered pair, so the matrix
     is exactly antisymmetric.  ``stats`` tells which backend was picked,
     what was compiled and how long construction took.
+
+    A tuple model sums one such engine per coordinate, over the candidates'
+    measures there, in coordinate order from +0.0, as a Python ``sum`` of
+    one-observation scores adds; a coordinate with sloped pieces takes the
+    per-pair loop, since the sweep rounds ``base + (c + s*x)``, a score
+    ``(base + c) + s*x``.
     """
 
     def __init__(self, spec: LossSpec, model: Model | Sequence[Measure]):
@@ -204,13 +213,13 @@ class PairwiseEngine:
         compiled = False
         if self.model.product_form == "tuples":
             self._mode = "tuple"
-            self._coord_scores = [
-                [score(spec, P[c], Q[c]) for c in range(len(P))]
-                for P, Q in combinations(cands, 2)
-            ]
-            consts = [
-                sum(t.constant_part for t in coord) for coord in self._coord_scores
-            ]
+            self._coords = [PairwiseEngine(spec, [P[c] for P in cands]) for c in range(len(cands[0]))]
+            consts = np.zeros(self._n_pairs)
+            for eng in self._coords:
+                if eng._mode == "piecewise" and eng._table.slope is not None:
+                    eng._mode = "generic"  # see the class docstring
+                consts += eng._consts
+            compiled = all(eng.stats.compiled for eng in self._coords)
         else:
             table = partition_pair_table(spec, cands)
             if table is None:
@@ -227,7 +236,8 @@ class PairwiseEngine:
                 ]
                 consts = [t.constant_part for t in self._scores]
                 self._mode = self._classify()
-        self.constant_parts = self._fill_matrix(np.asarray(consts, dtype=float))
+        self._consts = np.asarray(consts, dtype=float)
+        self.constant_parts = self._fill_matrix(self._consts)
         table = self._table if self._mode == "piecewise" else None
         self._stats = EngineStats(
             backend=self._mode,
@@ -317,14 +327,16 @@ class PairwiseEngine:
             self._generic_halves(rows, out)
 
     def _tuple_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
-        width = len(self.model.candidates[0])
+        width = len(self._coords)
         if rows.shape[1] != width:
             raise ConfigError(
                 f"per-coordinate model expects samples of length {width}, got {rows.shape[1]}"
             )
-        for r, x in enumerate(rows):
-            for p, coord in enumerate(self._coord_scores):
-                out[r, p] = sum(float(coord[c](x[c : c + 1])[0]) for c in range(width))
+        out[:] = 0.0  # +0.0, as Python's sum starts
+        part = np.empty_like(out)
+        for c, eng in enumerate(self._coords):
+            eng._block_halves(rows[:, c : c + 1], part)
+            out += part
 
     def _atom_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
         k = len(self._atom_points)

@@ -601,7 +601,9 @@ class GaussianMeasure(Measure):
 
     def pdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
+        # Far in the tails z * z overflows to inf and the density reads 0.
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd

@@ -8,8 +8,9 @@ import math
 import pytest
 
 import pairfit.cli as cli
+from pairfit.estimator import Model
 from pairfit.losses import LossSpec, loss
-from pairfit.measures import GaussianMeasure
+from pairfit.measures import DiscreteMeasure, GaussianMeasure
 
 
 def write_config(tmp_path, name, doc):
@@ -222,6 +223,29 @@ class TestEstimate:
         path = write_config(tmp_path, "e.json", doc)
         assert cli.main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "99.0" in capsys.readouterr().err
+
+    def test_tuple_observation_outside_a_discrete_coordinate_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # No model config builds discrete coordinates (regression-tuples
+        # needs a base with a location), so the builder hands the command
+        # one: each coordinate's engine locates its observations on its atoms.
+        atoms = [DiscreteMeasure([0.0, 1.0], [0.7, 0.3]), DiscreteMeasure([0.0, 1.0], [0.2, 0.8])]
+        model = Model(candidates=[tuple(atoms), tuple(atoms[::-1])], product_form="tuples")
+        monkeypatch.setattr(cli, "build", lambda config: model)
+        doc = {
+            "model": {
+                "family": "regression-tuples",
+                "theta_net": [[0.0, 0.0], [0.5, 0.5]],
+                "base_q": {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                "n": 2,
+            },
+            "loss": {"kind": "tv"},
+            "sample": [0.0, 0.75],
+        }
+        path = write_config(tmp_path, "e.json", doc)
+        out = tmp_path / "o"
+        assert cli.main(["estimate", "--config", str(path), "--out", str(out)]) == 2
+        assert "observation 0.75 is outside the model's finite space" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_linf_without_matching_partition_is_config_error(self, tmp_path, capsys):
         doc = {

@@ -26,6 +26,7 @@ from pairfit.measures import (
     GaussianMeasure,
     HistogramMeasure,
     PartitionRef,
+    PowerMeasure,
     UniformMeasure,
     empirical_measure,
     lj_distance,
@@ -36,6 +37,7 @@ from pairfit.measures import (
 from pairfit.models import build
 from pairfit.robust_tests import run_test
 from pairfit.testfam import (
+    CallableScore,
     PiecewiseScore,
     PiecewiseTable,
     partition_pair_table,
@@ -910,3 +912,154 @@ class TestEngineStats:
             eng.stats = None
         with pytest.raises(AttributeError):
             eng.stats.pairs = 0
+
+
+# ---------------------------------------------------------------------------
+# Tuple models: one engine per coordinate
+# ---------------------------------------------------------------------------
+
+_TUPLE_PART = PartitionRef(4, (0.0, 1.0))
+_TUPLE_HISTOGRAMS = [HistogramMeasure(_TUPLE_PART, h) for h in ([1.2, 1.0, 0.8, 1.0], [0.5, 1.5, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0])]
+
+# Family -> (candidate pool, observations: a range plus ties, cuts and ends;
+# atoms only for the discrete family).
+_TUPLE_POOLS = {
+    "gaussian": ([GaussianMeasure(c) for c in (0.0, 0.5, -0.3)], (-3.0, 3.0), [0.25, -0.15, 0.1, 0.0, -0.0]),
+    "gaussian-sd": ([GaussianMeasure(0.0), GaussianMeasure(0.5, 1.5), GaussianMeasure(-0.3, 0.7)], (-3.0, 3.0), [0.0]),
+    "cauchy": ([CauchyMeasure(c, 1.0) for c in (0.0, 0.5, -0.3)], (-5.0, 5.0), [0.25, -0.15, 0.1]),
+    "uniform": ([UniformMeasure(lo, 0.5) for lo in (0.0, 0.2, 0.5)], (-0.5, 1.5), [0.0, 0.2, 0.5, 0.7, 1.0]),
+    "power": ([PowerMeasure(a, 0.0) for a in (0.5, 2.0, 1.5)], (-0.5, 1.5), [0.0, 1.0]),
+    "power-shift": ([PowerMeasure(0.5, s) for s in (0.0, 0.3, -0.2)], (-0.5, 1.5), [-0.2, 0.0, 0.3, 0.8, 1.0, 1.3]),
+    "discrete": ([DiscreteMeasure([0.0, 0.5, 1.0], w) for w in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3])], None, [0.0, 0.5, 1.0]),
+    "histogram": (_TUPLE_HISTOGRAMS, (-0.5, 1.5), [0.0, 0.25, 0.5, 0.75, 1.0]),
+}
+
+# Loss -> (spec, the families it scores); W1 only on [0, 1] supports.
+_TUPLE_LOSSES = {
+    "tv": (LossSpec.tv(), sorted(_TUPLE_POOLS)),
+    "hellinger2": (LossSpec.hellinger2(), ["gaussian", "gaussian-sd", "cauchy", "discrete", "histogram"]),
+    "kl": (LossSpec.kl(a=5.0), ["cauchy", "discrete", "histogram"]),
+    "l2": (LossSpec.lj(2.0, 5.0), ["gaussian", "cauchy", "discrete", "histogram"]),
+    "wasserstein1": (LossSpec.wasserstein1(), ["uniform", "power", "discrete", "histogram"]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_score(loss, family, i, k):
+    pool = _TUPLE_POOLS[family][0]
+    return score(_TUPLE_LOSSES[loss][0], pool[i], pool[k])
+
+
+def _scalar_tuple_halves(loss, coords, picks, x):
+    """Pair halves and constant parts of a tuple model, one scalar score call per coordinate.
+
+    ``coords[c]`` is coordinate c's family and ``picks[c][i]`` candidate i's
+    index in its pool.  Each pair (i, k) sums, with Python's ``sum``,
+    ``float(score(spec, P[c], Q[c])(x[c:c+1])[0])`` and the scores'
+    ``constant_part`` over c in order: the scalar rule the engine reproduces.
+    """
+    m = len(picks[0])
+    halves, consts = [], []
+    for i, k in combinations(range(m), 2):
+        ts = [_pool_score(loss, f, pick[i], pick[k]) for f, pick in zip(coords, picks)]
+        halves.append(sum(float(t(x[c : c + 1])[0]) for c, t in enumerate(ts)))
+        consts.append(sum(t.constant_part for t in ts))
+    return halves, consts
+
+
+def _antisymmetric(halves, m):
+    M = np.zeros((m, m))
+    for (i, k), v in zip(combinations(range(m), 2), halves):
+        M[i, k], M[k, i] = v, -v
+    return M
+
+
+@st.composite
+def tuple_models(draw, loss):
+    """A tuple model of 2-5 candidates and 1-8 coordinates, with repeats, plus 1-3 samples."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 8))
+    coords = [draw(st.sampled_from(_TUPLE_LOSSES[loss][1])) for _ in range(n)]
+    picks = [draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)) for _ in range(n)]
+    rows = draw(st.integers(1, 3))
+    block = np.empty((rows, n))
+    for c, family in enumerate(coords):
+        _, span, special = _TUPLE_POOLS[family]
+        point = st.sampled_from(special)
+        if span is not None:
+            point = point | st.floats(*span)
+        block[:, c] = draw(st.lists(point, min_size=rows, max_size=rows))
+    return coords, picks, block
+
+
+class TestTupleCoordinateEngines:
+    """Tuple models sum one engine per coordinate, bitwise as the scalar per-coordinate scores."""
+
+    @pytest.mark.parametrize("loss", list(_TUPLE_LOSSES))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bitwise_the_scalar_score_sum(self, loss, data):
+        coords, picks, block = data.draw(tuple_models(loss))
+        m = len(picks[0])
+        cands = [tuple(_TUPLE_POOLS[f][0][pick[i]] for f, pick in zip(coords, picks)) for i in range(m)]
+        eng = PairwiseEngine(_TUPLE_LOSSES[loss][0], Model(candidates=cands, product_form="tuples"))
+        assert eng.stats.backend == "tuple"
+        want = [_scalar_tuple_halves(loss, coords, picks, x) for x in block]
+        assert eng.constant_parts.tobytes() == _antisymmetric(want[0][1], m).tobytes()
+        assert eng.statistic_matrix(block[0]).tobytes() == _antisymmetric(want[0][0], m).tobytes()
+        got = eng.pair_statistics(block)
+        for r, (halves, _) in enumerate(want):
+            assert got[r].tobytes() == np.array(halves).reshape(-1).tobytes(), r
+
+    def test_sloped_w1_coordinate_scores_as_its_scores(self):
+        # The piecewise sweep reads -0.371875 here; the score itself reads
+        # (base + c) + s*x = -0.37187499999999996.
+        spec = LossSpec.wasserstein1()
+        P, Q = _TUPLE_HISTOGRAMS[:2]
+        eng = PairwiseEngine(spec, Model(candidates=[(P,), (Q,)], product_form="tuples"))
+        x = np.array([0.1])
+        want = float(score(spec, P, Q)(x)[0])
+        assert want == -0.37187499999999996
+        assert eng.statistic_matrix(x)[0, 1] == want
+        assert PairwiseEngine(spec, [P, Q]).statistic_matrix(x)[0, 1] != want
+
+    def test_identical_candidates_keep_the_signed_zeros(self):
+        # The sum starts from +0.0, so (0, 1) reads +0.0 and (1, 0) its negation.
+        G = GaussianMeasure(0.0)
+        model = Model(candidates=[(G, G), (G, G)], product_form="tuples")
+        for spec in (LossSpec.tv(), LossSpec.hellinger2()):
+            M = PairwiseEngine(spec, model).statistic_matrix(np.array([0.3, -1.0]))
+            assert math.copysign(1.0, M[0, 1]) == 1.0 and M[0, 1] == 0.0
+            assert math.copysign(1.0, M[1, 0]) == -1.0 and M[1, 0] == 0.0
+
+    def test_sum_starts_from_positive_zero(self):
+        # Python's sum starts from 0, and 0 + (-0.0) is +0.0: coordinates
+        # that all score -0.0 sum to +0.0 at (0, 1), constant parts too.
+        neg = CallableScore(lambda x: np.full(np.shape(x), -0.0), -0.0)
+        G = GaussianMeasure(0.0)
+        model = Model(candidates=[(G, G), (G, G)], product_form="tuples")
+        with mock.patch.object(estimator, "score", lambda spec, P, Q: neg):
+            eng = PairwiseEngine(LossSpec.hellinger2(), model)
+        M = eng.statistic_matrix(np.array([0.3, -1.0]))
+        for got in (M[0, 1], eng.constant_parts[0, 1], eng.pair_statistics(np.zeros((2, 2)))[1, 0]):
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_off_the_atoms_names_the_value(self):
+        D = _TUPLE_POOLS["discrete"][0]
+        model = Model(candidates=[(D[0], D[1]), (D[1], D[2])], product_form="tuples")
+        with pytest.raises(ConfigError, match="observation 0.75 is outside the model's finite space"):
+            PairwiseEngine(LossSpec.tv(), model).statistic_matrix(np.array([0.0, 0.75]))
+
+    def test_tv_regression_tuples_on_a_gaussian_base_compile(self):
+        model = build(
+            {
+                "family": "regression-tuples",
+                "theta_net": [[0.0, 0.5, -1.0], [0.25, 0.5, 1.0], [1.0, -0.5, 0.0]],
+                "base_q": {"family": "gaussian", "params": {"mean": 0.0, "sd": 1.0}},
+                "n": 3,
+            }
+        )
+        stats = PairwiseEngine(LossSpec.tv(), model).stats
+        assert (stats.backend, stats.pairs, stats.compiled) == ("tuple", 3, True)
+        assert stats.components is None and stats.cuts is None
+        assert PairwiseEngine(LossSpec.hellinger2(), model).stats.compiled is False

@@ -1099,6 +1099,19 @@ class TestParameterRefusals:
         assert got[0] == got[1] == got[-1] == 0.0
         assert tv_distance(CauchyMeasure(0.0, 1.0), CauchyMeasure(0.0, 1e155)) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_gaussian_far_tail_reads_zero_without_warning(self):
+        # z * z overflows beyond about 1.3e154 sds, where the density is 0;
+        # it warned "overflow encountered in multiply".
+        x = np.array([-1e300, -1e200, -2.0, 0.0, 0.5, 3.0, 1e150, 1e200])
+        z = (x - 0.5) / 2.0
+        with np.errstate(over="ignore"):
+            expected = np.exp(-0.5 * z * z) / (2.0 * math.sqrt(2.0 * math.pi))
+        got = GaussianMeasure(0.5, 2.0).pdf(x)
+        assert got.tobytes() == expected.tobytes()
+        assert got[0] == got[1] == got[-1] == 0.0
+        assert 0.99 < tv_distance(GaussianMeasure(0.0, 1.0), GaussianMeasure(0.0, 1e160)) <= 1.0
+
     @pytest.mark.parametrize("cells", [True, 2.0])
     def test_histogram_cells_refuse_bools_and_floats(self, cells):
         params = {"cells": cells, "heights": [1.0] * int(cells)}
