@@ -16,6 +16,7 @@ statistics coordinate by coordinate.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -195,20 +196,6 @@ class PairwiseEngine:
                 f"{m} candidates give {m * m} matrix entries; the engine indexes at most {_MAX_FLAT}"
             )
         self._n_pairs = m * (m - 1) // 2
-        # Where each entry of the row-major (m, m) matrix reads from
-        # ``[0, halves, -halves]``: pair p = (i, k), i < k, in the pair order
-        # of ``combinations``, puts 1 + p at (i, k) and 1 + n_pairs + p at
-        # (k, i); the diagonal reads the zero.  Filled row by row:
-        # whole-triangle temporaries (``triu_indices``) leave a larger peak
-        # resident set on models with many candidates.
-        self._gather = np.zeros(m * m, dtype=np.intp)
-        start = 0
-        for i in range(m - 1):
-            stop = start + m - 1 - i
-            pairs = np.arange(start + 1, stop + 1, dtype=np.intp)
-            self._gather[i * m + i + 1 : (i + 1) * m] = pairs
-            self._gather[(i + 1) * m + i :: m] = pairs + self._n_pairs
-            start = stop
         cands = self.model.candidates
         compiled = False
         if self.model.product_form == "tuples":
@@ -237,7 +224,6 @@ class PairwiseEngine:
                 consts = [t.constant_part for t in self._scores]
                 self._mode = self._classify()
         self._consts = np.asarray(consts, dtype=float)
-        self.constant_parts = self._fill_matrix(self._consts)
         table = self._table if self._mode == "piecewise" else None
         self._stats = EngineStats(
             backend=self._mode,
@@ -252,6 +238,11 @@ class PairwiseEngine:
     def stats(self) -> EngineStats:
         """Backend, compiled sizes and build time; never part of any artifact."""
         return self._stats
+
+    @functools.cached_property
+    def constant_parts(self) -> np.ndarray:
+        """The antisymmetric matrix of the pairs' data-free score terms."""
+        return self._fill_matrix(self._consts)
 
     # -- compilation ---------------------------------------------------------
 
@@ -271,6 +262,27 @@ class PairwiseEngine:
             self._table = PiecewiseTable.from_scores(self._scores)
             return "piecewise"
         return "generic"
+
+    @functools.cached_property
+    def _gather(self) -> np.ndarray:
+        # Where each entry of the row-major (m, m) matrix reads from
+        # ``[0, halves, -halves]``: pair p = (i, k), i < k, in the pair order
+        # of ``combinations``, puts 1 + p at (i, k) and 1 + n_pairs + p at
+        # (k, i); the diagonal reads the zero.  Built on first read, like
+        # ``constant_parts``: a tuple model's coordinate engines form no
+        # matrix.  Filled row by row: whole-triangle temporaries
+        # (``triu_indices``) leave a larger peak resident set on models with
+        # many candidates.
+        m = len(self.model)
+        gather = np.zeros(m * m, dtype=np.intp)
+        start = 0
+        for i in range(m - 1):
+            stop = start + m - 1 - i
+            pairs = np.arange(start + 1, stop + 1, dtype=np.intp)
+            gather[i * m + i + 1 : (i + 1) * m] = pairs
+            gather[(i + 1) * m + i :: m] = pairs + self._n_pairs
+            start = stop
+        return gather
 
     def _fill_matrix(self, halves: np.ndarray) -> np.ndarray:
         buf = np.empty(1 + 2 * self._n_pairs)

@@ -241,9 +241,8 @@ def _tv_score(P: Measure, Q: Measure) -> ScoreFunction:
     # -1/2 where p > q, +1/2 where q > p.
     comps = [(ea, ec, -0.5 * s, 0.0) for _, _, s, ea, ec in regions if s != 0.0]
     if kind in _TRANSLATION_LOCATIONS:
-        # P(p > q) = Q(q > p) exactly for equal-shape translation pairs, so
-        # the data-free term vanishes and no probability is computed;
-        # computing the difference would leave half-ulp dust that the
+        # The base is exactly 0 (see ``_TRANSLATION_LOCATIONS``); a difference
+        # of region probabilities would leave half-ulp dust that the
         # epsilon = 1/2 median guarantee cannot absorb.
         return PiecewiseScore(0.0, comps)
     prob_p_gt = 0.0
@@ -256,39 +255,38 @@ def _tv_score(P: Measure, Q: Measure) -> ScoreFunction:
     return PiecewiseScore(0.5 * (prob_p_gt - prob_q_gt), comps)
 
 
-# The equal-shape translation kinds whose TV sign regions ``_translation_regions``
-# gives in closed form, each with the parameter its measures move.
+# The equal-shape translation kinds, each with the parameter its measures
+# move.  A pair's TV regions follow from its locations, and its TV base and
+# Hellinger constant are exactly 0 by reflection about the midpoint.
 _TRANSLATION_LOCATIONS = {kind: _MEASURE_FAMILIES[kind].location for kind in ("gaussian", "cauchy", "uniform")}
 
 
-def _translation_regions(kind: str, cp, cq, window_p, window_q) -> tuple:
+def _translation_regions(kind: str, cp, cq, width) -> tuple:
     """The two sign regions of p - q for equal-shape translation pairs, elementwise.
 
     The one statement of the rule, for one pair (``_tv_sign_regions``) and
     for arrays of pairs (``translation_pair_table``).  ``kind`` is a key of
-    ``_TRANSLATION_LOCATIONS``, ``cp != cq`` are the locations and
-    ``window_p``, ``window_q`` the measures' ``(lo, hi)`` windows.  Returns
-    ``(s, a1, c1, a2, e2, c2)``: p - q has sign ``s`` on ``[a1, c1]`` and
-    ``-s`` on ``[a2, c2]``, and the score evaluates the two regions on
-    ``[a1, c1)`` and ``[e2, c2)``.  Ties resolve as ``min`` and ``max`` of
-    Python floats resolve them, so signed zeros come out as a scalar rule's.
+    ``_TRANSLATION_LOCATIONS``, ``cp != cq`` are the locations and ``width``
+    a uniform pair's shared width.  Returns ``(s, a1, c1, a2, e2, c2)``:
+    p - q has sign ``s`` on ``[a1, c1]`` and ``-s`` on ``[a2, c2]``, and the
+    score evaluates the two regions on ``[a1, c1)`` and ``[e2, c2)``; for
+    Gaussian and Cauchy pairs they are half-lines.  Ties resolve as ``min``
+    and ``max`` of Python floats resolve them, so signed zeros come out as a
+    scalar rule's.
     """
-    (lo_p, hi_p), (lo_q, hi_q) = window_p, window_q
     p_lower = cp < cq
     s = np.where(p_lower, 1.0, -1.0)
     if kind == "uniform":
         # Supports are right-open, so both regions are naturally [lo, hi).
         low, up = np.where(p_lower, cp, cq), np.where(p_lower, cq, cp)
-        end, up_end = np.where(p_lower, hi_p, hi_q), np.where(p_lower, hi_q, hi_p)
+        end, up_end = low + width, up + width
         c1 = np.where(end < up, end, up)  # min(up, end): end of the lower-only stretch
         c2 = np.where(up > end, up, end)  # max(end, up): start of the upper-only stretch
         return s, low, c1, c2, c2, up_end
-    # Gaussian and Cauchy: p > q strictly on the side nearer P's centre, over
-    # the union window; the densities tie at mid.
-    lo = np.where(lo_q < lo_p, lo_q, lo_p)
-    hi = np.where(hi_q > hi_p, hi_q, hi_p)
+    # Gaussian and Cauchy: p > q on the half-line nearer P's centre; tie at mid.
     mid = 0.5 * (cp + cq)
-    return s, lo, mid, mid, _UP(mid, math.inf), hi
+    inf = np.full(np.shape(mid), math.inf)
+    return s, -inf, mid, mid, _UP(mid, inf), inf
 
 
 def _tv_sign_regions(P: Measure, Q: Measure, kind: str) -> list[tuple[float, float, float, float, float]]:
@@ -297,23 +295,24 @@ def _tv_sign_regions(P: Measure, Q: Measure, kind: str) -> list[tuple[float, flo
     ``kind`` is ``measures.pair_kind(P, Q)``, which the caller has already
     asked.  A pair with atoms is refused: p - q only sees the densities, so
     an atom would fall in no region.  Each region is
-    ``(lo, hi, sign, eval_lo, eval_hi)``.  Matched translation families get
-    exact regions: probabilities come from the exact ``[lo, hi]`` (boundary
-    points are null for these continuous families, and nudged bounds would
-    get amplified by cdfs with unbounded slope, e.g. the power family at its
-    shift), and ``[eval_lo, eval_hi)`` is the score-evaluation interval,
-    with strict open/closed endpoint conventions pushed one ulp where
-    needed.  Every other pair is probed (sign changes located by bisection),
-    and its evaluation interval is the region itself.  Neighbouring probed regions of one nonzero sign merge;
-    zero regions stay as probed, since a merged one may not read 0 at its
-    midpoint.
+    ``(lo, hi, sign, eval_lo, eval_hi)``.  Matched families get exact
+    regions (Gaussian and Cauchy ones are half-lines with infinite ends):
+    probabilities come from the exact ``[lo, hi]`` (boundary points are null
+    for these continuous families, and nudged bounds would get amplified by
+    cdfs with unbounded slope, e.g. the power family at its shift), and
+    ``[eval_lo, eval_hi)`` is the score-evaluation interval, with strict
+    open/closed endpoint conventions pushed one ulp where needed.  Every
+    other pair is probed (sign changes located by bisection), and its
+    evaluation interval is the region itself.  Neighbouring probed regions
+    of one nonzero sign merge; zero regions stay as probed, since a merged
+    one may not read 0 at its midpoint.
     """
     if kind in _TRANSLATION_LOCATIONS:
         location = _TRANSLATION_LOCATIONS[kind]
         cp, cq = getattr(P, location), getattr(Q, location)
         if cp == cq:
             return []
-        regions = _translation_regions(kind, cp, cq, P.window(), Q.window())
+        regions = _translation_regions(kind, cp, cq, getattr(P, "width", None))
         s, a1, c1, a2, e2, c2 = (float(v) for v in regions)
         return [(a1, c1, s, a1, c1), (a2, c2, -s, e2, c2)]
     if kind == "power" and P.alpha != 1.0:
@@ -467,39 +466,33 @@ def _hellinger_score(P: Measure, Q: Measure) -> ScoreFunction:
     With R = (P+Q)/2 and rho the affinity ∫ sqrt(dM dM'), the score is
     t = (1/(2 sqrt2)) [rho(R,Q) - rho(R,P) + (sqrt q - sqrt p)/sqrt r]
     understood w.r.t. any common dominating measure; the ratio term is set to
-    0 where p = q = 0.
+    0 where p = q = 0.  The constant is one quadrature of sqrt(r) (sqrt q -
+    sqrt p) for a continuous pair, and exactly 0 for a translation pair.
     """
-    if pair_kind(P, Q) == "atomic":
+    scale = 1.0 / (2.0 * math.sqrt(2.0))
+    kind = pair_kind(P, Q)
+    if kind == "atomic":
         pts, masses = atom_mass_matrix(P, Q)
         vp, vq = np.maximum(masses, 0.0)
         vr = 0.5 * (vp + vq)
         rho_q = float(np.sum(np.sqrt(vr * vq)))
         rho_p = float(np.sum(np.sqrt(vr * vp)))
-        scale = 1.0 / (2.0 * math.sqrt(2.0))
         const = scale * (rho_q - rho_p)
         return AtomScore(pts, const + scale * _hellinger_ratio(vp, vq), const)
 
     if P.atoms() or Q.atoms():
         raise ConfigError("hellinger scores support finite spaces or continuous pairs, not mixtures")
 
-    brk = _union_breakpoints(P, Q)
-    lo, hi = _union_window(P, Q)
-
     def densities(x):
         return np.maximum(P.pdf(x), 0.0), np.maximum(Q.pdf(x), 0.0)
 
-    def sqrt_rq(x):
+    def sqrt_r_gap(x):
         p, q = densities(x)
-        return np.sqrt(0.5 * (p + q) * q)
+        return np.sqrt(0.5 * (p + q)) * (np.sqrt(q) - np.sqrt(p))
 
-    def sqrt_rp(x):
-        p, q = densities(x)
-        return np.sqrt(0.5 * (p + q) * p)
-
-    rho_q = integrate(sqrt_rq, lo, hi, brk)[0]
-    rho_p = integrate(sqrt_rp, lo, hi, brk)[0]
-    scale = 1.0 / (2.0 * math.sqrt(2.0))
-    const = scale * (rho_q - rho_p)
+    const = 0.0
+    if kind not in _TRANSLATION_LOCATIONS:
+        const = scale * integrate(sqrt_r_gap, *_union_window(P, Q), _union_breakpoints(P, Q))[0]
     return CallableScore(lambda x: const + scale * _hellinger_ratio(*densities(x)), const)
 
 
@@ -685,11 +678,10 @@ def translation_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> Pie
     if kind not in _TRANSLATION_LOCATIONS or any(pair_kind(first, c) != kind for c in candidates):
         return None
     loc = np.array([getattr(c, _TRANSLATION_LOCATIONS[kind]) for c in candidates])
-    lo, hi = np.array([c.window() for c in candidates]).T
     iu, ku = np.triu_indices(len(loc), 1)
     rows = np.flatnonzero(loc[iu] != loc[ku])
     i, k = iu[rows], ku[rows]
-    s, a1, c1, _, e2, c2 = _translation_regions(kind, loc[i], loc[k], (lo[i], hi[i]), (lo[k], hi[k]))
+    s, a1, c1, _, e2, c2 = _translation_regions(kind, loc[i], loc[k], getattr(first, "width", None))
 
     def by_pair(first_region, second_region):
         return np.stack([first_region, second_region], axis=1).ravel()

@@ -531,8 +531,9 @@ class TestTranslationPairTable:
         with mock.patch.object(estimator, "translation_pair_table", lambda spec, candidates: None):
             per_pair = PairwiseEngine(spec, cands)
         assert per_pair.stats.compiled is False and per_pair._mode == "piecewise"
-        # Observations on and one ulp beside every cut, plus a few anywhere.
-        cuts = eng._table.cuts
+        # Observations on and one ulp beside every finite cut, plus a few
+        # anywhere; the half-line ends at +-inf are no observations.
+        cuts = eng._table.cuts[np.isfinite(eng._table.cuts)]
         near = np.concatenate([cuts, np.nextafter(cuts, -math.inf), np.nextafter(cuts, math.inf)])
         picks = data.draw(st.lists(st.integers(0, len(near) - 1), min_size=1, max_size=40)) if len(near) else []
         extra = data.draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False), max_size=10))
@@ -576,7 +577,16 @@ class TestTranslationPairTable:
         eng = PairwiseEngine(spec, model)
         assert not calls
         assert_tables_bitwise_equal(eng._table, PiecewiseTable.from_scores(scores))
-        assert (eng.stats.components, eng.stats.cuts, eng.stats.compiled) == (10100, 983, True)
+        assert (eng.stats.components, eng.stats.cuts, eng.stats.compiled) == (10100, 785, True)
+
+    def test_cauchy_grid_reads_the_tail_regions_past_the_window(self):
+        # Both observations sit right of every midpoint, at 2000 and 4000
+        # alike; CauchyMeasure.window() ends at loc + 2500.
+        eng = PairwiseEngine(
+            LossSpec.tv(), build({"family": "translation-grid", "base": "cauchy", "lo": -1.0, "hi": 1.0, "step": 1.0})
+        )
+        for x in (2000.0, 4000.0):
+            assert eng.statistic_matrix(np.array([x, x]))[0].tolist() == [0.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
         "spec, cands",
@@ -1010,6 +1020,20 @@ class TestTupleCoordinateEngines:
         got = eng.pair_statistics(block)
         for r, (halves, _) in enumerate(want):
             assert got[r].tobytes() == np.array(halves).reshape(-1).tobytes(), r
+
+    def test_coordinate_engines_form_no_matrix(self):
+        # Only the tuple engine's (m, m) matrices are read, so its coordinate
+        # engines build neither their gather map nor their constant parts.
+        coords = ["gaussian", "cauchy", "uniform", "histogram", "gaussian-sd"]
+        picks = [[0, 1, 2]] * len(coords)
+        cands = [tuple(_TUPLE_POOLS[f][0][pick[i]] for f, pick in zip(coords, picks)) for i in range(3)]
+        eng = PairwiseEngine(LossSpec.tv(), Model(candidates=cands, product_form="tuples"))
+        x = np.array([0.25, 0.1, 0.7, 0.5, 0.0])
+        halves, consts = _scalar_tuple_halves("tv", coords, picks, x)
+        assert eng.statistic_matrix(x).tobytes() == _antisymmetric(halves, 3).tobytes()
+        assert eng.constant_parts.tobytes() == _antisymmetric(consts, 3).tobytes()
+        for coord in eng._coords:
+            assert "_gather" not in vars(coord) and "constant_parts" not in vars(coord)
 
     def test_sloped_w1_coordinate_scores_as_its_scores(self):
         # The piecewise sweep reads -0.371875 here; the score itself reads

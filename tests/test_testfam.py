@@ -15,6 +15,7 @@ from pairfit.errors import ConfigError
 from pairfit.estimator import PairwiseEngine
 from pairfit.losses import LossSpec, loss
 from pairfit.measures import (
+    CauchyMeasure,
     DiscreteMeasure,
     GaussianMeasure,
     HistogramMeasure,
@@ -163,6 +164,19 @@ class TestTvScore:
                 q_gt += _interval_prob(Q, a, c)
         assert score(LossSpec.tv(), P, Q).constant_part == 0.5 * (p_gt - q_gt) != 0.0
 
+    @pytest.mark.parametrize(
+        "P, Q, x, want",
+        [
+            (CauchyMeasure(0.0, 1.0), CauchyMeasure(1.0, 1.0), [1e3, 1e4], 0.5),
+            (GaussianMeasure(0.0), GaussianMeasure(1.0), [-11.0, -14.0], -0.5),
+        ],
+        ids=["cauchy-right", "gaussian-left"],
+    )
+    def test_translation_regions_are_half_lines(self, P, Q, x, want):
+        # Past the quadrature window the score keeps its tail region's value.
+        t = score(LossSpec.tv(), P, Q)
+        assert t(np.array(x)).tolist() == [want, want]
+
     def test_identical_pair_is_zero(self):
         P = GaussianMeasure(0.3)
         t = score(LossSpec.tv(), P, GaussianMeasure(0.3))
@@ -297,6 +311,45 @@ class TestHellingerScore:
         mean = expectation(P, t)
         bound = consts.a0 * 0.0 - consts.a1 * hellinger_sq(P, Q)
         assert mean <= bound + 1e-7
+
+
+    @pytest.mark.parametrize(
+        "P, Q",
+        [
+            (GaussianMeasure(0.0), GaussianMeasure(0.5)),
+            (CauchyMeasure(0.0, 1.0), CauchyMeasure(2.0, 1.0)),
+            (UniformMeasure(0.0), UniformMeasure(0.3)),
+        ],
+        ids=["gaussian", "cauchy", "uniform"],
+    )
+    def test_translation_constant_is_exactly_zero(self, P, Q):
+        # rho(R, Q) = rho(R, P) by reflection about the midpoint.
+        t = score(LossSpec.hellinger2(), P, Q)
+        assert t.constant_part == 0.0 and score(LossSpec.hellinger2(), Q, P).constant_part == 0.0
+
+    def test_continuous_constant_matches_scipy(self):
+        from scipy.integrate import quad
+
+        P, Q = UniformMeasure(0.0), PowerMeasure(2.0, 0.2)
+
+        def gap(x):
+            p, q = float(P.pdf(x)), float(Q.pdf(x))
+            return math.sqrt(0.5 * (p + q)) * (math.sqrt(q) - math.sqrt(p))
+
+        want = quad(gap, 0.0, 1.2, points=[0.2, 1.0])[0] / (2.0 * math.sqrt(2.0))
+        assert abs(score(LossSpec.hellinger2(), P, Q).constant_part - want) < 1e-8
+
+    def test_translation_engine_runs_no_quadrature(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        integrate = testfam.integrate
+        monkeypatch.setattr(testfam, "integrate", counted)
+        engine = PairwiseEngine(LossSpec.hellinger2(), [GaussianMeasure(0.0), GaussianMeasure(0.5)])
+        assert not calls and engine.constant_parts[0, 1] == 0.0
 
 
 class TestKlScore:
