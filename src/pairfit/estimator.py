@@ -146,6 +146,9 @@ class EngineStats:
     Attributes:
         backend: ``"atom"``, ``"piecewise"``, ``"generic"`` or ``"tuple"``.
         pairs: unordered candidate pairs, m(m-1)/2.
+        rows: the piecewise table's rows, which its sweep evaluates per
+            sample; fewer than ``pairs`` when pairs share a row (see
+            ``translation_pair_table``).  None for other backends.
         components: the piecewise table's components; None for other backends.
         cuts: the piecewise table's distinct cut points; None for other backends.
         compiled: True when a whole-model builder (``partition_pair_table`` or
@@ -157,6 +160,7 @@ class EngineStats:
 
     backend: str
     pairs: int
+    rows: int | None
     components: int | None
     cuts: int | None
     compiled: bool
@@ -175,9 +179,11 @@ class PairwiseEngine:
     when all scores live on one shared finite space, a sweep over the
     table's distinct cut points when all scores are piecewise linear (with
     prefix sums only when some piece has a slope), and a per-pair loop
-    otherwise.  Entries are computed once per unordered pair, so the matrix
-    is exactly antisymmetric.  ``stats`` tells which backend was picked,
-    what was compiled and how long construction took.
+    otherwise.  The sweep evaluates each table row once and every pair
+    reads its row's value (``PiecewiseTable.pair_row``), so pairs that
+    share a score cost one row.  Entries are computed once per unordered
+    pair, so the matrix is exactly antisymmetric.  ``stats`` tells which
+    backend was picked, what was compiled and how long construction took.
 
     A tuple model sums one such engine per coordinate, over the candidates'
     measures there, in coordinate order from +0.0, as a Python ``sum`` of
@@ -198,6 +204,7 @@ class PairwiseEngine:
         self._n_pairs = m * (m - 1) // 2
         cands = self.model.candidates
         compiled = False
+        self._pair_row: np.ndarray | None = None
         if self.model.product_form == "tuples":
             self._mode = "tuple"
             self._coords = [PairwiseEngine(spec, [P[c] for P in cands]) for c in range(len(cands[0]))]
@@ -205,7 +212,7 @@ class PairwiseEngine:
             for eng in self._coords:
                 if eng._mode == "piecewise" and eng._table.slope is not None:
                     eng._mode = "generic"  # see the class docstring
-                consts += eng._consts
+                consts += eng._by_pair(eng._consts)
             compiled = all(eng.stats.compiled for eng in self._coords)
         else:
             table = partition_pair_table(spec, cands)
@@ -215,6 +222,7 @@ class PairwiseEngine:
             if compiled:
                 self._mode = "piecewise"
                 self._table = table
+                self._pair_row = table.pair_row
                 # Every compiled family's data-free part is its base.
                 consts = table.bases
             else:
@@ -223,12 +231,15 @@ class PairwiseEngine:
                 ]
                 consts = [t.constant_part for t in self._scores]
                 self._mode = self._classify()
+        # Data-free parts, one per row, as ``_block_halves`` writes halves.
         self._consts = np.asarray(consts, dtype=float)
+        self._n_rows = len(self._consts)
         table = self._table if self._mode == "piecewise" else None
         self._stats = EngineStats(
             backend=self._mode,
             pairs=self._n_pairs,
-            components=None if table is None else len(table.pair),
+            rows=None if table is None else self._n_rows,
+            components=None if table is None else len(table.row),
             cuts=None if table is None else len(table.cuts),
             compiled=compiled,
             build_seconds=time.perf_counter() - started,
@@ -266,38 +277,44 @@ class PairwiseEngine:
     @functools.cached_property
     def _gather(self) -> np.ndarray:
         # Where each entry of the row-major (m, m) matrix reads from
-        # ``[0, halves, -halves]``: pair p = (i, k), i < k, in the pair order
-        # of ``combinations``, puts 1 + p at (i, k) and 1 + n_pairs + p at
-        # (k, i); the diagonal reads the zero.  Built on first read, like
-        # ``constant_parts``: a tuple model's coordinate engines form no
-        # matrix.  Filled row by row: whole-triangle temporaries
-        # (``triu_indices``) leave a larger peak resident set on models with
-        # many candidates.
+        # ``[0, halves, -halves]``, one half per row: pair p = (i, k), i < k,
+        # in the pair order of ``combinations``, reading row r (r = p unless
+        # ``_pair_row`` says otherwise), puts 1 + r at (i, k) and
+        # 1 + rows + r at (k, i); the diagonal reads the zero.  Built on
+        # first read, like ``constant_parts``: a tuple model's coordinate
+        # engines form no matrix.  Filled matrix row by matrix row:
+        # whole-triangle temporaries (``triu_indices``) leave a larger peak
+        # resident set on models with many candidates.
         m = len(self.model)
+        row = self._pair_row
         gather = np.zeros(m * m, dtype=np.intp)
         start = 0
         for i in range(m - 1):
             stop = start + m - 1 - i
-            pairs = np.arange(start + 1, stop + 1, dtype=np.intp)
-            gather[i * m + i + 1 : (i + 1) * m] = pairs
-            gather[(i + 1) * m + i :: m] = pairs + self._n_pairs
+            at = np.arange(start + 1, stop + 1, dtype=np.intp) if row is None else row[start:stop] + 1
+            gather[i * m + i + 1 : (i + 1) * m] = at
+            gather[(i + 1) * m + i :: m] = at + self._n_rows
             start = stop
         return gather
 
+    def _by_pair(self, per_row: np.ndarray) -> np.ndarray:
+        """Values held one per row along the last axis, read out one per pair."""
+        return per_row if self._pair_row is None else per_row.take(self._pair_row, axis=-1)
+
     def _fill_matrix(self, halves: np.ndarray) -> np.ndarray:
-        buf = np.empty(1 + 2 * self._n_pairs)
-        buf[1 : 1 + self._n_pairs] = halves
+        buf = np.empty(1 + 2 * self._n_rows)
+        buf[1 : 1 + self._n_rows] = halves
         return self._signed_matrix(buf)
 
     def _signed_matrix(self, buf: np.ndarray) -> np.ndarray:
         """The (m, m) matrix that ``_gather`` reads from ``buf``, given its halves.
 
-        ``buf`` holds the pair halves at ``1 .. n_pairs``; its zero and the
+        ``buf`` holds the row halves at ``1 .. rows``; its zero and the
         negated halves are written here, in place.
         """
-        p = self._n_pairs
+        r = self._n_rows
         buf[0] = 0.0
-        np.negative(buf[1 : p + 1], out=buf[p + 1 :])
+        np.negative(buf[1 : r + 1], out=buf[r + 1 :])
         m = len(self.model)
         return buf.take(self._gather).reshape(m, m)
 
@@ -306,8 +323,8 @@ class PairwiseEngine:
     def statistic_matrix(self, sample: np.ndarray) -> np.ndarray:
         """Antisymmetric matrix with entry (i, k) = sum of pair (i, k) scores."""
         # A fresh buffer per call, so that threads may share one engine.
-        buf = np.empty(1 + 2 * self._n_pairs)
-        self._block_halves(_sample_array(sample)[None], buf[1 : 1 + self._n_pairs][None])
+        buf = np.empty(1 + 2 * self._n_rows)
+        self._block_halves(_sample_array(sample)[None], buf[1 : 1 + self._n_rows][None])
         return self._signed_matrix(buf)
 
     def pair_statistics(self, sample: np.ndarray) -> np.ndarray:
@@ -318,37 +335,38 @@ class PairwiseEngine:
         bitwise the result for ``sample[r]`` alone.
         """
         x = _sample_array(sample, block=True)
-        rows = x if x.ndim == 2 else x[None]
-        out = np.empty((len(rows), self._n_pairs))
-        self._block_halves(rows, out)
+        block = x if x.ndim == 2 else x[None]
+        out = np.empty((len(block), self._n_rows))
+        self._block_halves(block, out)
+        out = self._by_pair(out)
         return out if x.ndim == 2 else out[0]
 
-    def _block_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Write the pair statistics of each checked sample in ``rows``, shape (R, n), to ``out``.
+    def _block_halves(self, block: np.ndarray, out: np.ndarray) -> None:
+        """Write the row statistics of each checked sample in ``block``, shape (R, n), to ``out``.
 
-        Row r of ``out``, shape (R, pairs), receives sample r's statistics.
+        Row r of ``out``, shape (R, rows), receives sample r's statistics.
         """
         if self._mode == "tuple":
-            self._tuple_halves(rows, out)
+            self._tuple_halves(block, out)
         elif self._mode == "atom":
-            self._atom_halves(rows, out)
+            self._atom_halves(block, out)
         elif self._mode == "piecewise":
-            for row, dest in zip(rows, out):
-                self._piecewise_halves(row, dest)
+            for x, dest in zip(block, out):
+                self._piecewise_halves(x, dest)
         else:
-            self._generic_halves(rows, out)
+            self._generic_halves(block, out)
 
-    def _tuple_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
+    def _tuple_halves(self, block: np.ndarray, out: np.ndarray) -> None:
         width = len(self._coords)
-        if rows.shape[1] != width:
+        if block.shape[1] != width:
             raise ConfigError(
-                f"per-coordinate model expects samples of length {width}, got {rows.shape[1]}"
+                f"per-coordinate model expects samples of length {width}, got {block.shape[1]}"
             )
         out[:] = 0.0  # +0.0, as Python's sum starts
-        part = np.empty_like(out)
         for c, eng in enumerate(self._coords):
-            eng._block_halves(rows[:, c : c + 1], part)
-            out += part
+            part = np.empty((len(block), eng._n_rows))
+            eng._block_halves(block[:, c : c + 1], part)
+            out += eng._by_pair(part)
 
     def _atom_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
         k = len(self._atom_points)
@@ -376,7 +394,7 @@ class PairwiseEngine:
             linear *= tab.slope
             contrib += linear
         np.multiply(x.size, tab.bases, out=out)
-        out += np.bincount(tab.pair, weights=contrib, minlength=self._n_pairs)
+        out += np.bincount(tab.row, weights=contrib, minlength=self._n_rows)
 
     def _generic_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
         # Scores are elementwise, so one call scores the whole block; each

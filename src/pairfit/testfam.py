@@ -159,41 +159,47 @@ def _zero_score() -> PiecewiseScore:
 class PiecewiseTable:
     """The piecewise-linear scores of many pairs, flattened into arrays.
 
-    Pair ``p`` scores ``bases[p]`` plus ``const[c] + slope[c] * x`` on
+    Row ``r`` scores ``bases[r]`` plus ``const[c] + slope[c] * x`` on
     ``[cuts[lo[c]], cuts[hi[c]])`` for every component ``c`` with
-    ``pair[c] == p``.  Components are ordered by pair, then as the pair's
+    ``row[c] == r``.  Components are ordered by row, then as the row's
     score lists them.  ``lo`` and ``hi`` index the interval ends stored once
     in ``cuts``, so a sample is located against each distinct end once.
-    ``slope`` is None when every component is constant.
+    ``slope`` is None when every component is constant.  Pair ``p`` reads
+    row ``pair_row[p]``, so pairs with one score share a row; None means
+    that row ``p`` is pair ``p``.
     """
 
     bases: np.ndarray
-    pair: np.ndarray
+    row: np.ndarray
     cuts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     const: np.ndarray
     slope: np.ndarray | None
+    pair_row: np.ndarray | None = None
 
     @classmethod
-    def from_components(cls, bases, pair, lo, hi, const, slope=None) -> "PiecewiseTable":
+    def from_components(cls, bases, row, lo, hi, const, slope=None, pair_row=None) -> "PiecewiseTable":
         """The table whose component ``c`` spans ``[lo[c], hi[c])``, ends given as values.
 
         The one place the distinct ends become ``cuts`` and the components'
         indices into them: a builder that passes the ends ``from_scores``
-        would pass, in the same order, gets its table bitwise.
+        would pass, in the same order, gets its table bitwise.  Each cut is
+        the first end of its value, all ``lo`` before all ``hi``, so where
+        ``0.0`` and ``-0.0`` meet, the first one's sign stays.
         """
-        cuts, ends = np.unique(np.stack([lo, hi]), return_inverse=True)
+        stacked = np.stack([lo, hi])
+        _, first, ends = np.unique(stacked, return_index=True, return_inverse=True)
         ends = ends.reshape(2, -1)
-        return cls(bases, pair, cuts, ends[0], ends[1], const, slope)
+        return cls(bases, row, stacked.ravel()[first], ends[0], ends[1], const, slope, pair_row)
 
     @classmethod
     def from_scores(cls, scores: Sequence[PiecewiseScore]) -> "PiecewiseTable":
-        pair = [p for p, t in enumerate(scores) for _ in t.components]
+        row = [p for p, t in enumerate(scores) for _ in t.components]
         flat = np.asarray([c for t in scores for c in t.components], dtype=float).reshape(-1, 4)
         return cls.from_components(
             np.array([t.base for t in scores], dtype=float),
-            np.asarray(pair, dtype=np.intp),
+            np.asarray(row, dtype=np.intp),
             flat[:, 0],
             flat[:, 1],
             flat[:, 2],
@@ -665,11 +671,16 @@ def translation_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> Pie
     or uniform measure with one shared ``sd``, ``scale`` or ``width``: the
     pairs whose score ``_tv_score`` builds from ``_translation_regions``
     alone, with base 0 and no probability.  Returns None otherwise, checking
-    the family first.  Pairs come in ``np.triu_indices(m, 1)`` order, and a
-    pair with equal locations has no component.  The table is bitwise the
-    one ``PiecewiseTable.from_scores`` builds from the per-pair ``score``
-    calls: the same formula gives the same ends, passed to
-    ``PiecewiseTable.from_components`` in the same order.
+    the family first.  Pairs come in ``np.triu_indices(m, 1)`` order.  The
+    table has one row per bitwise-distinct region tuple ``(s, a1, c1, e2,
+    c2)``, signed zeros told apart, and ``pair_row`` sends each pair to its
+    row; the pairs with equal locations share one last row without
+    components, present only when there are such pairs.  On an equal-step
+    grid many pairs share a midpoint: grid-sim's 5,050 pairs have 475 rows.
+    Each row's components are bitwise the ones ``score`` gives each of its
+    pairs, since the same formula gives the same ends, so every pair
+    evaluates bitwise as the table ``PiecewiseTable.from_scores`` builds
+    from the per-pair ``score`` calls.
     """
     if spec.kind != "tv":
         return None
@@ -679,16 +690,35 @@ def translation_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> Pie
         return None
     loc = np.array([getattr(c, _TRANSLATION_LOCATIONS[kind]) for c in candidates])
     iu, ku = np.triu_indices(len(loc), 1)
-    rows = np.flatnonzero(loc[iu] != loc[ku])
-    i, k = iu[rows], ku[rows]
-    s, a1, c1, _, e2, c2 = _translation_regions(kind, loc[i], loc[k], getattr(first, "width", None))
+    moved = np.flatnonzero(loc[iu] != loc[ku])
+    s, a1, c1, _, e2, c2 = _translation_regions(kind, loc[iu[moved]], loc[ku[moved]], getattr(first, "width", None))
+    # One lexsort over the IEEE bits of each moved pair's regions groups the
+    # pairs that score bitwise alike; being stable, it puts each group's
+    # first pair first.  Rows follow their first pairs, so the ends come in
+    # the per-pair order with the repeats left out: each value's first end
+    # is the per-pair table's, and so is every cut's sign of zero.
+    keys = np.stack([s, a1, c1, e2, c2]).view(np.int64)
+    order = np.lexsort(keys)
+    ranked = keys[:, order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    heads = order[starts]
+    rep = np.sort(heads)
+    pair_row = np.full(len(iu), len(rep), dtype=np.intp)  # the empty row
+    pair_row[moved[order]] = np.searchsorted(rep, heads[np.cumsum(starts) - 1])
+    rows = len(rep) + (len(moved) < len(iu))
 
-    def by_pair(first_region, second_region):
-        return np.stack([first_region, second_region], axis=1).ravel()
+    def by_row(first_region, second_region):
+        return np.stack([first_region[rep], second_region[rep]], axis=1).ravel()
 
     # -1/2 where p > q, +1/2 where q > p, as ``_tv_score`` writes them.
     return PiecewiseTable.from_components(
-        np.zeros(len(iu)), np.repeat(rows, 2), by_pair(a1, e2), by_pair(c1, c2), -0.5 * by_pair(s, -s)
+        np.zeros(rows),
+        np.repeat(np.arange(len(rep)), 2),
+        by_row(a1, e2),
+        by_row(c1, c2),
+        -0.5 * by_row(s, -s),
+        pair_row=pair_row,
     )
 
 

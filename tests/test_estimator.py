@@ -418,7 +418,8 @@ class TestPartitionPairTable:
         assert not calls
         assert eng._mode == "piecewise"
         tab = eng._table
-        for field in ("bases", "pair", "const"):
+        assert tab.pair_row is None
+        for field in ("bases", "row", "const"):
             got, want = getattr(tab, field), getattr(expected, field)
             assert got.dtype == want.dtype, field
             assert got.tobytes() == want.tobytes(), field
@@ -509,11 +510,44 @@ def translation_grids(draw):
     return [_TRANSLATION_FAMILIES[family](c, shape) for c in locations]
 
 
-def assert_tables_bitwise_equal(got, want):
-    for field in ("bases", "pair", "cuts", "lo", "hi", "const"):
-        g, w = getattr(got, field), getattr(want, field)
-        assert g.dtype == w.dtype and g.shape == w.shape, field
-        assert g.tobytes() == w.tobytes(), field
+@st.composite
+def equal_step_grids(draw):
+    """Equal-shape models on a grid ``lo + k * step``, as ``models`` builds one, with repeats and both zeros.
+
+    A location other than the last is repeated in front, so the pairs it
+    makes with the last one share a row: every model has fewer rows than pairs.
+    """
+    family = draw(st.sampled_from(sorted(_TRANSLATION_FAMILIES)))
+    shape = draw(st.sampled_from([1.0, 0.25, 3.0]))
+    lo = draw(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.1, -3.0]))
+    step = draw(st.sampled_from([0.02, 0.1, 0.25, 0.5, 1.0, 1.0 / 3.0]))
+    grid = [lo + k * step for k in range(draw(st.integers(3, 14)))]
+    front = draw(st.sampled_from(grid[:-1]))
+    extra = draw(st.lists(st.sampled_from(grid + [0.0, -0.0]), max_size=4))
+    return [_TRANSLATION_FAMILIES[family](c, shape) for c in [front, *grid, *extra]]
+
+
+def per_pair_components(tab):
+    """Each pair's base and components, read through its row (``pair_row``), ends resolved through ``cuts``."""
+    rows = np.arange(len(tab.bases)) if tab.pair_row is None else tab.pair_row
+    assert np.all(np.diff(tab.row) >= 0)  # components come ordered by row
+    starts, stops = np.searchsorted(tab.row, rows, "left"), np.searchsorted(tab.row, rows, "right")
+    comp = np.array([c for a, b in zip(starts, stops) for c in range(a, b)], dtype=np.intp)
+    return {
+        "bases": tab.bases[rows],
+        "pair": np.repeat(np.arange(len(rows)), stops - starts),
+        "lo": tab.cuts[tab.lo[comp]],
+        "hi": tab.cuts[tab.hi[comp]],
+        "const": tab.const[comp],
+    }
+
+
+def assert_pairs_bitwise_equal(got, want):
+    """Both tables give every pair the same base and components, byte for byte."""
+    g, w = per_pair_components(got), per_pair_components(want)
+    for field in g:
+        assert g[field].dtype == w[field].dtype and g[field].shape == w[field].shape, field
+        assert g[field].tobytes() == w[field].tobytes(), field
     assert got.slope is None and want.slope is None
 
 
@@ -525,7 +559,7 @@ class TestTranslationPairTable:
     def test_bitwise_equal_to_per_pair_scores_and_engine(self, cands, data):
         spec = LossSpec.tv()
         scores = [score(spec, P, Q) for P, Q in combinations(cands, 2)]
-        assert_tables_bitwise_equal(translation_pair_table(spec, cands), PiecewiseTable.from_scores(scores))
+        assert_pairs_bitwise_equal(translation_pair_table(spec, cands), PiecewiseTable.from_scores(scores))
         eng = PairwiseEngine(spec, cands)
         assert eng.stats.compiled is True and eng._mode == "piecewise"
         with mock.patch.object(estimator, "translation_pair_table", lambda spec, candidates: None):
@@ -539,6 +573,23 @@ class TestTranslationPairTable:
         extra = data.draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False), max_size=10))
         sample = np.concatenate([near[picks], extra, [0.0]])
         assert eng.statistic_matrix(sample).tobytes() == per_pair.statistic_matrix(sample).tobytes()
+        assert eng.constant_parts.tobytes() == per_pair.constant_parts.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cands=equal_step_grids(), data=st.data())
+    def test_shared_rows_evaluate_bitwise_as_the_per_pair_engine(self, cands, data):
+        spec = LossSpec.tv()
+        eng = PairwiseEngine(spec, cands)
+        with mock.patch.object(estimator, "translation_pair_table", lambda spec, candidates: None):
+            per_pair = PairwiseEngine(spec, cands)
+        assert eng.stats.rows < eng.stats.pairs == per_pair.stats.rows
+        cuts = eng._table.cuts[np.isfinite(eng._table.cuts)]
+        near = np.concatenate([cuts, np.nextafter(cuts, -math.inf), np.nextafter(cuts, math.inf), [0.0, -0.0, -60.0, 60.0]])
+        R, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 30))
+        block = near[data.draw(st.lists(st.integers(0, len(near) - 1), min_size=R * n, max_size=R * n))].reshape(R, n)
+        assert eng.statistic_matrix(block[0]).tobytes() == per_pair.statistic_matrix(block[0]).tobytes()
+        assert eng.pair_statistics(block[0]).tobytes() == per_pair.pair_statistics(block[0]).tobytes()
+        assert eng.pair_statistics(block).tobytes() == per_pair.pair_statistics(block).tobytes()
         assert eng.constant_parts.tobytes() == per_pair.constant_parts.tobytes()
 
     @pytest.mark.parametrize(
@@ -556,7 +607,7 @@ class TestTranslationPairTable:
         # table keeps the one the scalar rule keeps.
         spec = LossSpec.tv()
         scores = [score(spec, P, Q) for P, Q in combinations(cands, 2)]
-        assert_tables_bitwise_equal(translation_pair_table(spec, cands), PiecewiseTable.from_scores(scores))
+        assert_pairs_bitwise_equal(translation_pair_table(spec, cands), PiecewiseTable.from_scores(scores))
 
     def test_uniform_tie_keeps_the_scalar_rule_zeros(self):
         # U(-3, 3) ends at 0.0 where U(-0, 3) starts: min(-0.0, 0.0) keeps
@@ -576,8 +627,11 @@ class TestTranslationPairTable:
         calls = count_score_calls(monkeypatch)
         eng = PairwiseEngine(spec, model)
         assert not calls
-        assert_tables_bitwise_equal(eng._table, PiecewiseTable.from_scores(scores))
-        assert (eng.stats.components, eng.stats.cuts, eng.stats.compiled) == (10100, 785, True)
+        assert_pairs_bitwise_equal(eng._table, PiecewiseTable.from_scores(scores))
+        # 475 rows of two components each; the 101 locations are distinct,
+        # so no pair reads an empty row.
+        stats = eng.stats
+        assert (stats.pairs, stats.rows, stats.components, stats.cuts, stats.compiled) == (5050, 475, 950, 785, True)
 
     def test_cauchy_grid_reads_the_tail_regions_past_the_window(self):
         # Both observations sit right of every midpoint, at 2000 and 4000
@@ -604,15 +658,18 @@ class TestTranslationPairTable:
 
 class TestMatrixFill:
     def test_fill_matches_triangle_indexing_bitwise(self):
-        # Signed zeros included: (i, k) gets +h and (k, i) gets -h.
+        # Signed zeros included: pair (i, k) reads its row's h, so (i, k)
+        # gets +h and (k, i) gets -h.  The grid's 21 pairs share 14 rows.
         m = 7
         eng = PairwiseEngine(LossSpec.tv(), [GaussianMeasure(0.1 * c) for c in range(m)])
-        halves = np.random.default_rng(3).standard_normal(m * (m - 1) // 2)
+        assert (eng.stats.pairs, eng.stats.rows) == (21, 14)
+        halves = np.random.default_rng(3).standard_normal(eng.stats.rows)
         halves[::4], halves[1::5] = 0.0, -0.0
+        by_pair = halves[eng._table.pair_row]
         expected = np.zeros((m, m))
         iu = np.triu_indices(m, k=1)
-        expected[iu] = halves
-        expected[(iu[1], iu[0])] = -halves
+        expected[iu] = by_pair
+        expected[(iu[1], iu[0])] = -by_pair
         assert eng._fill_matrix(halves).tobytes() == expected.tobytes()
 
     def test_matrix_too_large_for_int32_positions(self):
@@ -901,9 +958,11 @@ class TestEngineStats:
         assert stats.pairs == m * (m - 1) // 2
         assert stats.build_seconds >= 0.0
         if stats.backend == "piecewise":
-            assert (stats.components, stats.cuts) == (len(eng._table.pair), len(eng._table.cuts))
+            assert (stats.rows, stats.components, stats.cuts) == (
+                len(eng._table.bases), len(eng._table.row), len(eng._table.cuts)
+            )
         else:
-            assert stats.components is None and stats.cuts is None
+            assert stats.rows is None and stats.components is None and stats.cuts is None
         # Equal-sd Gaussians under TV compile at once; the others go pair by pair.
         assert stats.compiled is (backend == "piecewise-constant")
 
@@ -1034,6 +1093,32 @@ class TestTupleCoordinateEngines:
         assert eng.constant_parts.tobytes() == _antisymmetric(consts, 3).tobytes()
         for coord in eng._coords:
             assert "_gather" not in vars(coord) and "constant_parts" not in vars(coord)
+
+    def test_grid_coordinates_share_rows(self):
+        # Each coordinate puts the candidates on an equal-step grid, with
+        # repeats and both zeros, so its compiled table has fewer rows than
+        # pairs and the coordinate's rows are read out per pair.
+        spec = LossSpec.tv()
+        coords = [
+            (GaussianMeasure, [0.0, 0.25, 0.5, 0.75, 1.0, 0.25]),
+            (CauchyMeasure, [-1.0, 0.0, 1.0, -1.0, 0.0, 1.0]),
+            (lambda c: UniformMeasure(c, 0.5), [0.0, 0.5, 1.0, 0.0, 0.5, 1.0]),
+            (GaussianMeasure, [0.5, 0.5, 0.0, -0.0, 1.0, 1.5]),
+        ]
+        cands = [tuple(family(locs[i]) for family, locs in coords) for i in range(6)]
+        eng = PairwiseEngine(spec, Model(candidates=cands, product_form="tuples"))
+        assert all(c._pair_row is not None and c.stats.rows < c.stats.pairs == 15 for c in eng._coords)
+        block = np.array([[0.125, 0.0, 0.5, 0.5], [0.5, -0.5, 1.0, 0.0], [0.375, 3.0, 0.25, -0.0]])
+        halves, consts = [], []
+        for i, k in combinations(range(6), 2):
+            ts = [score(spec, cands[i][c], cands[k][c]) for c in range(4)]
+            halves.append([sum(float(t(x[c : c + 1])[0]) for c, t in enumerate(ts)) for x in block])
+            consts.append(sum(t.constant_part for t in ts))
+        want = np.array(halves).T
+        assert eng.pair_statistics(block).tobytes() == want.tobytes()
+        assert eng.pair_statistics(block[1]).tobytes() == want[1].tobytes()
+        assert eng.statistic_matrix(block[2]).tobytes() == _antisymmetric(want[2], 6).tobytes()
+        assert eng.constant_parts.tobytes() == _antisymmetric(consts, 6).tobytes()
 
     def test_sloped_w1_coordinate_scores_as_its_scores(self):
         # The piecewise sweep reads -0.371875 here; the score itself reads
