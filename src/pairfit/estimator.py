@@ -7,8 +7,9 @@ is within epsilon of the best one.
 
 Candidate models are explicit finite lists (countable models are realized by
 enumeration, so all suprema become maxima).  Two sample regimes are
-supported: i.i.d. candidates (one measure per candidate) and per-coordinate
-candidate tuples, where candidate i is a tuple (P_{i,1}, ..., P_{i,n}) and
+supported, and ``Model`` reads which one applies from its candidates:
+i.i.d. candidates (one measure per candidate) and per-coordinate candidate
+tuples, where candidate i is a tuple (P_{i,1}, ..., P_{i,n}) and
 observation k is scored against coordinate k.  A tuple model runs one
 engine per coordinate, over the candidates' k-th measures, and adds their
 statistics coordinate by coordinate.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -57,35 +58,44 @@ _MAX_FLAT = 2**31
 # ``EstimateReport.to_record`` leaves the matrices out above this many candidates.
 _RECORD_MATRIX_LIMIT = 64
 
+_MIXED_CANDIDATES = "a model's candidates must be all measures or all sequences of measures, got a {}"
+
 
 @dataclass
 class Model:
     """A finite candidate list plus the metadata its loss may need.
 
-    ``product_form`` is ``"iid"`` when every candidate is a single measure
-    applying to all coordinates, or ``"tuples"`` when each candidate is a
-    sequence of per-coordinate measures (all of one shared length).
+    The candidates say which product form the model has, and ``product_form``
+    records it: ``"iid"`` when every candidate is a single measure applying
+    to all coordinates, ``"tuples"`` when every candidate is a sequence of
+    per-coordinate measures, all of one length (each is stored as a tuple).
+    Any other mix raises ``ConfigError``.
     """
 
     candidates: list
-    product_form: str = "iid"
     vc_dimension: float | None = None
     candidate_params: list | None = None
+    product_form: str = field(init=False)
 
     def __post_init__(self) -> None:
-        self.candidates = list(self.candidates)
-        if not self.candidates:
+        cands = self.candidates = list(self.candidates)
+        if not cands:
             raise ConfigError("a model needs at least one candidate")
-        if self.product_form not in ("iid", "tuples"):
-            raise ConfigError(
-                f"product_form must be 'iid' or 'tuples', got {self.product_form!r}"
-            )
-        if self.product_form == "tuples":
-            lengths = {len(tuple(c)) for c in self.candidates}
-            if len(lengths) != 1:
-                raise ConfigError(
-                    f"per-coordinate candidate tuples must share one length, got {sorted(lengths)}"
-                )
+        # A plain loop, not all(): a two-point test builds this model per sample.
+        if isinstance(cands[0], Measure):
+            for c in cands:
+                if not isinstance(c, Measure):
+                    raise ConfigError(_MIXED_CANDIDATES.format(type(c).__name__))
+            self.product_form = "iid"
+            return
+        for i, c in enumerate(cands):
+            try:
+                c = cands[i] = tuple(c)
+            except TypeError:
+                raise ConfigError(_MIXED_CANDIDATES.format(type(c).__name__)) from None
+            if len(c) != len(cands[0]) or not all(isinstance(P, Measure) for P in c):
+                raise ConfigError(f"candidates must be measure sequences of one length; candidate {i} is not")
+        self.product_form = "tuples"
 
     def __len__(self) -> int:
         return len(self.candidates)

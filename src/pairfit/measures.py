@@ -1273,9 +1273,6 @@ def _tv_closed_form(P: Measure, Q: Measure) -> float | None:
         return min(1.0, abs(P.shift - Q.shift) ** P.alpha)
     if kind == "partition":
         return 0.5 * float(np.abs(P.cell_masses - Q.cell_masses).sum())
-    if kind == "atomic":
-        _, (vp, vq) = atom_mass_matrix(P, Q)
-        return min(1.0, 0.5 * float(np.abs(vp - vq).sum()))
     return None
 
 

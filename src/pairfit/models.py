@@ -385,7 +385,6 @@ def _build_regression_tuples(config: ModelBuilderConfig) -> Model:
     ]
     return Model(
         candidates=candidates,
-        product_form="tuples",
         candidate_params=[list(theta) for theta in config.theta_net],
     )
 

@@ -68,21 +68,6 @@ def _sign_decision(statistic: float) -> Decision:
     return Decision.TIE
 
 
-def _pair_model(
-    P: Measure | Sequence[Measure], Q: Measure | Sequence[Measure]
-) -> Model:
-    """The two-candidate model ``[P, Q]`` that the test's engine is built on."""
-    p_single = isinstance(P, Measure)
-    q_single = isinstance(Q, Measure)
-    if p_single != q_single:
-        raise ConfigError(
-            "P and Q must both be measures or both be per-coordinate sequences"
-        )
-    if p_single:
-        return Model(candidates=[P, Q])
-    return Model(candidates=[list(P), list(Q)], product_form="tuples")
-
-
 def run_test(
     sample: np.ndarray,
     P: Measure | Sequence[Measure],
@@ -92,7 +77,9 @@ def run_test(
     """Run the pairwise-score test between two candidates.
 
     ``P`` and ``Q`` are either both single measures (an i.i.d. sample) or
-    both sequences of per-coordinate measures of the sample's length.  The
+    both sequences of per-coordinate measures of the sample's length; the
+    engine is built on ``Model([P, Q])``, which reads which one they are and
+    raises ``ConfigError`` for any other mix.  The
     statistic is the two-candidate pairwise matrix entry ``T(X, P, Q)``;
     the decision follows its sign (``CHOOSE_Q`` when positive, ``CHOOSE_P``
     when negative, ``TIE`` at zero, which by antisymmetry is the same as
@@ -100,7 +87,7 @@ def run_test(
     pair's engine for one sample; a Monte Carlo loop over one pair builds
     it once and scores blocks of samples with ``pair_statistics``.
     """
-    engine = PairwiseEngine(loss, _pair_model(P, Q))
+    engine = PairwiseEngine(loss, Model([P, Q]))
     # One-dimensional only: the engine would read a 2-D array as a block.
     statistic = float(engine.pair_statistics(_sample_array(sample))[0])
     return TestOutcome(decision=_sign_decision(statistic), statistic=statistic)
@@ -111,37 +98,43 @@ def _q_dominates_split(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float, float]:
     """The set ``A = {q > p}``: a sample-membership test, ``P(A)``, ``Q(A)``.
 
-    Purely atomic pairs compare atom masses directly, and their membership
-    test raises ``ConfigError`` on a value that is no atom of ``P`` or ``Q``;
-    other pairs reuse the total-variation sign regions (exact for the
-    matched translation families, probed elsewhere), with membership
-    following the same half-open evaluation intervals as the TV score, and
-    a pair with atoms raises ``ConfigError`` there.
+    Purely atomic pairs compare atom masses and two histograms on one
+    partition cell heights, as the TV score does, and membership follows the
+    atom or cell; the atomic test raises ``ConfigError`` on a value that is
+    no atom of ``P`` or ``Q``.  Other pairs reuse the total-variation sign
+    regions (exact for the matched translation families, probed elsewhere),
+    with membership following the same half-open evaluation intervals as
+    the TV score, and a pair with atoms raises ``ConfigError`` there.
     """
     kind = pair_kind(P, Q)
-    if kind == "atomic":
-        points, (vp, vq) = atom_mass_matrix(P, Q)
-        in_a = vq > vp
-        # Left-to-right Python float sums: numpy's pairwise sum rounds differently.
-        prob_p = float(sum(vp[in_a].tolist()))
-        prob_q = float(sum(vq[in_a].tolist()))
+    if kind in ("atomic", "partition"):
+        if kind == "atomic":
+            points, (vp, vq) = atom_mass_matrix(P, Q)
+            in_a = vq > vp
+            where = lambda xs: locate_points(points, xs, "the pair's finite space")
+        else:
+            vp, vq = P.cell_masses, Q.cell_masses
+            in_a = Q.heights > P.heights
+            where = P.partition.locate  # -1 off the support, which is outside A
+        p_parts, q_parts = vp[in_a].tolist(), vq[in_a].tolist()
 
         def member(xs: np.ndarray) -> np.ndarray:
-            return in_a[locate_points(points, xs, "the pair's finite space")]
+            idx = where(xs)
+            return in_a[idx] & (idx >= 0)
 
-        return member, prob_p, prob_q
+    else:
+        negative = [(a, c, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(P, Q, kind) if s < 0]
+        p_parts = [_interval_prob(P, a, c) for a, c, _, _ in negative]
+        q_parts = [_interval_prob(Q, a, c) for a, c, _, _ in negative]
 
-    negative = [(a, c, ea, ec) for (a, c, s, ea, ec) in _tv_sign_regions(P, Q, kind) if s < 0]
-    prob_p = float(sum(_interval_prob(P, a, c) for a, c, _, _ in negative))
-    prob_q = float(sum(_interval_prob(Q, a, c) for a, c, _, _ in negative))
+        def member(xs: np.ndarray) -> np.ndarray:
+            out = np.zeros(xs.shape, dtype=bool)
+            for _, _, ea, ec in negative:
+                out |= (xs >= ea) & (xs < ec)
+            return out
 
-    def member(xs: np.ndarray) -> np.ndarray:
-        out = np.zeros(xs.shape, dtype=bool)
-        for _, _, ea, ec in negative:
-            out |= (xs >= ea) & (xs < ec)
-        return out
-
-    return member, prob_p, prob_q
+    # Left-to-right Python float sums: numpy's pairwise sum rounds differently.
+    return member, float(sum(p_parts)), float(sum(q_parts))
 
 
 def devroye_lugosi_test(

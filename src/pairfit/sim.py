@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import vc_bound_tv, wasserstein_dev_bound
 from .errors import ConfigError, _check_keys, _integer, _number_list, _positive_finite, _positive_int
-from .estimator import PairwiseEngine, _suprema_and_choice
+from .estimator import Model, PairwiseEngine, _suprema_and_choice
 from .losses import LossSpec, aggregate_loss, loss
 from .measures import (
     Measure,
@@ -36,7 +36,6 @@ from .measures import (
 from .models import ModelBuilderConfig, build
 from .robust_tests import (
     Decision,
-    _pair_model,
     _sign_decision,
     bernstein_bound,
     hoeffding_bound,
@@ -290,13 +289,14 @@ class _LossTable:
         else:
             self._grouped = [(self._marginals, self._n)]
         self._candidates = model.candidates
+        self._tuples = model.product_form == "tuples"
         self._cache: dict[int, float] = {}
 
     def __call__(self, index: int) -> float:
         value = self._cache.get(index)
         if value is None:
             cand = self._candidates[index]
-            if isinstance(cand, (tuple, list)):
+            if self._tuples:
                 value = (
                     aggregate_loss(self._spec, self._marginals, list(cand), n=self._n)
                     / self._n
@@ -536,7 +536,7 @@ def test_error_mc(
     """
     _positive_int(reps, "reps")
     _positive_int(n, "n")
-    engine = PairwiseEngine(loss_spec, _pair_model(P, Q))
+    engine = PairwiseEngine(loss_spec, Model([P, Q]))
     tallies = {Decision.CHOOSE_P: 0, Decision.CHOOSE_Q: 0, Decision.TIE: 0}
     rng = replication_rng(seed)
     per_block = max(1, _BLOCK_OBSERVATIONS // n)

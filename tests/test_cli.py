@@ -229,7 +229,7 @@ class TestEstimate:
         # needs a base with a location), so the builder hands the command
         # one: each coordinate's engine locates its observations on its atoms.
         atoms = [DiscreteMeasure([0.0, 1.0], [0.7, 0.3]), DiscreteMeasure([0.0, 1.0], [0.2, 0.8])]
-        model = Model(candidates=[tuple(atoms), tuple(atoms[::-1])], product_form="tuples")
+        model = Model(candidates=[tuple(atoms), tuple(atoms[::-1])])
         monkeypatch.setattr(cli, "build", lambda config: model)
         doc = {
             "model": {

@@ -87,7 +87,6 @@ class TestPairwiseStatistic:
                 (GaussianMeasure(0.0), GaussianMeasure(1.0)),
                 (GaussianMeasure(0.5), GaussianMeasure(1.5)),
             ],
-            product_form="tuples",
         )
         with pytest.raises(ConfigError, match="length 2"):
             PairwiseEngine(LossSpec.tv(), model).statistic_matrix(np.zeros(3))
@@ -100,7 +99,7 @@ class TestPairwiseStatistic:
         ]
         P = tuple(pq[0] for pq in coords)
         Q = tuple(pq[1] for pq in coords)
-        model = Model(candidates=[P, Q], product_form="tuples")
+        model = Model(candidates=[P, Q])
         x = np.array([0.3, -0.2, 2.4])
         M = PairwiseEngine(LossSpec.tv(), model).statistic_matrix(x)
         by_hand = sum(
@@ -109,6 +108,40 @@ class TestPairwiseStatistic:
         )
         assert abs(M[0, 1] - by_hand) < 1e-12
         assert M[1, 0] == -M[0, 1]
+
+    def test_product_form_is_read_from_the_candidates(self):
+        G = GaussianMeasure
+        assert Model([G(0.0), G(1.0)]).product_form == "iid"
+        P, Q = [G(0.0), G(1.0)], (G(2.0), G(3.0))
+        model = Model([P, Q])
+        assert model.product_form == "tuples"
+        assert model.candidates == [tuple(P), Q]
+        with pytest.raises(TypeError):
+            Model([G(0.0), G(1.0)], product_form="tuples")
+
+    def test_one_coordinate_lists_score_as_a_tuple_model(self):
+        # The lists were taken for i.i.d. measures: AttributeError on 'atoms'.
+        P, Q = GaussianMeasure(0.0), GaussianMeasure(1.0)
+        x = np.array([0.3])
+        M = PairwiseEngine(LossSpec.tv(), Model([[P], [Q]])).statistic_matrix(x)
+        assert M[0, 1] == float(score(LossSpec.tv(), P, Q)(x)[0])
+        assert M[1, 0] == -M[0, 1]
+
+    @pytest.mark.parametrize(
+        "candidates",
+        [
+            [GaussianMeasure(0.0), [GaussianMeasure(1.0)]],
+            [[GaussianMeasure(0.0)], GaussianMeasure(1.0)],
+            [[GaussianMeasure(0.0)], [GaussianMeasure(1.0), GaussianMeasure(2.0)]],
+            [[GaussianMeasure(0.0)], [1.0]],
+            [GaussianMeasure(0.0), "Q"],
+            [1.0, 2.0],
+        ],
+        ids=["measure-then-list", "list-then-measure", "ragged", "float-entry", "string", "floats"],
+    )
+    def test_mixed_candidates_are_config_errors(self, candidates):
+        with pytest.raises(ConfigError, match="candidate"):
+            Model(candidates)
 
 
 class TestBatchBackends:
@@ -819,7 +852,7 @@ def _tuple_model(n):
     """Two per-coordinate tuples of length ``n`` on ``_BLOCK_ATOMS``, masses varying by coordinate."""
     P = tuple(DiscreteMeasure(_BLOCK_ATOMS, [0.5, 0.3 - 0.02 * (c % 7), 0.2 + 0.02 * (c % 7)]) for c in range(n))
     Q = tuple(DiscreteMeasure(_BLOCK_ATOMS, [0.2 + 0.03 * (c % 5), 0.3, 0.5 - 0.03 * (c % 5)]) for c in range(n))
-    return Model(candidates=[P, Q], product_form="tuples")
+    return Model(candidates=[P, Q])
 
 
 # Backend name -> (loss, model for sample length n, draw of shape (R, n), engine mode).
@@ -1071,7 +1104,7 @@ class TestTupleCoordinateEngines:
         coords, picks, block = data.draw(tuple_models(loss))
         m = len(picks[0])
         cands = [tuple(_TUPLE_POOLS[f][0][pick[i]] for f, pick in zip(coords, picks)) for i in range(m)]
-        eng = PairwiseEngine(_TUPLE_LOSSES[loss][0], Model(candidates=cands, product_form="tuples"))
+        eng = PairwiseEngine(_TUPLE_LOSSES[loss][0], Model(candidates=cands))
         assert eng.stats.backend == "tuple"
         want = [_scalar_tuple_halves(loss, coords, picks, x) for x in block]
         assert eng.constant_parts.tobytes() == _antisymmetric(want[0][1], m).tobytes()
@@ -1086,7 +1119,7 @@ class TestTupleCoordinateEngines:
         coords = ["gaussian", "cauchy", "uniform", "histogram", "gaussian-sd"]
         picks = [[0, 1, 2]] * len(coords)
         cands = [tuple(_TUPLE_POOLS[f][0][pick[i]] for f, pick in zip(coords, picks)) for i in range(3)]
-        eng = PairwiseEngine(LossSpec.tv(), Model(candidates=cands, product_form="tuples"))
+        eng = PairwiseEngine(LossSpec.tv(), Model(candidates=cands))
         x = np.array([0.25, 0.1, 0.7, 0.5, 0.0])
         halves, consts = _scalar_tuple_halves("tv", coords, picks, x)
         assert eng.statistic_matrix(x).tobytes() == _antisymmetric(halves, 3).tobytes()
@@ -1106,7 +1139,7 @@ class TestTupleCoordinateEngines:
             (GaussianMeasure, [0.5, 0.5, 0.0, -0.0, 1.0, 1.5]),
         ]
         cands = [tuple(family(locs[i]) for family, locs in coords) for i in range(6)]
-        eng = PairwiseEngine(spec, Model(candidates=cands, product_form="tuples"))
+        eng = PairwiseEngine(spec, Model(candidates=cands))
         assert all(c._pair_row is not None and c.stats.rows < c.stats.pairs == 15 for c in eng._coords)
         block = np.array([[0.125, 0.0, 0.5, 0.5], [0.5, -0.5, 1.0, 0.0], [0.375, 3.0, 0.25, -0.0]])
         halves, consts = [], []
@@ -1125,7 +1158,7 @@ class TestTupleCoordinateEngines:
         # (base + c) + s*x = -0.37187499999999996.
         spec = LossSpec.wasserstein1()
         P, Q = _TUPLE_HISTOGRAMS[:2]
-        eng = PairwiseEngine(spec, Model(candidates=[(P,), (Q,)], product_form="tuples"))
+        eng = PairwiseEngine(spec, Model(candidates=[(P,), (Q,)]))
         x = np.array([0.1])
         want = float(score(spec, P, Q)(x)[0])
         assert want == -0.37187499999999996
@@ -1135,7 +1168,7 @@ class TestTupleCoordinateEngines:
     def test_identical_candidates_keep_the_signed_zeros(self):
         # The sum starts from +0.0, so (0, 1) reads +0.0 and (1, 0) its negation.
         G = GaussianMeasure(0.0)
-        model = Model(candidates=[(G, G), (G, G)], product_form="tuples")
+        model = Model(candidates=[(G, G), (G, G)])
         for spec in (LossSpec.tv(), LossSpec.hellinger2()):
             M = PairwiseEngine(spec, model).statistic_matrix(np.array([0.3, -1.0]))
             assert math.copysign(1.0, M[0, 1]) == 1.0 and M[0, 1] == 0.0
@@ -1146,7 +1179,7 @@ class TestTupleCoordinateEngines:
         # that all score -0.0 sum to +0.0 at (0, 1), constant parts too.
         neg = CallableScore(lambda x: np.full(np.shape(x), -0.0), -0.0)
         G = GaussianMeasure(0.0)
-        model = Model(candidates=[(G, G), (G, G)], product_form="tuples")
+        model = Model(candidates=[(G, G), (G, G)])
         with mock.patch.object(estimator, "score", lambda spec, P, Q: neg):
             eng = PairwiseEngine(LossSpec.hellinger2(), model)
         M = eng.statistic_matrix(np.array([0.3, -1.0]))
@@ -1155,7 +1188,7 @@ class TestTupleCoordinateEngines:
 
     def test_off_the_atoms_names_the_value(self):
         D = _TUPLE_POOLS["discrete"][0]
-        model = Model(candidates=[(D[0], D[1]), (D[1], D[2])], product_form="tuples")
+        model = Model(candidates=[(D[0], D[1]), (D[1], D[2])])
         with pytest.raises(ConfigError, match="observation 0.75 is outside the model's finite space"):
             PairwiseEngine(LossSpec.tv(), model).statistic_matrix(np.array([0.0, 0.75]))
 

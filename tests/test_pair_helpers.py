@@ -229,6 +229,12 @@ class TestTvSignRegions:
     # Nearly equal widths: p - q reads 0 at the midpoints of some probed
     # regions, and a merge of two of them would not.
     @example((GaussianMeasure(0.0, 0.5000000000000001), GaussianMeasure(0.0, 0.5)))
+    # A known defect: the probed search splits this pair into 47 regions, and
+    # [0.8912, 0.9030] carries -1 where p - q reads +1.1e-16 (the exact
+    # crossings are 0 and 1, so the sign there is +1).
+    @example((GaussianMeasure(0.5, 0.5), GaussianMeasure(0.5, 0.5000000000000001))).xfail(
+        raises=AssertionError, reason="probed sign regions resolve sub-ulp density gaps"
+    )
     @settings(max_examples=60, deadline=None)
     def test_regions_carry_the_sign_of_p_minus_q(self, pair):
         P, Q = pair

@@ -33,6 +33,7 @@ from pairfit.robust_tests import (
     run_test,
     variational_bound,
 )
+from pairfit.testfam import score
 
 SQRT2 = math.sqrt(2.0)
 
@@ -257,6 +258,27 @@ class TestDevroyeLugosi:
         out = devroye_lugosi_test(np.array([0.25, 0.75]), P, Q)
         assert out.decision is Decision.CHOOSE_Q
         assert abs(out.statistic - 0.5) < 1e-12
+
+    def test_histogram_pair_reads_the_closed_last_cell(self):
+        # A = {q > p} is the last cell [0.5, 1], closed at 1 as in the TV
+        # score, which reads +1/2 there: f = 1, Q(A) = 3/4, P(A) = 1/4.  The
+        # probed sign regions left 1.0 out of A and chose Q with +0.5.
+        part = PartitionRef(2, (0.0, 1.0))
+        P, Q = HistogramMeasure(part, [1.5, 0.5]), HistogramMeasure(part, [0.5, 1.5])
+        assert float(score(LossSpec.tv(), P, Q)(np.array([1.0]))[0]) == 0.5
+        out = devroye_lugosi_test(np.ones(3), P, Q)
+        assert out.statistic == -0.5
+        assert out.decision is Decision.CHOOSE_P
+
+    def test_histogram_pair_sums_cell_masses(self):
+        # A is the last cell of (0, 0.3], with P(A) = 0.5/3 and Q(A) = 1.5/3;
+        # the probed regions read P(A) = 0.16666666666666663.
+        part = PartitionRef(3, (0.0, 0.3))
+        P, Q = HistogramMeasure(part, [1.5, 1.0, 0.5]), HistogramMeasure(part, [0.5, 1.0, 1.5])
+        member, prob_p, prob_q = robust_tests._q_dominates_split(P, Q)
+        assert (prob_p, prob_q) == (0.5 / 3, 1.5 / 3)
+        xs = np.array([-0.1, 0.0, 0.1, 0.2, 0.25, 0.3, 0.4])
+        assert member(xs).tolist() == [False, False, False, True, True, True, False]
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ConfigError):
