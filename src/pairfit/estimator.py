@@ -197,9 +197,7 @@ class PairwiseEngine:
 
     A tuple model sums one such engine per coordinate, over the candidates'
     measures there, in coordinate order from +0.0, as a Python ``sum`` of
-    one-observation scores adds; a coordinate with sloped pieces takes the
-    per-pair loop, since the sweep rounds ``base + (c + s*x)``, a score
-    ``(base + c) + s*x``.
+    one-observation scores adds.
     """
 
     def __init__(self, spec: LossSpec, model: Model | Sequence[Measure]):
@@ -220,8 +218,6 @@ class PairwiseEngine:
             self._coords = [PairwiseEngine(spec, [P[c] for P in cands]) for c in range(len(cands[0]))]
             consts = np.zeros(self._n_pairs)
             for eng in self._coords:
-                if eng._mode == "piecewise" and eng._table.slope is not None:
-                    eng._mode = "generic"  # see the class docstring
                 consts += eng._by_pair(eng._consts)
             compiled = all(eng.stats.compiled for eng in self._coords)
         else:
@@ -351,6 +347,44 @@ class PairwiseEngine:
         out = self._by_pair(out)
         return out if x.ndim == 2 else out[0]
 
+    def choices(self, block: np.ndarray, probe=(0,)) -> tuple[np.ndarray, np.ndarray]:
+        """Each sample's chosen candidate and its supremum, for an (R, n) block of samples.
+
+        Entry r of each is bitwise what ``ell_estimate`` reports on
+        ``block[r]`` alone (``chosen`` and ``sup_stat[chosen]``), but no
+        (m, m) matrix is formed.  The exact matrix rows of the ``probe``
+        candidates are gathered first.  Column k of the matrix is minus row
+        k and its diagonal is 0, so ``max(0, max over probes k of M[i, k])``
+        bounds candidate i's supremum from below; only the candidates whose
+        bound does not exceed the smallest probed supremum can attain the
+        minimum, and only their rows are gathered next.  Every row is read
+        in the matrix's own order and reduced as ``_suprema_and_choice``
+        reduces it, so ``probe`` (any candidate indices; repeats only cost
+        time) changes the speed, never the answer.
+        """
+        block = _sample_array(block, block=True)
+        if block.ndim != 2:
+            raise ConfigError(f"choices takes a 2-D block of samples, got shape {block.shape}")
+        R, r = len(block), self._n_rows
+        buf = np.empty((R, 1 + 2 * r))
+        self._block_halves(block, buf[:, 1 : 1 + r])
+        buf[:, 0] = 0.0
+        np.negative(buf[:, 1 : r + 1], out=buf[:, r + 1 :])
+        m = len(self.model)
+        matrix_rows = self._gather.reshape(m, m)
+        probe = np.asarray(probe, dtype=np.intp)
+        probed = buf.take(matrix_rows[probe], axis=1)  # (R, probes, m)
+        sup = np.full((R, m), np.inf)
+        sup[:, probe] = probe_sup = probed.max(axis=2)
+        # The smallest probed supremum is at least 0 (the diagonal), so a
+        # bound above it is minus a probed M[k, i] above it.
+        maybe = ~(probed.min(axis=1) < -probe_sup.min(axis=1, keepdims=True))
+        maybe[:, probe] = False
+        at, i = np.nonzero(maybe)
+        sup[at, i] = buf[at[:, None], matrix_rows[i]].max(axis=1)
+        chosen = sup.argmin(axis=1)
+        return chosen, sup[np.arange(R), chosen]
+
     def _block_halves(self, block: np.ndarray, out: np.ndarray) -> None:
         """Write the row statistics of each checked sample in ``block``, shape (R, n), to ``out``.
 
@@ -361,8 +395,7 @@ class PairwiseEngine:
         elif self._mode == "atom":
             self._atom_halves(block, out)
         elif self._mode == "piecewise":
-            for x, dest in zip(block, out):
-                self._piecewise_halves(x, dest)
+            self._piecewise_halves(block, out)
         else:
             self._generic_halves(block, out)
 
@@ -388,23 +421,16 @@ class PairwiseEngine:
         for dest, c in zip(out, counts):
             dest[:] = self._atom_values @ c
 
-    def _piecewise_halves(self, x: np.ndarray, out: np.ndarray) -> None:
+    def _piecewise_halves(self, block: np.ndarray, out: np.ndarray) -> None:
         tab = self._table
-        xs = np.sort(x)
-        # Observations below each distinct cut, gathered per component end.
-        # As floats the counts are exact and the gathers and the product
-        # skip an integer-to-float cast.  The per-component arithmetic runs
-        # in place, which keeps fewer component-sized temporaries alive on
-        # large compiled tables; IEEE products commute, so it stays bitwise.
-        pos = np.searchsorted(xs, tab.cuts, side="left")
-        contrib = _increments(pos.astype(float), tab)
-        contrib *= tab.const
-        if tab.slope is not None:
-            linear = _increments(np.concatenate([[0.0], np.cumsum(xs)]).take(pos), tab)
-            linear *= tab.slope
-            contrib += linear
-        np.multiply(x.size, tab.bases, out=out)
-        out += np.bincount(tab.row, weights=contrib, minlength=self._n_rows)
+        contrib = _piece_sums(tab, block)
+        np.multiply(block.shape[1], tab.bases, out=out)
+        # Components are summed into rows in order, as one sample's would
+        # be; a lone sample takes no offsets, so it allocates no
+        # component-sized index array.
+        R, rows = out.shape
+        at = tab.row if R == 1 else (tab.row + rows * np.arange(R)[:, None]).ravel()
+        out += np.bincount(at, weights=contrib.ravel(), minlength=R * rows).reshape(R, rows)
 
     def _generic_halves(self, rows: np.ndarray, out: np.ndarray) -> None:
         # Scores are elementwise, so one call scores the whole block; each
@@ -414,10 +440,41 @@ class PairwiseEngine:
             out[:, p] = t(flat).reshape(rows.shape).sum(axis=1)
 
 
+def _piece_sums(tab: PiecewiseTable, block: np.ndarray) -> np.ndarray:
+    """Each sample's sum of each component's piece over its observations, shape (R, components).
+
+    Each observation is placed among the cuts, one bincount over the block
+    counts the places per sample (sample r's offset by r * (k + 1) for k
+    cuts), and a running sum along each sample gives its observations below
+    every cut: the integers ``searchsorted(np.sort(x), cuts)`` gives, held
+    as floats, which hold them exactly.  The per-component arithmetic runs
+    in place, which keeps fewer component-sized temporaries alive on large
+    compiled tables; IEEE products commute, so it stays bitwise.
+    """
+    R, n = block.shape
+    k = len(tab.cuts)
+    xs = np.sort(block, axis=1)
+    place = np.searchsorted(tab.cuts, xs, side="right")
+    if R > 1:
+        place += (k + 1) * np.arange(R)[:, None]
+    below = np.bincount(place.ravel(), minlength=R * (k + 1)).reshape(R, k + 1).cumsum(axis=1, dtype=float)
+    del place  # before the component-sized temporaries, which are the widest
+    out = _increments(below, tab)
+    out *= tab.const
+    if tab.slope is not None:
+        # The prefix sums of the sorted sample, read at each cut's count.
+        sums = np.zeros((R, n + 1))
+        np.cumsum(xs, axis=1, out=sums[:, 1:])
+        linear = _increments(np.take_along_axis(sums, below.astype(np.intp), axis=1), tab)
+        linear *= tab.slope
+        out += linear
+    return out
+
+
 def _increments(at_cuts: np.ndarray, tab: PiecewiseTable) -> np.ndarray:
-    """Each component's increment of a per-cut quantity: ``at_cuts[hi] - at_cuts[lo]``, in a new array."""
-    out = at_cuts.take(tab.hi)
-    out -= at_cuts.take(tab.lo)
+    """Each sample's increment of a per-cut quantity over each component: ``at_cuts[:, hi] - at_cuts[:, lo]``."""
+    out = at_cuts.take(tab.hi, axis=1)
+    out -= at_cuts.take(tab.lo, axis=1)
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import vc_bound_tv, wasserstein_dev_bound
 from .errors import ConfigError, _check_keys, _integer, _number_list, _positive_finite, _positive_int
-from .estimator import Model, PairwiseEngine, _suprema_and_choice
+from .estimator import Model, PairwiseEngine
 from .losses import LossSpec, aggregate_loss, loss
 from .measures import (
     Measure,
@@ -63,9 +63,9 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
-# ``test_error_mc`` scores its replications in blocks of at most this many
-# observations, so the per-call overhead is paid once a block while a
-# block's score temporaries stay small.
+# Replications are scored in blocks whose widest step holds at most this
+# many numbers a replication (see ``_blocks``), so the per-call overhead is
+# paid once a block while a block's temporaries stay small.
 _BLOCK_OBSERVATIONS = 2**14
 
 
@@ -381,25 +381,26 @@ def _replicate(
 
     The engine depends only on the model and the loss, so callers that run
     several scenarios over one model (``rate_curve``, ``simulate``) build it
-    once.  At most one worker per replication runs; a row depends only on
-    ``(seed, rep)``, so the worker count never changes a byte.
+    once.  Each worker draws its replications in the blocks of ``_blocks``
+    and lets ``PairwiseEngine.choices`` pick every estimate of a block,
+    probing the candidates its previous block chose; the probes change the
+    speed, never a row.  At most one worker per replication runs; a row
+    depends only on ``(seed, rep)``, so the worker count never changes a
+    byte.
     """
     _positive_int(threads, "threads")
-    seed = scenario.seed
 
     def run(reps: range) -> list[ReplicationRow]:
-        # One generator per call, so no two threads share one; each
-        # replication restarts it at its own (seed, rep) stream.
-        rng = replication_rng(seed)
+        # One block loop per call, so no two threads share its generator.
+        blocks = _blocks(lambda rng: sample_truth(scenario, rng), scenario.seed, reps, scenario.n, engine)
         rows = []
-        for rep in reps:
-            x = sample_truth(scenario, _restart_stream(rng, seed, rep))
-            sup, chosen = _suprema_and_choice(engine.statistic_matrix(x))
-            rows.append(
-                ReplicationRow(
-                    rep=rep, chosen=chosen, loss=table(chosen), sup_stat=float(sup[chosen])
-                )
-            )
+        chosen = [0]
+        for start, block in blocks:
+            # Each block probes the candidates the one before it chose.
+            picks, sups = engine.choices(block, sorted(set(chosen)))
+            chosen = picks.tolist()
+            for rep, c, s in zip(range(start, start + len(block)), chosen, sups.tolist()):
+                rows.append(ReplicationRow(rep=rep, chosen=c, loss=table(c), sup_stat=s))
         return rows
 
     total = scenario.replications
@@ -418,6 +419,32 @@ def _replicate(
         rows=rows,
         summary=_summarize(rows),
     )
+
+
+def _blocks(draw, seed: int, reps: range, n: int, engine: PairwiseEngine):
+    """Blocks of the replications ``reps``, row r of each its replication's sample.
+
+    Row r of a block starting at replication ``start`` is the ``n`` numbers
+    ``draw(rng)`` returns with ``rng`` restarted at the ``(seed, start + r)``
+    stream, so a row depends only on its replication.  A block holds as
+    many whole replications (at least one) as keep its widest step within
+    ``_BLOCK_OBSERVATIONS`` numbers a replication: its observations, the
+    engine's signed buffer ``[0, halves, -halves]``, or the piecewise
+    sweep's two arrays per component (increments and their subtrahends,
+    weights and their row indices) or per cut (counts and running counts).
+    Yields ``(start, block)``; the block's memory is reused, so it is read
+    before the next one is drawn.
+    """
+    stats = engine.stats
+    width = max(n, 1 + 2 * (stats.rows or stats.pairs), 2 * (stats.components or 0), 2 * (stats.cuts or 0))
+    per_block = max(1, _BLOCK_OBSERVATIONS // width)
+    rng = replication_rng(seed)
+    buf = np.empty((min(per_block, len(reps)), n))
+    for start in range(reps.start, reps.stop, per_block):
+        block = buf[: min(per_block, reps.stop - start)]
+        for r in range(len(block)):
+            block[r] = draw(_restart_stream(rng, seed, start + r))
+        yield start, block
 
 
 def _deviation_bound(scenario: Scenario, model, xi: float, inf_loss: float) -> float:
@@ -523,29 +550,29 @@ def test_error_mc(
 
     P is the candidate the truth is (weakly) closer to, so a wrong decision
     is choosing Q; ties abstain in favor of P and are tallied separately.
+    All three are single measures: per-coordinate sequences raise
+    ``ConfigError`` before any sampling.
     When every replication ties (P and Q indistinguishable) the error
     frequency is reported as None rather than zero.
 
-    The pair's engine is built once.  Replications are decided in blocks
-    of whole replications, at most ``_BLOCK_OBSERVATIONS`` observations
-    (and at least one replication) each: every replication draws its own
-    ``(seed, rep)`` stream into its row of the block, and one
-    ``pair_statistics`` call scores the block.  Row r of that call is
-    bitwise the statistic ``run_test`` computes on replication r's sample
-    alone, so every decision is ``run_test``'s.
+    The pair's engine is built once.  Replications are decided in the
+    blocks of ``_blocks``: every replication draws its own ``(seed, rep)``
+    stream into its row of the block, and one ``pair_statistics`` call
+    scores the block.  Row r of that call is bitwise the statistic
+    ``run_test`` computes on replication r's sample alone, so every
+    decision is ``run_test``'s.
     """
     _positive_int(reps, "reps")
     _positive_int(n, "n")
+    for name, m in (("P_star", P_star), ("P", P), ("Q", Q)):
+        if not isinstance(m, Measure):
+            raise ConfigError(
+                f"test_error_mc takes one measure each for P_star, P and Q, got a {type(m).__name__} for {name}"
+            )
     engine = PairwiseEngine(loss_spec, Model([P, Q]))
     tallies = {Decision.CHOOSE_P: 0, Decision.CHOOSE_Q: 0, Decision.TIE: 0}
-    rng = replication_rng(seed)
-    per_block = max(1, _BLOCK_OBSERVATIONS // n)
-    block = np.empty((min(per_block, reps), n))
-    for start in range(0, reps, per_block):
-        rows = block[: min(per_block, reps - start)]
-        for r in range(len(rows)):
-            rows[r] = P_star.sample(n, _restart_stream(rng, seed, start + r))
-        for statistic in engine.pair_statistics(rows)[:, 0].tolist():
+    for _, block in _blocks(lambda rng: P_star.sample(n, rng), seed, range(reps), n, engine):
+        for statistic in engine.pair_statistics(block)[:, 0].tolist():
             tallies[_sign_decision(statistic)] += 1
     consts = loss_spec.constants
     loss_P = loss(loss_spec, P_star, P)

@@ -119,7 +119,8 @@ class PiecewiseScore(ScoreFunction):
 
     Components may not overlap.  Open/closed interval ends are encoded by
     nudging a bound one ulp, so strict density comparisons survive exactly.
-    The data-free part is the base.
+    A piece adds ``const + slope*x`` to the base as one term, rounded as the
+    engine's sweep rounds it.  The data-free part is the base.
     """
 
     def __init__(self, base: float, components: Sequence[tuple[float, float, float, float]]):
@@ -136,7 +137,7 @@ class PiecewiseScore(ScoreFunction):
             if s == 0.0:
                 out = np.where(mask, out + c, out)
             else:
-                out = np.where(mask, out + c + s * x, out)
+                out = np.where(mask, out + (c + s * x), out)
         return out
 
 

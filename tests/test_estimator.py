@@ -981,6 +981,162 @@ class TestSampleBlocks:
             run_test(block, *two_point_tv_model(), LossSpec.tv())
 
 
+# Piecewise model -> (loss, candidates).  Gaussian TV regions are half-lines
+# with +-inf cuts, the uniform grid puts cuts on both zeros, unequal sds
+# compile pair by pair, histograms on one partition compile at once, and W1
+# pieces have slopes.
+_SWEEP_HISTOGRAMS = [HistogramMeasure(_BLOCK_PART, h) for h in ([1.2, 1.0, 0.8, 1.0], [0.5, 1.5, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 2.0])]
+_SWEEP_MODELS = {
+    "gaussian-tv": (LossSpec.tv(), [GaussianMeasure(c) for c in (-0.5, 0.0, -0.0, 0.25, 0.25, 1.0)]),
+    "uniform-tv": (LossSpec.tv(), [UniformMeasure(lo, 0.5) for lo in (-0.0, 0.25, 0.0, 0.5, -0.5)]),
+    "gaussian-sd-tv": (LossSpec.tv(), [GaussianMeasure(0.0), GaussianMeasure(0.5, 1.5), GaussianMeasure(-0.3, 0.7)]),
+    "histogram-tv": (LossSpec.tv(), _SWEEP_HISTOGRAMS),
+    "histogram-linf": (LossSpec.linf(D=4), _SWEEP_HISTOGRAMS),
+    "histogram-w1": (LossSpec.wasserstein1(), _SWEEP_HISTOGRAMS),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_engine(name):
+    return PairwiseEngine(*_SWEEP_MODELS[name])
+
+
+class TestBlockSweep:
+    """The piecewise sweep of a block: each sample's halves, bitwise its pairs' own score sums."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_block_rows_are_each_samples_per_pair_statistics(self, data):
+        name = data.draw(st.sampled_from(sorted(_SWEEP_MODELS)))
+        spec, cands = _SWEEP_MODELS[name]
+        eng = _sweep_engine(name)
+        assert eng._mode == "piecewise"
+        assert (eng._table.slope is not None) is (name == "histogram-w1")
+        # Observations on every finite cut and on both zeros, or anywhere.
+        cuts = eng._table.cuts
+        point = st.sampled_from([*cuts[np.isfinite(cuts)].tolist(), 0.0, -0.0]) | st.floats(-2.0, 2.0)
+        R, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+        block = np.array(data.draw(st.lists(point, min_size=R * n, max_size=R * n))).reshape(R, n)
+        got = eng.pair_statistics(block)
+        for r, x in enumerate(block):
+            want = np.array([pair_statistic(score(spec, P, Q), x) for P, Q in combinations(cands, 2)])
+            assert got[r].tobytes() == want.tobytes(), r
+            assert eng.pair_statistics(x).tobytes() == want.tobytes(), r
+
+    def test_cut_ends_include_both_infinities_and_both_zeros(self):
+        # So the property above meets them.
+        gaussian = _sweep_engine("gaussian-tv")._table.cuts
+        assert gaussian[0] == -math.inf and gaussian[-1] == math.inf
+        uniform = _sweep_engine("uniform-tv")._table.cuts
+        zero = uniform[uniform == 0.0]
+        assert len(zero) == 1 and np.signbit(zero[0])
+
+
+# Model -> (loss, candidates, observations).  Twins put -0.0 in the matrix,
+# identical candidates tie every row, and a lone candidate's matrix is [0].
+_CHOICE_ATOMS = [0.0, 1.0, 2.0]
+_CHOICE_MODELS = {
+    "atom-twins": (
+        LossSpec.tv(),
+        [DiscreteMeasure(_CHOICE_ATOMS, w) for w in ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5])],
+        st.sampled_from(_CHOICE_ATOMS),
+    ),
+    "all-tied": (LossSpec.hellinger2(), [GaussianMeasure(0.0)] * 4, st.floats(-3.0, 3.0)),
+    "one": (LossSpec.tv(), [GaussianMeasure(0.0)], st.floats(-3.0, 3.0)),
+    "two": (LossSpec.tv(), [GaussianMeasure(0.0), GaussianMeasure(0.5)], st.floats(-3.0, 3.0)),
+    "gaussian-grid": (LossSpec.tv(), [GaussianMeasure(0.1 * c) for c in range(-10, 11)] + [GaussianMeasure(0.3)], st.floats(-3.0, 3.0)),
+    "histogram-w1": (LossSpec.wasserstein1(), [*_SWEEP_HISTOGRAMS, _SWEEP_HISTOGRAMS[1]], st.floats(0.0, 1.0)),
+    "generic": (LossSpec.hellinger2(), [GaussianMeasure(0.0), GaussianMeasure(0.5), GaussianMeasure(0.0), GaussianMeasure(0.2, 1.3)], st.floats(-3.0, 3.0)),
+    "tuple": (LossSpec.tv(), [(GaussianMeasure(c), GaussianMeasure(-c)) for c in (0.0, 0.5, 0.0, -0.25)], st.floats(-3.0, 3.0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _choice_engine(name):
+    return PairwiseEngine(*_CHOICE_MODELS[name][:2])
+
+
+def _halves_engine(m):
+    """A generic engine on ``m`` candidates, for halves written by ``_writes``."""
+    return PairwiseEngine(LossSpec.hellinger2(), [GaussianMeasure(float(c)) for c in range(m)])
+
+
+def _writes(halves):
+    """A ``_block_halves`` that writes ``halves[r]`` as the halves of the one-observation sample [r]."""
+
+    def block_halves(block, out):
+        out[:] = halves[block[:, 0].astype(int)]
+
+    return block_halves
+
+
+def assert_choices_match_the_matrix(eng, block, probe):
+    """``choices`` on the block equals ``_suprema_and_choice`` of each sample's matrix, signed zeros included."""
+    chosen, sup = eng.choices(block, probe)
+    assert chosen.shape == sup.shape == (len(block),)
+    for r, x in enumerate(block):
+        want_sup, want = estimator._suprema_and_choice(eng.statistic_matrix(x))
+        assert chosen[r] == want, (r, probe)
+        assert sup[r].tobytes() == want_sup[want].tobytes(), (r, probe)
+
+
+class TestPrunedChoice:
+    """``PairwiseEngine.choices`` picks as the full matrix does, whatever it probes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_probe_set_gives_the_matrix_choice(self, data):
+        name = data.draw(st.sampled_from(sorted(_CHOICE_MODELS)))
+        eng = _choice_engine(name)
+        m = len(eng.model)
+        width = 2 if name == "tuple" else data.draw(st.integers(1, 12))
+        R = data.draw(st.integers(1, 5))
+        point = _CHOICE_MODELS[name][2]
+        block = np.array(data.draw(st.lists(point, min_size=R * width, max_size=R * width))).reshape(R, width)
+        probe = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5))
+        assert_choices_match_the_matrix(eng, block, probe)
+
+    def test_twins_put_negative_zeros_in_the_matrix(self):
+        # So the property above compares signed zeros.
+        M = _choice_engine("atom-twins").statistic_matrix(np.array([0.0, 1.0, 2.0]))
+        assert M[2, 0] == 0.0 and np.signbit(M[2, 0]) and not np.signbit(M[0, 2])
+
+    @pytest.mark.parametrize("probe", [[0], [3], [3, 1], [2, 2, 2], [0, 1, 2, 3]])
+    def test_all_tied_rows_choose_the_first_candidate(self, probe):
+        eng = _choice_engine("all-tied")
+        block = np.array([[0.3, -1.0, 2.0], [0.0, 0.0, 0.0]])
+        chosen, sup = eng.choices(block, probe)
+        assert chosen.tolist() == [0, 0] and sup.tolist() == [0.0, 0.0]
+        assert_choices_match_the_matrix(eng, block, probe)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_halves_and_probes_give_the_matrix_choice(self, data):
+        # Halves from a few values, both zeros among them, so rows tie and
+        # suprema differ only in the sign of zero.
+        m, R = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 4))
+        eng = _halves_engine(m)
+        level = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        halves = np.array(data.draw(st.lists(level, min_size=R * eng._n_rows, max_size=R * eng._n_rows)))
+        probe = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+        with mock.patch.object(eng, "_block_halves", _writes(halves.reshape(R, eng._n_rows))):
+            assert_choices_match_the_matrix(eng, np.arange(R, dtype=float)[:, None], probe)
+
+    @pytest.mark.parametrize("probe", [[0], [1], [2], [2, 0]])
+    def test_a_negative_zero_supremum_keeps_its_sign(self, probe):
+        # Halves of -0.0 make row 0 [+0.0, -0.0, -0.0], and the reduction's
+        # order decides the sign of the chosen supremum.
+        eng = _halves_engine(3)
+        with mock.patch.object(eng, "_block_halves", _writes(np.full((2, 3), -0.0))):
+            want_sup, want = estimator._suprema_and_choice(eng.statistic_matrix(np.zeros(1)))
+            assert want == 0 and np.signbit(want_sup[0])
+            assert_choices_match_the_matrix(eng, np.array([[0.0], [1.0]]), probe)
+
+    def test_one_sample_is_refused(self):
+        with pytest.raises(ConfigError, match=r"2-D block of samples, got shape \(3,\)"):
+            _choice_engine("two").choices(np.zeros(3))
+
+
 class TestEngineStats:
     @pytest.mark.parametrize("backend", list(_BLOCK_BACKENDS))
     def test_backend_pairs_and_build_time(self, backend):
@@ -1154,16 +1310,17 @@ class TestTupleCoordinateEngines:
         assert eng.constant_parts.tobytes() == _antisymmetric(consts, 6).tobytes()
 
     def test_sloped_w1_coordinate_scores_as_its_scores(self):
-        # The piecewise sweep reads -0.371875 here; the score itself reads
-        # (base + c) + s*x = -0.37187499999999996.
+        # The score and the piecewise sweep both round base + (c + s*x) to
+        # -0.371875; (base + c) + s*x would read -0.37187499999999996.
         spec = LossSpec.wasserstein1()
         P, Q = _TUPLE_HISTOGRAMS[:2]
         eng = PairwiseEngine(spec, Model(candidates=[(P,), (Q,)]))
+        assert eng._coords[0]._mode == "piecewise" and eng._coords[0]._table.slope is not None
         x = np.array([0.1])
         want = float(score(spec, P, Q)(x)[0])
-        assert want == -0.37187499999999996
+        assert want == -0.371875
         assert eng.statistic_matrix(x)[0, 1] == want
-        assert PairwiseEngine(spec, [P, Q]).statistic_matrix(x)[0, 1] != want
+        assert PairwiseEngine(spec, [P, Q]).statistic_matrix(x)[0, 1] == want
 
     def test_identical_candidates_keep_the_signed_zeros(self):
         # The sum starts from +0.0, so (0, 1) reads +0.0 and (1, 0) its negation.

@@ -570,6 +570,20 @@ class TestTestErrorMc:
         with pytest.raises(ConfigError, match=match):
             sim.test_error_mc(P, P, P, LossSpec.tv(), **args)
 
+    @pytest.mark.parametrize("lists", [("P", "Q"), ("P_star",), ("P",), ("Q",)])
+    def test_per_coordinate_measures_are_refused_before_sampling(self, lists, monkeypatch):
+        # One-coordinate sequences: Model([P, Q]) would take the pair as a
+        # tuple model, but the attained losses need single measures.
+        def no_sampling(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(sim, "_restart_stream", no_sampling)
+        args = {"P_star": GaussianMeasure(0.0), "P": GaussianMeasure(0.0), "Q": GaussianMeasure(1.0)}
+        for name in lists:
+            args[name] = [args[name]]
+        with pytest.raises(ConfigError, match=f"got a list for {lists[0]}"):
+            sim.test_error_mc(args["P_star"], args["P"], args["Q"], LossSpec.tv(), n=1, reps=3, seed=0)
+
     def test_numpy_integer_seed_draws_the_int_stream(self):
         P = DiscreteMeasure([0.0, 1.0], [0.7, 0.3])
         Q = DiscreteMeasure([0.0, 1.0], [0.2, 0.8])
@@ -708,6 +722,56 @@ class TestReplicationRowContract:
             expected[iu] = h
             expected[(iu[1], iu[0])] = -h
             assert engine.statistic_matrix(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("backend", list(CASES))
+    def test_every_observation_is_scored_once(self, backend, threads, monkeypatch):
+        # Blocks reach the engine only through ``choices``, never through a
+        # per-replication matrix; each replication's sample is one block
+        # row, drawn from its own stream, and no row is scored twice.
+        _, s = self.CASES[backend]
+        model = build(s.model)
+        engine = estimator.PairwiseEngine(s.loss, model)
+        blocks = []
+        original = estimator.PairwiseEngine.choices
+
+        def recording(eng, block, probe):
+            blocks.append(np.array(block, copy=True))
+            return original(eng, block, probe)
+
+        def no_matrix(eng, sample):
+            raise AssertionError("a replication formed the statistic matrix")
+
+        monkeypatch.setattr(estimator.PairwiseEngine, "choices", recording)
+        monkeypatch.setattr(estimator.PairwiseEngine, "statistic_matrix", no_matrix)
+        record = sim._replicate(s, engine, sim._LossTable(s, model), threads=threads)
+        monkeypatch.undo()
+        rows = np.concatenate(blocks)
+        assert rows.shape == (s.replications, s.n)
+        want = np.array([sim.sample_truth(s, sim.replication_rng(s.seed, rep)) for rep in range(s.replications)])
+        if threads == 1:
+            assert rows.tobytes() == want.tobytes()
+        else:
+            assert sorted(r.tobytes() for r in rows) == sorted(r.tobytes() for r in want)
+        assert [row.rep for row in record.rows] == list(range(s.replications))
+        # Whole replications per block, within the budget unless one is over it.
+        stats = engine.stats
+        width = max(s.n, 1 + 2 * (stats.rows or stats.pairs), 2 * (stats.components or 0), 2 * (stats.cuts or 0))
+        assert all(len(b) == 1 or len(b) * width <= sim._BLOCK_OBSERVATIONS for b in blocks)
+
+    def test_simulate_scores_each_sample_size_once(self, monkeypatch):
+        # The rate row at the scenario's n reads the record: 300 samples of
+        # 100, then 300 each of 20 and 40, 30,000 + 18,000 observations.
+        observations = []
+        original = estimator.PairwiseEngine.choices
+
+        def counting(eng, block, probe):
+            observations.append(block.size)
+            return original(eng, block, probe)
+
+        monkeypatch.setattr(estimator.PairwiseEngine, "choices", counting)
+        sim.simulate(gaussian_grid_scenario(), ns=[20, 100, 40])
+        assert sum(observations) == 300 * (100 + 20 + 40)
 
     @pytest.mark.parametrize("backend", list(CASES))
     def test_two_threads_write_the_same_artifacts(self, backend):
