@@ -42,6 +42,27 @@ _ASSUMPTION_LOSSES = ("tv", "hellinger", "kl", "l1.5", "l2", "l3", "linf", "wass
 _SLACK_TOL = 1e-12
 
 
+# Every flag a command may take, as ``argparse`` registers it.  Each flag
+# past --threads overrides the config key of its name, dashes for
+# underscores, and only the commands whose ``_COMMANDS`` row names it take it.
+_FLAGS = {
+    "config": {"type": Path, "help": "JSON config document"},
+    # No default, so that ``--out .`` is told apart from no --out.
+    "out": {"type": Path, "help": "output directory"},
+    "describe": {
+        "action": "store_true",
+        "help": "print the resolved config and exit without running",
+    },
+    "threads": {"type": int, "default": 1, "help": "worker threads for simulate"},
+    "seed": {"type": int, "help": "override the config seed"},
+    "epsilon": {"type": float, "help": "override the minimizer tolerance"},
+    "loss": {"choices": _ASSUMPTION_LOSSES + ("hellinger2",), "help": "score family to audit"},
+    "space_size": {"type": int, "help": "atoms per random space"},
+    "triples": {"type": int, "help": "random (P, Q, S) triples to draw"},
+}
+_SHARED_FLAGS = ("config", "out", "describe", "threads")
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -53,45 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pairwise-test minimum-distance estimation toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("estimate", "run the estimator on one sample"),
-        ("test", "Monte Carlo error frequency of the robust two-point test"),
-        ("simulate", "replicated estimation runs with optional sweeps"),
-        ("distances", "evaluate losses on measure pairs"),
-        ("check-assumptions", "audit the score-family assumptions exactly"),
-    ):
+    for name, (help_text, flags, _, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=Path, help="JSON config document")
-        # Each override is registered only where its resolver reads it.
-        if name != "distances":
-            p.add_argument("--seed", type=int, help="override the config seed")
-        if name in ("estimate", "simulate"):
-            p.add_argument(
-                "--epsilon", type=float, help="override the minimizer tolerance"
-            )
-        p.add_argument(
-            "--out", type=Path, default=Path("."), help="output directory"
-        )
-        p.add_argument(
-            "--describe",
-            action="store_true",
-            help="print the resolved config and exit without running",
-        )
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker threads for simulate"
-        )
-        if name == "check-assumptions":
-            p.add_argument(
-                "--loss",
-                choices=_ASSUMPTION_LOSSES + ("hellinger2",),
-                help="score family to audit",
-            )
-            p.add_argument(
-                "--space-size", type=int, help="atoms per random space"
-            )
-            p.add_argument(
-                "--triples", type=int, help="random (P, Q, S) triples to draw"
-            )
+        for flag in _SHARED_FLAGS + flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
     return parser
 
 
@@ -114,18 +100,23 @@ def _dispatch(args: argparse.Namespace) -> int:
     # Only simulate uses --threads, but every command takes it, so each one checks it.
     _positive_int(args.threads, "threads")
     doc = _load_document(args.config)
-    resolver, runner = {
-        "estimate": (_resolve_estimate, _run_estimate),
-        "test": (_resolve_test, _run_test),
-        "simulate": (_resolve_simulate, _run_simulate),
-        "distances": (_resolve_distances, _run_distances),
-        "check-assumptions": (_resolve_check, _run_check),
-    }[args.command]
-    resolved = resolver(doc, args)
+    name = args.command
+    _, _, keys, resolve, run = _COMMANDS[name]
+    if "command" in doc and doc["command"] != name:
+        raise ConfigError(
+            f"config names command {doc['command']!r} but {name!r} was invoked"
+        )
+    _check_keys(doc, {"command", "verbosity", *keys}, name)
+    verbosity = doc.get("verbosity", 1)
+    if isinstance(verbosity, bool) or not isinstance(verbosity, int) or verbosity < 0:
+        raise ConfigError(f"verbosity must be a nonnegative integer, got {verbosity!r}")
+    resolved = {"command": name, "verbosity": verbosity, **resolve(doc, args)}
+    # Plain JSON types only, so that resolution is idempotent.
+    resolved = json.loads(json.dumps(resolved))
     if args.describe:
         sys.stdout.write(sim._json_text(resolved))
         return 0
-    return runner(resolved, args)
+    return run(resolved, args)
 
 
 # ---------------------------------------------------------------------------
@@ -149,59 +140,35 @@ def _load_document(path: Path | None) -> dict:
     return doc
 
 
-def _check_command(doc: dict, expected: str) -> None:
-    if "command" in doc and doc["command"] != expected:
-        raise ConfigError(
-            f"config names command {doc['command']!r} but {expected!r} was invoked"
-        )
-
-
 def _require(doc: dict, key: str, command: str):
     if key not in doc:
         raise ConfigError(f"{command} config is missing the {key!r} key")
     return doc[key]
 
 
-def _canonical(resolved: dict) -> dict:
-    """Normalize to plain JSON types so resolution is idempotent."""
-    return json.loads(json.dumps(resolved))
-
-
-def _seed(doc: dict, args: argparse.Namespace) -> int:
-    return _integer(args.seed if args.seed is not None else doc.get("seed", 0), "seed")
-
-
-def _verbosity(doc: dict) -> int:
-    v = doc.get("verbosity", 1)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise ConfigError(f"verbosity must be a nonnegative integer, got {v!r}")
-    return v
+def _given(doc: dict, args: argparse.Namespace, key: str, default=None):
+    """The flag overriding config key ``key`` if given, else the key's value, else ``default``."""
+    flag = getattr(args, key)
+    return flag if flag is not None else doc.get(key, default)
 
 
 def _resolve_estimate(doc: dict, args: argparse.Namespace) -> dict:
-    _check_command(doc, "estimate")
-    _check_keys(
-        doc,
-        {"command", "model", "loss", "epsilon", "sample", "truth", "n", "seed",
-         "verbosity"},
-        "estimate",
-    )
     model_cfg = ModelBuilderConfig.from_config(
         _require(doc, "model", "estimate")
     ).to_config()
     loss_cfg = LossSpec.from_config(_require(doc, "loss", "estimate")).to_config()
-    epsilon = args.epsilon if args.epsilon is not None else doc.get("epsilon", 1.0)
+    epsilon = _given(doc, args, "epsilon", 1.0)
     _positive_finite(epsilon, "epsilon")
-    resolved = {
-        "command": "estimate",
-        "model": model_cfg,
-        "loss": loss_cfg,
-        "epsilon": float(epsilon),
-        "verbosity": _verbosity(doc),
-    }
+    resolved = {"model": model_cfg, "loss": loss_cfg, "epsilon": float(epsilon)}
     if "sample" in doc and "truth" in doc:
         raise ConfigError("estimate config must set either sample or truth, not both")
     if "sample" in doc:
+        # n and the seed only size and seed a draw from a truth.
+        for key in ("n", "seed"):
+            if key in doc:
+                raise ConfigError(f"estimate config with a sample takes no {key!r} key")
+        if args.seed is not None:
+            raise ConfigError("estimate config with a sample takes no --seed flag")
         sample = [float(x) for x in _number_list(doc["sample"], "sample")]
         if not sample or not all(math.isfinite(x) for x in sample):
             raise ConfigError("sample must be a non-empty list of finite numbers")
@@ -209,38 +176,25 @@ def _resolve_estimate(doc: dict, args: argparse.Namespace) -> dict:
     elif "truth" in doc:
         resolved["truth"] = measure_from_config(doc["truth"]).to_config()
         resolved["n"] = _positive_int(_require(doc, "n", "estimate"), "n")
-        resolved["seed"] = _seed(doc, args)
+        resolved["seed"] = _integer(_given(doc, args, "seed", 0), "seed")
     else:
         raise ConfigError("estimate config needs a sample or a truth to draw from")
-    return _canonical(resolved)
+    return resolved
 
 
 def _resolve_test(doc: dict, args: argparse.Namespace) -> dict:
-    _check_command(doc, "test")
-    _check_keys(
-        doc,
-        {"command", "truth", "p", "q", "loss", "n", "reps", "seed", "verbosity"},
-        "test",
-    )
-    resolved = {
-        "command": "test",
+    return {
         "truth": measure_from_config(_require(doc, "truth", "test")).to_config(),
         "p": measure_from_config(_require(doc, "p", "test")).to_config(),
         "q": measure_from_config(_require(doc, "q", "test")).to_config(),
         "loss": LossSpec.from_config(_require(doc, "loss", "test")).to_config(),
         "n": _positive_int(_require(doc, "n", "test"), "n"),
         "reps": _positive_int(_require(doc, "reps", "test"), "reps"),
-        "seed": _seed(doc, args),
-        "verbosity": _verbosity(doc),
+        "seed": _integer(_given(doc, args, "seed", 0), "seed"),
     }
-    return _canonical(resolved)
 
 
 def _resolve_simulate(doc: dict, args: argparse.Namespace) -> dict:
-    _check_command(doc, "simulate")
-    _check_keys(
-        doc, {"command", "scenario", "xis", "ns", "formats", "verbosity"}, "simulate"
-    )
     scen_cfg = _require(doc, "scenario", "simulate")
     if not isinstance(scen_cfg, dict):
         raise ConfigError(f"simulate 'scenario' must be a mapping, got {scen_cfg!r}")
@@ -251,12 +205,7 @@ def _resolve_simulate(doc: dict, args: argparse.Namespace) -> dict:
         scen_cfg["epsilon"] = args.epsilon
     if "seed" not in scen_cfg:
         raise ConfigError("simulate needs a seed: set scenario.seed or pass --seed")
-    scenario = sim.Scenario.from_config(scen_cfg)
-    resolved = {
-        "command": "simulate",
-        "scenario": scenario.to_config(),
-        "verbosity": _verbosity(doc),
-    }
+    resolved = {"scenario": sim.Scenario.from_config(scen_cfg).to_config()}
     if "xis" in doc:
         xis = [float(x) for x in _number_list(doc["xis"], "xis")]
         if not xis or any(x <= 0 or not math.isfinite(x) for x in xis):
@@ -270,12 +219,10 @@ def _resolve_simulate(doc: dict, args: argparse.Namespace) -> dict:
     if not isinstance(formats, list) or not formats or any(f not in _FORMATS for f in formats):
         raise ConfigError(f"formats must be a non-empty subset of {_FORMATS}, got {formats!r}")
     resolved["formats"] = list(formats)
-    return _canonical(resolved)
+    return resolved
 
 
 def _resolve_distances(doc: dict, args: argparse.Namespace) -> dict:
-    _check_command(doc, "distances")
-    _check_keys(doc, {"command", "pairs", "losses", "verbosity"}, "distances")
     pairs_cfg = _require(doc, "pairs", "distances")
     losses_cfg = _require(doc, "losses", "distances")
     if not isinstance(pairs_cfg, list) or not pairs_cfg:
@@ -292,23 +239,14 @@ def _resolve_distances(doc: dict, args: argparse.Namespace) -> dict:
                 "q": measure_from_config(pair["q"]).to_config(),
             }
         )
-    resolved = {
-        "command": "distances",
+    return {
         "pairs": pairs,
         "losses": [LossSpec.from_config(c).to_config() for c in losses_cfg],
-        "verbosity": _verbosity(doc),
     }
-    return _canonical(resolved)
 
 
 def _resolve_check(doc: dict, args: argparse.Namespace) -> dict:
-    _check_command(doc, "check-assumptions")
-    _check_keys(
-        doc,
-        {"command", "loss", "space_size", "triples", "seed", "verbosity"},
-        "check-assumptions",
-    )
-    loss_name = args.loss if args.loss is not None else doc.get("loss")
+    loss_name = _given(doc, args, "loss")
     if loss_name == "hellinger2":
         loss_name = "hellinger"
     if loss_name not in _ASSUMPTION_LOSSES:
@@ -316,21 +254,15 @@ def _resolve_check(doc: dict, args: argparse.Namespace) -> dict:
             f"check-assumptions needs --loss from {_ASSUMPTION_LOSSES}, "
             f"got {loss_name!r}"
         )
-    space_size = (
-        args.space_size if args.space_size is not None else doc.get("space_size", 5)
-    )
-    triples = args.triples if args.triples is not None else doc.get("triples", 200)
     resolved = {
-        "command": "check-assumptions",
         "loss": loss_name,
-        "space_size": _positive_int(space_size, "space_size"),
-        "triples": _positive_int(triples, "triples"),
-        "seed": _seed(doc, args),
-        "verbosity": _verbosity(doc),
+        "space_size": _positive_int(_given(doc, args, "space_size", 5), "space_size"),
+        "triples": _positive_int(_given(doc, args, "triples", 200), "triples"),
+        "seed": _integer(_given(doc, args, "seed", 0), "seed"),
     }
     if resolved["space_size"] < 2:
         raise ConfigError("space_size must be at least 2")
-    return _canonical(resolved)
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +270,8 @@ def _resolve_check(doc: dict, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
+def _write(out_dir: Path | None, name: str, text: str) -> Path:
+    out_dir = out_dir or Path(".")
     path = out_dir / name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -579,7 +512,7 @@ def _run_check(resolved: dict, args: argparse.Namespace) -> int:
             resolved,
             f"  regularity constant a2':  {worst['cond3bis_a2_prime']:.6g}",
         )
-    if args.out != Path("."):
+    if args.out is not None:
         path = _write(args.out, "summary.json", _summary_text(resolved, report=report))
         _say(resolved, f"  wrote {path}")
     if not report["passed"]:
@@ -590,6 +523,43 @@ def _run_check(resolved: dict, args: argparse.Namespace) -> int:
         )
     _say(resolved, f"PASS: all checks within {report['tolerance']:g}")
     return 0
+
+
+# Each command: its help text, its flags beyond ``_SHARED_FLAGS``, its
+# config keys besides "command" and "verbosity", the resolver of its own
+# fields and its runner.
+_COMMANDS = {
+    "estimate": (
+        "run the estimator on one sample",
+        ("seed", "epsilon"),
+        ("model", "loss", "epsilon", "sample", "truth", "n", "seed"),
+        _resolve_estimate, _run_estimate,
+    ),
+    "test": (
+        "Monte Carlo error frequency of the robust two-point test",
+        ("seed",),
+        ("truth", "p", "q", "loss", "n", "reps", "seed"),
+        _resolve_test, _run_test,
+    ),
+    "simulate": (
+        "replicated estimation runs with optional sweeps",
+        ("seed", "epsilon"),
+        ("scenario", "xis", "ns", "formats"),
+        _resolve_simulate, _run_simulate,
+    ),
+    "distances": (
+        "evaluate losses on measure pairs",
+        (),
+        ("pairs", "losses"),
+        _resolve_distances, _run_distances,
+    ),
+    "check-assumptions": (
+        "audit the score-family assumptions exactly",
+        ("seed", "loss", "space_size", "triples"),
+        ("loss", "space_size", "triples", "seed"),
+        _resolve_check, _run_check,
+    ),
+}
 
 
 if __name__ == "__main__":

@@ -259,7 +259,8 @@ class PairwiseEngine:
     @functools.cached_property
     def constant_parts(self) -> np.ndarray:
         """The antisymmetric matrix of the pairs' data-free score terms."""
-        return self._fill_matrix(self._consts)
+        buf = self._signed(lambda out: np.copyto(out, self._consts))
+        return buf[0].take(self._gather).reshape(len(self.model), -1)
 
     # -- compilation ---------------------------------------------------------
 
@@ -307,31 +308,26 @@ class PairwiseEngine:
         """Values held one per row along the last axis, read out one per pair."""
         return per_row if self._pair_row is None else per_row.take(self._pair_row, axis=-1)
 
-    def _fill_matrix(self, halves: np.ndarray) -> np.ndarray:
-        buf = np.empty(1 + 2 * self._n_rows)
-        buf[1 : 1 + self._n_rows] = halves
-        return self._signed_matrix(buf)
+    def _signed(self, write, R: int = 1) -> np.ndarray:
+        """R signed buffers ``[0, halves, -halves]``, shape (R, 1 + 2 rows), that ``_gather`` reads.
 
-    def _signed_matrix(self, buf: np.ndarray) -> np.ndarray:
-        """The (m, m) matrix that ``_gather`` reads from ``buf``, given its halves.
-
-        ``buf`` holds the row halves at ``1 .. rows``; its zero and the
-        negated halves are written here, in place.
+        ``write(out)`` writes the halves straight into ``out``, the buffers'
+        (R, rows) view; the zeros and the negated halves are written here.
+        A fresh buffer per call, so that threads may share one engine.
         """
         r = self._n_rows
-        buf[0] = 0.0
-        np.negative(buf[1 : r + 1], out=buf[r + 1 :])
-        m = len(self.model)
-        return buf.take(self._gather).reshape(m, m)
+        buf = np.empty((R, 1 + 2 * r))
+        write(buf[:, 1 : 1 + r])
+        buf[:, 0] = 0.0
+        np.negative(buf[:, 1 : r + 1], out=buf[:, r + 1 :])
+        return buf
 
     # -- evaluation ----------------------------------------------------------
 
     def statistic_matrix(self, sample: np.ndarray) -> np.ndarray:
         """Antisymmetric matrix with entry (i, k) = sum of pair (i, k) scores."""
-        # A fresh buffer per call, so that threads may share one engine.
-        buf = np.empty(1 + 2 * self._n_rows)
-        self._block_halves(_sample_array(sample)[None], buf[1 : 1 + self._n_rows][None])
-        return self._signed_matrix(buf)
+        buf = self._signed(functools.partial(self._block_halves, _sample_array(sample)[None]))
+        return buf[0].take(self._gather).reshape(len(self.model), -1)
 
     def pair_statistics(self, sample: np.ndarray) -> np.ndarray:
         """Sum of pair (i, k) scores for each pair i < k, in the pair order of ``combinations``.
@@ -365,12 +361,8 @@ class PairwiseEngine:
         block = _sample_array(block, block=True)
         if block.ndim != 2:
             raise ConfigError(f"choices takes a 2-D block of samples, got shape {block.shape}")
-        R, r = len(block), self._n_rows
-        buf = np.empty((R, 1 + 2 * r))
-        self._block_halves(block, buf[:, 1 : 1 + r])
-        buf[:, 0] = 0.0
-        np.negative(buf[:, 1 : r + 1], out=buf[:, r + 1 :])
-        m = len(self.model)
+        R, m = len(block), len(self.model)
+        buf = self._signed(functools.partial(self._block_halves, block), R)
         matrix_rows = self._gather.reshape(m, m)
         probe = np.asarray(probe, dtype=np.intp)
         probed = buf.take(matrix_rows[probe], axis=1)  # (R, probes, m)

@@ -197,6 +197,26 @@ class TestEstimate:
         assert cli.main(["estimate", "--config", str(path)]) == 2
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, flags, named",
+        [
+            ({"n": 999}, [], "'n'"),
+            ({"seed": 5}, [], "'seed'"),
+            ({}, ["--seed", "7"], "--seed"),
+            ({"n": 999, "seed": 5}, ["--seed", "7"], "'n'"),
+        ],
+        ids=["n", "seed", "seed-flag", "all-three"],
+    )
+    def test_truth_draw_settings_with_a_sample_rejected(self, tmp_path, capsys, extra, flags, named):
+        # n and the seed only size and seed a draw from a truth; with a
+        # sample they used to vanish from the resolved config.
+        path = write_config(tmp_path, "e.json", {**estimate_doc(), **extra})
+        assert cli.main(["estimate", "--config", str(path), *flags, "--describe"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("config error: estimate config with a sample takes no ")
+        assert named in captured.err
+
     def test_no_data_source_rejected(self, tmp_path):
         doc = estimate_doc()
         del doc["sample"]
@@ -1411,6 +1431,15 @@ class TestCheckAssumptions:
         assert summary["report"]["passed"] is True
         assert summary["report"]["worst_slacks"]["antisymmetry"] <= 1e-12
         assert summary["report"]["worst_slacks"]["cond3bis_a2_prime"] is not None
+
+    def test_summary_written_to_an_explicit_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = ["check-assumptions", "--loss", "tv", "--triples", "5", "--seed", "3"]
+        assert cli.main(args) == 0
+        assert not list(tmp_path.iterdir())
+        assert cli.main(args + ["--out", "."]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["report"]["triples"] == 5
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         path = write_config(

@@ -703,7 +703,8 @@ class TestMatrixFill:
         iu = np.triu_indices(m, k=1)
         expected[iu] = by_pair
         expected[(iu[1], iu[0])] = -by_pair
-        assert eng._fill_matrix(halves).tobytes() == expected.tobytes()
+        buf = eng._signed(lambda out: np.copyto(out, halves))
+        assert buf[0].take(eng._gather).reshape(m, m).tobytes() == expected.tobytes()
 
     def test_matrix_too_large_for_int32_positions(self):
         model = Model([GaussianMeasure(0.0)] * 46341)
