@@ -318,12 +318,34 @@ class _LossTable:
 # ---------------------------------------------------------------------------
 
 
+def _quantiles(values: np.ndarray, qs: list[float]) -> list[float]:
+    """``np.quantile``'s linear quantiles, also where a neighbour is infinite.
+
+    numpy interpolates between the order statistics on either side of
+    ``(n - 1) q`` even when the upper one is infinite, which computes
+    inf - inf or inf * 0: a NaN and a RuntimeWarning.  Such a quantile is
+    the lower order statistic when ``(n - 1) q`` falls on it, and infinite
+    otherwise.  A quantile between two finite order statistics is numpy's.
+    """
+    if not np.isinf(values).any():
+        return [float(v) for v in np.quantile(values, qs)]
+    ranked = np.sort(values)
+    out = []
+    for q in qs:
+        at = (len(ranked) - 1) * q
+        lo = math.floor(at)
+        upper = ranked[min(lo + 1, len(ranked) - 1)]
+        if not np.isinf(upper):
+            out.append(float(np.quantile(values, q)))
+        else:
+            out.append(float(ranked[lo] if at == lo else upper))
+    return out
+
+
 def _summarize(rows: tuple[ReplicationRow, ...]) -> dict:
     losses = np.array([r.loss for r in rows])
     sups = np.array([r.sup_stat for r in rows])
-    q10, q25, q50, q75, q90 = (
-        float(v) for v in np.quantile(losses, [0.1, 0.25, 0.5, 0.75, 0.9])
-    )
+    q10, q25, q50, q75, q90 = _quantiles(losses, [0.1, 0.25, 0.5, 0.75, 0.9])
     counts: dict[str, int] = {}
     for r in rows:
         counts[str(r.chosen)] = counts.get(str(r.chosen), 0) + 1
@@ -529,8 +551,8 @@ def _rate_curve(
             rec = record
         rows.append({"n": int(n), "median_loss": rec.summary["loss"]["median"]})
     medians = np.array([r["median_loss"] for r in rows])
-    slope = None
-    if len(rows) >= 2 and np.all(medians > 0):
+    slope = None  # unless every median is positive and finite
+    if len(rows) >= 2 and np.all((medians > 0) & (medians < math.inf)):
         slope = float(
             np.polyfit(np.log([r["n"] for r in rows]), np.log(medians), 1)[0]
         )

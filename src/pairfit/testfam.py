@@ -584,12 +584,20 @@ def partition_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> Piece
     partition; returns None otherwise, checking the family first.  Pairs
     come in ``np.triu_indices(m, 1)`` order.  The table is bitwise the one
     ``PiecewiseTable.from_scores`` builds from the per-pair ``score``
-    calls, so it repeats their arithmetic exactly: masked sums add the
-    selected entries compacted (``_masked_row_sums``), and the per-pair
-    norm powers stay scalar ``pow`` calls, since array ``**`` rounds
-    differently from it on some inputs.  Every component is one cell, so
-    the table's cuts are the cell starts and the support end closed one ulp
-    up, and cell ``k`` spans cuts ``k`` to ``k + 1``.
+    calls, so it repeats their arithmetic exactly, one cell of every pair at
+    a time.  numpy sums a row of fewer than 8 terms left to right from
+    +0.0, so each pair's sum folds in cell by cell, a cell that TV leaves
+    out adding 0.0.  numpy sums longer rows in blocks that depend on their
+    length, so those are summed as it sums them: TV's as compacted rows
+    grouped by length, and L_j's, which have a term for every cell, as one
+    (pairs, cells) array.  Below 8 cells, the component arrays are the only
+    (pairs, cells) float arrays built.  L_inf's cell is the first strict
+    maximum of the gaps, as ``argmax`` picks it.  The norm powers of L_j are
+    scalar ``pow`` calls, since array ``**`` rounds differently from it on
+    some inputs, made once per distinct value (``_lj_norms``).  Every
+    component is one cell, so the table's cuts are the cell starts and the
+    support end closed one ulp up, and cell ``k`` spans cuts ``k`` to
+    ``k + 1``.
     """
     if spec.kind not in ("tv", "lj", "linf"):
         return None
@@ -602,40 +610,77 @@ def partition_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> Piece
     if spec.kind == "linf" and cells != spec.D:
         return None
     H = np.stack([c.heights for c in candidates])
-    iu, ku = np.triu_indices(len(H), 1)
-    hp, hq = H[iu], H[ku]
     masses = H / cells
+    iu, ku = np.triu_indices(len(H), 1)
+    pairs = len(iu)
     edges = partition.edges
     cuts = np.append(edges[:-1], _UP(edges[-1], math.inf))
 
+    def at(a, k):
+        """Cell ``k`` of ``a`` at every pair's first and second candidate."""
+        column = a[:, k]
+        return column.take(iu), column.take(ku)
+
     if spec.kind == "tv":
-        p_gt, q_gt = hp > hq, hq > hp
-        bases = 0.5 * (_masked_row_sums(masses[iu], p_gt) - _masked_row_sums(masses[ku], q_gt))
-        pair, cell = np.nonzero(p_gt | q_gt)
-        const = np.where(q_gt[pair, cell], 0.5, -0.5)
-        return PiecewiseTable(bases, pair, cuts, cell, cell + 1, const, None)
+        sum_p, sum_q = np.zeros(pairs), np.zeros(pairs)
+        p_gt, q_gt = np.empty((2, pairs, cells), dtype=bool)
+        for k in range(cells):
+            hp, hq = at(H, k)
+            mp, mq = at(masses, k)
+            np.add(sum_p, mp, out=sum_p, where=np.greater(hp, hq, out=p_gt[:, k]))
+            np.add(sum_q, mq, out=sum_q, where=np.greater(hq, hp, out=q_gt[:, k]))
+        if cells >= 8:  # sum rows of 8 or more terms again, compacted and grouped by length
+            for sums, picked, side in ((sum_p, p_gt, iu), (sum_q, q_gt, ku)):
+                counts = picked.sum(axis=1)
+                for c in np.unique(counts[counts >= 8]).tolist():
+                    rows = np.flatnonzero(counts == c)
+                    sums[rows] = masses[side[rows]][picked[rows]].reshape(-1, c).sum(axis=1)
+        cell = np.flatnonzero(p_gt | q_gt)  # flat indices, made cells in place below
+        # -1/2 where p > q, +1/2 where q > p: False - 0.5 and True - 0.5.
+        const = np.subtract(q_gt.ravel()[cell], 0.5, dtype=float)
+        pair = cell // cells
+        cell -= pair * cells
+        return PiecewiseTable(0.5 * (sum_p - sum_q), pair, cuts, cell, cell + 1, const, None)
 
     if spec.kind == "lj":
         j = spec.j
         scale = 2.0 * _lj_scale(spec)
-        diff = hp - hq
-        sums = (np.abs(diff) ** j).sum(axis=1) / cells
-        dist = np.array([s ** (1.0 / j) for s in sums.tolist()])
-        keep = dist != 0.0  # pairs at distance zero get the zero score
-        norm = np.array([d ** (j - 1.0) if d != 0.0 else 1.0 for d in dist.tolist()])
-        f_vals = np.sign(diff) * np.abs(diff) ** (j - 1.0) / norm[:, None]
-        mean_f = (f_vals * 0.5 * (masses[iu] + masses[ku])).sum(axis=1)
-        bases = np.where(keep, mean_f / scale, 0.0)
+
+        blocked = cells >= 8  # numpy sums these rows, a term per cell, in blocks
+        if blocked:
+            means = (np.abs(H[iu] - H[ku]) ** j).sum(axis=1)
+        else:
+            means = np.zeros(pairs)
+            for k in range(cells):
+                hp, hq = at(H, k)
+                means += np.abs(hp - hq) ** j
+        means /= cells
+        keep = means != 0.0  # pairs at distance zero get the zero score
+        norm = _lj_norms(means, j)
         rows = np.flatnonzero(keep)
+        mean_f = np.zeros(pairs)
+        const = np.empty((len(rows), cells))
+        for k in range(cells):
+            hp, hq = at(H, k)
+            mp, mq = at(masses, k)
+            f_vals = _lj_witness_values(hp, hq, j) / norm
+            mean_f += f_vals * 0.5 * (mp + mq)
+            const[:, k] = -f_vals[rows] / scale
+        if blocked:
+            f_vals = _lj_witness_values(H[iu], H[ku], j) / norm[:, None]
+            mean_f = (f_vals * 0.5 * (masses[iu] + masses[ku])).sum(axis=1)
+        bases = np.where(keep, mean_f / scale, 0.0)
         cell = np.tile(np.arange(cells), len(rows))
-        const = (-f_vals[rows] / scale).ravel()
-        return PiecewiseTable(bases, np.repeat(rows, cells), cuts, cell, cell + 1, const, None)
+        return PiecewiseTable(bases, np.repeat(rows, cells), cuts, cell, cell + 1, const.ravel(), None)
 
     # L_inf
-    mp, mq = masses[iu], masses[ku]
-    star = np.abs(mp - mq).argmax(axis=1)  # lowest index on ties
-    at = np.arange(len(star))
-    sp, sq = mp[at, star], mq[at, star]
+    gap_max, star = np.full(pairs, -1.0), np.zeros(pairs, dtype=np.intp)
+    for k in range(cells):
+        mp, mq = at(masses, k)
+        gap = np.abs(mp - mq)
+        star[gap > gap_max] = k  # strict, so ties keep the lowest cell, as argmax does
+        np.maximum(gap_max, gap, out=gap_max)
+    sp, sq = masses[iu, star], masses[ku, star]
     keep = sp - sq != 0.0
     sign = np.copysign(1.0, sp - sq)
     bases = np.where(keep, sign * 0.5 * (sp + sq), 0.0)
@@ -644,20 +689,14 @@ def partition_pair_table(spec: LossSpec, candidates: Sequence[Measure]) -> Piece
     return PiecewiseTable(bases, rows, cuts, star, star + 1, -sign[rows], None)
 
 
-def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``values[r][mask[r]].sum()`` for every row ``r``, bitwise.
+def _lj_norms(means: np.ndarray, j: float) -> np.ndarray:
+    """Each pair's L_j norm factor ``(mean ** (1/j)) ** (j - 1)``, 1.0 at mean 0.
 
-    Rows are grouped by their count of selected entries and each group is
-    summed as a compacted C-contiguous block: numpy's pairwise summation
-    blocks by position, so zero-filling unselected entries would change the
-    rounding of rows with eight or more terms.
+    Scalar ``pow`` calls, as the per-pair score makes them, once per
+    bitwise-distinct mean.
     """
-    out = np.zeros(len(values))
-    counts = mask.sum(axis=1)
-    for c in np.unique(counts[counts > 0]).tolist():
-        rows = np.flatnonzero(counts == c)
-        out[rows] = values[rows][mask[rows]].reshape(-1, c).sum(axis=1)
-    return out
+    bits, back = np.unique(means.view(np.int64), return_inverse=True)
+    return np.array([(v ** (1.0 / j)) ** (j - 1.0) if v else 1.0 for v in bits.view(float).tolist()])[back]
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,28 @@ class TestSimulate:
             blobs.append((out / "records.csv").read_bytes())
         assert blobs[0] != blobs[1]
 
+    def test_infinite_losses_summarize_as_infinity(self, tmp_path, recwarn):
+        # KL from a point mass to any Gaussian is infinite: every quantile of
+        # the losses is the infinite order statistic, not inf - inf.
+        doc = simulate_with(
+            truth={"kind": "iid", "measure": {"family": "point-mass", "params": {"at": 0.0}}},
+            model={"family": "gaussian-location-grid", "d": 1, "lo": -0.6, "hi": 0.6, "step": 0.05},
+            loss={"kind": "kl", "a": 20.0},
+            n=20,
+            replications=5,
+        )
+        doc["ns"] = [10, 20]
+        path = write_config(tmp_path, "s.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        written = json.loads((out / "summary.json").read_text())
+        summary = written["summary"]["loss"]
+        assert set(summary) == {"mean", "median", "q10", "q25", "q75", "q90", "min", "max"}
+        assert all(v == math.inf for v in summary.values()), summary
+        # No log-log slope is fitted through infinite medians.
+        assert written["rate"] == {"rows": [{"median_loss": math.inf, "n": 10}, {"median_loss": math.inf, "n": 20}], "slope": None}
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_deviation_block(self, tmp_path):
         doc = {
             "scenario": {

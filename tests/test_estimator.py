@@ -406,6 +406,44 @@ def count_score_calls(monkeypatch):
     return calls
 
 
+def spread_rows(seed, cells):
+    """4,000 rows of ``cells`` terms of either sign over 24 decades, a tenth -0.0."""
+    rng = philox_rng(seed, cells)
+    rows = rng.normal(size=(4000, cells)) * 10.0 ** rng.integers(-12, 12, size=(4000, cells))
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    return rows
+
+
+def left_folds(rows):
+    out = np.zeros(len(rows))
+    for column in rows.T:
+        out += column
+    return out
+
+
+class TestShortRowSums:
+    """The numpy rule by which ``partition_pair_table`` sums cell by cell."""
+
+    @pytest.mark.parametrize("cells", range(1, 8))
+    def test_fewer_than_eight_terms_add_left_to_right_from_zero(self, cells):
+        rows = spread_rows(31, cells)
+        fold = left_folds(rows)
+        rule = (
+            f"numpy's sum of a row of {cells} terms differs from the left-to-right sum "
+            "from +0.0 by which testfam.partition_pair_table folds its rows cell by cell"
+        )
+        assert rows.sum(axis=1).tobytes() == fold.tobytes(), rule
+        assert np.array([r.sum() for r in rows[:400]]).tobytes() == fold[:400].tobytes(), rule
+        assert np.full((1, cells), -0.0).sum(axis=1).tobytes() == np.zeros(1).tobytes(), rule
+
+    def test_eight_terms_need_not(self):
+        rows = spread_rows(31, 8)
+        assert (rows.sum(axis=1) != left_folds(rows)).any(), (
+            "numpy's sums of 8 terms all equal left-to-right sums, so the threshold at which "
+            "testfam.partition_pair_table sums rows again no longer matches numpy"
+        )
+
+
 class TestPartitionPairTable:
     """Histogram models compile all pairs at once, bitwise as pair by pair."""
 
@@ -467,6 +505,69 @@ class TestPartitionPairTable:
         upper = eng.constant_parts[np.triu_indices(len(model), 1)]
         assert upper.tobytes() == consts.tobytes()
         assert np.array_equal(eng.constant_parts, -eng.constant_parts.T)
+
+    @staticmethod
+    def assert_per_pair(spec, candidates):
+        """The compiled table is bitwise the per-pair scores' table; returns it."""
+        scores = [score(spec, P, Q) for P, Q in combinations(candidates, 2)]
+        expected = PiecewiseTable.from_scores(scores)
+        tab = partition_pair_table(spec, candidates)
+        for field in ("bases", "row", "const"):
+            got, want = getattr(tab, field), getattr(expected, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        for field in ("lo", "hi"):
+            got, want = getattr(tab, field), getattr(expected, field)
+            assert tab.cuts[got].tobytes() == expected.cuts[want].tobytes(), field
+        return tab
+
+    @pytest.mark.parametrize("loss", sorted(SPECS))
+    @pytest.mark.parametrize("cells", [7, 8, 10])
+    def test_rows_around_numpys_blocked_sums(self, cells, loss):
+        # Heights of spread magnitudes, so that a sum of 8 or more terms in
+        # another order rounds differently.  With 10 cells some TV pairs
+        # select exactly 7 and some exactly 8 cells on one side; L_j sums
+        # every cell, 7 of them left to right and 8 or 10 in numpy's blocks.
+        rng = philox_rng(29, cells)
+        heights = rng.random((24, cells)) * 10.0 ** rng.integers(-6, 3, size=(24, cells))
+        part = PartitionRef(cells, (0.0, 1.0))
+        candidates = [HistogramMeasure(part, h) for h in heights]
+        if cells == 10:
+            iu, ku = np.triu_indices(len(heights), 1)
+            selected = set((heights[iu] > heights[ku]).sum(axis=1).tolist())
+            assert {7, 8} <= selected
+        self.assert_per_pair(self.SPECS[loss](cells), candidates)
+
+    @pytest.mark.parametrize("loss", sorted(SPECS))
+    def test_signed_zeros_and_tied_heights(self, loss):
+        part = PartitionRef(5, (-1.0, 1.0))
+        rows = [
+            [0.0, -0.0, 1.0, 2.0, 2.0],
+            [-0.0, 0.0, 1.0, 2.0, 2.0],
+            [2.0, 2.0, 1.0, -0.0, 0.0],
+            [-0.0, -0.0, -0.0, -0.0, 5.0],
+            [1.0, -1.0, 0.0, -0.0, 5.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0],
+            # TV takes a mass of -0.0 where p > q and of 0.0 where q > p:
+            # numpy's sums start from +0.0, so the base is 0.0, not -0.0.
+            [-0.0, -1.0, 1.0, 1.0, 1.0],
+            [-1.0, 0.0, 1.0, 1.0, 1.0],
+        ]
+        self.assert_per_pair(self.SPECS[loss](5), [HistogramMeasure(part, h) for h in rows])
+
+    @pytest.mark.parametrize("j", [2.0, 3.0])
+    def test_repeated_lj_distances(self, j):
+        model = build(self.MODELS["histogram-net"])
+        spec = LossSpec.lj(j=j, R=2.0)
+        dists = [lj_distance(P, Q, j) for P, Q in combinations(model.candidates, 2)]
+        assert len(set(dists)) < len(dists) / 10
+        self.assert_per_pair(spec, model.candidates)
+
+    def test_linf_ties_pick_the_lowest_cell(self):
+        part = PartitionRef(4, (0.0, 1.0))
+        rows = [[2.0, 0.0, 1.0, 1.0], [0.0, 2.0, 1.0, 1.0], [1.0, 1.0, 0.0, 2.0], [1.0, 1.0, 2.0, 0.0]]
+        tab = self.assert_per_pair(LossSpec.linf(D=4), [HistogramMeasure(part, h) for h in rows])
+        # Pairs (0, 1) and (2, 3) tie on two cells, the other four on all four.
+        assert tab.lo.tolist() == [0, 0, 0, 0, 0, 2]
 
     def test_mixed_partitions_take_per_pair_path(self, monkeypatch):
         wide = PartitionRef(3, (0.0, 2.0))

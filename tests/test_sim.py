@@ -353,6 +353,21 @@ class TestRunEstimation:
             counts[p[1]] = counts.get(p[1], 0) + 1
         assert counts == record.summary["chosen_counts"]
 
+    @pytest.mark.parametrize(
+        "losses, expected",
+        [
+            # (n - 1) q = 1 falls on the finite 2.0, whose upper neighbour is inf.
+            ([1.0, 2.0, math.inf], [1.2, 1.5, 2.0, math.inf, math.inf]),
+            ([0.3, math.inf, 0.1, 0.2, math.inf], [0.14, 0.2, 0.3, math.inf, math.inf]),
+            ([math.inf] * 4, [math.inf] * 5),
+        ],
+    )
+    def test_quantiles_with_infinite_losses(self, losses, expected, recwarn):
+        qs = [0.1, 0.25, 0.5, 0.75, 0.9]
+        got = sim._quantiles(np.array(losses), qs)
+        assert got == pytest.approx(expected, rel=1e-15)
+        assert not recwarn.list
+
     def test_row_count_invariant_enforced(self):
         s = gaussian_grid_scenario(n=10, replications=3)
         record = sim.run_estimation(s)
